@@ -67,6 +67,7 @@ from .zoo import (
 from .lp import (
     LinearProgram,
     LPOutcome,
+    PivotBudgetError,
     solve_lp,
     verify_certificate,
 )

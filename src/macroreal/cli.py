@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .exclusion import WitnessExclusion
 from .lgi import LGIModelBinding, model_correlators, quantum_correlators, rotation_protocol
+from .lp import PivotBudgetError
 from .ontomodel import Bindings, classify, validate
 from .serialize import (
     dumps_json,
@@ -296,7 +297,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CertificationError as exc:
+    except (CertificationError, PivotBudgetError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

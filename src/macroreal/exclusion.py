@@ -99,36 +99,37 @@ def accessible_atoms(
     fragment: QuantumFragment, target: str, atoms: list
 ) -> tuple:
     """Atoms that can carry positive weight in some measure reproducing the
-    target state's statistics.
+    target state's statistics: those whose largest feasible weight exceeds
+    ``STRICT_POS_EPS``.
 
-    Decided per atom by maximizing its weight subject to the marginal
-    equalities; an atom choosing an outcome whose Born probability vanishes
-    is excluded outright because every feasible measure is supported away
-    from it. Accessible means LP optimum > 1e-9.
+    That largest weight is the Fréchet bound w* = min_m p_m(o_m), where
+    p_m is the target's Born distribution for measurement m and o_m the
+    outcome atom a chooses there; the constraints fix each marginal of the
+    measure to p_m.
+
+    * w(a) <= w*: the (m, o_m) marginal adds a's weight to other
+      nonnegative weights, so w(a) <= p_m(o_m) for every m.
+    * w* is attained: put w* on a. The remainders
+      r_m = p_m - w* [o = o_m] are nonnegative and each sums to 1 - w*.
+      If w* < 1, add the product measure (1 - w*) prod_m (r_m(o'_m) / (1 - w*))
+      over all atoms o'; its marginals are the r_m, so the sum reproduces
+      every p_m. Its weight on a is zero, because r_m(o_m) = 0 at the
+      minimizing m.
+
+    So a is accessible iff w* > STRICT_POS_EPS: one vectorised minimum over
+    the measurements replaces one LP per atom. The atoms, and with them the
+    ESMR, EMMR and overlap programs, are those the per-atom LPs select.
     """
     if target not in fragment.states:
         raise ValueError(f"target {target!r} not in the fragment catalogue")
-    marg, keys = _marginal_matrix(fragment, atoms)
-    rhs = _born_rhs(fragment, keys, target)
-    meas_names = list(fragment.measurements)
-    borns = {m: fragment.born(target, m) for m in meas_names}
-
-    result = []
-    for idx, atom in enumerate(atoms):
-        mins = min(borns[m][k] for m, k in zip(meas_names, atom.outcomes))
-        if mins <= STRICT_POS_EPS:
-            continue  # optimum is exactly the zero forced by the marginals
-        objective = np.zeros(len(atoms))
-        objective[idx] = 1.0
-        program = LinearProgram(objective=objective, a_eq=marg, b_eq=rhs)
-        outcome = solve_lp(program)
-        if outcome.status != "optimal":
-            raise CertificationError(
-                f"accessibility LP for atom {atom} ended {outcome.status}"
-            )
-        if outcome.value > STRICT_POS_EPS:
-            result.append(idx)
-    return tuple(result)
+    grid = np.array([a.outcomes for a in atoms], dtype=int).reshape(
+        len(atoms), len(fragment.measurements)
+    )
+    weight = np.full(len(atoms), np.inf)
+    for mi, mname in enumerate(fragment.measurements):
+        born_m = np.asarray(fragment.born(target, mname))
+        weight = np.minimum(weight, born_m[grid[:, mi]])
+    return tuple(np.flatnonzero(weight > STRICT_POS_EPS).tolist())
 
 
 @dataclass(frozen=True)

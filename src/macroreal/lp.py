@@ -6,6 +6,30 @@ Bland's anti-cycling rule. Every verdict carries a certificate: an optimal
 (or feasible) point together with dual multipliers, or a Farkas ray proving
 infeasibility; ``verify_certificate`` re-checks either kind against the
 original program.
+
+Pricing is incremental: each phase prices every column once, and after
+each pivot on (row r, column e) the reduced costs take the O(n) update
+``rc -= rc[e] * T[r]`` with the new pivot row, instead of the O(m n)
+product ``c_B @ T``. Before a phase ends (optimal or unbounded) the
+columns are priced in full once more; if that fresh pricing still admits
+an entering column, the phase goes on from it. So a verdict never rests on
+accumulated rounding.
+
+The ratio test keeps Bland's rule (smallest basic variable among the
+minimum-ratio rows) with two guards against pivots on rounding-sized
+entries. A basic value that rounding left slightly negative counts as
+zero, so a 1e-8 entry over a -1e-16 value cannot produce the lone most
+negative ratio. Among tied rows, those whose entry exceeds ``PIVOT_TOL``
+go first; an entry in (``FEAS_TOL``, ``PIVOT_TOL``] is pivoted on only when
+no tied row offers a larger one. Without the guards, EMMR programs whose
+Born probabilities fall to 1e-8 (alpha near 0.5553 at d=6 and 10) pivoted
+on such entries and pushed the right-hand side past 1e20 until the pivot
+budget ran out. Solves that never meet such an entry follow the same path
+as plain Bland's rule.
+
+A phase-1 leftover above ``FEAS_TOL`` but within ``CERT_TOL`` whose Farkas
+ray fails re-verification is rounding, not infeasibility (a pivot on a 1e-8
+entry scales the rhs error by 1e8); the solve then goes on to phase 2.
 """
 
 from __future__ import annotations
@@ -14,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEAS_TOL = 1e-9        # simplex pivoting / feasibility tolerance
+FEAS_TOL = 1e-9        # simplex pricing / feasibility tolerance
+PIVOT_TOL = 1e-6       # ratio-test ties go to entries above this first
 CERT_TOL = 1e-7        # certificate re-verification budget
 MAX_PIVOTS = 200_000
 
@@ -22,6 +47,10 @@ STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
+
+
+class PivotBudgetError(RuntimeError):
+    """The simplex made more than ``MAX_PIVOTS`` pivots without a verdict."""
 
 
 @dataclass(frozen=True)
@@ -104,13 +133,18 @@ class _Simplex:
 
     def run(self, cost: np.ndarray) -> str:
         """Bland's rule: smallest eligible entering column, smallest basic
-        variable among the minimum-ratio rows."""
+        variable among the minimum-ratio rows, rows with entries above
+        PIVOT_TOL first."""
         enterable = self.n  # artificial columns never re-enter
+        rc = None           # reduced costs; None until priced in full
         while True:
             if self.pivots > MAX_PIVOTS:
-                raise RuntimeError("simplex pivot budget exhausted")
-            cb = cost[self.basis]
-            rc = cost[:enterable] - cb @ self.table[:, :enterable]
+                raise PivotBudgetError(
+                    f"simplex pivot budget of {MAX_PIVOTS} exhausted"
+                )
+            fresh = rc is None
+            if fresh:
+                rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
             candidates = np.where(rc < -FEAS_TOL)[0]
             entering = -1
             for j in candidates:
@@ -118,16 +152,26 @@ class _Simplex:
                     entering = int(j)
                     break
             if entering < 0:
-                return "optimal"
+                if fresh:
+                    return "optimal"
+                rc = None
+                continue
             col = self.table[:, entering]
             rows = np.where(col > FEAS_TOL)[0]
             if rows.size == 0:
-                return "unbounded"
-            ratios = self.table[rows, -1] / col[rows]
+                if fresh:
+                    return "unbounded"
+                rc = None
+                continue
+            ratios = np.maximum(self.table[rows, -1], 0.0) / col[rows]
             best = ratios.min()
             tied = rows[ratios <= best + FEAS_TOL]
+            sound = tied[col[tied] > PIVOT_TOL]
+            if sound.size:
+                tied = sound
             leave = int(min(tied, key=lambda r: self.basis[r]))
             self._pivot(leave, entering)
+            rc -= rc[entering] * self.table[leave, :enterable]
 
     def drop_redundant_rows(self) -> None:
         """Remove rows whose artificial stayed basic with no pivot available."""
@@ -204,12 +248,17 @@ def solve_lp(program: LinearProgram, tol: float = FEAS_TOL) -> LPOutcome:
         scale = np.abs(y).max()
         if scale > 1.0:
             y = y / scale
-        return LPOutcome(
+        outcome = LPOutcome(
             status=STATUS_INFEASIBLE,
             farkas_eq=y[:n_eq],
             farkas_ub=y[n_eq:],
             pivots=sx.pivots,
         )
+        # A leftover within the certificate budget that no ray proves is
+        # rounding (pivots on 1e-8 entries scale the rhs error by 1e8):
+        # go on to phase 2 from the nearly feasible point.
+        if infeasibility > CERT_TOL or verify_certificate(program, outcome) <= CERT_TOL:
+            return outcome
 
     sx.drop_redundant_rows()
     sense = -1.0 if program.maximize else 1.0
@@ -238,8 +287,9 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     """Maximum violation of the certificate carried by ``outcome``.
 
     Optimal/feasible: primal residuals, dual feasibility, and the duality
-    gap. Infeasible: the Farkas ray conditions; a ray that fails to gain
-    strictly reports the shortfall as its violation.
+    gap. Infeasible: the Farkas ray conditions; a ray that gains less than
+    ``CERT_TOL`` proves nothing within the budget, so it reports the budget
+    plus its shortfall and never passes.
     """
     if outcome.status == STATUS_UNBOUNDED:
         raise ValueError("unbounded outcomes carry no certificate to verify")
@@ -255,7 +305,7 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
             float(z.max(initial=0.0)),
         )
         if gain < CERT_TOL:
-            viol = max(viol, CERT_TOL - gain)
+            viol = max(viol, 2.0 * CERT_TOL - gain)
         return viol
 
     x = outcome.x

@@ -18,6 +18,7 @@ import numpy as np
 from macroreal import (
     Bindings,
     FiniteOntModel,
+    LinearProgram,
     QuantumFragment,
     StateVector,
     UnitaryMap,
@@ -25,7 +26,9 @@ from macroreal import (
     born,
     computational_measurement,
     enumerate_atoms,
+    solve_lp,
 )
+from macroreal.exclusion import _born_rhs, _marginal_matrix
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -466,3 +469,21 @@ def additivity_violations(model: FiniteOntModel, tol: float = 1e-10) -> list[str
     if abs(union - split) > tol:
         return [f"additivity fails: union={union:.6g} split={split:.6g}"]
     return []
+
+
+def lp_atom_maxima(
+    fragment: QuantumFragment, target: str, atoms: list, indices
+) -> np.ndarray:
+    """Largest weight each of ``atoms[indices]`` can carry in a measure
+    reproducing the target's statistics, one simplex LP per atom: the
+    oracle for the closed-form ``accessible_atoms``."""
+    marg, keys = _marginal_matrix(fragment, atoms)
+    rhs = _born_rhs(fragment, keys, target)
+    maxima = []
+    for idx in indices:
+        objective = np.zeros(len(atoms))
+        objective[idx] = 1.0
+        outcome = solve_lp(LinearProgram(objective=objective, a_eq=marg, b_eq=rhs))
+        assert outcome.status == "optimal", outcome.status
+        maxima.append(outcome.value)
+    return np.array(maxima)

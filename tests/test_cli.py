@@ -67,6 +67,16 @@ def test_exclude_esmr_certificate(capsys):
     assert payload["certificate_residual"] <= 1e-7
 
 
+def test_exclude_pivot_budget_exits_1(capsys, monkeypatch):
+    import macroreal.lp
+
+    monkeypatch.setattr(macroreal.lp, "MAX_PIVOTS", 5)
+    code, out, err = run_cli(capsys, "exclude", "--alpha", "0.5", "--mode", "emmr")
+    assert code == 1
+    assert out == ""
+    assert err == "certification failure: simplex pivot budget of 5 exhausted\n"
+
+
 def test_exclude_rerun_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

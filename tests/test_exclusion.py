@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from macroreal import (
@@ -11,8 +13,10 @@ from macroreal import (
     enumerate_atoms,
     verify_certificate,
 )
-from macroreal.exclusion import _born_rhs, _marginal_matrix
-from macroreal.lp import CERT_TOL
+from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
+from macroreal.lp import CERT_TOL, FEAS_TOL
+from macroreal.witness import ALPHA_MAX
+from helpers import lp_atom_maxima
 
 
 def test_enumerate_counts(exclusion_half):
@@ -77,6 +81,28 @@ def test_accessible_against_reference_lp(exclusion_half):
         res = linprog(c, A_eq=marg, b_eq=rhs, bounds=[(0, None)] * len(atoms), method="highs")
         assert res.status == 0
         assert (idx in mine) == (-res.fun > 1e-9)
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("alpha", [0.3, 0.5553106689789393, ALPHA_MAX - 1e-6])
+def test_accessible_closed_form_matches_lp_oracle(alpha, dim):
+    """The Fréchet bound against per-atom simplex maxima, for every target.
+
+    An atom inside a marginal row of exactly zero mass is pinned to zero by
+    that one row; every other atom, down to Born probabilities of 1e-17,
+    gets its own LP.
+    """
+    context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+    frag, atoms = context.fragment, context.atoms
+    marg, keys = _marginal_matrix(frag, atoms)
+    for target in frag.states:
+        rhs = _born_rhs(frag, keys, target)
+        bound = np.where(marg > 0.0, rhs[:, None], np.inf).min(axis=0)
+        open_atoms = np.flatnonzero(bound > 0.0)
+        maxima = lp_atom_maxima(frag, target, atoms, open_atoms)
+        assert maxima == pytest.approx(bound[open_atoms], abs=FEAS_TOL)
+        by_lp = open_atoms[maxima > STRICT_POS_EPS]
+        assert accessible_atoms(frag, target, atoms) == tuple(by_lp.tolist())
 
 
 class TestExclusionPrograms:
@@ -152,6 +178,40 @@ def test_other_alphas(alpha):
     assert overlap.optimum == pytest.approx(expected, abs=1e-7)
     gap = overlap.required_mass - overlap.optimum
     assert gap == pytest.approx(alpha**2 * (1 - 2 * alpha**2), abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "alpha, dim", [(0.5553106689789393, 6), (0.5552396860617598, 10), (0.556, 10)]
+)
+def test_emmr_near_vanishing_born_probabilities(alpha, dim):
+    """q1's antidist probabilities fall to 1e-8..1e-9 here. Pivoting on
+    such entries blew the tableau up past 1e20 until the pivot budget ran
+    out; with the ratio-test guards these solve like their neighbours
+    (136-514 pivots, about 450 for a normal d=10 solve; 1000 leaves room
+    for path changes, not for a stall)."""
+    report = WitnessExclusion(build_witness(WitnessParams(alpha, dim))).emmr()
+    assert report.status == "infeasible"
+    assert report.certificate_residual <= CERT_TOL
+    assert verify_certificate(report.program, report.outcome) <= CERT_TOL
+    assert report.outcome.pivots < 1000
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.554, 0.557), dim=st.sampled_from([4, 6]))
+def test_programs_with_vanishing_probabilities_against_highs(alpha, dim):
+    """In this window Born probabilities of 1e-8 and below enter the EMMR
+    and ESMR rows as coefficients. Both programs stay infeasible, with
+    certificates, and HiGHS agrees on the programs as built."""
+    context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+    for report in (context.emmr(), context.esmr()):
+        assert report.status == "infeasible"
+        assert verify_certificate(report.program, report.outcome) <= CERT_TOL
+        p = report.program
+        res = linprog(
+            np.zeros(p.n_vars), A_eq=p.a_eq, b_eq=p.b_eq, A_ub=p.a_ub, b_ub=p.b_ub,
+            bounds=[(0, None)] * p.n_vars, method="highs",
+        )
+        assert res.status == 2
 
 
 def test_uncertified_witness_rejected(witness_half):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from macroreal import LinearProgram, solve_lp, verify_certificate
+from macroreal import LinearProgram, LPOutcome, solve_lp, verify_certificate
 from macroreal.lp import CERT_TOL
 
 
@@ -95,3 +97,105 @@ def test_random_cross_check_against_reference(seed):
             assert mine.status == ("unbounded" if feas.status == 0 else "infeasible")
         if mine.status != "unbounded":
             assert verify_certificate(p, mine) <= CERT_TOL
+
+
+# -- differential test against HiGHS -------------------------------------------
+# Small integer entries give ratio-test ties; +-1e-8 objective entries give
+# reduced costs just above FEAS_TOL. Programs with 1e-8 entries in the
+# constraints are tested on the EMMR/ESMR programs themselves
+# (test_exclusion.py): on arbitrary small ones the exact optimum and
+# HiGHS's tolerance-feasible one can differ by O(1).
+ENTRIES = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+COSTS = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0, 1e-8, -1e-8])
+
+
+def _matrix(draw, m, n):
+    return np.array(draw(st.lists(
+        st.lists(ENTRIES, min_size=n, max_size=n), min_size=m, max_size=m,
+    ))).reshape(m, n)
+
+
+@st.composite
+def small_lps(draw):
+    """Feasible by construction (b from a point x0 with zero entries and
+    zero slacks, so vertices are degenerate), unless a conflicting copy of
+    an equality row is added. Redundant rows repeat or add up equality
+    rows. An optional box row sum(x) <= B bounds the region."""
+    n = draw(st.integers(1, 5))
+    a_eq = _matrix(draw, draw(st.integers(0, 3)), n)
+    a_ub = _matrix(draw, draw(st.integers(0, 3)), n)
+    x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    b_eq = a_eq @ x0
+    slack = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=len(a_ub), max_size=len(a_ub)))
+    b_ub = a_ub @ x0 + np.array(slack)
+    if len(a_eq) and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(a_eq) - 1)), draw(st.integers(0, len(a_eq) - 1))
+        a_eq = np.vstack([a_eq, a_eq[i] + a_eq[j]])
+        b_eq = np.append(b_eq, b_eq[i] + b_eq[j])
+    if len(a_eq) and draw(st.booleans()):
+        i = draw(st.integers(0, len(a_eq) - 1))
+        a_eq = np.vstack([a_eq, a_eq[i]])
+        b_eq = np.append(b_eq, b_eq[i] + draw(st.sampled_from([0.0, 0.5, -1.0])))
+    if draw(st.booleans()):
+        a_ub = np.vstack([a_ub, np.ones(n)])
+        b_ub = np.append(b_ub, x0.sum() + 1.0)
+    c = np.array(draw(st.lists(COSTS, min_size=n, max_size=n)))
+    return LinearProgram(
+        objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=draw(st.booleans())
+    )
+
+
+def _highs_verdict(p: LinearProgram):
+    """(status, value) from HiGHS, with infeasible told apart from
+    unbounded by a pure feasibility run. Its tolerances are set below the
+    1e-8 objective entries."""
+    common = dict(
+        A_eq=p.a_eq if len(p.a_eq) else None, b_eq=p.b_eq if len(p.a_eq) else None,
+        A_ub=p.a_ub if len(p.a_ub) else None, b_ub=p.b_ub if len(p.a_ub) else None,
+        bounds=[(0, None)] * p.n_vars, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    feas = linprog(np.zeros(p.n_vars), **common)
+    if feas.status == 2:
+        return "infeasible", None
+    assert feas.status == 0, feas.message
+    sense = -1.0 if p.maximize else 1.0
+    res = linprog(sense * p.objective, **common)
+    if res.status == 0:
+        return ("optimal" if p.objective.any() else "feasible"), sense * res.fun
+    assert res.status in (2, 3), res.message
+    return "unbounded", None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_lps())
+def test_differential_against_highs(p):
+    mine = solve_lp(p)
+    status, value = _highs_verdict(p)
+    assert mine.status == status
+    if value is not None:
+        assert mine.value == pytest.approx(value, abs=1e-6, rel=1e-6)
+    if mine.status != "unbounded":
+        assert verify_certificate(p, mine) <= CERT_TOL
+
+
+def test_farkas_ray_without_gain_does_not_verify():
+    p = LinearProgram(objective=[0.0], a_eq=[[1.0]], b_eq=[1.0])
+    empty = LPOutcome(status="infeasible", farkas_eq=np.zeros(1), farkas_ub=np.zeros(0))
+    assert verify_certificate(p, empty) > CERT_TOL
+
+
+def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
+    """x3 is fixed only through a 1e-8 entry; pivoting on it leaves 6e-9
+    in a phase-1 artificial. No Farkas ray can gain on a feasible program,
+    so the solve goes on and certifies the optimum."""
+    x0 = np.array([0.0, 0.0, 0.5, 0.5])
+    a_eq = np.array([[-2.0, -2.0, -2.0, -2.0], [-2.0, -2.0, 0.0, -2.0], [-2.0, -2.0, 1e-8, -2.0]])
+    p = LinearProgram(
+        objective=[-2.0] * 4, a_eq=a_eq, b_eq=a_eq @ x0, a_ub=[[1.0] * 4], b_ub=[2.0],
+        maximize=False,
+    )
+    out = solve_lp(p)
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(-2.0, abs=1e-7)
+    assert verify_certificate(p, out) <= CERT_TOL
