@@ -73,13 +73,9 @@ from .lp import (
 )
 from .exclusion import (
     ExclusionReport,
-    ResponseAtom,
     WitnessExclusion,
     accessible_atoms,
     enumerate_atoms,
-    exclude_emmr,
-    exclude_esmr,
-    max_overlap,
     witness_fragment,
 )
 from .lgi import (

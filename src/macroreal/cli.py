@@ -2,7 +2,8 @@
 classification, and LGI scans, serialized to JSON or CSV.
 
 Exit codes: 0 success, 1 certification failure, 2 usage error. Outputs are
-deterministic for fixed flags; floats print with 17 significant digits.
+deterministic for fixed flags and a fixed BLAS thread count; floats print
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .exclusion import WitnessExclusion
 from .lgi import LGIModelBinding, model_correlators, quantum_correlators, rotation_protocol
-from .lp import PivotBudgetError
+from .lp import CERT_TOL, PivotBudgetError
 from .ontomodel import Bindings, classify, validate
 from .serialize import (
     dumps_json,
@@ -131,7 +132,7 @@ def _cmd_exclude(args) -> int:
         report = context.max_overlap()
         expected = "optimal"
     _emit(dumps_json(report.to_json_dict()), args.json)
-    certified = report.status == expected and report.certificate_residual <= 1e-7
+    certified = report.status == expected and report.certificate_residual <= CERT_TOL
     return 0 if certified else 1
 
 
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="build and certify one witness")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0, help="reserved for randomized searches")
     p.add_argument("--json", default="-")
     p.set_defaults(func=_cmd_witness)
 
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, default=0.70)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default="-")
     p.set_defaults(func=_cmd_sweep)
 
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--mode", choices=["esmr", "emmr", "max-overlap"], required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default="-")
     p.set_defaults(func=_cmd_exclude)
 
@@ -283,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", type=int, default=32)
     p.add_argument("--model", choices=["quantum", "ks", "emmr-toy"], default="quantum")
     p.add_argument("--nodes", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default="-")
     p.set_defaults(func=_cmd_lgi)
     return parser

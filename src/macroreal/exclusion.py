@@ -4,7 +4,11 @@ The search space is the finite family of deterministic response atoms: one
 chosen outcome per fragment measurement. Any finite-fragment model whose
 atoms respond stochastically splits into a mixture of such atoms with the
 same statistics, so verdicts hold within the deterministic-response model
-class (and the reports say so). Three programs matter:
+class (and the reports say so). The atoms are one ``(n_atoms, n_meas)``
+integer array: row a holds atom a's outcome index for each measurement, in
+fragment order, and rows run in ``itertools.product`` order. Atom indices
+in the accessible sets and LP columns are row indices of that array.
+Three programs matter:
 
 * ``esmr``: two measures, both reproducing the witness state's statistics,
   supported on eigenstate-accessible atoms, with the transported measure
@@ -19,21 +23,19 @@ class (and the reports say so). Three programs matter:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import (
-    CERT_TOL,
     LinearProgram,
     LPOutcome,
     solve_lp,
     verify_certificate,
 )
 from .ontomodel import QuantumFragment
-from .quantum import StateVector, born
+from .quantum import StateVector
 from .witness import (
     AntidistReport,
     CertificationError,
@@ -50,44 +52,26 @@ MEAS_MACRO = "macro"
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
 
-@dataclass(frozen=True)
-class ResponseAtom:
-    """One deterministic outcome choice per fragment measurement."""
-
-    outcomes: tuple          # outcome index per measurement, fragment order
-    labels: tuple            # matching outcome labels
-
-    def __str__(self) -> str:
-        return "|".join(self.labels)
-
-
-def enumerate_atoms(fragment: QuantumFragment) -> list:
-    """Full Cartesian product of outcome choices, in measurement order."""
-    meas_names = list(fragment.measurements)
-    counts = [fragment.measurements[m].n_outcomes for m in meas_names]
+def enumerate_atoms(fragment: QuantumFragment) -> np.ndarray:
+    """Every deterministic response atom as one ``(n_atoms, n_meas)`` integer
+    array: row a is atom a's outcome index per measurement, in fragment
+    order. Rows run in ``itertools.product`` order (last measurement
+    fastest), so row 0 is all zeros."""
+    counts = [meas.n_outcomes for meas in fragment.measurements.values()]
     total = math.prod(counts)
     if total > MAX_ATOMS:
         raise ValueError(f"{total} response atoms exceed the {MAX_ATOMS} cap")
-    atoms = []
-    for combo in itertools.product(*[range(c) for c in counts]):
-        labels = tuple(
-            fragment.measurements[m].outcomes[k] for m, k in zip(meas_names, combo)
-        )
-        atoms.append(ResponseAtom(tuple(combo), labels))
-    return atoms
+    return np.indices(counts).reshape(len(counts), total).T
 
 
-def _marginal_matrix(fragment: QuantumFragment, atoms: list) -> tuple:
+def _marginal_matrix(fragment: QuantumFragment, atoms: np.ndarray) -> tuple:
     """Rows summing atom weight per (measurement, outcome), plus row keys."""
-    meas_names = list(fragment.measurements)
-    outcome_grid = np.array([a.outcomes for a in atoms])  # (n_atoms, n_meas)
-    rows = []
+    blocks = []
     keys = []
-    for mi, mname in enumerate(meas_names):
-        for o in range(fragment.measurements[mname].n_outcomes):
-            rows.append((outcome_grid[:, mi] == o).astype(float))
-            keys.append((mname, o))
-    return np.array(rows), keys
+    for mi, (mname, meas) in enumerate(fragment.measurements.items()):
+        blocks.append(atoms[:, mi] == np.arange(meas.n_outcomes)[:, None])
+        keys.extend((mname, o) for o in range(meas.n_outcomes))
+    return np.concatenate(blocks).astype(float), keys
 
 
 def _born_rhs(fragment: QuantumFragment, keys: list, state_name: str) -> np.ndarray:
@@ -95,8 +79,54 @@ def _born_rhs(fragment: QuantumFragment, keys: list, state_name: str) -> np.ndar
     return np.array([borns[m][o] for m, o in keys])
 
 
+def _block_program(
+    marg: np.ndarray,
+    psi_rhs: np.ndarray,
+    halves: int,
+    eigen_rhs: list | None = None,
+    transform: tuple | None = None,
+) -> LinearProgram:
+    """Feasibility program over ``halves`` measures on the columns of
+    ``marg``, each measure split into one block per entry of ``eigen_rhs``
+    (a single block when it is None).
+
+    Rows, in order: every block matches its eigenstate's statistics scaled
+    by the block mass, marg - born_q = 0 (blocks cycle through
+    ``eigen_rhs`` in each half); the blocks of each half sum to the witness
+    statistics ``psi_rhs``. ``transform`` = (zero_mask, phi_mask) over the
+    columns adds sum_{A_zero} mu' - sum_{A_phi} mu <= 0, with mu' the first
+    half and mu the second: the transported measure must cover at least
+    the eigenstate mass it started from.
+    """
+    n_keys, n_cols = marg.shape
+    n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
+    n_eigen = 0 if eigen_rhs is None else halves * n_blocks
+    width = n_blocks * n_cols                   # columns per half
+    a_eq = np.zeros(((n_eigen + halves) * n_keys, halves * width))
+    b_eq = np.zeros(a_eq.shape[0])
+    for blk in range(n_eigen):
+        born_q = eigen_rhs[blk % n_blocks]
+        rows = slice(blk * n_keys, (blk + 1) * n_keys)
+        a_eq[rows, blk * n_cols : (blk + 1) * n_cols] = marg - born_q[:, None]
+    tiled = np.tile(marg, n_blocks)
+    for half in range(halves):
+        rows = slice((n_eigen + half) * n_keys, (n_eigen + half + 1) * n_keys)
+        a_eq[rows, half * width : (half + 1) * width] = tiled
+        b_eq[rows] = psi_rhs
+    a_ub = b_ub = None
+    if transform is not None:
+        zero_mask, phi_mask = transform
+        a_ub = np.zeros((1, a_eq.shape[1]))
+        a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), n_blocks)
+        a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), n_blocks)
+        b_ub = np.zeros(1)
+    return LinearProgram(
+        objective=np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub
+    )
+
+
 def accessible_atoms(
-    fragment: QuantumFragment, target: str, atoms: list
+    fragment: QuantumFragment, target: str, atoms: np.ndarray
 ) -> tuple:
     """Atoms that can carry positive weight in some measure reproducing the
     target state's statistics: those whose largest feasible weight exceeds
@@ -122,13 +152,10 @@ def accessible_atoms(
     """
     if target not in fragment.states:
         raise ValueError(f"target {target!r} not in the fragment catalogue")
-    grid = np.array([a.outcomes for a in atoms], dtype=int).reshape(
-        len(atoms), len(fragment.measurements)
-    )
     weight = np.full(len(atoms), np.inf)
     for mi, mname in enumerate(fragment.measurements):
         born_m = np.asarray(fragment.born(target, mname))
-        weight = np.minimum(weight, born_m[grid[:, mi]])
+        weight = np.minimum(weight, born_m[atoms[:, mi]])
     return tuple(np.flatnonzero(weight > STRICT_POS_EPS).tolist())
 
 
@@ -213,6 +240,8 @@ class WitnessExclusion:
         self.antidist = antidist
         self.fragment = witness_fragment(bundle, antidist.measurement)
         self.atoms = enumerate_atoms(self.fragment)
+        self._marg, self._keys = _marginal_matrix(self.fragment, self.atoms)
+        self._marg.flags.writeable = False   # max_overlap's program shares it
         self._access: dict[str, tuple] = {}
         self._eigen_names = ["zero"] + [f"q{k}" for k in range(1, bundle.dim)]
 
@@ -230,19 +259,12 @@ class WitnessExclusion:
             hit.update(self.accessible(name))
         return tuple(sorted(hit))
 
-    def _transform_row(self, n_vars: int, mu_prime_cols: dict, mu_cols: dict) -> np.ndarray:
-        """sum_{A_zero} mu' - sum_{A_phi} mu <= 0, i.e. the transported
-        measure must cover at least the eigenstate mass it started from."""
-        row = np.zeros(n_vars)
-        for atom_idx in self.accessible("zero"):
-            col = mu_prime_cols.get(atom_idx)
-            if col is not None:
-                row[col] += 1.0
-        for atom_idx in self.accessible("phi"):
-            col = mu_cols.get(atom_idx)
-            if col is not None:
-                row[col] -= 1.0
-        return row
+    def _transform_masks(self, columns) -> tuple:
+        """Which of the atoms ``columns`` are accessible from zero and phi."""
+        return (
+            np.isin(columns, self.accessible("zero")),
+            np.isin(columns, self.accessible("phi")),
+        )
 
     # -- the three programs --------------------------------------------------
 
@@ -250,24 +272,15 @@ class WitnessExclusion:
         self, include_support: bool = True, include_transform: bool = True
     ) -> ExclusionReport:
         """Two-measure feasibility program for eigenstate-supported models."""
-        allowed = list(self._eigen_union()) if include_support else list(range(len(self.atoms)))
-        sub_atoms = [self.atoms[i] for i in allowed]
-        marg, keys = _marginal_matrix(self.fragment, sub_atoms)
-        rhs = _born_rhs(self.fragment, keys, "psi")
-        ns = len(allowed)
-        n_vars = 2 * ns
-        a_eq = np.zeros((2 * len(keys), n_vars))
-        a_eq[: len(keys), :ns] = marg
-        a_eq[len(keys):, ns:] = marg
-        b_eq = np.concatenate([rhs, rhs])
-        mu_prime_cols = {atom_idx: j for j, atom_idx in enumerate(allowed)}
-        mu_cols = {atom_idx: ns + j for j, atom_idx in enumerate(allowed)}
-        a_ub = b_ub = None
-        if include_transform:
-            a_ub = self._transform_row(n_vars, mu_prime_cols, mu_cols)[None, :]
-            b_ub = np.zeros(1)
-        program = LinearProgram(
-            objective=np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub
+        allowed = (
+            np.array(self._eigen_union(), dtype=int) if include_support
+            else np.arange(len(self.atoms))
+        )
+        program = _block_program(
+            self._marg[:, allowed],
+            _born_rhs(self.fragment, self._keys, "psi"),
+            halves=2,
+            transform=self._transform_masks(allowed) if include_transform else None,
         )
         outcome = solve_lp(program)
         residual = verify_certificate(program, outcome)
@@ -313,8 +326,9 @@ class WitnessExclusion:
         Restricting ``measurements`` to ("macro",) yields the classical
         control: eigenstate mixtures reproduce any macro statistics.
         """
-        frag = self.fragment
-        if tuple(measurements) != ALL_MEASUREMENTS:
+        full = tuple(measurements) == ALL_MEASUREMENTS
+        frag, atoms, marg, keys = self.fragment, self.atoms, self._marg, self._keys
+        if not full:
             frag = QuantumFragment(
                 dim=frag.dim,
                 states=frag.states,
@@ -322,58 +336,15 @@ class WitnessExclusion:
                 measurements={m: frag.measurements[m] for m in measurements},
                 macro_observable=MEAS_MACRO,
             )
-        atoms = enumerate_atoms(frag)
-        marg, keys = _marginal_matrix(frag, atoms)
+            atoms = enumerate_atoms(frag)
+            marg, keys = _marginal_matrix(frag, atoms)
         n_atoms = len(atoms)
-        full = tuple(measurements) == ALL_MEASUREMENTS
-        n_blocks = 2 * len(self._eigen_names) if full else len(self._eigen_names)
-        n_vars = n_blocks * n_atoms
-
-        rows = []
-        rhs_list = []
-        # each block is a subnormalized measure matching its eigenstate's
-        # statistics: marginal(rho_q) - mass(rho_q) * born(q) = 0
-        for blk, qname in enumerate(self._eigen_names * (2 if full else 1)):
-            q_rhs = _born_rhs(frag, keys, qname)
-            off = blk * n_atoms
-            for r, key_rhs in enumerate(q_rhs):
-                row = np.zeros(n_vars)
-                row[off : off + n_atoms] = marg[r] - key_rhs
-                rows.append(row)
-                rhs_list.append(0.0)
-        # the block sums reproduce the witness state
-        psi_rhs = _born_rhs(frag, keys, "psi")
-        halves = (0, 1) if full else (0,)
-        for half in halves:
-            for r in range(len(keys)):
-                row = np.zeros(n_vars)
-                for blk in range(len(self._eigen_names)):
-                    off = (half * len(self._eigen_names) + blk) * n_atoms
-                    row[off : off + n_atoms] = marg[r]
-                rows.append(row)
-                rhs_list.append(psi_rhs[r])
-        a_ub = b_ub = None
-        if full:
-            atom_pos = {tuple(a.outcomes): i for i, a in enumerate(atoms)}
-            mu_prime_cols = {}
-            mu_cols = {}
-            row3 = np.zeros(n_vars)
-            for atom_idx in self.accessible("zero"):
-                pos = atom_pos[tuple(self.atoms[atom_idx].outcomes)]
-                for blk in range(len(self._eigen_names)):
-                    row3[blk * n_atoms + pos] += 1.0
-            for atom_idx in self.accessible("phi"):
-                pos = atom_pos[tuple(self.atoms[atom_idx].outcomes)]
-                for blk in range(len(self._eigen_names), 2 * len(self._eigen_names)):
-                    row3[blk * n_atoms + pos] -= 1.0
-            a_ub = row3[None, :]
-            b_ub = np.zeros(1)
-        program = LinearProgram(
-            objective=np.zeros(n_vars),
-            a_eq=np.array(rows),
-            b_eq=np.array(rhs_list),
-            a_ub=a_ub,
-            b_ub=b_ub,
+        program = _block_program(
+            marg,
+            _born_rhs(frag, keys, "psi"),
+            halves=2 if full else 1,
+            eigen_rhs=[_born_rhs(frag, keys, q) for q in self._eigen_names],
+            transform=self._transform_masks(np.arange(n_atoms)) if full else None,
         )
         outcome = solve_lp(program)
         residual = verify_certificate(program, outcome)
@@ -408,12 +379,14 @@ class WitnessExclusion:
     def max_overlap(self) -> ExclusionReport:
         """Maximal mass on the accessible atoms of {phi, zero} under the
         witness statistics alone; the optimum is the quantum ceiling."""
-        marg, keys = _marginal_matrix(self.fragment, self.atoms)
-        rhs = _born_rhs(self.fragment, keys, "psi")
         objective = np.zeros(len(self.atoms))
-        for atom_idx in set(self.accessible("zero")) | set(self.accessible("phi")):
-            objective[atom_idx] = 1.0
-        program = LinearProgram(objective=objective, a_eq=marg, b_eq=rhs, maximize=True)
+        objective[list(self.accessible("zero") + self.accessible("phi"))] = 1.0
+        program = LinearProgram(
+            objective=objective,
+            a_eq=self._marg,
+            b_eq=_born_rhs(self.fragment, self._keys, "psi"),
+            maximize=True,
+        )
         outcome = solve_lp(program)
         residual = verify_certificate(program, outcome)
         alpha = self.bundle.alpha
@@ -439,14 +412,3 @@ class WitnessExclusion:
             quantum_ceiling=upper,
         )
 
-
-def exclude_esmr(bundle: WitnessBundle, antidist: AntidistReport | None = None) -> ExclusionReport:
-    return WitnessExclusion(bundle, antidist).esmr()
-
-
-def exclude_emmr(bundle: WitnessBundle, antidist: AntidistReport | None = None) -> ExclusionReport:
-    return WitnessExclusion(bundle, antidist).emmr()
-
-
-def max_overlap(bundle: WitnessBundle, antidist: AntidistReport | None = None) -> ExclusionReport:
-    return WitnessExclusion(bundle, antidist).max_overlap()

@@ -201,14 +201,13 @@ class _Simplex:
 
     def duals(self, cost: np.ndarray, n_rows_orig: int) -> np.ndarray:
         """Solve B^T y = c_B on the live rows; dropped rows get dual zero."""
-        basis_cols = np.empty((self.m, self.m))
-        for i, j in enumerate(self.basis):
-            if j < self.n:
-                basis_cols[:, i] = self.a[np.ix_(self.live, [j])].ravel()
-            else:
-                art_row = j - self.n
-                basis_cols[:, i] = [1.0 if r == art_row else 0.0 for r in self.live]
-        y_live = np.linalg.solve(basis_cols.T, cost[self.basis])
+        basis = np.array(self.basis, dtype=int)
+        live = np.array(self.live, dtype=int)
+        real = basis < self.n
+        basis_cols = np.zeros((self.m, self.m))
+        basis_cols[:, real] = self.a[np.ix_(live, basis[real])]
+        basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
+        y_live = np.linalg.solve(basis_cols.T, cost[basis])
         y = np.zeros(n_rows_orig)
         y[self.live] = y_live
         return y
@@ -234,10 +233,10 @@ def solve_lp(program: LinearProgram, tol: float = FEAS_TOL) -> LPOutcome:
     a_all[n_eq:, n:] = np.eye(n_ub)
     b_all = np.concatenate([program.b_eq, program.b_ub])
     flip = b_all < 0.0
-    a_norm = np.where(flip[:, None], -a_all, a_all)
-    b_norm = np.where(flip, -b_all, b_all)
+    a_all[flip] = -a_all[flip]      # sign-normalize in place: b >= 0
+    b_all[flip] = -b_all[flip]
 
-    sx = _Simplex(a_norm, b_norm)
+    sx = _Simplex(a_all, b_all)
     n_cols = sx.n
 
     phase1 = np.concatenate([np.zeros(n_cols), np.ones(m)])

@@ -282,13 +282,14 @@ def kernel_set(f: np.ndarray, mu: np.ndarray, eps: float = KERNEL_EPS) -> np.nda
     """Atoms where the [0,1]-valued function f equals 1 within ``eps``.
 
     If sum mu*f = 1 then the returned set carries full mu-measure (the
-    finite form of the unit-average kernel lemma); ``mu`` is part of the
-    signature for that contract, the set itself depends only on ``f``.
+    finite form of the unit-average kernel lemma). The set itself depends
+    only on ``f``; ``mu`` must be a measure over the same atoms.
     """
     f = np.asarray(f, dtype=float)
+    if np.shape(mu) != f.shape:
+        raise ValueError(f"kernel_set: mu has shape {np.shape(mu)}, f has {f.shape}")
     if f.min(initial=0.0) < -1e-12 or f.max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("kernel_set expects entries in [0, 1]")
-    np.asarray(mu)  # shape compatibility is the caller's concern past this point
     return np.where(1.0 - f <= eps)[0]
 
 

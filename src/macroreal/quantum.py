@@ -143,12 +143,6 @@ class ProjMeasurement:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def outcome_index(self, label: str) -> int:
-        try:
-            return self.outcomes.index(str(label))
-        except ValueError:
-            raise ValueError(f"unknown outcome {label!r}") from None
-
 
 def basis_measurement(vectors: Sequence[StateVector], labels: Sequence[str] | None = None) -> ProjMeasurement:
     """Measurement of the orthonormal basis spanned by ``vectors``."""

@@ -120,11 +120,6 @@ def model_from_json(data: dict) -> FiniteOntModel:
     )
 
 
-def dump_json(obj: dict, path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
-
-
 def dumps_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 

@@ -16,7 +16,6 @@ import itertools
 import numpy as np
 
 from macroreal import (
-    Bindings,
     FiniteOntModel,
     LinearProgram,
     QuantumFragment,
@@ -28,7 +27,7 @@ from macroreal import (
     enumerate_atoms,
     solve_lp,
 )
-from macroreal.exclusion import _born_rhs, _marginal_matrix
+from macroreal.exclusion import ALL_MEASUREMENTS, MEAS_MACRO, _born_rhs, _marginal_matrix
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -235,7 +234,7 @@ def product_model(fragment: QuantumFragment) -> FiniteOntModel:
     for sname in fragment.states:
         w = np.array(
             [
-                np.prod([borns[(sname, m)][k] for m, k in zip(meas_names, atom.outcomes)])
+                np.prod([borns[(sname, m)][k] for m, k in zip(meas_names, atom)])
                 for atom in atoms
             ]
         )
@@ -246,8 +245,7 @@ def product_model(fragment: QuantumFragment) -> FiniteOntModel:
     for mi, mname in enumerate(meas_names):
         meas = fragment.measurements[mname]
         resp = np.zeros((meas.n_outcomes, n_atoms))
-        for ai, atom in enumerate(atoms):
-            resp[atom.outcomes[mi], ai] = 1.0
+        resp[atoms[:, mi], np.arange(n_atoms)] = 1.0
         responses[mname] = resp
         outcome_labels[mname] = meas.outcomes
 
@@ -270,19 +268,6 @@ def product_model(fragment: QuantumFragment) -> FiniteOntModel:
         eigenstate_preps=eigenstate_preps,
         delta_sets={s: (s,) for s in fragment.states},
     )
-
-
-def full_bindings(model: FiniteOntModel, fragment: QuantumFragment) -> Bindings:
-    """Identity bindings over the names shared by model and fragment, with
-    delta-set preparations bound to their states."""
-    preps = {}
-    for sname in fragment.states:
-        for pname in model.delta_sets.get(sname, ()):
-            preps[pname] = sname
-        if sname in model.preparations:
-            preps.setdefault(sname, sname)
-    meas = {m: m for m in fragment.measurements if m in model.responses}
-    return Bindings(preparations=preps, measurements=meas)
 
 
 def brute_force_overlap(model: FiniteOntModel, mu_name: str, targets) -> float:
@@ -487,3 +472,134 @@ def lp_atom_maxima(
         assert outcome.status == "optimal", outcome.status
         maxima.append(outcome.value)
     return np.array(maxima)
+
+
+# -- per-row exclusion program assembly ------------------------------------------
+
+def _row_marginals(fragment: QuantumFragment, atoms: list) -> tuple:
+    """Marginal rows built one (measurement, outcome) row at a time from a
+    list of outcome tuples."""
+    meas_names = list(fragment.measurements)
+    outcome_grid = np.array(atoms)  # (n_atoms, n_meas)
+    rows = []
+    keys = []
+    for mi, mname in enumerate(meas_names):
+        for o in range(fragment.measurements[mname].n_outcomes):
+            rows.append((outcome_grid[:, mi] == o).astype(float))
+            keys.append((mname, o))
+    return np.array(rows), keys
+
+
+def _row_transform(context, n_vars: int, mu_prime_cols: dict, mu_cols: dict) -> np.ndarray:
+    row = np.zeros(n_vars)
+    for atom_idx in context.accessible("zero"):
+        col = mu_prime_cols.get(atom_idx)
+        if col is not None:
+            row[col] += 1.0
+    for atom_idx in context.accessible("phi"):
+        col = mu_cols.get(atom_idx)
+        if col is not None:
+            row[col] -= 1.0
+    return row
+
+
+def reference_esmr_program(
+    context, include_support: bool = True, include_transform: bool = True
+) -> LinearProgram:
+    """ESMR assembled per atom and per row: the oracle for the block builder
+    behind ``WitnessExclusion.esmr``."""
+    atoms = [tuple(a) for a in context.atoms.tolist()]
+    allowed = list(context._eigen_union()) if include_support else list(range(len(atoms)))
+    sub_atoms = [atoms[i] for i in allowed]
+    marg, keys = _row_marginals(context.fragment, sub_atoms)
+    rhs = _born_rhs(context.fragment, keys, "psi")
+    ns = len(allowed)
+    n_vars = 2 * ns
+    a_eq = np.zeros((2 * len(keys), n_vars))
+    a_eq[: len(keys), :ns] = marg
+    a_eq[len(keys):, ns:] = marg
+    b_eq = np.concatenate([rhs, rhs])
+    mu_prime_cols = {atom_idx: j for j, atom_idx in enumerate(allowed)}
+    mu_cols = {atom_idx: ns + j for j, atom_idx in enumerate(allowed)}
+    a_ub = b_ub = None
+    if include_transform:
+        a_ub = _row_transform(context, n_vars, mu_prime_cols, mu_cols)[None, :]
+        b_ub = np.zeros(1)
+    return LinearProgram(
+        objective=np.zeros(n_vars), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub
+    )
+
+
+def reference_emmr_program(context, measurements: tuple = ALL_MEASUREMENTS) -> LinearProgram:
+    """EMMR assembled one ``np.zeros(n_vars)`` row at a time, with atoms
+    located by outcome tuple: the oracle for ``WitnessExclusion.emmr``."""
+    frag = context.fragment
+    eigen_names = context._eigen_names
+    if tuple(measurements) != ALL_MEASUREMENTS:
+        frag = QuantumFragment(
+            dim=frag.dim,
+            states=frag.states,
+            unitaries=frag.unitaries,
+            measurements={m: frag.measurements[m] for m in measurements},
+            macro_observable=MEAS_MACRO,
+        )
+    atoms = [tuple(a) for a in enumerate_atoms(frag).tolist()]
+    marg, keys = _row_marginals(frag, atoms)
+    n_atoms = len(atoms)
+    full = tuple(measurements) == ALL_MEASUREMENTS
+    n_blocks = 2 * len(eigen_names) if full else len(eigen_names)
+    n_vars = n_blocks * n_atoms
+
+    rows = []
+    rhs_list = []
+    for blk, qname in enumerate(eigen_names * (2 if full else 1)):
+        q_rhs = _born_rhs(frag, keys, qname)
+        off = blk * n_atoms
+        for r, key_rhs in enumerate(q_rhs):
+            row = np.zeros(n_vars)
+            row[off : off + n_atoms] = marg[r] - key_rhs
+            rows.append(row)
+            rhs_list.append(0.0)
+    psi_rhs = _born_rhs(frag, keys, "psi")
+    halves = (0, 1) if full else (0,)
+    for half in halves:
+        for r in range(len(keys)):
+            row = np.zeros(n_vars)
+            for blk in range(len(eigen_names)):
+                off = (half * len(eigen_names) + blk) * n_atoms
+                row[off : off + n_atoms] = marg[r]
+            rows.append(row)
+            rhs_list.append(psi_rhs[r])
+    a_ub = b_ub = None
+    if full:
+        context_atoms = [tuple(a) for a in context.atoms.tolist()]
+        atom_pos = {a: i for i, a in enumerate(atoms)}
+        row3 = np.zeros(n_vars)
+        for atom_idx in context.accessible("zero"):
+            pos = atom_pos[context_atoms[atom_idx]]
+            for blk in range(len(eigen_names)):
+                row3[blk * n_atoms + pos] += 1.0
+        for atom_idx in context.accessible("phi"):
+            pos = atom_pos[context_atoms[atom_idx]]
+            for blk in range(len(eigen_names), 2 * len(eigen_names)):
+                row3[blk * n_atoms + pos] -= 1.0
+        a_ub = row3[None, :]
+        b_ub = np.zeros(1)
+    return LinearProgram(
+        objective=np.zeros(n_vars),
+        a_eq=np.array(rows),
+        b_eq=np.array(rhs_list),
+        a_ub=a_ub,
+        b_ub=b_ub,
+    )
+
+
+def reference_max_overlap_program(context) -> LinearProgram:
+    """The max-overlap program with its objective set atom by atom."""
+    atoms = [tuple(a) for a in context.atoms.tolist()]
+    marg, keys = _row_marginals(context.fragment, atoms)
+    rhs = _born_rhs(context.fragment, keys, "psi")
+    objective = np.zeros(len(atoms))
+    for atom_idx in set(context.accessible("zero")) | set(context.accessible("phi")):
+        objective[atom_idx] = 1.0
+    return LinearProgram(objective=objective, a_eq=marg, b_eq=rhs, maximize=True)

@@ -37,11 +37,10 @@ from macroreal import (
     sweep,
     validate,
 )
-from macroreal.ontomodel import Bindings
+from macroreal.ontomodel import Bindings, default_bindings
 from helpers import (
     additivity_violations,
     eigensplit_model,
-    full_bindings,
     macro_only_fragment,
     product_model,
     property_violations,
@@ -130,7 +129,7 @@ def test_criterion_4_property_suite(ks_model, qubit_frag):
         else:
             frag = macro_only_fragment(rng, dim)
             model = eigensplit_model(rng, frag, mixture_only=False)
-        if not validate(model, frag, full_bindings(model, frag), tol=1e-9).passed:
+        if not validate(model, frag, default_bindings(model, frag), tol=1e-9).passed:
             violations.append(f"seed {seed}: model invalid")
             continue
         violations += property_violations(model, frag, **exact)

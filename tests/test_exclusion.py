@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,28 @@ from macroreal import (
 from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
 from macroreal.lp import CERT_TOL, FEAS_TOL
 from macroreal.witness import ALPHA_MAX
-from helpers import lp_atom_maxima
+from helpers import (
+    lp_atom_maxima,
+    reference_emmr_program,
+    reference_esmr_program,
+    reference_max_overlap_program,
+)
 
 
 def test_enumerate_counts(exclusion_half):
     frag = exclusion_half.fragment
     atoms = enumerate_atoms(frag)
-    assert len(atoms) == 64           # three 4-outcome measurements
-    assert len({a.outcomes for a in atoms}) == 64
-    assert atoms[0].outcomes == (0, 0, 0)
+    assert atoms.shape == (64, 3)     # three 4-outcome measurements
+    assert len({tuple(a) for a in atoms.tolist()}) == 64
+    assert atoms[0].tolist() == [0, 0, 0]
+
+
+def test_enumerate_follows_product_order(exclusion_half):
+    """Row a is the a-th outcome tuple of ``itertools.product``."""
+    frag = exclusion_half.fragment
+    counts = [m.n_outcomes for m in frag.measurements.values()]
+    expected = list(itertools.product(*[range(c) for c in counts]))
+    assert [tuple(a) for a in enumerate_atoms(frag).tolist()] == expected
 
 
 def test_enumerate_rejects_huge_products(witness_half, antidist_half):
@@ -45,8 +60,8 @@ def test_accessible_zero_state_atoms(exclusion_half):
     m_idx = meas_names.index("macro")
     for atom_idx in exclusion_half.accessible("zero"):
         atom = atoms[atom_idx]
-        assert atom.outcomes[b_idx] == 0
-        assert atom.outcomes[m_idx] == 0
+        assert atom[b_idx] == 0
+        assert atom[m_idx] == 0
 
 
 def test_accessible_excludes_zero_probability_outcomes(exclusion_half):
@@ -56,7 +71,7 @@ def test_accessible_excludes_zero_probability_outcomes(exclusion_half):
     borns = {m: frag.born("phi", m) for m in meas_names}
     for atom_idx in exclusion_half.accessible("phi"):
         atom = atoms[atom_idx]
-        for m, k in zip(meas_names, atom.outcomes):
+        for m, k in zip(meas_names, atom):
             assert borns[m][k] > 1e-9
 
 
@@ -161,6 +176,31 @@ class TestExclusionPrograms:
         )
         assert res.status == 0
         assert -res.fun == pytest.approx(report.optimum, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+@pytest.mark.parametrize("alpha", [0.05, 0.5553106689789393, ALPHA_MAX - 1e-6])
+def test_programs_match_per_row_assembly(alpha, dim):
+    """Every program, controls included, is bit for bit the one the per-atom,
+    per-row assembly in ``helpers`` builds (negative zeros included)."""
+    context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+    pairs = [
+        (context.esmr(), reference_esmr_program(context)),
+        (context.esmr(include_transform=False),
+         reference_esmr_program(context, include_transform=False)),
+        (context.esmr(include_support=False, include_transform=False),
+         reference_esmr_program(context, include_support=False, include_transform=False)),
+        (context.emmr(), reference_emmr_program(context)),
+        (context.emmr(measurements=("macro",)),
+         reference_emmr_program(context, measurements=("macro",))),
+        (context.max_overlap(), reference_max_overlap_program(context)),
+    ]
+    for report, reference in pairs:
+        assert report.program.maximize == reference.maximize
+        for attr in ("objective", "a_eq", "b_eq", "a_ub", "b_ub"):
+            mine, ref = getattr(report.program, attr), getattr(reference, attr)
+            assert mine.shape == ref.shape, (report.mode, attr)
+            assert mine.tobytes() == ref.tobytes(), (report.mode, attr)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.69])

@@ -12,10 +12,10 @@ from macroreal import (
     support,
     validate,
 )
+from macroreal.ontomodel import default_bindings
 from helpers import (
     brute_force_overlap,
     eigensplit_model,
-    full_bindings,
     macro_only_fragment,
     random_fragment,
     split_state_model,
@@ -117,7 +117,7 @@ def test_validate_exact_split_model():
     rng = np.random.default_rng(3)
     frag = random_fragment(rng, 3)
     model = split_state_model(rng, frag)
-    report = validate(model, frag, full_bindings(model, frag), tol=1e-9)
+    report = validate(model, frag, default_bindings(model, frag), tol=1e-9)
     assert report.passed
     assert report.max_deviation <= 1e-12
 
@@ -140,7 +140,7 @@ def test_validate_names_offending_pair():
         maps={},
         delta_sets=model.delta_sets,
     )
-    report = validate(corrupted, frag, full_bindings(corrupted, frag), tol=1e-9)
+    report = validate(corrupted, frag, default_bindings(corrupted, frag), tol=1e-9)
     assert not report.passed
     prep, meas = report.worst_pair
     assert meas == "macro"
@@ -173,6 +173,11 @@ def test_kernel_set_point_mass():
     k = kernel_set(f, mu)
     assert list(k) == [1]
     assert mu[k].sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_kernel_set_rejects_mismatched_measure():
+    with pytest.raises(ValueError, match="shape"):
+        kernel_set(np.ones(3), np.array([0.5, 0.5]))
 
 
 def test_kernel_lemma_forced_construction():
@@ -258,8 +263,8 @@ def test_classify_emmr_and_esmr_families():
     frag = macro_only_fragment(rng, 3)
     emmr = eigensplit_model(rng, frag, mixture_only=True)
     esmr = eigensplit_model(rng, frag, mixture_only=False)
-    assert validate(emmr, frag, full_bindings(emmr, frag), tol=1e-9).passed
-    assert validate(esmr, frag, full_bindings(esmr, frag), tol=1e-9).passed
+    assert validate(emmr, frag, default_bindings(emmr, frag), tol=1e-9).passed
+    assert validate(esmr, frag, default_bindings(esmr, frag), tol=1e-9).passed
     assert classify(emmr, frag).kind == "EMMR"
     verdict = classify(esmr, frag)
     assert verdict.kind == "ESMR"

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from macroreal import WitnessExclusion, WitnessParams, build_witness, validate
+from macroreal.ontomodel import default_bindings
 from helpers import (
     additivity_violations,
     eigensplit_model,
-    full_bindings,
     macro_only_fragment,
     product_model,
     property_violations,
@@ -41,7 +41,7 @@ def build_family_member(seed: int):
 @pytest.mark.parametrize("seed", range(24))
 def test_random_families_satisfy_all_properties(seed):
     model, frag = build_family_member(seed)
-    report = validate(model, frag, full_bindings(model, frag), tol=1e-9)
+    report = validate(model, frag, default_bindings(model, frag), tol=1e-9)
     assert report.passed, f"family member {seed} is not valid"
     violations = property_violations(model, frag, **EXACT)
     assert violations == []
@@ -52,7 +52,7 @@ def test_witness_product_models(alpha):
     bundle = build_witness(WitnessParams(alpha))
     context = WitnessExclusion(bundle)
     model = product_model(context.fragment)
-    report = validate(model, context.fragment, full_bindings(model, context.fragment), tol=1e-9)
+    report = validate(model, context.fragment, default_bindings(model, context.fragment), tol=1e-9)
     assert report.passed
     assert property_violations(model, context.fragment, **EXACT) == []
     assert additivity_violations(model, tol=1e-10) == []

@@ -10,7 +10,7 @@ from macroreal import (
     model_to_json,
 )
 from macroreal.serialize import dumps_json
-from helpers import full_bindings, random_fragment, split_state_model
+from helpers import random_fragment, split_state_model
 
 
 def test_fragment_round_trip():

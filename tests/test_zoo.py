@@ -19,7 +19,7 @@ from macroreal import (
     state_from_bloch,
     validate,
 )
-from helpers import full_bindings
+from macroreal.ontomodel import default_bindings
 
 
 def test_grid_invariants():
@@ -75,7 +75,7 @@ class TestKochenSpecker:
 
     def test_validates_against_fragment(self, model_and_frag):
         model, frag = model_and_frag
-        report = validate(model, frag, full_bindings(model, frag), tol=1e-3)
+        report = validate(model, frag, default_bindings(model, frag), tol=1e-3)
         assert report.passed
 
     def test_classified_esmr(self, model_and_frag):
@@ -121,7 +121,7 @@ class TestBeltramettiBugajski:
     def test_exact_validation(self):
         frag = small_fragment()
         model = beltrametti_bugajski_model(frag)
-        report = validate(model, frag, full_bindings(model, frag), tol=1e-12)
+        report = validate(model, frag, default_bindings(model, frag), tol=1e-12)
         assert report.passed and report.max_deviation <= 1e-12
 
     def test_macro_only_catalogue_is_deterministic(self):
@@ -158,7 +158,7 @@ class TestDeterministicExtension:
 
     def test_validates_exactly_and_classifies_ssmr(self):
         model, frag = self.make()
-        report = validate(model, frag, full_bindings(model, frag), tol=1e-12)
+        report = validate(model, frag, default_bindings(model, frag), tol=1e-12)
         assert report.passed
         assert classify(model, frag).kind == "SSMR"
 
