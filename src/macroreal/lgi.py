@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ontomodel import FiniteOntModel
+from .ontomodel import FiniteOntModel, apply_map
 from .quantum import ProjMeasurement, StateVector, UnitaryMap
 from .zoo import measurement_from_direction, rotation_unitary
 
@@ -136,15 +136,9 @@ def _initial_weights(model: FiniteOntModel, binding: LGIModelBinding) -> np.ndar
 
 
 def _apply_steps(model: FiniteOntModel, weights: np.ndarray, map_name: str, steps: int) -> np.ndarray:
-    gamma = model.maps.get(map_name)
-    if gamma is None:
-        raise ValueError(f"model lacks the step map {map_name!r}")
     out = weights
     for _ in range(steps):
-        if gamma.ndim == 1:
-            out = np.bincount(gamma, weights=out, minlength=model.atoms)
-        else:
-            out = gamma @ out
+        out = apply_map(model, out, map_name)
     return out
 
 

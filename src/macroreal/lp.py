@@ -213,7 +213,7 @@ class _Simplex:
         return y
 
 
-def solve_lp(program: LinearProgram, tol: float = FEAS_TOL) -> LPOutcome:
+def solve_lp(program: LinearProgram) -> LPOutcome:
     """Two-phase dense simplex with Bland's rule.
 
     Infeasible programs come back with a Farkas ray (y, z): z <= 0,
@@ -242,7 +242,7 @@ def solve_lp(program: LinearProgram, tol: float = FEAS_TOL) -> LPOutcome:
     phase1 = np.concatenate([np.zeros(n_cols), np.ones(m)])
     sx.run(phase1)
     infeasibility = float(phase1[sx.basis] @ sx.table[:, -1])
-    if infeasibility > tol:
+    if infeasibility > FEAS_TOL:
         y = np.where(flip, -1.0, 1.0) * sx.duals(phase1, m)
         scale = np.abs(y).max()
         if scale > 1.0:

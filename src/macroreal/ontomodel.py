@@ -249,9 +249,17 @@ class FiniteOntModel:
         return replace(self, preparations=preps, eigenstate_preps=eigen, delta_sets=delta)
 
 
-def support(weights: np.ndarray, eps: float = SUPPORT_EPS) -> np.ndarray:
-    """Atom indices carrying more than ``eps`` weight."""
-    return np.where(np.asarray(weights) > eps)[0]
+def support(weights: np.ndarray) -> np.ndarray:
+    """Atom indices carrying more than ``SUPPORT_EPS`` weight."""
+    return np.where(np.asarray(weights) > SUPPORT_EPS)[0]
+
+
+def _support_mask(model: FiniteOntModel, names: Iterable[str]) -> np.ndarray:
+    """Boolean union over atoms of the supports of the named preparations."""
+    mask = np.zeros(model.atoms, dtype=bool)
+    for name in names:
+        mask |= model.preparation(name) > SUPPORT_EPS
+    return mask
 
 
 def predict(model: FiniteOntModel, preparation: str, measurement: str) -> np.ndarray:
@@ -264,22 +272,25 @@ def predict(model: FiniteOntModel, preparation: str, measurement: str) -> np.nda
     return np.clip(probs, 0.0, 1.0) / total
 
 
-def push_forward(model: FiniteOntModel, preparation: str, map_name: str) -> np.ndarray:
-    """Effective preparation after a stochastic map."""
-    mu = model.preparation(preparation)
+def apply_map(model: FiniteOntModel, weights: np.ndarray, map_name: str) -> np.ndarray:
+    """Unnormalised image of ``weights`` under a registered map."""
     try:
         gamma = model.maps[map_name]
     except KeyError:
         raise ValueError(f"unknown map {map_name!r}") from None
     if gamma.ndim == 1:
-        out = np.bincount(gamma, weights=mu, minlength=model.atoms)
-    else:
-        out = gamma @ mu
+        return np.bincount(gamma, weights=weights, minlength=model.atoms)
+    return gamma @ weights
+
+
+def push_forward(model: FiniteOntModel, preparation: str, map_name: str) -> np.ndarray:
+    """Effective preparation after a stochastic map."""
+    out = apply_map(model, model.preparation(preparation), map_name)
     return out / out.sum()
 
 
-def kernel_set(f: np.ndarray, mu: np.ndarray, eps: float = KERNEL_EPS) -> np.ndarray:
-    """Atoms where the [0,1]-valued function f equals 1 within ``eps``.
+def kernel_set(f: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Atoms where the [0,1]-valued function f equals 1 within ``KERNEL_EPS``.
 
     If sum mu*f = 1 then the returned set carries full mu-measure (the
     finite form of the unit-average kernel lemma). The set itself depends
@@ -290,7 +301,7 @@ def kernel_set(f: np.ndarray, mu: np.ndarray, eps: float = KERNEL_EPS) -> np.nda
         raise ValueError(f"kernel_set: mu has shape {np.shape(mu)}, f has {f.shape}")
     if f.min(initial=0.0) < -1e-12 or f.max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("kernel_set expects entries in [0, 1]")
-    return np.where(1.0 - f <= eps)[0]
+    return np.where(1.0 - f <= KERNEL_EPS)[0]
 
 
 # -- validation -------------------------------------------------------------
@@ -384,14 +395,15 @@ def validate(
 
 @dataclass(frozen=True)
 class OverlapReport:
-    """Overlap mass, the realizing atom set, and the resolved targets."""
+    """Overlap mass, the realizing atom set, and the resolved targets.
+
+    ``realizing_set`` is a read-only ascending array of atom indices, so
+    reports are not meant to be hashed or compared.
+    """
 
     value: float
-    realizing_set: tuple
+    realizing_set: np.ndarray
     targets: tuple
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def asymmetric_overlap(
@@ -408,13 +420,11 @@ def asymmetric_overlap(
         targets = (targets,)
     targets = tuple(targets)
     mu = model.preparation(mu_name)
-    atom_mask = np.zeros(model.atoms, dtype=bool)
-    for target in targets:
-        for pname in model.target_preparations(target):
-            atom_mask[support(model.preparation(pname))] = True
-    realizing = np.where(atom_mask)[0]
+    names = (pname for target in targets for pname in model.target_preparations(target))
+    realizing = np.flatnonzero(_support_mask(model, names))
+    realizing.setflags(write=False)
     value = float(mu[realizing].sum())
-    return OverlapReport(value, tuple(int(i) for i in realizing), targets)
+    return OverlapReport(value, realizing, targets)
 
 
 # -- classification ---------------------------------------------------------
@@ -450,19 +460,16 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
     if missing:
         raise ValueError(f"no eigenstate preparations declared for macro values {missing!r}")
 
-    eigen_names: list[str] = []
-    for q in macro_labels:
-        eigen_names.extend(model.eigenstate_preps[q])
-    accessible = np.zeros(model.atoms, dtype=bool)
-    for pname in eigen_names:
-        accessible[support(model.preparation(pname))] = True
+    eigen_names = [pname for q in macro_labels for pname in model.eigenstate_preps[q]]
+    accessible = _support_mask(model, eigen_names)
 
     evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
 
     # (a) eigenstate support
     support_ok = True
     for pname, mu in model.preparations.items():
-        outside = support(mu)[~accessible[support(mu)]]
+        atoms = support(mu)
+        outside = atoms[~accessible[atoms]]
         if outside.size:
             support_ok = False
             evidence["support_violation"] = {
@@ -486,9 +493,7 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
     evidence["max_mixture_residual"] = float(worst_residual)
 
     # (c) deterministic macro responses on carried atoms
-    carried = np.zeros(model.atoms, dtype=bool)
-    for mu in model.preparations.values():
-        carried[support(mu)] = True
+    carried = _support_mask(model, model.preparations)
     macro_resp = model.response(macro)
     col_max = macro_resp[:, carried].max(axis=0) if carried.any() else np.array([])
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())

@@ -316,6 +316,21 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     )
 
 
+def _macro_eigenstates(fragment: QuantumFragment) -> dict:
+    """Macro value -> the catalogued states lying on its ray, in catalogue
+    order; values without such a state are left out."""
+    macro = fragment.macro
+    eigenstates = {}
+    for q, proj in zip(macro.outcomes, macro.projectors):
+        members = tuple(
+            sname for sname, state in fragment.states.items()
+            if abs((state.amplitudes.conj() @ proj @ state.amplitudes).real - 1.0) <= 1e-12
+        )
+        if members:
+            eigenstates[q] = members
+    return eigenstates
+
+
 def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
     """One atom per catalogued state; responses are Born probabilities.
 
@@ -339,17 +354,7 @@ def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
         responses[mname] = np.column_stack(cols)
         outcome_labels[mname] = meas.outcomes
 
-    macro = fragment.macro
-    eigenstate_preps = {}
-    for k, q in enumerate(macro.outcomes):
-        members = []
-        proj = macro.projectors[k]
-        for sname in names:
-            amp = fragment.states[sname].amplitudes
-            if abs((amp.conj() @ proj @ amp).real - 1.0) <= 1e-12:
-                members.append(sname)
-        if members:
-            eigenstate_preps[q] = tuple(members)
+    eigenstate_preps = _macro_eigenstates(fragment)
 
     maps = {}
     for uname, u in fragment.unitaries.items():
@@ -418,15 +423,7 @@ def deterministic_extension_model(fragment: QuantumFragment) -> FiniteOntModel:
     for i, (_, k, _) in enumerate(atoms):
         resp[k, i] = 1.0
 
-    eigenstate_preps = {}
-    for k, q in enumerate(q_labels):
-        members = []
-        for sname, state in fragment.states.items():
-            amp = state.amplitudes
-            if abs((amp.conj() @ macro.projectors[k] @ amp).real - 1.0) <= 1e-12:
-                members.append(sname)
-        if members:
-            eigenstate_preps[q] = tuple(members)
+    eigenstate_preps = _macro_eigenstates(fragment)
 
     updates = {fragment.macro_observable: {}}
     for k, q in enumerate(q_labels):

@@ -126,6 +126,12 @@ def test_missing_update_rule_is_an_error():
         model_correlators(model, LGIModelBinding("macro", "step", initial=("only",)))
 
 
+def test_unknown_step_map_is_an_error():
+    model, _ = emmr_toy_model(0.5)
+    with pytest.raises(ValueError, match="ghost"):
+        model_correlators(model, LGIModelBinding("macro", "ghost"))
+
+
 def test_ks_model_matches_quantum_at_pi_thirds(big_grid):
     frag = qubit_fragment(
         {"up": (0, 0, 1.0), "down": (0, 0, -1.0)},

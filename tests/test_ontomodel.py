@@ -244,6 +244,33 @@ def test_overlap_multi_target_union_vs_brute_force():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_realizing_set_is_read_only_ascending_union_of_supports():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(4, 9))
+        preps = {}
+        for name in ("mu", "a", "b", "c"):
+            w = rng.dirichlet(np.ones(n))
+            w[rng.random(n) < 0.5] = 0.0
+            w[int(rng.integers(n))] += 0.1
+            preps[name] = w / w.sum()
+        model = FiniteOntModel(
+            atoms=n,
+            preparations=preps,
+            responses={"macro": np.ones((1, n))},
+            outcome_labels={"macro": ("q0",)},
+            macro_measurement="macro",
+        )
+        report = asymmetric_overlap(model, "mu", ("a", "c"))
+        union = sorted({i for t in ("a", "c") for i in range(n) if preps[t][i] > 1e-12})
+        got = report.realizing_set
+        assert isinstance(got, np.ndarray)
+        assert np.issubdtype(got.dtype, np.integer)
+        assert not got.flags.writeable
+        assert got.tolist() == union
+        assert report.value == pytest.approx(preps["mu"][union].sum(), abs=1e-15)
+
+
 def test_overlap_unknown_target_errors():
     model = tiny_model()
     with pytest.raises(ValueError, match="target"):
@@ -269,3 +296,27 @@ def test_classify_emmr_and_esmr_families():
     verdict = classify(esmr, frag)
     assert verdict.kind == "ESMR"
     assert verdict.evidence["max_mixture_residual"] > 1e-6
+
+
+def test_classify_evidence_names_first_violations():
+    # A = {0, 1}; "mixed" is the first preparation leaving it (atom 2), and
+    # atom 3 is the carried atom with the least deterministic macro answer.
+    # Atom 4 answers less deterministically still but no preparation carries it.
+    model = FiniteOntModel(
+        atoms=5,
+        preparations={
+            "eig0": np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+            "eig1": np.array([0.0, 1.0, 0.0, 0.0, 0.0]),
+            "mixed": np.array([0.5, 0.0, 0.2, 0.3, 0.0]),
+            "other": np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
+        },
+        responses={"macro": np.array([[1.0, 0.0, 1.0, 0.6, 0.5], [0.0, 1.0, 0.0, 0.4, 0.5]])},
+        outcome_labels={"macro": ("q0", "q1")},
+        macro_measurement="macro",
+        eigenstate_preps={"q0": ("eig0",), "q1": ("eig1",)},
+    )
+    verdict = classify(model)
+    assert verdict.kind == "NONE"
+    assert verdict.evidence["eigenstate_atoms"] == 2
+    assert verdict.evidence["support_violation"] == {"preparation": "mixed", "atom": 2, "weight": 0.2}
+    assert verdict.evidence["nondeterministic_atom"] == {"atom": 3, "max_response": 0.6}
