@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .quantum import ProjMeasurement, StateVector, UnitaryMap, born
 
@@ -479,7 +478,10 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
             }
             break
 
-    # (b) mixtures of declared eigenstate preparations
+    # (b) mixtures of declared eigenstate preparations; scipy is imported
+    # here, not at module level, so that importing macroreal stays light
+    from scipy.optimize import nnls
+
     eigen_matrix = np.column_stack([model.preparation(p) for p in eigen_names])
     mixture_ok = True
     worst_residual = 0.0

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .quantum import (
     NORM_TOL,
@@ -256,6 +255,169 @@ def build_fixing_unitary(psi: StateVector, zero: StateVector, phi: StateVector) 
 # Anti-distinguishing measurement
 # ---------------------------------------------------------------------------
 
+_BOUNDED_MAXFUN = 500
+_BRENTQ_MAXITER = 100
+
+
+def _sign_nonzero(v: float) -> float:
+    """``sign(v) + (v == 0)``: the step direction, +1 at zero."""
+    return float(v > 0) - float(v < 0) + float(v == 0)
+
+
+def _bounded_min(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of ``func`` on [lo, hi] by Brent's bounded method.
+
+    A line-for-line port of scipy 1.17.1's
+    ``scipy/optimize/_optimize.py::_minimize_scalar_bounded``: the same
+    expression order, constants and evaluation cap. Returns the best point
+    also when the cap is hit, as scipy's ``res.x`` does. ``func`` must
+    return finite floats.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabolic fit through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign_nonzero(xm - xf)
+            else:
+                golden = True
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        x = xf + _sign_nonzero(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BOUNDED_MAXFUN:
+            break
+    return xf
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A port of scipy 1.17.1's C ``brentq`` (``scipy.optimize.brentq``): the
+    same bracket swap, interpolate/extrapolate/bisect choice and ``delta``
+    step, with ``_BRENTQ_MAXITER`` iterations. Raises ``CertificationError``
+    where scipy raises: the bracket does not change sign, or the iterations
+    run out.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CertificationError(
+            f"root bracket [{xa!r}, {xb!r}] does not change sign"
+        )
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise CertificationError(
+        f"root find did not converge (iteration cap {_BRENTQ_MAXITER})"
+    )
+
+
 def _solve_slot_angles(p: float, q: float, r: float):
     """Solve cos(t1)cos(t2)=p, sin(t1)cos(t3)=q, sin(t2)sin(t3)=r on [0, pi/2].
 
@@ -264,6 +426,15 @@ def _solve_slot_angles(p: float, q: float, r: float):
     find in t3. Tangent maxima (the saturated second inequality) are
     accepted within a small slack and settled by the downstream residual
     check on the assembled measurement.
+
+    The peak of the gap is found by ``_bounded_min`` and its root by
+    ``_brentq``, pure-Python ports of scipy 1.17.1's
+    ``optimize._optimize._minimize_scalar_bounded`` and of its C
+    ``optimize.brentq``, so importing this module does not load scipy.
+    Both ports must stay bitwise equal to scipy, because the witness
+    bytes depend on every bit of the angles; ``tests/test_witness_ports.py``
+    checks them against scipy and this function against the scipy-based
+    original kept in ``tests/helpers.py``.
     """
     z = 1e-15
     if q < z:
@@ -308,9 +479,7 @@ def _solve_slot_angles(p: float, q: float, r: float):
             return -1.0
         return math.sqrt(1.0 - s1 * s1) * math.sqrt(1.0 - s2 * s2) - p
 
-    res = minimize_scalar(lambda t: -gap(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-15})
-    t_peak = float(res.x)
+    t_peak = _bounded_min(lambda t: -gap(t), lo, hi, 1e-15)
     g_peak = gap(t_peak)
     if g_peak < -1e-7:
         return None
@@ -319,7 +488,7 @@ def _solve_slot_angles(p: float, q: float, r: float):
     elif gap(lo) >= 0.0:
         t3 = lo
     else:
-        t3 = brentq(gap, lo, t_peak, xtol=2e-16, rtol=8.9e-16)
+        t3 = _brentq(gap, lo, t_peak, 2e-16, 8.9e-16)
     c3, s3 = math.cos(t3), math.sin(t3)
     s1 = min(1.0, q / c3) if c3 > 0 else 1.0
     s2 = min(1.0, r / s3) if s3 > 0 else 1.0

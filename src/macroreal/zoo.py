@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .ontomodel import SUPPORT_EPS, FiniteOntModel, QuantumFragment
 from .quantum import (
@@ -298,6 +297,9 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
 
     maps = {}
     if fragment.unitaries:
+        # imported here so that only models with unitary maps load scipy
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(nodes)
         for uname, u in fragment.unitaries.items():
             rot = rotation_of_unitary(u)

@@ -12,8 +12,10 @@ fragment (heavily overlapping supports).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from macroreal import (
     FiniteOntModel,
@@ -603,3 +605,78 @@ def reference_max_overlap_program(context) -> LinearProgram:
     for atom_idx in set(context.accessible("zero")) | set(context.accessible("phi")):
         objective[atom_idx] = 1.0
     return LinearProgram(objective=objective, a_eq=marg, b_eq=rhs, maximize=True)
+
+
+# -- scipy oracle for the witness solver ports -----------------------------------
+
+def scipy_slot_angles(p: float, q: float, r: float):
+    """The scipy-based ``witness._solve_slot_angles`` as it was before the
+    pure-Python solver ports, kept verbatim as their bitwise oracle.
+
+    Solve cos(t1)cos(t2)=p, sin(t1)cos(t3)=q, sin(t2)sin(t3)=r on [0, pi/2].
+
+    Returns (t1, t2, t3) or None. Degenerate zero cases are handled by
+    direct assignment; the generic case reduces to a one-dimensional root
+    find in t3. Tangent maxima (the saturated second inequality) are
+    accepted within a small slack and settled by the downstream residual
+    check on the assembled measurement.
+    """
+    z = 1e-15
+    if q < z:
+        if p > 1.0:
+            return None
+        c2 = p
+        s2 = math.sqrt(1.0 - c2 * c2)
+        if r < z:
+            return (0.0, math.acos(c2), 0.0)
+        if r > s2 + 1e-12:
+            return None
+        return (0.0, math.acos(c2), math.asin(min(1.0, r / s2)))
+    if r < z:
+        if q > 1.0:
+            return None
+        c1 = math.sqrt(1.0 - q * q)
+        if c1 < z:
+            return (math.pi / 2, math.pi / 2, 0.0) if p < z else None
+        if p / c1 > 1.0 + 1e-12:
+            return None
+        return (math.asin(q), math.acos(min(1.0, p / c1)), 0.0)
+    if p < z:
+        if q > 1.0:
+            return None
+        s3 = math.sqrt(1.0 - q * q)
+        if s3 < z:
+            return None
+        if r / s3 > 1.0 + 1e-12:
+            return None
+        return (math.pi / 2, math.asin(min(1.0, r / s3)), math.acos(q))
+
+    lo = math.asin(min(1.0, r))
+    hi = math.acos(min(1.0, q))
+    if lo > hi:
+        return None
+
+    def gap(t3: float) -> float:
+        c3, s3 = math.cos(t3), math.sin(t3)
+        s1 = q / c3 if c3 > 0 else math.inf
+        s2 = r / s3 if s3 > 0 else math.inf
+        if s1 > 1.0 or s2 > 1.0:
+            return -1.0
+        return math.sqrt(1.0 - s1 * s1) * math.sqrt(1.0 - s2 * s2) - p
+
+    res = minimize_scalar(lambda t: -gap(t), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-15})
+    t_peak = float(res.x)
+    g_peak = gap(t_peak)
+    if g_peak < -1e-7:
+        return None
+    if g_peak <= 0.0:
+        t3 = t_peak
+    elif gap(lo) >= 0.0:
+        t3 = lo
+    else:
+        t3 = brentq(gap, lo, t_peak, xtol=2e-16, rtol=8.9e-16)
+    c3, s3 = math.cos(t3), math.sin(t3)
+    s1 = min(1.0, q / c3) if c3 > 0 else 1.0
+    s2 = min(1.0, r / s3) if s3 > 0 else 1.0
+    return (math.asin(s1), math.asin(s2), t3)

@@ -2,9 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macroreal
+import macroreal.witness
 from macroreal.cli import run
 
 
@@ -75,6 +81,48 @@ def test_exclude_pivot_budget_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "certification failure: simplex pivot budget of 5 exhausted\n"
+
+
+def test_witness_root_find_failure_exits_1(capsys, monkeypatch):
+    # alpha = 0.25 reaches the slot-angle root find, which needs more than one step
+    monkeypatch.setattr(macroreal.witness, "_BRENTQ_MAXITER", 1)
+    code, out, err = run_cli(capsys, "witness", "--alpha", "0.25")
+    assert code == 1
+    assert out == ""
+    assert err == "certification failure: root find did not converge (iteration cap 1)\n"
+
+
+IMPORT_GUARD_CHILD = """
+import contextlib, io, json, sys
+import macroreal
+from macroreal.cli import run
+
+commands = [
+    "witness --alpha 0.25 --dim 4",
+    "sweep --steps 4 --dim 4",
+    "exclude --alpha 0.25 --dim 4 --mode esmr",
+    "exclude --alpha 0.25 --dim 4 --mode emmr",
+    "exclude --alpha 0.25 --dim 4 --mode max-overlap",
+]
+codes = []
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(command.split()))
+print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+"""
+
+
+def test_witness_sweep_exclude_do_not_load_scipy():
+    env = dict(os.environ)
+    package_root = str(Path(macroreal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD_CHILD],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, scipy_modules = json.loads(child.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert scipy_modules == []
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):
