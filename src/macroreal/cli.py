@@ -119,18 +119,18 @@ def _cmd_sweep(args) -> int:
     return 0 if all(r.antidist.certified for r in rows) else 1
 
 
+# --mode -> (WitnessExclusion method, the status that certifies the claim)
+EXCLUDE_MODES = {
+    "esmr": ("esmr", "infeasible"),
+    "emmr": ("emmr", "infeasible"),
+    "max-overlap": ("max_overlap", "optimal"),
+}
+
+
 def _cmd_exclude(args) -> int:
-    bundle = build_witness(WitnessParams(args.alpha, args.dim))
-    context = WitnessExclusion(bundle)
-    if args.mode == "esmr":
-        report = context.esmr()
-        expected = "infeasible"
-    elif args.mode == "emmr":
-        report = context.emmr()
-        expected = "infeasible"
-    else:
-        report = context.max_overlap()
-        expected = "optimal"
+    context = WitnessExclusion(build_witness(WitnessParams(args.alpha, args.dim)))
+    method, expected = EXCLUDE_MODES[args.mode]
+    report = getattr(context, method)()
     _emit(dumps_json(report.to_json_dict()), args.json)
     certified = report.status == expected and report.certificate_residual <= CERT_TOL
     return 0 if certified else 1
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exclude", help="LP exclusion certificates")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--mode", choices=["esmr", "emmr", "max-overlap"], required=True)
+    p.add_argument("--mode", choices=list(EXCLUDE_MODES), required=True)
     p.add_argument("--json", default="-")
     p.set_defaults(func=_cmd_exclude)
 

@@ -19,6 +19,10 @@ Three programs matter:
 * ``max_overlap``: the quantum ceiling; maximizing the mass on the union of
   the two accessible sets under the statistics constraints alone lands at
   alpha^2 (1 + 2 alpha^2), short of the required 2 alpha^2.
+
+``WitnessExclusion.control`` runs the three controls, which drop premises:
+the transport row (static), the transport row and the eigenstate support
+(unconstrained), or every measurement but the macro one (macro-only).
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ MAX_ATOMS = 10**6
 MEAS_ANTIDIST = "antidist"
 MEAS_BPRIME = "bprime"
 MEAS_MACRO = "macro"
-ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
 
 def enumerate_atoms(fragment: QuantumFragment) -> np.ndarray:
@@ -64,19 +67,18 @@ def enumerate_atoms(fragment: QuantumFragment) -> np.ndarray:
     return np.indices(counts).reshape(len(counts), total).T
 
 
-def _marginal_matrix(fragment: QuantumFragment, atoms: np.ndarray) -> tuple:
-    """Rows summing atom weight per (measurement, outcome), plus row keys."""
-    blocks = []
-    keys = []
-    for mi, (mname, meas) in enumerate(fragment.measurements.items()):
-        blocks.append(atoms[:, mi] == np.arange(meas.n_outcomes)[:, None])
-        keys.extend((mname, o) for o in range(meas.n_outcomes))
-    return np.concatenate(blocks).astype(float), keys
+def _marginal_matrix(fragment: QuantumFragment, atoms: np.ndarray) -> np.ndarray:
+    """Rows summing atom weight per (measurement, outcome): measurements in
+    fragment order, outcomes ascending within each."""
+    return np.concatenate([
+        atoms[:, mi] == np.arange(meas.n_outcomes)[:, None]
+        for mi, meas in enumerate(fragment.measurements.values())
+    ]).astype(float)
 
 
-def _born_rhs(fragment: QuantumFragment, keys: list, state_name: str) -> np.ndarray:
-    borns = {m: fragment.born(state_name, m) for m in fragment.measurements}
-    return np.array([borns[m][o] for m, o in keys])
+def _born_rhs(fragment: QuantumFragment, state_name: str) -> np.ndarray:
+    """The state's Born vectors in the row order of ``_marginal_matrix``."""
+    return np.concatenate([fragment.born(state_name, m) for m in fragment.measurements])
 
 
 def _block_program(
@@ -127,10 +129,10 @@ def _block_program(
 
 def accessible_atoms(
     fragment: QuantumFragment, target: str, atoms: np.ndarray
-) -> tuple:
+) -> np.ndarray:
     """Atoms that can carry positive weight in some measure reproducing the
     target state's statistics: those whose largest feasible weight exceeds
-    ``STRICT_POS_EPS``.
+    ``STRICT_POS_EPS``, as a read-only ascending index array.
 
     That largest weight is the Fréchet bound w* = min_m p_m(o_m), where
     p_m is the target's Born distribution for measurement m and o_m the
@@ -156,7 +158,9 @@ def accessible_atoms(
     for mi, mname in enumerate(fragment.measurements):
         born_m = np.asarray(fragment.born(target, mname))
         weight = np.minimum(weight, born_m[atoms[:, mi]])
-    return tuple(np.flatnonzero(weight > STRICT_POS_EPS).tolist())
+    accessible = np.flatnonzero(weight > STRICT_POS_EPS)
+    accessible.flags.writeable = False
+    return accessible
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,6 @@ class ExclusionReport:
 
     alpha: float
     mode: str
-    status: str
-    optimum: float | None
     program: LinearProgram
     outcome: LPOutcome
     certificate_residual: float
@@ -175,6 +177,14 @@ class ExclusionReport:
     explanation: str
     required_mass: float | None = None
     quantum_ceiling: float | None = None
+
+    @property
+    def status(self) -> str:
+        return self.outcome.status
+
+    @property
+    def optimum(self) -> float | None:
+        return self.outcome.value
 
     def to_json_dict(self) -> dict:
         cert: dict = {}
@@ -224,8 +234,11 @@ class WitnessExclusion:
     """Shared context for the exclusion programs of one certified witness.
 
     Accessible-atom sets are computed once per target and reused across the
-    ESMR, EMMR, and overlap programs.
+    ESMR, EMMR, overlap and control programs.
     """
+
+    # Each control drops premises of the no-go argument: see ``control``.
+    CONTROLS = ("esmr_static_control", "esmr_unconstrained_control", "emmr_macro_only")
 
     def __init__(self, bundle: WitnessBundle, antidist: AntidistReport | None = None):
         if antidist is None:
@@ -240,175 +253,136 @@ class WitnessExclusion:
         self.antidist = antidist
         self.fragment = witness_fragment(bundle, antidist.measurement)
         self.atoms = enumerate_atoms(self.fragment)
-        self._marg, self._keys = _marginal_matrix(self.fragment, self.atoms)
-        self._marg.flags.writeable = False   # max_overlap's program shares it
-        self._access: dict[str, tuple] = {}
+        self._marg = _marginal_matrix(self.fragment, self.atoms)
+        self._marg.flags.writeable = False   # programs share it
+        self._access: dict[str, np.ndarray] = {}
         self._eigen_names = ["zero"] + [f"q{k}" for k in range(1, bundle.dim)]
+        alpha = bundle.alpha
+        self._required = 2.0 * alpha**2
+        self._ceiling = alpha**2 * (1.0 + 2.0 * alpha**2)
 
-    def accessible(self, target: str) -> tuple:
+    def accessible(self, target: str) -> np.ndarray:
         if target not in self._access:
             self._access[target] = accessible_atoms(self.fragment, target, self.atoms)
         return self._access[target]
 
-    def _accessible_sizes(self, targets) -> dict:
-        return {t: len(self.accessible(t)) for t in targets}
+    def _eigen_union(self) -> np.ndarray:
+        return np.unique(np.concatenate([self.accessible(q) for q in self._eigen_names]))
 
-    def _eigen_union(self) -> tuple:
-        hit = set()
-        for name in self._eigen_names:
-            hit.update(self.accessible(name))
-        return tuple(sorted(hit))
+    def _transport_masks(self) -> np.ndarray:
+        """Rows 0 and 1 mark the atoms accessible from zero and from phi."""
+        masks = np.zeros((2, len(self.atoms)), dtype=bool)
+        masks[0, self.accessible("zero")] = True
+        masks[1, self.accessible("phi")] = True
+        return masks
 
-    def _transform_masks(self, columns) -> tuple:
-        """Which of the atoms ``columns`` are accessible from zero and phi."""
-        return (
-            np.isin(columns, self.accessible("zero")),
-            np.isin(columns, self.accessible("phi")),
+    def _certify(self, mode: str, program: LinearProgram, explain, targets=None) -> ExclusionReport:
+        """Solve ``program``, re-verify its certificate and report it.
+
+        ``explain`` words the verdict from the solver outcome. ``targets``
+        name the accessible sets whose sizes the report lists. The
+        macro-only control passes None: its atoms are the d macro outcomes,
+        not the witness atoms, and it carries no alpha bounds.
+        """
+        outcome = solve_lp(program)
+        residual = verify_certificate(program, outcome)
+        witness_atoms = targets is not None
+        return ExclusionReport(
+            alpha=self.bundle.alpha,
+            mode=mode,
+            program=program,
+            outcome=outcome,
+            certificate_residual=residual,
+            atom_count=len(self.atoms) if witness_atoms else self.bundle.dim,
+            accessible_sizes={t: len(self.accessible(t)) for t in targets or ()},
+            explanation=explain(outcome),
+            required_mass=self._required if witness_atoms else None,
+            quantum_ceiling=self._ceiling if witness_atoms else None,
         )
 
     # -- the three programs --------------------------------------------------
 
-    def esmr(
-        self, include_support: bool = True, include_transform: bool = True
-    ) -> ExclusionReport:
+    def esmr(self) -> ExclusionReport:
         """Two-measure feasibility program for eigenstate-supported models."""
-        allowed = (
-            np.array(self._eigen_union(), dtype=int) if include_support
-            else np.arange(len(self.atoms))
-        )
+        allowed = self._eigen_union()
         program = _block_program(
             self._marg[:, allowed],
-            _born_rhs(self.fragment, self._keys, "psi"),
+            _born_rhs(self.fragment, "psi"),
             halves=2,
-            transform=self._transform_masks(allowed) if include_transform else None,
+            transform=self._transport_masks()[:, allowed],
         )
-        outcome = solve_lp(program)
-        residual = verify_certificate(program, outcome)
-        alpha = self.bundle.alpha
-        lower = 2.0 * alpha**2
-        upper = alpha**2 * (1.0 + 2.0 * alpha**2)
-        mode = "esmr" if (include_support and include_transform) else (
-            "esmr_static_control" if include_support else "esmr_unconstrained_control"
-        )
-        if mode == "esmr":
-            explanation = (
-                "Within the deterministic-response model class, any "
-                "eigenstate-supported measure pair must put "
-                f"{lower:.6f} = 2 alpha^2 of mass on the accessible atoms of "
-                "{phi, zero}, while the witness statistics cap that mass at "
-                f"alpha^2 (1 + 2 alpha^2) = {upper:.6f}; the program is "
-                f"{outcome.status}."
-            )
-        else:
-            explanation = (
-                f"Control program ({mode}); the solver verdict is recorded, "
-                "not asserted."
-            )
-        return ExclusionReport(
-            alpha=alpha,
-            mode=mode,
-            status=outcome.status,
-            optimum=outcome.value,
-            program=program,
-            outcome=outcome,
-            certificate_residual=residual,
-            atom_count=len(self.atoms),
-            accessible_sizes=self._accessible_sizes(self._eigen_names + ["phi"]),
-            explanation=explanation,
-            required_mass=lower,
-            quantum_ceiling=upper,
-        )
+        return self._certify("esmr", program, lambda outcome: (
+            "Within the deterministic-response model class, any "
+            "eigenstate-supported measure pair must put "
+            f"{self._required:.6f} = 2 alpha^2 of mass on the accessible atoms of "
+            "{phi, zero}, while the witness statistics cap that mass at "
+            f"alpha^2 (1 + 2 alpha^2) = {self._ceiling:.6f}; the program is "
+            f"{outcome.status}."
+        ), self._eigen_names + ["phi"])
 
-    def emmr(self, measurements: tuple = ALL_MEASUREMENTS) -> ExclusionReport:
+    def emmr(self) -> ExclusionReport:
         """Per-value block decomposition; each block reproduces its
-        eigenstate's statistics scaled by the block mass.
-
-        Restricting ``measurements`` to ("macro",) yields the classical
-        control: eigenstate mixtures reproduce any macro statistics.
-        """
-        full = tuple(measurements) == ALL_MEASUREMENTS
-        frag, atoms, marg, keys = self.fragment, self.atoms, self._marg, self._keys
-        if not full:
-            frag = QuantumFragment(
-                dim=frag.dim,
-                states=frag.states,
-                unitaries=frag.unitaries,
-                measurements={m: frag.measurements[m] for m in measurements},
-                macro_observable=MEAS_MACRO,
-            )
-            atoms = enumerate_atoms(frag)
-            marg, keys = _marginal_matrix(frag, atoms)
-        n_atoms = len(atoms)
+        eigenstate's statistics scaled by the block mass."""
         program = _block_program(
-            marg,
-            _born_rhs(frag, keys, "psi"),
-            halves=2 if full else 1,
-            eigen_rhs=[_born_rhs(frag, keys, q) for q in self._eigen_names],
-            transform=self._transform_masks(np.arange(n_atoms)) if full else None,
+            self._marg,
+            _born_rhs(self.fragment, "psi"),
+            halves=2,
+            eigen_rhs=[_born_rhs(self.fragment, q) for q in self._eigen_names],
+            transform=self._transport_masks(),
         )
-        outcome = solve_lp(program)
-        residual = verify_certificate(program, outcome)
-        alpha = self.bundle.alpha
-        mode = "emmr" if full else "emmr_macro_only"
-        if full:
-            explanation = (
-                "Eigenstate-mixture decompositions inherit the eigenstate "
-                "support constraint, so the contradiction chain applies "
-                f"unchanged; the program is {outcome.status}."
-            )
-        else:
-            explanation = (
-                "Macro-only control: mixtures of macro eigenstates reproduce "
-                f"any macro statistics; the program is {outcome.status}."
-            )
-        return ExclusionReport(
-            alpha=alpha,
-            mode=mode,
-            status=outcome.status,
-            optimum=outcome.value,
-            program=program,
-            outcome=outcome,
-            certificate_residual=residual,
-            atom_count=n_atoms,
-            accessible_sizes=self._accessible_sizes(self._eigen_names + ["phi"]) if full else {},
-            explanation=explanation,
-            required_mass=2.0 * alpha**2 if full else None,
-            quantum_ceiling=alpha**2 * (1.0 + 2.0 * alpha**2) if full else None,
-        )
+        return self._certify("emmr", program, lambda outcome: (
+            "Eigenstate-mixture decompositions inherit the eigenstate "
+            "support constraint, so the contradiction chain applies "
+            f"unchanged; the program is {outcome.status}."
+        ), self._eigen_names + ["phi"])
 
     def max_overlap(self) -> ExclusionReport:
         """Maximal mass on the accessible atoms of {phi, zero} under the
         witness statistics alone; the optimum is the quantum ceiling."""
-        objective = np.zeros(len(self.atoms))
-        objective[list(self.accessible("zero") + self.accessible("phi"))] = 1.0
         program = LinearProgram(
-            objective=objective,
+            objective=self._transport_masks().any(axis=0).astype(float),
             a_eq=self._marg,
-            b_eq=_born_rhs(self.fragment, self._keys, "psi"),
+            b_eq=_born_rhs(self.fragment, "psi"),
             maximize=True,
         )
-        outcome = solve_lp(program)
-        residual = verify_certificate(program, outcome)
-        alpha = self.bundle.alpha
-        lower = 2.0 * alpha**2
-        upper = alpha**2 * (1.0 + 2.0 * alpha**2)
-        explanation = (
+        return self._certify("max_overlap", program, lambda outcome: (
             f"Maximum joint accessible mass is {outcome.value:.9f}; macro-"
-            f"realism needs {lower:.9f}, leaving a deficit of "
-            f"{lower - (outcome.value or 0.0):.9f}."
-        )
-        return ExclusionReport(
-            alpha=alpha,
-            mode="max_overlap",
-            status=outcome.status,
-            optimum=outcome.value,
-            program=program,
-            outcome=outcome,
-            certificate_residual=residual,
-            atom_count=len(self.atoms),
-            accessible_sizes=self._accessible_sizes(["zero", "phi"]),
-            explanation=explanation,
-            required_mass=lower,
-            quantum_ceiling=upper,
-        )
+            f"realism needs {self._required:.9f}, leaving a deficit of "
+            f"{self._required - (outcome.value or 0.0):.9f}."
+        ), ["zero", "phi"])
 
+    def control(self, mode: str) -> ExclusionReport:
+        """One of the ``CONTROLS``; the solver verdict is recorded, not
+        asserted.
+
+        * ``esmr_static_control``: ESMR without the transport row.
+        * ``esmr_unconstrained_control``: ESMR without the transport row
+          and without the eigenstate support; every atom is a column.
+        * ``emmr_macro_only``: EMMR with the macro measurement alone, one
+          measure and no transport row. Its atoms are the d macro outcomes,
+          so its marginal matrix is the identity; mixtures of macro
+          eigenstates reproduce any macro statistics.
+        """
+        if mode not in self.CONTROLS:
+            raise ValueError(f"unknown control {mode!r}; expected one of {self.CONTROLS}")
+        if mode == "emmr_macro_only":
+            program = _block_program(
+                np.eye(self.bundle.dim),
+                self.fragment.born("psi", MEAS_MACRO),
+                halves=1,
+                eigen_rhs=[self.fragment.born(q, MEAS_MACRO) for q in self._eigen_names],
+            )
+            return self._certify(mode, program, lambda outcome: (
+                "Macro-only control: mixtures of macro eigenstates reproduce "
+                f"any macro statistics; the program is {outcome.status}."
+            ))
+        static = mode == "esmr_static_control"
+        program = _block_program(
+            self._marg[:, self._eigen_union()] if static else self._marg,
+            _born_rhs(self.fragment, "psi"),
+            halves=2,
+        )
+        return self._certify(mode, program, lambda outcome: (
+            f"Control program ({mode}); the solver verdict is recorded, "
+            "not asserted."
+        ), self._eigen_names + ["phi"])

@@ -17,6 +17,10 @@ from .ontomodel import FiniteOntModel, apply_map
 from .quantum import ProjMeasurement, StateVector, UnitaryMap
 from .zoo import measurement_from_direction, rotation_unitary
 
+# The value of each measurement outcome. K's classical bound of 1 assumes
+# dichotomic values +-1.
+OUTCOME_VALUES = (1.0, -1.0)
+
 
 class LGICorrelators(NamedTuple):
     c12: float
@@ -27,22 +31,16 @@ class LGICorrelators(NamedTuple):
 
 @dataclass(frozen=True)
 class LGIProtocol:
-    """Dichotomic measurement, a per-step unitary, and the outcome values."""
+    """Dichotomic measurement and a per-step unitary."""
 
     measurement: ProjMeasurement
     step: UnitaryMap
-    outcome_values: tuple = (1.0, -1.0)
-    times: tuple = ("t1", "t2", "t3")
 
     def __post_init__(self) -> None:
         if self.measurement.n_outcomes != 2:
             raise ValueError("the protocol measurement must be dichotomic")
         if self.step.dim != self.measurement.dim:
             raise ValueError("step unitary and measurement dimensions differ")
-        if len(self.outcome_values) != 2:
-            raise ValueError("need one value per outcome")
-        if len(self.times) != 3:
-            raise ValueError("three time labels required")
 
 
 def rotation_protocol(theta: float) -> LGIProtocol:
@@ -65,7 +63,7 @@ def _pair_correlator_quantum(
     protocol: LGIProtocol, branches, steps_before: int, steps_between: int
 ) -> float:
     u = protocol.step.matrix
-    values = np.asarray(protocol.outcome_values, dtype=float)
+    values = np.array(OUTCOME_VALUES)
     projs = protocol.measurement.projectors
     total = 0.0
     for weight, state in branches:
@@ -116,7 +114,6 @@ class LGIModelBinding:
 
     measurement: str
     step_map: str
-    outcome_values: tuple = (1.0, -1.0)
     initial: tuple | None = None
 
 
@@ -159,7 +156,7 @@ def _pair_correlator_model(
             f"measurement {binding.measurement!r} has no update rule; "
             "sequences need post-measurement re-preparation"
         )
-    values = np.asarray(binding.outcome_values, dtype=float)
+    values = np.array(OUTCOME_VALUES)
     mu = _apply_steps(model, mu0, binding.step_map, steps_before)
     first = resp @ mu
     total = 0.0

@@ -230,7 +230,6 @@ class FiniteOntModel:
         name: str,
         weights: np.ndarray,
         *,
-        eigenstate_of: str | None = None,
         delta_of: str | None = None,
     ) -> "FiniteOntModel":
         """New model with one more registered preparation (closure under
@@ -239,13 +238,10 @@ class FiniteOntModel:
             raise ValueError(f"preparation {name!r} already registered")
         preps = dict(self.preparations)
         preps[name] = np.asarray(weights, dtype=float)
-        eigen = {q: tuple(v) for q, v in self.eigenstate_preps.items()}
-        if eigenstate_of is not None:
-            eigen[eigenstate_of] = eigen.get(eigenstate_of, ()) + (name,)
         delta = {s: tuple(v) for s, v in self.delta_sets.items()}
         if delta_of is not None:
             delta[delta_of] = delta.get(delta_of, ()) + (name,)
-        return replace(self, preparations=preps, eigenstate_preps=eigen, delta_sets=delta)
+        return replace(self, preparations=preps, delta_sets=delta)
 
 
 def support(weights: np.ndarray) -> np.ndarray:

@@ -446,6 +446,8 @@ def _solve_slot_angles(p: float, q: float, r: float):
             return (0.0, math.acos(c2), 0.0)
         if r > s2 + 1e-12:
             return None
+        if s2 == 0.0:   # p = 1 pins t2 = 0; r is within the slack of 0
+            return (0.0, math.acos(c2), 0.0)
         return (0.0, math.acos(c2), math.asin(min(1.0, r / s2)))
     if r < z:
         if q > 1.0:

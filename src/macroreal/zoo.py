@@ -25,6 +25,8 @@ from .quantum import (
 )
 
 GRID_WEIGHT_TOL = 1e-6
+ORBIT_MAX_STATES = 256   # orbits of angles incommensurate with pi never close
+PAIR_OFFSET = 13         # measurement member offset in paired_validation_grid
 PAULI = np.array(
     [
         [[0.0, 1.0], [1.0, 0.0]],
@@ -148,33 +150,33 @@ def qubit_fragment(
     state_directions: dict,
     measurement_directions: dict,
     rotations: dict | None = None,
-    macro_name: str = "macro",
 ) -> QuantumFragment:
     """Qubit fragment from named Bloch directions.
 
-    ``measurement_directions`` must include ``macro_name``. Each rotation is
+    ``measurement_directions`` must include ``"macro"``, the macro
+    observable, whose outcomes are labelled q+ and q-. Each rotation is
     an (axis, angle) pair; the listed states are not automatically closed
     under them, callers add images they intend to query.
     """
-    if macro_name not in measurement_directions:
-        raise ValueError(f"measurement_directions must include {macro_name!r}")
+    if "macro" not in measurement_directions:
+        raise ValueError("measurement_directions must include 'macro'")
     states = {name: state_from_bloch(d) for name, d in state_directions.items()}
     measurements = {}
     for name, d in measurement_directions.items():
-        labels = ("q+", "q-") if name == macro_name else ("+", "-")
+        labels = ("q+", "q-") if name == "macro" else ("+", "-")
         measurements[name] = measurement_from_direction(d, labels)
     unitaries = {}
     for name, (axis, angle) in (rotations or {}).items():
         unitaries[name] = rotation_unitary(axis, angle)
-    return QuantumFragment(2, states, unitaries, measurements, macro_name)
+    return QuantumFragment(2, states, unitaries, measurements, "macro")
 
 
-def orbit_closed_directions(seeds: dict, rotation: np.ndarray, max_states: int = 256) -> dict:
+def orbit_closed_directions(seeds: dict, rotation: np.ndarray) -> dict:
     """Close a set of named Bloch directions under a rotation.
 
     Images of catalogued directions get derived names; directions already
     present (dot within 1e-12 of 1) are not duplicated. Raises if the orbit
-    does not close within ``max_states`` members, as happens for rotation
+    does not close within ``ORBIT_MAX_STATES`` members, as happens for rotation
     angles incommensurate with pi.
     """
     dirs = {name: np.asarray(d, dtype=float) / np.linalg.norm(d) for name, d in seeds.items()}
@@ -184,7 +186,7 @@ def orbit_closed_directions(seeds: dict, rotation: np.ndarray, max_states: int =
         image = rotation @ d
         if any(image @ v > 1.0 - 1e-12 for v in dirs.values()):
             continue
-        if len(dirs) >= max_states:
+        if len(dirs) >= ORBIT_MAX_STATES:
             raise ValueError("rotation orbit does not close; choose a commensurate angle")
         new_name = f"rot:{name}"
         dirs[new_name] = image
@@ -215,13 +217,13 @@ def standard_qubit_fragment(theta: float = math.pi / 3) -> QuantumFragment:
     return qubit_fragment(state_dirs, meas_dirs, {"step": ((0.0, 1.0, 0.0), theta)})
 
 
-def paired_validation_grid(n_pairs: int = 50, offset: int = 13):
+def paired_validation_grid(n_pairs: int = 50):
     """Deterministic (state, measurement) direction pairs for fidelity checks.
 
     Both direction families come from one golden-angle set of 2*n_pairs
-    directions; pair i uses member 2i for the state and member (2i+offset)
-    mod 2*n_pairs for the measurement, spreading relative angles without
-    sharing axes.
+    directions; pair i uses member 2i for the state and member
+    (2i + PAIR_OFFSET) mod 2*n_pairs for the measurement, spreading relative
+    angles without sharing axes.
     """
     total = 2 * n_pairs
     k = np.arange(total)
@@ -231,7 +233,7 @@ def paired_validation_grid(n_pairs: int = 50, offset: int = 13):
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     dirs = np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z])
     states = dirs[2 * np.arange(n_pairs) % total]
-    meas = dirs[(2 * np.arange(n_pairs) + offset) % total]
+    meas = dirs[(2 * np.arange(n_pairs) + PAIR_OFFSET) % total]
     return states, meas
 
 

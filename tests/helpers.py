@@ -29,7 +29,15 @@ from macroreal import (
     enumerate_atoms,
     solve_lp,
 )
-from macroreal.exclusion import ALL_MEASUREMENTS, MEAS_MACRO, _born_rhs, _marginal_matrix
+from macroreal.exclusion import (
+    MEAS_ANTIDIST,
+    MEAS_BPRIME,
+    MEAS_MACRO,
+    _born_rhs,
+    _marginal_matrix,
+)
+
+ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -464,8 +472,8 @@ def lp_atom_maxima(
     """Largest weight each of ``atoms[indices]`` can carry in a measure
     reproducing the target's statistics, one simplex LP per atom: the
     oracle for the closed-form ``accessible_atoms``."""
-    marg, keys = _marginal_matrix(fragment, atoms)
-    rhs = _born_rhs(fragment, keys, target)
+    marg = _marginal_matrix(fragment, atoms)
+    rhs = _born_rhs(fragment, target)
     maxima = []
     for idx in indices:
         objective = np.zeros(len(atoms))
@@ -492,6 +500,12 @@ def _row_marginals(fragment: QuantumFragment, atoms: list) -> tuple:
     return np.array(rows), keys
 
 
+def _keyed_rhs(fragment: QuantumFragment, keys: list, state_name: str) -> np.ndarray:
+    """The state's Born probability for each (measurement, outcome) key."""
+    borns = {m: fragment.born(state_name, m) for m in fragment.measurements}
+    return np.array([borns[m][o] for m, o in keys])
+
+
 def _row_transform(context, n_vars: int, mu_prime_cols: dict, mu_cols: dict) -> np.ndarray:
     row = np.zeros(n_vars)
     for atom_idx in context.accessible("zero"):
@@ -511,10 +525,13 @@ def reference_esmr_program(
     """ESMR assembled per atom and per row: the oracle for the block builder
     behind ``WitnessExclusion.esmr``."""
     atoms = [tuple(a) for a in context.atoms.tolist()]
-    allowed = list(context._eigen_union()) if include_support else list(range(len(atoms)))
+    if include_support:
+        allowed = sorted(set().union(*(context.accessible(q) for q in context._eigen_names)))
+    else:
+        allowed = list(range(len(atoms)))
     sub_atoms = [atoms[i] for i in allowed]
     marg, keys = _row_marginals(context.fragment, sub_atoms)
-    rhs = _born_rhs(context.fragment, keys, "psi")
+    rhs = _keyed_rhs(context.fragment, keys, "psi")
     ns = len(allowed)
     n_vars = 2 * ns
     a_eq = np.zeros((2 * len(keys), n_vars))
@@ -555,14 +572,14 @@ def reference_emmr_program(context, measurements: tuple = ALL_MEASUREMENTS) -> L
     rows = []
     rhs_list = []
     for blk, qname in enumerate(eigen_names * (2 if full else 1)):
-        q_rhs = _born_rhs(frag, keys, qname)
+        q_rhs = _keyed_rhs(frag, keys, qname)
         off = blk * n_atoms
         for r, key_rhs in enumerate(q_rhs):
             row = np.zeros(n_vars)
             row[off : off + n_atoms] = marg[r] - key_rhs
             rows.append(row)
             rhs_list.append(0.0)
-    psi_rhs = _born_rhs(frag, keys, "psi")
+    psi_rhs = _keyed_rhs(frag, keys, "psi")
     halves = (0, 1) if full else (0,)
     for half in halves:
         for r in range(len(keys)):
@@ -600,7 +617,7 @@ def reference_max_overlap_program(context) -> LinearProgram:
     """The max-overlap program with its objective set atom by atom."""
     atoms = [tuple(a) for a in context.atoms.tolist()]
     marg, keys = _row_marginals(context.fragment, atoms)
-    rhs = _born_rhs(context.fragment, keys, "psi")
+    rhs = _keyed_rhs(context.fragment, keys, "psi")
     objective = np.zeros(len(atoms))
     for atom_idx in set(context.accessible("zero")) | set(context.accessible("phi")):
         objective[atom_idx] = 1.0
@@ -611,7 +628,9 @@ def reference_max_overlap_program(context) -> LinearProgram:
 
 def scipy_slot_angles(p: float, q: float, r: float):
     """The scipy-based ``witness._solve_slot_angles`` as it was before the
-    pure-Python solver ports, kept verbatim as their bitwise oracle.
+    pure-Python solver ports, kept as their bitwise oracle. Its one edit
+    since is the ``s2 == 0.0`` guard, which the library has too: without it
+    p = 1, q = 0, 1e-15 <= r <= 1e-12 divided by zero.
 
     Solve cos(t1)cos(t2)=p, sin(t1)cos(t3)=q, sin(t2)sin(t3)=r on [0, pi/2].
 
@@ -631,6 +650,8 @@ def scipy_slot_angles(p: float, q: float, r: float):
             return (0.0, math.acos(c2), 0.0)
         if r > s2 + 1e-12:
             return None
+        if s2 == 0.0:   # p = 1 pins t2 = 0; r is within the slack of 0
+            return (0.0, math.acos(c2), 0.0)
         return (0.0, math.acos(c2), math.asin(min(1.0, r / s2)))
     if r < z:
         if q > 1.0:

@@ -87,8 +87,8 @@ def test_accessible_against_reference_lp(exclusion_half):
     """Independent oracle: the per-atom maximum via a reference solver."""
     frag = exclusion_half.fragment
     atoms = exclusion_half.atoms
-    marg, keys = _marginal_matrix(frag, atoms)
-    rhs = _born_rhs(frag, keys, "phi")
+    marg = _marginal_matrix(frag, atoms)
+    rhs = _born_rhs(frag, "phi")
     mine = set(exclusion_half.accessible("phi"))
     for idx in range(len(atoms)):
         c = np.zeros(len(atoms))
@@ -109,15 +109,25 @@ def test_accessible_closed_form_matches_lp_oracle(alpha, dim):
     """
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
     frag, atoms = context.fragment, context.atoms
-    marg, keys = _marginal_matrix(frag, atoms)
+    marg = _marginal_matrix(frag, atoms)
     for target in frag.states:
-        rhs = _born_rhs(frag, keys, target)
+        rhs = _born_rhs(frag, target)
         bound = np.where(marg > 0.0, rhs[:, None], np.inf).min(axis=0)
         open_atoms = np.flatnonzero(bound > 0.0)
         maxima = lp_atom_maxima(frag, target, atoms, open_atoms)
         assert maxima == pytest.approx(bound[open_atoms], abs=FEAS_TOL)
         by_lp = open_atoms[maxima > STRICT_POS_EPS]
-        assert accessible_atoms(frag, target, atoms) == tuple(by_lp.tolist())
+        assert accessible_atoms(frag, target, atoms).tolist() == by_lp.tolist()
+
+
+def test_accessible_sets_are_read_only_ascending_index_arrays(exclusion_half):
+    for target in exclusion_half.fragment.states:
+        access = exclusion_half.accessible(target)
+        assert access.dtype.kind == "i" and access.ndim == 1
+        assert not access.flags.writeable
+        assert np.all(np.diff(access) > 0)
+        with pytest.raises(ValueError):
+            access[0] = 0
 
 
 class TestExclusionPrograms:
@@ -144,19 +154,37 @@ class TestExclusionPrograms:
         assert report.required_mass == pytest.approx(0.5, abs=1e-12)
 
     def test_macro_only_control_feasible(self, exclusion_half):
-        report = exclusion_half.emmr(measurements=("macro",))
+        report = exclusion_half.control("emmr_macro_only")
         assert report.status == "feasible"
         assert report.mode == "emmr_macro_only"
+        assert report.atom_count == exclusion_half.bundle.dim
+        assert report.accessible_sizes == {}
 
     def test_static_control_recorded_not_asserted(self, exclusion_half):
-        report = exclusion_half.esmr(include_transform=False)
+        report = exclusion_half.control("esmr_static_control")
         assert report.mode == "esmr_static_control"
+        assert report.program.a_ub.shape[0] == 0
         assert report.status in ("feasible", "infeasible")
         assert report.certificate_residual <= CERT_TOL
 
     def test_unconstrained_control_feasible(self, exclusion_half):
-        report = exclusion_half.esmr(include_support=False, include_transform=False)
+        report = exclusion_half.control("esmr_unconstrained_control")
+        assert report.mode == "esmr_unconstrained_control"
         assert report.status == "feasible"
+        assert report.program.a_ub.shape[0] == 0
+        assert report.program.n_vars == 2 * len(exclusion_half.atoms)
+
+    def test_control_rejects_unknown_mode(self, exclusion_half):
+        for mode in ("bogus", "esmr", "emmr", "max_overlap"):
+            with pytest.raises(ValueError, match="unknown control"):
+                exclusion_half.control(mode)
+
+    def test_every_report_mode_is_a_program_or_a_control(self, exclusion_half):
+        reports = [exclusion_half.esmr(), exclusion_half.emmr(), exclusion_half.max_overlap()]
+        reports += [exclusion_half.control(mode) for mode in WitnessExclusion.CONTROLS]
+        modes = [report.mode for report in reports]
+        assert modes == ["esmr", "emmr", "max_overlap", *WitnessExclusion.CONTROLS]
+        assert len(set(modes)) == 6
 
     def test_esmr_status_cross_checked_against_reference(self, exclusion_half):
         report = exclusion_half.esmr()
@@ -186,12 +214,12 @@ def test_programs_match_per_row_assembly(alpha, dim):
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
     pairs = [
         (context.esmr(), reference_esmr_program(context)),
-        (context.esmr(include_transform=False),
+        (context.control("esmr_static_control"),
          reference_esmr_program(context, include_transform=False)),
-        (context.esmr(include_support=False, include_transform=False),
+        (context.control("esmr_unconstrained_control"),
          reference_esmr_program(context, include_support=False, include_transform=False)),
         (context.emmr(), reference_emmr_program(context)),
-        (context.emmr(measurements=("macro",)),
+        (context.control("emmr_macro_only"),
          reference_emmr_program(context, measurements=("macro",))),
         (context.max_overlap(), reference_max_overlap_program(context)),
     ]

@@ -17,6 +17,7 @@ from macroreal import (
     qubit_fragment,
     rotation_protocol,
 )
+from macroreal.lgi import OUTCOME_VALUES
 
 
 def sequence_enumeration_oracle(protocol, steps_a, steps_b):
@@ -24,7 +25,7 @@ def sequence_enumeration_oracle(protocol, steps_a, steps_b):
     projector matrices."""
     u = protocol.step.matrix
     projs = protocol.measurement.projectors
-    values = protocol.outcome_values
+    values = OUTCOME_VALUES
     total = 0.0
     for proj0 in projs:  # eigenstate mixture start
         vals, vecs = np.linalg.eigh(proj0)

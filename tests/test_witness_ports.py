@@ -29,13 +29,21 @@ ALPHA_MAX = 1.0 / math.sqrt(2.0)
 
 
 def outcome(solver, p, q, r):
-    """Exact, sign-of-zero-aware image of a slot-angle result; an exception
-    (p = 1 with q = 0 < r divides by zero in both versions) maps to its type."""
+    """Exact, sign-of-zero-aware image of a slot-angle result; an arithmetic
+    exception maps to its type, so both versions must fail alike."""
     try:
         result = solver(p, q, r)
     except ArithmeticError as exc:
         return type(exc)
     return None if result is None else tuple(float(t).hex() for t in result)
+
+
+@pytest.mark.parametrize("r", [1e-15, 1e-13, 1e-12])
+def test_slot_angles_zero_sine_takes_the_zero_angle(r):
+    """p = 1 pins t2 = 0, so sin(t2) = 0; an r within the 1e-12 slack of 0
+    gives t3 = 0 instead of dividing by sin(t2)."""
+    assert witness._solve_slot_angles(1.0, 0.0, r) == (0.0, 0.0, 0.0)
+    assert witness._solve_slot_angles(1.0, 0.0, 2e-12) is None
 
 
 def smooth_function(rng: np.random.Generator):
