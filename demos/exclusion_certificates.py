@@ -43,14 +43,14 @@ print(f"""
   deficit  = {overlap.required_mass - overlap.optimum:.9f}
 """)
 
-control = context.control("emmr_macro_only")
+control = context.macro_only_control()
 print(f"[macro-only control]  status: {control.status} "
       "(mixtures reproduce any single-observable statistics)")
 
-static = context.control("esmr_static_control")
+static = context.static_control()
 print(f"[static control, transport constraint removed]  status: {static.status} "
       "(recorded, not asserted)")
 
-free = context.control("esmr_unconstrained_control")
+free = context.unconstrained_control()
 print(f"[unconstrained control]  status: {free.status} "
       "(the product measure always reproduces the statistics)")

@@ -20,9 +20,9 @@ Three programs matter:
   the two accessible sets under the statistics constraints alone lands at
   alpha^2 (1 + 2 alpha^2), short of the required 2 alpha^2.
 
-``WitnessExclusion.control`` runs the three controls, which drop premises:
-the transport row (static), the transport row and the eigenstate support
-(unconstrained), or every measurement but the macro one (macro-only).
+Three controls drop premises: ``static_control`` the transport row,
+``unconstrained_control`` the transport row and the eigenstate support, and
+``macro_only_control`` every measurement but the macro one.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _block_program(
     psi_rhs: np.ndarray,
     halves: int,
     eigen_rhs: list | None = None,
-    transform: tuple | None = None,
+    transport: np.ndarray | None = None,
 ) -> LinearProgram:
     """Feasibility program over ``halves`` measures on the columns of
     ``marg``, each measure split into one block per entry of ``eigen_rhs``
@@ -95,10 +95,11 @@ def _block_program(
     Rows, in order: every block matches its eigenstate's statistics scaled
     by the block mass, marg - born_q = 0 (blocks cycle through
     ``eigen_rhs`` in each half); the blocks of each half sum to the witness
-    statistics ``psi_rhs``. ``transform`` = (zero_mask, phi_mask) over the
-    columns adds sum_{A_zero} mu' - sum_{A_phi} mu <= 0, with mu' the first
-    half and mu the second: the transported measure must cover at least
-    the eigenstate mass it started from.
+    statistics ``psi_rhs``. ``transport``, a (2, n_cols) boolean array whose
+    rows mark the columns accessible from zero and from phi, adds
+    sum_{A_zero} mu' - sum_{A_phi} mu <= 0, with mu' the first half and mu
+    the second: the transported measure must cover at least the eigenstate
+    mass it started from.
     """
     n_keys, n_cols = marg.shape
     n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
@@ -116,8 +117,8 @@ def _block_program(
         a_eq[rows, half * width : (half + 1) * width] = tiled
         b_eq[rows] = psi_rhs
     a_ub = b_ub = None
-    if transform is not None:
-        zero_mask, phi_mask = transform
+    if transport is not None:
+        zero_mask, phi_mask = transport
         a_ub = np.zeros((1, a_eq.shape[1]))
         a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), n_blocks)
         a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), n_blocks)
@@ -237,9 +238,6 @@ class WitnessExclusion:
     ESMR, EMMR, overlap and control programs.
     """
 
-    # Each control drops premises of the no-go argument: see ``control``.
-    CONTROLS = ("esmr_static_control", "esmr_unconstrained_control", "emmr_macro_only")
-
     def __init__(self, bundle: WitnessBundle, antidist: AntidistReport | None = None):
         if antidist is None:
             antidist = check_antidistinguishable(bundle.psi, bundle.phi, bundle.zero)
@@ -276,28 +274,30 @@ class WitnessExclusion:
         masks[1, self.accessible("phi")] = True
         return masks
 
-    def _certify(self, mode: str, program: LinearProgram, explain, targets=None) -> ExclusionReport:
+    def _certify(
+        self, mode: str, program: LinearProgram, explain, *, targets, atom_count: int, bounds: bool
+    ) -> ExclusionReport:
         """Solve ``program``, re-verify its certificate and report it.
 
         ``explain`` words the verdict from the solver outcome. ``targets``
-        name the accessible sets whose sizes the report lists. The
-        macro-only control passes None: its atoms are the d macro outcomes,
-        not the witness atoms, and it carries no alpha bounds.
+        name the accessible sets whose sizes the report lists, and
+        ``atom_count`` the atoms the program's columns range over. ``bounds``
+        says whether the report carries the alpha bounds (required mass and
+        quantum ceiling).
         """
         outcome = solve_lp(program)
         residual = verify_certificate(program, outcome)
-        witness_atoms = targets is not None
         return ExclusionReport(
             alpha=self.bundle.alpha,
             mode=mode,
             program=program,
             outcome=outcome,
             certificate_residual=residual,
-            atom_count=len(self.atoms) if witness_atoms else self.bundle.dim,
-            accessible_sizes={t: len(self.accessible(t)) for t in targets or ()},
+            atom_count=atom_count,
+            accessible_sizes={t: len(self.accessible(t)) for t in targets},
             explanation=explain(outcome),
-            required_mass=self._required if witness_atoms else None,
-            quantum_ceiling=self._ceiling if witness_atoms else None,
+            required_mass=self._required if bounds else None,
+            quantum_ceiling=self._ceiling if bounds else None,
         )
 
     # -- the three programs --------------------------------------------------
@@ -309,7 +309,7 @@ class WitnessExclusion:
             self._marg[:, allowed],
             _born_rhs(self.fragment, "psi"),
             halves=2,
-            transform=self._transport_masks()[:, allowed],
+            transport=self._transport_masks()[:, allowed],
         )
         return self._certify("esmr", program, lambda outcome: (
             "Within the deterministic-response model class, any "
@@ -318,7 +318,7 @@ class WitnessExclusion:
             "{phi, zero}, while the witness statistics cap that mass at "
             f"alpha^2 (1 + 2 alpha^2) = {self._ceiling:.6f}; the program is "
             f"{outcome.status}."
-        ), self._eigen_names + ["phi"])
+        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
 
     def emmr(self) -> ExclusionReport:
         """Per-value block decomposition; each block reproduces its
@@ -328,13 +328,13 @@ class WitnessExclusion:
             _born_rhs(self.fragment, "psi"),
             halves=2,
             eigen_rhs=[_born_rhs(self.fragment, q) for q in self._eigen_names],
-            transform=self._transport_masks(),
+            transport=self._transport_masks(),
         )
         return self._certify("emmr", program, lambda outcome: (
             "Eigenstate-mixture decompositions inherit the eigenstate "
             "support constraint, so the contradiction chain applies "
             f"unchanged; the program is {outcome.status}."
-        ), self._eigen_names + ["phi"])
+        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
 
     def max_overlap(self) -> ExclusionReport:
         """Maximal mass on the accessible atoms of {phi, zero} under the
@@ -349,40 +349,38 @@ class WitnessExclusion:
             f"Maximum joint accessible mass is {outcome.value:.9f}; macro-"
             f"realism needs {self._required:.9f}, leaving a deficit of "
             f"{self._required - (outcome.value or 0.0):.9f}."
-        ), ["zero", "phi"])
+        ), targets=["zero", "phi"], atom_count=len(self.atoms), bounds=True)
 
-    def control(self, mode: str) -> ExclusionReport:
-        """One of the ``CONTROLS``; the solver verdict is recorded, not
-        asserted.
+    # -- the controls: verdicts recorded, not asserted ----------------------
 
-        * ``esmr_static_control``: ESMR without the transport row.
-        * ``esmr_unconstrained_control``: ESMR without the transport row
-          and without the eigenstate support; every atom is a column.
-        * ``emmr_macro_only``: EMMR with the macro measurement alone, one
-          measure and no transport row. Its atoms are the d macro outcomes,
-          so its marginal matrix is the identity; mixtures of macro
-          eigenstates reproduce any macro statistics.
-        """
-        if mode not in self.CONTROLS:
-            raise ValueError(f"unknown control {mode!r}; expected one of {self.CONTROLS}")
-        if mode == "emmr_macro_only":
-            program = _block_program(
-                np.eye(self.bundle.dim),
-                self.fragment.born("psi", MEAS_MACRO),
-                halves=1,
-                eigen_rhs=[self.fragment.born(q, MEAS_MACRO) for q in self._eigen_names],
-            )
-            return self._certify(mode, program, lambda outcome: (
-                "Macro-only control: mixtures of macro eigenstates reproduce "
-                f"any macro statistics; the program is {outcome.status}."
-            ))
-        static = mode == "esmr_static_control"
-        program = _block_program(
-            self._marg[:, self._eigen_union()] if static else self._marg,
-            _born_rhs(self.fragment, "psi"),
-            halves=2,
-        )
+    def static_control(self) -> ExclusionReport:
+        """ESMR without the transport row."""
+        return self._esmr_control("esmr_static_control", self._marg[:, self._eigen_union()])
+
+    def unconstrained_control(self) -> ExclusionReport:
+        """ESMR without the transport row and without the eigenstate
+        support; every atom is a column."""
+        return self._esmr_control("esmr_unconstrained_control", self._marg)
+
+    def _esmr_control(self, mode: str, marg: np.ndarray) -> ExclusionReport:
+        program = _block_program(marg, _born_rhs(self.fragment, "psi"), halves=2)
         return self._certify(mode, program, lambda outcome: (
             f"Control program ({mode}); the solver verdict is recorded, "
             "not asserted."
-        ), self._eigen_names + ["phi"])
+        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
+
+    def macro_only_control(self) -> ExclusionReport:
+        """EMMR with the macro measurement alone, one measure and no
+        transport row. Its atoms are the d macro outcomes, so its marginal
+        matrix is the identity; mixtures of macro eigenstates reproduce any
+        macro statistics."""
+        program = _block_program(
+            np.eye(self.bundle.dim),
+            self.fragment.born("psi", MEAS_MACRO),
+            halves=1,
+            eigen_rhs=[self.fragment.born(q, MEAS_MACRO) for q in self._eigen_names],
+        )
+        return self._certify("emmr_macro_only", program, lambda outcome: (
+            "Macro-only control: mixtures of macro eigenstates reproduce "
+            f"any macro statistics; the program is {outcome.status}."
+        ), targets=(), atom_count=self.bundle.dim, bounds=False)

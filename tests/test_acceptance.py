@@ -106,7 +106,7 @@ def test_criterion_3_lp_exclusion():
         ok &= abs(overlap.optimum - expected) <= 1e-7
         if alpha == 0.5:
             ok &= abs(overlap.optimum - 0.375) <= 1e-7
-        control = context.control("emmr_macro_only")
+        control = context.macro_only_control()
         ok &= control.status == "feasible"
     report_line(3, "lp-exclusion", ok, time.perf_counter() - t0, 10.0)
 

@@ -154,37 +154,35 @@ class TestExclusionPrograms:
         assert report.required_mass == pytest.approx(0.5, abs=1e-12)
 
     def test_macro_only_control_feasible(self, exclusion_half):
-        report = exclusion_half.control("emmr_macro_only")
+        report = exclusion_half.macro_only_control()
         assert report.status == "feasible"
         assert report.mode == "emmr_macro_only"
         assert report.atom_count == exclusion_half.bundle.dim
         assert report.accessible_sizes == {}
 
     def test_static_control_recorded_not_asserted(self, exclusion_half):
-        report = exclusion_half.control("esmr_static_control")
+        report = exclusion_half.static_control()
         assert report.mode == "esmr_static_control"
         assert report.program.a_ub.shape[0] == 0
         assert report.status in ("feasible", "infeasible")
         assert report.certificate_residual <= CERT_TOL
 
     def test_unconstrained_control_feasible(self, exclusion_half):
-        report = exclusion_half.control("esmr_unconstrained_control")
+        report = exclusion_half.unconstrained_control()
         assert report.mode == "esmr_unconstrained_control"
         assert report.status == "feasible"
         assert report.program.a_ub.shape[0] == 0
         assert report.program.n_vars == 2 * len(exclusion_half.atoms)
 
-    def test_control_rejects_unknown_mode(self, exclusion_half):
-        for mode in ("bogus", "esmr", "emmr", "max_overlap"):
-            with pytest.raises(ValueError, match="unknown control"):
-                exclusion_half.control(mode)
-
     def test_every_report_mode_is_a_program_or_a_control(self, exclusion_half):
-        reports = [exclusion_half.esmr(), exclusion_half.emmr(), exclusion_half.max_overlap()]
-        reports += [exclusion_half.control(mode) for mode in WitnessExclusion.CONTROLS]
-        modes = [report.mode for report in reports]
-        assert modes == ["esmr", "emmr", "max_overlap", *WitnessExclusion.CONTROLS]
-        assert len(set(modes)) == 6
+        context = exclusion_half
+        reports = [context.esmr(), context.emmr(), context.max_overlap(),
+                   context.static_control(), context.unconstrained_control(),
+                   context.macro_only_control()]
+        assert [report.mode for report in reports] == [
+            "esmr", "emmr", "max_overlap",
+            "esmr_static_control", "esmr_unconstrained_control", "emmr_macro_only",
+        ]
 
     def test_esmr_status_cross_checked_against_reference(self, exclusion_half):
         report = exclusion_half.esmr()
@@ -214,12 +212,12 @@ def test_programs_match_per_row_assembly(alpha, dim):
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
     pairs = [
         (context.esmr(), reference_esmr_program(context)),
-        (context.control("esmr_static_control"),
+        (context.static_control(),
          reference_esmr_program(context, include_transform=False)),
-        (context.control("esmr_unconstrained_control"),
+        (context.unconstrained_control(),
          reference_esmr_program(context, include_support=False, include_transform=False)),
         (context.emmr(), reference_emmr_program(context)),
-        (context.control("emmr_macro_only"),
+        (context.macro_only_control(),
          reference_emmr_program(context, measurements=("macro",))),
         (context.max_overlap(), reference_max_overlap_program(context)),
     ]
