@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import __version__
 from .exclusion import WitnessExclusion
 from .lgi import LGIModelBinding, model_correlators, quantum_correlators, rotation_protocol
 from .lp import CERT_TOL, PivotBudgetError
-from .ontomodel import Bindings, classify, validate
+from .ontomodel import classify, default_bindings, validate
 from .serialize import (
     dumps_json,
     fragment_from_json,
@@ -82,7 +83,7 @@ def _witness_json(alpha: float, dim: int) -> dict:
             "inequality2_ok": report.inequality2_ok,
             "slack1": report.slack1, "slack2": report.slack2,
             "certified": report.certified,
-            "residuals": None if report.residuals is None else [float(r) for r in report.residuals],
+            "residuals": None if report.residuals is None else report.residuals.tolist(),
         },
         "contradiction": {
             "esmr_lower_bound": gap.esmr_lower_bound,
@@ -137,22 +138,16 @@ def _cmd_exclude(args) -> int:
 
 
 def _zoo_build(args):
+    pairs = None
     if args.model == "ks":
         state_dirs, meas_dirs = paired_validation_grid(args.pairs)
         dirs = {f"s{i}": tuple(d) for i, d in enumerate(state_dirs)}
         mdirs = {"macro": (0.0, 0.0, 1.0)}
         mdirs.update({f"m{i}": tuple(d) for i, d in enumerate(meas_dirs)})
         fragment = qubit_fragment(dirs, mdirs)
-        grid = fibonacci_sphere_grid(args.nodes)
-        model = kochen_specker_model(grid, fragment)
+        model = kochen_specker_model(fibonacci_sphere_grid(args.nodes), fragment)
         pairs = tuple((f"s{i}", f"m{i}") for i in range(len(state_dirs)))
-        bindings = Bindings(
-            preparations={f"s{i}": f"s{i}" for i in range(len(state_dirs))},
-            measurements={m: m for m in mdirs},
-            pairs=pairs,
-        )
-        return model, fragment, bindings
-    if args.model == "bb":
+    elif args.model == "bb":
         fragment = standard_qubit_fragment()
         model = beltrametti_bugajski_model(fragment)
     elif args.model == "det":
@@ -164,11 +159,7 @@ def _zoo_build(args):
         model = deterministic_extension_model(fragment)
     else:  # emmr-toy
         model, fragment = emmr_toy_model(math.pi / 3)
-    bindings = Bindings(
-        preparations={name: name for name in fragment.states if name in model.preparations},
-        measurements={name: name for name in fragment.measurements},
-    )
-    return model, fragment, bindings
+    return model, fragment, replace(default_bindings(model, fragment), pairs=pairs)
 
 
 def _cmd_zoo(args) -> int:

@@ -192,7 +192,7 @@ class ExclusionReport:
         for attr in ("x", "dual_eq", "dual_ub", "farkas_eq", "farkas_ub"):
             vec = getattr(self.outcome, attr)
             if vec is not None:
-                cert[attr] = [float(v) for v in vec]
+                cert[attr] = vec.tolist()
         return {
             "alpha": self.alpha,
             "mode": self.mode,
@@ -343,7 +343,6 @@ class WitnessExclusion:
             objective=self._transport_masks().any(axis=0).astype(float),
             a_eq=self._marg,
             b_eq=_born_rhs(self.fragment, "psi"),
-            maximize=True,
         )
         return self._certify("max_overlap", program, lambda outcome: (
             f"Maximum joint accessible mass is {outcome.value:.9f}; macro-"

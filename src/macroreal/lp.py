@@ -55,14 +55,13 @@ class PivotBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max (or min) c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0."""
+    """max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0."""
 
     objective: np.ndarray
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
-    maximize: bool = True
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -98,7 +97,6 @@ class LPOutcome:
 
     ``x`` and the duals are populated for optimal/feasible verdicts;
     ``farkas_eq``/``farkas_ub`` hold the infeasibility ray otherwise.
-    ``value`` is reported in the program's own sense.
     """
 
     status: str
@@ -260,24 +258,21 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
             return outcome
 
     sx.drop_redundant_rows()
-    sense = -1.0 if program.maximize else 1.0
-    phase2 = np.concatenate(
-        [sense * program.objective, np.zeros(n_ub), np.zeros(m)]
-    )
+    # the tableau minimizes, so phase 2 prices the negated objective
+    phase2 = np.concatenate([-program.objective, np.zeros(n_ub), np.zeros(m)])
     if sx.run(phase2) == "unbounded":
         return LPOutcome(status=STATUS_UNBOUNDED, pivots=sx.pivots)
 
     x = sx.solution()[:n]
     value = float(program.objective @ x)
-    y_int = np.where(flip, -1.0, 1.0) * sx.duals(phase2, m)
-    y_user = -y_int if program.maximize else y_int
+    y = np.where(flip, 1.0, -1.0) * sx.duals(phase2, m)
     status = STATUS_OPTIMAL if program.objective.any() else STATUS_FEASIBLE
     return LPOutcome(
         status=status,
         value=value,
         x=x,
-        dual_eq=y_user[:n_eq],
-        dual_ub=y_user[n_eq:],
+        dual_eq=y[:n_eq],
+        dual_ub=y[n_eq:],
         pivots=sx.pivots,
     )
 
@@ -318,14 +313,9 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     if outcome.status == STATUS_OPTIMAL and outcome.dual_eq is not None:
         y, z = outcome.dual_eq, outcome.dual_ub
         reduced = program.objective - program.a_eq.T @ y - program.a_ub.T @ z
-        if program.maximize:
-            viol = max(viol, float(reduced.max(initial=0.0)))
-            if z.size:
-                viol = max(viol, float(-z.min(initial=0.0)))
-        else:
-            viol = max(viol, float(-reduced.min(initial=0.0)))
-            if z.size:
-                viol = max(viol, float(z.max(initial=0.0)))
+        viol = max(viol, float(reduced.max(initial=0.0)))
+        if z.size:
+            viol = max(viol, float(-z.min(initial=0.0)))
         dual_value = float(program.b_eq @ y + program.b_ub @ z)
         viol = max(viol, abs(dual_value - float(outcome.value)))
     return viol

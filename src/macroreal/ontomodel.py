@@ -11,12 +11,13 @@ new model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+import copy
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .quantum import ProjMeasurement, StateVector, UnitaryMap, born
+from .quantum import ProjMeasurement, born
 
 SUPPORT_EPS = 1e-12        # membership threshold for supports
 KERNEL_EPS = 1e-9          # membership threshold for kernel sets
@@ -61,38 +62,41 @@ class QuantumFragment:
         return born(self.states[state_name], self.measurements[meas_name])
 
 
-def _check_prob_vector(vec: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).copy()
-    if v.ndim != 1:
-        raise ValueError(f"{what}: expected a vector, got shape {v.shape}")
-    if v.min(initial=0.0) < -PROB_TOL:
-        raise ValueError(f"{what}: negative entry {v.min()!r}")
-    if abs(v.sum() - 1.0) > PROB_TOL:
-        raise ValueError(f"{what}: sums to {v.sum()!r}")
-    v.setflags(write=False)
-    return v
+def _stochastic(values, shape: tuple, what: str) -> np.ndarray:
+    """Read-only float copy of ``values`` with nonnegative entries whose
+    columns (axis 0) sum to 1 within ``PROB_TOL``. ``shape`` is checked as a
+    numpy shape, where -1 takes the array's own extent."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, arr.shape)):
+        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if arr.min(initial=0.0) < -PROB_TOL:
+        raise ValueError(f"{what}: negative entry {float(arr.min())!r}")
+    off = float(np.abs(arr.sum(axis=0) - 1.0).max(initial=0.0))
+    if off > PROB_TOL:
+        raise ValueError(f"{what}: columns not stochastic, a sum is off 1 by {off!r}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_map(mat, n: int, name: str) -> np.ndarray:
     arr = np.asarray(mat)
-    if arr.ndim == 1:
-        # deterministic map given as target indices per atom
-        arr = arr.astype(int)
-        if arr.shape != (n,) or arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
-            raise ValueError(f"map {name!r}: bad deterministic target array")
-        arr = arr.copy()
-    else:
-        arr = arr.astype(float)
-        if arr.shape != (n, n):
-            raise ValueError(f"map {name!r}: expected shape ({n},{n}), got {arr.shape}")
-        if arr.min(initial=0.0) < -PROB_TOL:
-            raise ValueError(f"map {name!r}: negative entry")
-        colsums = arr.sum(axis=0)
-        if np.abs(colsums - 1.0).max(initial=0.0) > PROB_TOL:
-            raise ValueError(f"map {name!r}: columns not stochastic")
-        arr = arr.copy()
+    if arr.ndim != 1:
+        return _stochastic(arr, (n, n), f"map {name!r}")
+    # deterministic map given as target indices per atom
+    arr = arr.astype(int)
+    if arr.shape != (n,) or arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
+        raise ValueError(f"map {name!r}: bad deterministic target array")
     arr.setflags(write=False)
     return arr
+
+
+def _registered(names, preparations: dict, what: str) -> tuple:
+    """``names`` as a tuple, each checked to name a registered preparation."""
+    names = tuple(names)
+    for pname in names:
+        if pname not in preparations:
+            raise ValueError(f"{what} names unknown preparation {pname!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -124,25 +128,17 @@ class FiniteOntModel:
         if n <= 0:
             raise ValueError("atom count must be positive")
         preparations = {
-            name: _check_prob_vector(vec, f"preparation {name!r}")
+            name: _stochastic(vec, (n,), f"preparation {name!r}")
             for name, vec in self.preparations.items()
         }
-        responses = {}
+        responses = {
+            mname: _stochastic(resp, (-1, n), f"response {mname!r}")
+            for mname, resp in self.responses.items()
+        }
         labels = {}
-        for mname, resp in self.responses.items():
-            arr = np.asarray(resp, dtype=float).copy()
-            if arr.ndim != 2 or arr.shape[1] != n:
-                raise ValueError(f"response {mname!r}: expected (outcomes, {n}), got {arr.shape}")
-            if arr.min(initial=0.0) < -PROB_TOL:
-                raise ValueError(f"response {mname!r}: negative entry")
-            if np.abs(arr.sum(axis=0) - 1.0).max(initial=0.0) > PROB_TOL:
-                raise ValueError(f"response {mname!r}: columns not stochastic")
-            arr.setflags(write=False)
-            responses[mname] = arr
+        for mname, arr in responses.items():
             lab = self.outcome_labels.get(mname)
-            if lab is None:
-                lab = tuple(str(i) for i in range(arr.shape[0]))
-            lab = tuple(str(x) for x in lab)
+            lab = tuple(str(x) for x in (range(arr.shape[0]) if lab is None else lab))
             if len(lab) != arr.shape[0]:
                 raise ValueError(f"response {mname!r}: {len(lab)} labels for {arr.shape[0]} rows")
             labels[mname] = lab
@@ -156,13 +152,11 @@ class FiniteOntModel:
             q = str(q)
             if q not in macro_labels:
                 raise ValueError(f"eigenstate declaration for unknown macro value {q!r}")
-            names = tuple(names)
+            names = _registered(names, preparations, f"eigenstate declaration for {q!r}")
             if not names:
                 raise ValueError(f"eigenstate declaration for {q!r} is empty")
             row = responses[self.macro_measurement][macro_labels.index(q)]
             for pname in names:
-                if pname not in preparations:
-                    raise ValueError(f"eigenstate preparation {pname!r} not registered")
                 certainty = float(row @ preparations[pname])
                 if certainty < 1.0 - EIGENPREP_TOL:
                     raise ValueError(
@@ -175,19 +169,15 @@ class FiniteOntModel:
             if mname not in responses:
                 raise ValueError(f"update rule for unknown measurement {mname!r}")
             table = {str(k): str(v) for k, v in table.items()}
-            for out_label, pname in table.items():
+            for out_label in table:
                 if out_label not in labels[mname]:
                     raise ValueError(f"update rule for unknown outcome {out_label!r} of {mname!r}")
-                if pname not in preparations:
-                    raise ValueError(f"update rule re-prepares unknown preparation {pname!r}")
+            _registered(table.values(), preparations, f"update rule for {mname!r}")
             updates[mname] = table
-        delta = {}
-        for sname, names in self.delta_sets.items():
-            names = tuple(names)
-            for pname in names:
-                if pname not in preparations:
-                    raise ValueError(f"delta set of {sname!r} names unknown preparation {pname!r}")
-            delta[str(sname)] = names
+        delta = {
+            str(sname): _registered(names, preparations, f"delta set of {sname!r}")
+            for sname, names in self.delta_sets.items()
+        }
 
         object.__setattr__(self, "preparations", preparations)
         object.__setattr__(self, "responses", responses)
@@ -233,15 +223,22 @@ class FiniteOntModel:
         delta_of: str | None = None,
     ) -> "FiniteOntModel":
         """New model with one more registered preparation (closure under
-        transformations is realized by registering push-forward results)."""
+        transformations is realized by registering push-forward results).
+
+        Only the new vector is checked: nothing else changes, and the rest
+        of the model was checked when it was built.
+        """
         if name in self.preparations:
             raise ValueError(f"preparation {name!r} already registered")
         preps = dict(self.preparations)
-        preps[name] = np.asarray(weights, dtype=float)
-        delta = {s: tuple(v) for s, v in self.delta_sets.items()}
+        preps[name] = _stochastic(weights, (self.atoms,), f"preparation {name!r}")
+        delta = dict(self.delta_sets)
         if delta_of is not None:
             delta[delta_of] = delta.get(delta_of, ()) + (name,)
-        return replace(self, preparations=preps, delta_sets=delta)
+        model = copy.copy(self)
+        object.__setattr__(model, "preparations", preps)
+        object.__setattr__(model, "delta_sets", delta)
+        return model
 
 
 def support(weights: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ constructor enforces its structural invariants up to an explicit tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 

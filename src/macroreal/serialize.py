@@ -1,6 +1,7 @@
 """JSON wire formats for fragments and finite models.
 
-Complex numbers are [re, im] pairs; matrices are row-major nested lists.
+Complex numbers are [re, im] pairs; matrices and projector stacks are
+row-major nested lists, and complex arrays round-trip bit for bit.
 Stochastic maps serialize as dense matrices, with deterministic maps
 compacted to {"deterministic": [target, ...]} (a dense matrix for a large
 grid would be enormous). Dumps are key-sorted so identical objects produce
@@ -18,36 +19,27 @@ from .ontomodel import FiniteOntModel, QuantumFragment
 from .quantum import ProjMeasurement, StateVector, UnitaryMap
 
 
-def _complex_vector_out(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _complex_out(arr: np.ndarray) -> list:
+    """Complex array of any shape as nested lists ending in [re, im] pairs."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _complex_matrix_out(mat: np.ndarray) -> list:
-    return [_complex_vector_out(row) for row in mat]
-
-
-def _complex_vector_in(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data])
-
-
-def _complex_matrix_in(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+def _complex_in(data) -> np.ndarray:
+    """Inverse of ``_complex_out``, bit for bit: the float64 pairs are
+    viewed as complex128 (``re + 1j * im`` would lose signed zeros)."""
+    pairs = np.ascontiguousarray(data, dtype=np.float64)
+    if pairs.shape[-1] != 2:
+        raise ValueError(f"complex data must end in [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def fragment_to_json(fragment: QuantumFragment) -> dict:
     return {
         "dim": fragment.dim,
-        "states": {
-            name: _complex_vector_out(s.amplitudes) for name, s in fragment.states.items()
-        },
-        "unitaries": {
-            name: _complex_matrix_out(u.matrix) for name, u in fragment.unitaries.items()
-        },
+        "states": {name: _complex_out(s.amplitudes) for name, s in fragment.states.items()},
+        "unitaries": {name: _complex_out(u.matrix) for name, u in fragment.unitaries.items()},
         "measurements": {
-            name: {
-                "outcomes": list(m.outcomes),
-                "projectors": [_complex_matrix_out(p) for p in m.projectors],
-            }
+            name: {"outcomes": list(m.outcomes), "projectors": _complex_out(m.projectors)}
             for name, m in fragment.measurements.items()
         },
         "macro_observable": fragment.macro_observable,
@@ -56,37 +48,25 @@ def fragment_to_json(fragment: QuantumFragment) -> dict:
 
 def fragment_from_json(data: dict) -> QuantumFragment:
     dim = int(data["dim"])
-    states = {
-        name: StateVector(_complex_vector_in(v)) for name, v in data["states"].items()
+    states = {name: StateVector(_complex_in(v)) for name, v in data["states"].items()}
+    unitaries = {name: UnitaryMap(_complex_in(m)) for name, m in data["unitaries"].items()}
+    measurements = {
+        name: ProjMeasurement(tuple(spec["outcomes"]), _complex_in(spec["projectors"]))
+        for name, spec in data["measurements"].items()
     }
-    unitaries = {
-        name: UnitaryMap(_complex_matrix_in(m)) for name, m in data["unitaries"].items()
-    }
-    measurements = {}
-    for name, spec in data["measurements"].items():
-        projs = np.stack([_complex_matrix_in(p) for p in spec["projectors"]])
-        measurements[name] = ProjMeasurement(tuple(spec["outcomes"]), projs)
     return QuantumFragment(dim, states, unitaries, measurements, data["macro_observable"])
 
 
 def model_to_json(model: FiniteOntModel) -> dict:
-    maps: dict = {}
-    for name, gamma in model.maps.items():
-        if gamma.ndim == 1:
-            maps[name] = {"deterministic": [int(t) for t in gamma]}
-        else:
-            maps[name] = [[float(v) for v in row] for row in gamma]
     return {
         "atoms": model.atoms,
-        "preparations": {
-            name: [float(w) for w in vec] for name, vec in model.preparations.items()
-        },
+        "preparations": {name: vec.tolist() for name, vec in model.preparations.items()},
         "eigenstate_preps": {q: list(v) for q, v in model.eigenstate_preps.items()},
-        "maps": maps,
-        "responses": {
-            name: [[float(v) for v in row] for row in resp]
-            for name, resp in model.responses.items()
+        "maps": {
+            name: {"deterministic": gamma.tolist()} if gamma.ndim == 1 else gamma.tolist()
+            for name, gamma in model.maps.items()
         },
+        "responses": {name: resp.tolist() for name, resp in model.responses.items()},
         "updates": {m: dict(t) for m, t in model.updates.items()},
         "outcomes": {m: list(v) for m, v in model.outcome_labels.items()},
         "macro_measurement": model.macro_measurement,
@@ -95,28 +75,22 @@ def model_to_json(model: FiniteOntModel) -> dict:
 
 
 def model_from_json(data: dict) -> FiniteOntModel:
-    maps = {}
-    for name, spec in data.get("maps", {}).items():
-        if isinstance(spec, dict) and "deterministic" in spec:
-            maps[name] = np.asarray(spec["deterministic"], dtype=int)
-        else:
-            maps[name] = np.asarray(spec, dtype=float)
+    """The JSON lists go to ``FiniteOntModel`` as they are; it converts and
+    checks every array once."""
+    maps = {
+        name: spec["deterministic"] if isinstance(spec, dict) else spec
+        for name, spec in data.get("maps", {}).items()
+    }
     return FiniteOntModel(
         atoms=int(data["atoms"]),
-        preparations={
-            name: np.asarray(vec, dtype=float)
-            for name, vec in data["preparations"].items()
-        },
-        responses={
-            name: np.asarray(resp, dtype=float)
-            for name, resp in data["responses"].items()
-        },
-        outcome_labels={m: tuple(v) for m, v in data.get("outcomes", {}).items()},
+        preparations=data["preparations"],
+        responses=data["responses"],
+        outcome_labels=data.get("outcomes", {}),
         macro_measurement=data["macro_measurement"],
-        eigenstate_preps={q: tuple(v) for q, v in data.get("eigenstate_preps", {}).items()},
+        eigenstate_preps=data.get("eigenstate_preps", {}),
         maps=maps,
-        updates={m: dict(t) for m, t in data.get("updates", {}).items()},
-        delta_sets={s: tuple(v) for s, v in data.get("delta_sets", {}).items()},
+        updates=data.get("updates", {}),
+        delta_sets=data.get("delta_sets", {}),
     )
 
 

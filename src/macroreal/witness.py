@@ -25,7 +25,6 @@ from .quantum import (
     ProjMeasurement,
     StateVector,
     UnitaryMap,
-    apply_unitary,
     basis_measurement,
     born,
 )
@@ -131,7 +130,8 @@ def witness_coefficients(alpha: float) -> WitnessCoefficients:
     eta = math.sqrt(2.0) * alpha
     kappa_sq = 1.0 - delta**2 - eta**2
     if tau_sq <= 0.0 or kappa_sq <= 0.0:
-        raise ValueError(f"alpha {alpha!r} leaves no normalization headroom")
+        # inside (0, ALPHA_MAX) both are positive; near 0 they round to zero
+        raise CertificationError(f"alpha {alpha!r} leaves no normalization headroom")
     return WitnessCoefficients(alpha, beta, math.sqrt(tau_sq), delta, eta, math.sqrt(kappa_sq))
 
 
@@ -240,15 +240,19 @@ def build_fixing_unitary(psi: StateVector, zero: StateVector, phi: StateVector) 
     if abs(abs(overlap) - 1.0) <= 1e-14:
         # same ray: diagonal phase on the a_hat direction
         u = np.eye(dim, dtype=complex) + (overlap - 1.0) * np.outer(a_hat, a_hat.conj())
+    else:
+        c_perp = b_hat - overlap * a_hat
+        c_hat = c_perp / np.linalg.norm(c_perp)
+        q = complex(np.vdot(c_hat, b_hat))
+        # 2x2 rotation in the (a_hat, c_hat) plane sending a_hat to b_hat
+        rot = np.array([[overlap, -np.conj(q)], [q, np.conj(overlap)]], dtype=complex)
+        frame = np.column_stack([a_hat, c_hat])
+        u = np.eye(dim, dtype=complex) - frame @ frame.conj().T + frame @ rot @ frame.conj().T
+    try:
         return UnitaryMap(u)
-    c_perp = b_hat - overlap * a_hat
-    c_hat = c_perp / np.linalg.norm(c_perp)
-    q = complex(np.vdot(c_hat, b_hat))
-    # 2x2 rotation in the (a_hat, c_hat) plane sending a_hat to b_hat
-    rot = np.array([[overlap, -np.conj(q)], [q, np.conj(overlap)]], dtype=complex)
-    frame = np.column_stack([a_hat, c_hat])
-    u = np.eye(dim, dtype=complex) - frame @ frame.conj().T + frame @ rot @ frame.conj().T
-    return UnitaryMap(u)
+    except ValueError as exc:
+        # u is unitary in exact arithmetic, so a failed check is rounding
+        raise CertificationError(f"fixing unitary: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,17 @@ def fibonacci_sphere_grid(n: int) -> SphereGrid:
     """
     if n < 4:
         raise ValueError("need at least 4 nodes")
+    return SphereGrid(_golden_spiral(n), np.full(n, 4.0 * math.pi / n))
+
+
+def _golden_spiral(n: int) -> np.ndarray:
+    """(n, 3) unit vectors: golden-angle azimuths at heights 1 - (2k+1)/n."""
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     azimuth = 2.0 * math.pi * k / golden
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    nodes = np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z])
-    weights = np.full(n, 4.0 * math.pi / n)
-    return SphereGrid(nodes, weights)
+    return np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z])
 
 
 # -- Bloch helpers ----------------------------------------------------------
@@ -226,12 +229,7 @@ def paired_validation_grid(n_pairs: int = 50):
     angles without sharing axes.
     """
     total = 2 * n_pairs
-    k = np.arange(total)
-    z = 1.0 - 2.0 * (k + 0.5) / total
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    azimuth = 2.0 * math.pi * k / golden
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    dirs = np.column_stack([r * np.cos(azimuth), r * np.sin(azimuth), z])
+    dirs = _golden_spiral(total)
     states = dirs[2 * np.arange(n_pairs) % total]
     meas = dirs[(2 * np.arange(n_pairs) + PAIR_OFFSET) % total]
     return states, meas
@@ -288,14 +286,10 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         updates[mname] = table
 
     macro = fragment.macro_observable
-    eigenstate_preps = {}
-    for k, q in enumerate(fragment.macro.outcomes):
-        direction = meas_dirs[macro] if k == 0 else -meas_dirs[macro]
-        names = [f"cap:{macro}:{q}"]
-        for sname, state in fragment.states.items():
-            if bloch_vector(state) @ direction > 1.0 - 1e-12:
-                names.append(sname)
-        eigenstate_preps[q] = tuple(names)
+    eigenstates = _macro_eigenstates(fragment)
+    eigenstate_preps = {
+        q: (f"cap:{macro}:{q}",) + eigenstates.get(q, ()) for q in fragment.macro.outcomes
+    }
 
     maps = {}
     if fragment.unitaries:
@@ -406,35 +400,26 @@ def deterministic_extension_model(fragment: QuantumFragment) -> FiniteOntModel:
         )
     macro = fragment.macro
     q_labels = macro.outcomes
-    atoms = []
-    for sname, state in fragment.states.items():
-        probs = born(state, macro)
-        for k, q in enumerate(q_labels):
-            if probs[k] > SUPPORT_EPS:
-                atoms.append((sname, k, probs[k]))
-    n_atoms = len(atoms)
+    # atoms in (state, outcome) row-major order, one per Born weight above SUPPORT_EPS
+    probs = np.stack([born(state, macro) for state in fragment.states.values()])
+    owner, outcome = np.nonzero(probs > SUPPORT_EPS)
+    weights = probs[owner, outcome]
+    n_atoms = weights.size
 
     preparations = {}
-    for sname in fragment.states:
-        w = np.zeros(n_atoms)
-        for i, (owner, _, p) in enumerate(atoms):
-            if owner == sname:
-                w[i] = p
+    for s, sname in enumerate(fragment.states):
+        w = np.where(owner == s, weights, 0.0)
         preparations[sname] = w / w.sum()
     delta_sets = {name: (name,) for name in fragment.states}
 
     resp = np.zeros((len(q_labels), n_atoms))
-    for i, (_, k, _) in enumerate(atoms):
-        resp[k, i] = 1.0
+    resp[outcome, np.arange(n_atoms)] = 1.0
 
     eigenstate_preps = _macro_eigenstates(fragment)
 
-    updates = {fragment.macro_observable: {}}
-    for k, q in enumerate(q_labels):
-        if q in eigenstate_preps:
-            updates[fragment.macro_observable][q] = eigenstate_preps[q][0]
-    if not updates[fragment.macro_observable]:
-        updates = {}
+    # a macro outcome re-prepares the first catalogued eigenstate on its ray
+    table = {q: names[0] for q, names in eigenstate_preps.items()}
+    updates = {fragment.macro_observable: table} if table else {}
 
     return FiniteOntModel(
         atoms=n_atoms,

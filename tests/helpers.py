@@ -621,7 +621,7 @@ def reference_max_overlap_program(context) -> LinearProgram:
     objective = np.zeros(len(atoms))
     for atom_idx in set(context.accessible("zero")) | set(context.accessible("phi")):
         objective[atom_idx] = 1.0
-    return LinearProgram(objective=objective, a_eq=marg, b_eq=rhs, maximize=True)
+    return LinearProgram(objective=objective, a_eq=marg, b_eq=rhs)
 
 
 # -- scipy oracle for the witness solver ports -----------------------------------

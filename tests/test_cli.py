@@ -179,6 +179,45 @@ def test_zoo_bb_and_det_classifications(tmp_path, capsys):
         assert json.loads(out)["classification"] == expected
 
 
+@pytest.mark.parametrize("name", ["bb", "det", "emmr-toy"])
+def test_zoo_check_born_binds_through_delta_sets(name, capsys):
+    # the toy's preparations eig_up and eig_down realize the states up and
+    # down only through its delta sets
+    code, out, err = run_cli(capsys, "zoo", name, "--check-born")
+    assert code == 0, err
+    assert json.loads(out)["validation"]["passed"] is True
+
+
+ALL_COMMANDS = [
+    ["witness"],
+    ["exclude", "--mode", "esmr"],
+    ["exclude", "--mode", "emmr"],
+    ["exclude", "--mode", "max-overlap"],
+]
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[-1])
+@pytest.mark.parametrize("alpha", [5e-9, macroreal.witness.ALPHA_MAX - 1e-12])
+def test_numerical_limits_inside_the_alpha_range_exit_1(alpha, argv, capsys):
+    """Near 0, 1 - 2 alpha^2 rounds to 1 and leaves no normalization
+    headroom; next to 1/sqrt(2), the fixing unitary misses unitarity by
+    1e-10. Both alphas are valid input, so neither is a usage error."""
+    code, out, err = run_cli(capsys, *argv, "--alpha", repr(alpha))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("certification failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(("alpha", "expected"), [(4.2e-4, 0), (4e-4, 1)])
+def test_esmr_lower_edge(alpha, expected, capsys):
+    """Below alpha = 4.0825e-4 the ESMR ray's gain (3/5) alpha^2 (1 - 2 alpha^2)
+    falls under CERT_TOL, so the infeasibility is no longer certified."""
+    code, out, _ = run_cli(capsys, "exclude", "--alpha", repr(alpha), "--mode", "esmr")
+    assert code == expected
+    assert json.loads(out)["status"] == "infeasible"
+
+
 def test_lgi_quantum_csv(capsys):
     code, out, _ = run_cli(capsys, "lgi", "--theta-grid", "5", "--model", "quantum")
     assert code == 0

@@ -38,15 +38,15 @@ def test_unbounded_flagged():
 
 
 def test_minimization_sense():
+    # min x1 + 2 x2 s.t. x1 + x2 >= 1 is max -x1 - 2 x2, optimum -1
     p = LinearProgram(
-        objective=[1.0, 2.0],
+        objective=[-1.0, -2.0],
         a_ub=[[-1.0, -1.0]],
         b_ub=[-1.0],
-        maximize=False,
     )
     out = solve_lp(p)
     assert out.status == "optimal"
-    assert out.value == pytest.approx(1.0, abs=1e-9)
+    assert out.value == pytest.approx(-1.0, abs=1e-9)
     assert verify_certificate(p, out) <= CERT_TOL
 
 
@@ -76,9 +76,8 @@ def test_random_cross_check_against_reference(seed):
         x0 = np.abs(rng.normal(size=n))
         b_eq = a_eq @ x0 if m_eq else None
         b_ub = (a_ub @ x0 + rng.uniform(-0.5, 1.0, size=m_ub)) if m_ub else None
-        p = LinearProgram(
-            objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=False
-        )
+        # maximizing -c is minimizing c, the reference's sense
+        p = LinearProgram(objective=-c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
         mine = solve_lp(p)
         ref = linprog(
             c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
@@ -86,7 +85,7 @@ def test_random_cross_check_against_reference(seed):
         )
         if ref.status == 0:
             assert mine.status == "optimal"
-            assert mine.value == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+            assert -mine.value == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
         else:
             # reference can conflate infeasible with unbounded; disambiguate
             # with a pure feasibility run
@@ -140,9 +139,10 @@ def small_lps(draw):
         a_ub = np.vstack([a_ub, np.ones(n)])
         b_ub = np.append(b_ub, x0.sum() + 1.0)
     c = np.array(draw(st.lists(COSTS, min_size=n, max_size=n)))
-    return LinearProgram(
-        objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, maximize=draw(st.booleans())
-    )
+    # half the programs minimize c.x, stated as maximizing -c.x
+    if not draw(st.booleans()):
+        c = -c
+    return LinearProgram(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
 def _highs_verdict(p: LinearProgram):
@@ -159,10 +159,9 @@ def _highs_verdict(p: LinearProgram):
     if feas.status == 2:
         return "infeasible", None
     assert feas.status == 0, feas.message
-    sense = -1.0 if p.maximize else 1.0
-    res = linprog(sense * p.objective, **common)
+    res = linprog(-p.objective, **common)
     if res.status == 0:
-        return ("optimal" if p.objective.any() else "feasible"), sense * res.fun
+        return ("optimal" if p.objective.any() else "feasible"), -res.fun
     assert res.status in (2, 3), res.message
     return "unbounded", None
 
@@ -192,10 +191,9 @@ def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
     x0 = np.array([0.0, 0.0, 0.5, 0.5])
     a_eq = np.array([[-2.0, -2.0, -2.0, -2.0], [-2.0, -2.0, 0.0, -2.0], [-2.0, -2.0, 1e-8, -2.0]])
     p = LinearProgram(
-        objective=[-2.0] * 4, a_eq=a_eq, b_eq=a_eq @ x0, a_ub=[[1.0] * 4], b_ub=[2.0],
-        maximize=False,
+        objective=[2.0] * 4, a_eq=a_eq, b_eq=a_eq @ x0, a_ub=[[1.0] * 4], b_ub=[2.0],
     )
     out = solve_lp(p)
     assert out.status == "optimal"
-    assert out.value == pytest.approx(-2.0, abs=1e-7)
+    assert out.value == pytest.approx(2.0, abs=1e-7)
     assert verify_certificate(p, out) <= CERT_TOL

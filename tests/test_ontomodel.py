@@ -51,6 +51,11 @@ def test_rejects_unnormalized_preparation():
         tiny_model(preparations={"bad": np.array([0.5, 0.2, 0.2])})
 
 
+def test_rejects_preparation_of_wrong_length():
+    with pytest.raises(ValueError, match="preparation 'short': expected shape"):
+        tiny_model(preparations={"short": np.array([0.5, 0.5])})
+
+
 def test_rejects_nonstochastic_response():
     with pytest.raises(ValueError, match="columns not stochastic"):
         tiny_model(responses={"macro": np.array([[1.0, 1.0, 0.0], [0.1, 0.0, 1.0]])})
@@ -109,6 +114,16 @@ def test_push_forward_registration_closure():
                        bigger.responses["macro"] @ nu, atol=1e-12)
     with pytest.raises(ValueError):
         bigger.with_preparation("mu_after_cycle", nu)
+
+
+def test_with_preparation_checks_the_new_vector_and_keeps_the_original():
+    model = tiny_model(delta_sets={"s": ("mu",)})
+    with pytest.raises(ValueError, match="preparation 'bad'"):
+        model.with_preparation("bad", np.array([0.5, 0.2, 0.2]))
+    bigger = model.with_preparation("nu2", [0.0, 0.5, 0.5], delta_of="s")
+    assert bigger.delta_sets["s"] == ("mu", "nu2")
+    assert not bigger.preparations["nu2"].flags.writeable
+    assert "nu2" not in model.preparations and model.delta_sets["s"] == ("mu",)
 
 
 # -- validate ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from macroreal import (
     model_from_json,
     model_to_json,
 )
+from macroreal.ontomodel import QuantumFragment
+from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap
 from macroreal.serialize import dumps_json
 from helpers import random_fragment, split_state_model
 
@@ -83,3 +87,27 @@ def test_dump_is_key_sorted_and_repeatable():
     a = dumps_json(fragment_to_json(frag))
     b = dumps_json(fragment_to_json(fragment_from_json(fragment_to_json(frag))))
     assert a == b
+
+
+def test_fragment_codec_is_bit_exact():
+    """Signed zeros and 17-digit values survive the JSON round trip."""
+    c, s = 0.6000000000000001, 0.7999999999999999
+    v = np.array([complex(c, -0.0), complex(-0.0, s)])
+    w = np.array([complex(-0.0, s), complex(c, 0.0)])     # orthogonal to v
+    projectors = np.stack([np.outer(v, v.conj()), np.outer(w, w.conj())])
+    unitary = np.array([[complex(-0.0, -1.0), complex(-0.0, -0.0)],
+                        [complex(0.0, -0.0), complex(c, -s)]])
+    frag = QuantumFragment(
+        2, {"v": StateVector(v)}, {"u": UnitaryMap(unitary)},
+        {"macro": ProjMeasurement(("a", "b"), projectors)}, "macro",
+    )
+    arrays = (frag.states["v"].amplitudes, frag.unitaries["u"].matrix,
+              frag.measurements["macro"].projectors)
+    for arr in arrays:
+        assert np.signbit(arr.real).any() and np.signbit(arr.imag).any()
+    back = fragment_from_json(json.loads(dumps_json(fragment_to_json(frag))))
+    again = (back.states["v"].amplitudes, back.unitaries["u"].matrix,
+             back.measurements["macro"].projectors)
+    for before, after in zip(arrays, again):
+        assert after.dtype == before.dtype and after.shape == before.shape
+        assert after.tobytes() == before.tobytes()
