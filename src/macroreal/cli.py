@@ -1,9 +1,10 @@
 """Batch front door: witness sweeps, exclusion certificates, zoo builds,
 classification, and LGI scans, serialized to JSON or CSV.
 
-Exit codes: 0 success, 1 certification failure, 2 usage error. Outputs are
-deterministic for fixed flags and a fixed BLAS thread count; floats print
-with 17 significant digits.
+Exit codes: 0 success, 1 certification failure, 2 usage error (a bad flag
+or a malformed input file). Outputs are deterministic for fixed flags and a
+fixed BLAS thread count. CSV floats print with 17 significant digits; JSON
+floats print as their shortest round-trip ``repr``, as ``json`` writes them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ LGI_HEADER_NOTE = "k_convention=c12+c23-c13_classical_bound_1"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _count(text: str) -> int:
+    """A grid size of at least 1: an empty grid would certify vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def _emit(text: str, target: str | None) -> None:
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="witness certification sweep over alpha")
     p.add_argument("--alpha-min", type=float, default=0.05)
     p.add_argument("--alpha-max", type=float, default=0.70)
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--steps", type=_count, default=64)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--csv", default="-")
     p.set_defaults(func=_cmd_sweep)
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("lgi", help="K-statistic scan over step angles")
-    p.add_argument("--theta-grid", type=int, default=32)
+    p.add_argument("--theta-grid", type=_count, default=32)
     p.add_argument("--model", choices=["quantum", "ks", "emmr-toy"], default="quantum")
     p.add_argument("--nodes", type=int, default=20000)
     p.add_argument("--csv", default="-")

@@ -4,8 +4,14 @@ Complex numbers are [re, im] pairs; matrices and projector stacks are
 row-major nested lists, and complex arrays round-trip bit for bit.
 Stochastic maps serialize as dense matrices, with deterministic maps
 compacted to {"deterministic": [target, ...]} (a dense matrix for a large
-grid would be enormous). Dumps are key-sorted so identical objects produce
-byte-identical files.
+grid would be enormous).
+
+``dumps_json`` writes exactly the bytes of ``json.dumps(obj,
+sort_keys=True, indent=1) + "\n"``, so identical objects produce
+byte-identical files. The standard library encodes an indented dump in
+pure Python, one value at a time; this writer formats each list of finite
+floats in one pass. The readers turn a missing key or a value of the wrong
+JSON type into a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -46,15 +52,41 @@ def fragment_to_json(fragment: QuantumFragment) -> dict:
     }
 
 
+def _field(data, key: str, kind: type, what: str, default=None):
+    """``data[key]``, checked to be a ``kind``; ``default`` (when given)
+    stands in for a missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        if default is None:
+            raise ValueError(f"{what}: missing key {key!r}")
+        return default
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"{what}: {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def fragment_from_json(data: dict) -> QuantumFragment:
-    dim = int(data["dim"])
-    states = {name: StateVector(_complex_in(v)) for name, v in data["states"].items()}
-    unitaries = {name: UnitaryMap(_complex_in(m)) for name, m in data["unitaries"].items()}
-    measurements = {
-        name: ProjMeasurement(tuple(spec["outcomes"]), _complex_in(spec["projectors"]))
-        for name, spec in data["measurements"].items()
-    }
-    return QuantumFragment(dim, states, unitaries, measurements, data["macro_observable"])
+    dim = _field(data, "dim", int, "fragment")
+    states = _field(data, "states", dict, "fragment")
+    unitaries = _field(data, "unitaries", dict, "fragment")
+    measurements = {}
+    for name, spec in _field(data, "measurements", dict, "fragment").items():
+        what = f"measurement {name!r}"
+        measurements[name] = ProjMeasurement(
+            tuple(_field(spec, "outcomes", list, what)),
+            _complex_in(_field(spec, "projectors", list, what)),
+        )
+    return QuantumFragment(
+        dim,
+        {name: StateVector(_complex_in(v)) for name, v in states.items()},
+        {name: UnitaryMap(_complex_in(m)) for name, m in unitaries.items()},
+        measurements,
+        _field(data, "macro_observable", str, "fragment"),
+    )
 
 
 def model_to_json(model: FiniteOntModel) -> dict:
@@ -77,25 +109,90 @@ def model_to_json(model: FiniteOntModel) -> dict:
 def model_from_json(data: dict) -> FiniteOntModel:
     """The JSON lists go to ``FiniteOntModel`` as they are; it converts and
     checks every array once."""
+    atoms = _field(data, "atoms", int, "model")
     maps = {
-        name: spec["deterministic"] if isinstance(spec, dict) else spec
-        for name, spec in data.get("maps", {}).items()
+        name: _field(spec, "deterministic", list, f"map {name!r}")
+        if isinstance(spec, dict) else spec
+        for name, spec in _field(data, "maps", dict, "model", {}).items()
     }
     return FiniteOntModel(
-        atoms=int(data["atoms"]),
-        preparations=data["preparations"],
-        responses=data["responses"],
-        outcome_labels=data.get("outcomes", {}),
-        macro_measurement=data["macro_measurement"],
-        eigenstate_preps=data.get("eigenstate_preps", {}),
+        atoms=atoms,
+        preparations=_field(data, "preparations", dict, "model"),
+        responses=_field(data, "responses", dict, "model"),
+        outcome_labels=_field(data, "outcomes", dict, "model", {}),
+        macro_measurement=_field(data, "macro_measurement", str, "model"),
+        eigenstate_preps=_field(data, "eigenstate_preps", dict, "model", {}),
         maps=maps,
-        updates=data.get("updates", {}),
-        delta_sets=data.get("delta_sets", {}),
+        updates=_field(data, "updates", dict, "model", {}),
+        delta_sets=_field(data, "delta_sets", dict, "model", {}),
     )
 
 
-def dumps_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def dumps_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, byte for byte."""
+    parts = []
+    _write(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, pad: str, parts: list) -> None:
+    """Append ``obj`` in the ``indent=1`` layout, its closing bracket at
+    ``pad`` (a newline and the enclosing indent)."""
+    inner = pad + " "
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            parts.append(("," if i else "") + inner + json.dumps(_key(key)) + ": ")
+            _write(value, inner, parts)
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        reprs = _float_reprs(obj)
+        if reprs is not None:
+            parts.append("[" + inner + ("," + inner).join(reprs) + pad + "]")
+            return
+        parts.append("[")
+        for i, value in enumerate(obj):
+            parts.append(("," if i else "") + inner)
+            _write(value, inner, parts)
+        parts.append(pad + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: non-string scalars become their
+    JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float_reprs(values) -> list | None:
+    """``float.__repr__`` of each value (what ``json`` writes), or None
+    unless every value is exactly a finite ``float``. The bulk of a model,
+    +0.0 and 1.0, is filled in by bit-pattern masks; -0.0 keeps its repr."""
+    if set(map(type, values)) != {float}:
+        return None
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        return None
+    zero = arr.view(np.uint64) == 0      # +0.0 only: -0.0 has its sign bit set
+    one = arr == 1.0
+    rest = ~(zero | one)
+    out = np.empty(len(values), dtype=object)
+    out[zero] = "0.0"
+    out[one] = "1.0"
+    out[rest] = list(map(float.__repr__, arr[rest].tolist()))
+    return out.tolist()
 
 
 def load_json(path) -> dict:

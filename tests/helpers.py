@@ -12,6 +12,7 @@ fragment (heavily overlapping supports).
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -701,3 +702,9 @@ def scipy_slot_angles(p: float, q: float, r: float):
     s1 = min(1.0, q / c3) if c3 > 0 else 1.0
     s2 = min(1.0, r / s3) if s3 > 0 else 1.0
     return (math.asin(s1), math.asin(s2), t3)
+
+
+def json_oracle(obj) -> str:
+    """What ``serialize.dumps_json`` must write, byte for byte: the standard
+    library's indented, key-sorted dump (its pure-Python encoder)."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"

@@ -188,6 +188,43 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
     assert json.loads(out)["validation"]["passed"] is True
 
 
+@pytest.mark.parametrize(("edit", "words"), [
+    (lambda model, frag: ({}, frag), "model: missing key 'atoms'"),
+    (lambda model, frag: ([model], frag), "model: expected a JSON object, got list"),
+    (lambda model, frag: (model, {k: v for k, v in frag.items() if k != "dim"}),
+     "fragment: missing key 'dim'"),
+], ids=["empty-model", "list-model", "fragment-without-dim"])
+def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
+        "--fragment-out", str(tmp_path / "f.json"), "--json", str(tmp_path / "out.json"),
+    )
+    assert code == 0
+    model, frag = edit(json.loads((tmp_path / "m.json").read_text()),
+                       json.loads((tmp_path / "f.json").read_text()))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    (tmp_path / "f.json").write_text(json.dumps(frag))
+    code, out, err = run_cli(
+        capsys, "classify", "--model", str(tmp_path / "m.json"),
+        "--fragment", str(tmp_path / "f.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {words}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--steps", "0"], ["sweep", "--steps", "-1"],
+    ["lgi", "--theta-grid", "0"], ["lgi", "--model", "emmr-toy", "--theta-grid", "-2"],
+])
+def test_empty_grids_are_usage_errors(argv, capsys):
+    """An empty grid would print only the CSV header and exit 0."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be an integer of at least 1" in err
+
+
 ALL_COMMANDS = [
     ["witness"],
     ["exclude", "--mode", "esmr"],

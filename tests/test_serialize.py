@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macroreal import (
     classify,
@@ -11,10 +14,13 @@ from macroreal import (
     model_from_json,
     model_to_json,
 )
+from macroreal.cli import _witness_json, _zoo_build, build_parser
+from macroreal.exclusion import WitnessExclusion
 from macroreal.ontomodel import QuantumFragment
 from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap
 from macroreal.serialize import dumps_json
-from helpers import random_fragment, split_state_model
+from macroreal.witness import WitnessParams, build_witness
+from helpers import json_oracle, random_fragment, split_state_model
 
 
 def test_fragment_round_trip():
@@ -111,3 +117,77 @@ def test_fragment_codec_is_bit_exact():
     for before, after in zip(arrays, again):
         assert after.dtype == before.dtype and after.shape == before.shape
         assert after.tobytes() == before.tobytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-5, 1e-4, 1e16, 2.0**53,
+               math.nan, math.inf, -math.inf]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+SCALARS = (FLOATS | st.integers() | st.booleans() | st.none() | st.text()
+           | FLOATS.map(np.float64))
+LEAVES = (SCALARS
+          | st.lists(FLOATS, min_size=1)                  # the all-float path
+          | st.lists(FLOATS | st.integers() | st.booleans())
+          | st.lists(FLOATS.map(np.float64), min_size=1))
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner) | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers() | FLOATS | st.booleans(), inner)
+                   | st.dictionaries(st.none(), inner)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+@example([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-5, 1e-4, 1e16, 2.0**53, 0.1])
+@example({"b": [1.0, math.nan], "a": [math.inf, 0.5], "": []})
+@example({"\u00e9\u6f22": [np.float64(-0.0), np.float64(1.0)], "z": {}, "y": [1, 2.5, True]})
+def test_dumps_json_matches_the_oracle(value):
+    assert dumps_json(value) == json_oracle(value)
+
+
+def test_cli_payloads_match_the_oracle():
+    """The payloads the commands write, byte for byte, in this process."""
+    args = build_parser().parse_args(["zoo", "ks", "--nodes", "2000", "--pairs", "6"])
+    model, fragment, _ = _zoo_build(args)
+    context = WitnessExclusion(build_witness(WitnessParams(0.5, 4)))
+    payloads = [
+        model_to_json(model),
+        fragment_to_json(fragment),
+        context.esmr().to_json_dict(),
+        context.emmr().to_json_dict(),
+        context.max_overlap().to_json_dict(),
+        _witness_json(0.5, 4),
+    ]
+    for payload in payloads:
+        assert dumps_json(payload) == json_oracle(payload)
+
+
+def _toy_json():
+    model, frag = emmr_toy_model(math.pi / 3)
+    return model_to_json(model), fragment_to_json(frag)
+
+
+@pytest.mark.parametrize(("malform", "words"), [
+    (lambda m: {**m, "atoms": 2.0}, "model: 'atoms' must be int, got float"),
+    (lambda m: {k: v for k, v in m.items() if k != "responses"},
+     "model: missing key 'responses'"),
+    (lambda m: {**m, "maps": {"step": {"targets": [1, 0]}}},
+     "map 'step': missing key 'deterministic'"),
+])
+def test_malformed_model_names_the_key(malform, words):
+    model, _ = _toy_json()
+    with pytest.raises(ValueError, match=words):
+        model_from_json(malform(model))
+
+
+@pytest.mark.parametrize(("malform", "words"), [
+    (lambda f: [f], "fragment: expected a JSON object, got list"),
+    (lambda f: {**f, "states": []}, "fragment: 'states' must be dict, got list"),
+    (lambda f: {**f, "measurements": {"macro": {"outcomes": ["+", "-"]}}},
+     "measurement 'macro': missing key 'projectors'"),
+])
+def test_malformed_fragment_names_the_key(malform, words):
+    _, frag = _toy_json()
+    with pytest.raises(ValueError, match=words):
+        fragment_from_json(malform(frag))
