@@ -45,6 +45,7 @@ from .witness import (
     CertificationError,
     WitnessBundle,
     check_antidistinguishable,
+    contradiction_gap,
 )
 
 STRICT_POS_EPS = 1e-9      # accessibility threshold, matching LP feasibility
@@ -255,9 +256,8 @@ class WitnessExclusion:
         self._marg.flags.writeable = False   # programs share it
         self._access: dict[str, np.ndarray] = {}
         self._eigen_names = ["zero"] + [f"q{k}" for k in range(1, bundle.dim)]
-        alpha = bundle.alpha
-        self._required = 2.0 * alpha**2
-        self._ceiling = alpha**2 * (1.0 + 2.0 * alpha**2)
+        gap = contradiction_gap(bundle.alpha)
+        self._required, self._ceiling = gap.esmr_lower_bound, gap.quantum_upper_bound
 
     def accessible(self, target: str) -> np.ndarray:
         if target not in self._access:

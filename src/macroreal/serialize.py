@@ -106,6 +106,15 @@ def model_to_json(model: FiniteOntModel) -> dict:
     }
 
 
+def _table(data, key: str, kind: type) -> dict:
+    """``data[key]`` (default empty), a JSON object whose values are each a
+    ``kind``."""
+    table = _field(data, key, dict, "model", {})
+    for name in table:
+        _field(table, name, kind, f"model {key!r}")
+    return table
+
+
 def model_from_json(data: dict) -> FiniteOntModel:
     """The JSON lists go to ``FiniteOntModel`` as they are; it converts and
     checks every array once."""
@@ -119,12 +128,12 @@ def model_from_json(data: dict) -> FiniteOntModel:
         atoms=atoms,
         preparations=_field(data, "preparations", dict, "model"),
         responses=_field(data, "responses", dict, "model"),
-        outcome_labels=_field(data, "outcomes", dict, "model", {}),
+        outcome_labels=_table(data, "outcomes", list),
         macro_measurement=_field(data, "macro_measurement", str, "model"),
-        eigenstate_preps=_field(data, "eigenstate_preps", dict, "model", {}),
+        eigenstate_preps=_table(data, "eigenstate_preps", list),
         maps=maps,
-        updates=_field(data, "updates", dict, "model", {}),
-        delta_sets=_field(data, "delta_sets", dict, "model", {}),
+        updates=_table(data, "updates", dict),
+        delta_sets=_table(data, "delta_sets", list),
     )
 
 

@@ -27,10 +27,10 @@ from .quantum import (
     UnitaryMap,
     basis_measurement,
     born,
+    computational_measurement,
 )
 
 ALPHA_MAX = 1.0 / math.sqrt(2.0)
-COEFF_TOL = 1e-14          # closed-form coefficient identities
 ANTIDIST_RESIDUAL_TOL = 1e-8
 SLACK_SATURATION_TOL = 1e-12
 
@@ -170,8 +170,7 @@ def build_witness(params: WitnessParams) -> WitnessBundle:
     zero = StateVector(zero_amp)
 
     bprime_labels = ["0"] + [f"{k}'" for k in range(1, dim)]
-    eye = np.eye(dim, dtype=complex)
-    bprime = basis_measurement([StateVector(eye[k]) for k in range(dim)], bprime_labels)
+    bprime = computational_measurement(dim, bprime_labels)
 
     bq_vecs = _completion_basis(dim)
     bq = basis_measurement(
@@ -186,14 +185,7 @@ def build_witness(params: WitnessParams) -> WitnessBundle:
 
 
 def _check_bundle(bundle: WitnessBundle) -> None:
-    co = bundle.coefficients
-    alpha = co.alpha
-    if abs(co.beta - math.sqrt(2.0) * alpha**2) > COEFF_TOL:
-        raise CertificationError("beta identity violated")
-    if abs(co.delta - (1.0 - 2.0 * alpha**2)) > COEFF_TOL:
-        raise CertificationError("delta identity violated")
-    if abs(co.eta - math.sqrt(2.0) * alpha) > COEFF_TOL:
-        raise CertificationError("eta identity violated")
+    alpha = bundle.alpha
     ip_zero = bundle.zero.inner(bundle.psi)
     ip_phi = bundle.phi.inner(bundle.psi)
     if abs(ip_zero - alpha) > NORM_TOL or abs(ip_phi - alpha) > NORM_TOL:
@@ -208,46 +200,27 @@ def _check_bundle(bundle: WitnessBundle) -> None:
 def build_fixing_unitary(psi: StateVector, zero: StateVector, phi: StateVector) -> UnitaryMap:
     """Unitary with U psi = psi and U zero = phi.
 
-    Requires <zero|psi> = <phi|psi> real positive (equal moduli make the two
-    plane decompositions compatible). Built as a rotation inside the plane
-    spanned by the components of ``zero`` and ``phi`` orthogonal to ``psi``,
-    extended by the identity elsewhere.
+    The argument only needs some unitary with these two actions. This one is
+    the reflection U = I - 2 w w^dag / ||w||^2 across w = zero - phi (det -1,
+    the identity when w = 0). It fixes psi when <w|psi> = 0, that is
+    <zero|psi> = <phi|psi>, and it carries zero exactly to phi when
+    <zero|phi> is real. For the witness, w = (1 - delta, -eta, 0, -kappa,
+    0, ...) is formed without cancellation (1 - delta is exact near
+    delta = 1), so U holds to rounding at both ends of the alpha range.
     """
     if not (psi.dim == zero.dim == phi.dim):
         raise ValueError("states must share a dimension")
     ip_zero = zero.inner(psi)
     ip_phi = phi.inner(psi)
-    if abs(ip_zero.imag) > NORM_TOL or abs(ip_phi.imag) > NORM_TOL:
-        raise CertificationError("overlaps with psi must be real")
-    if ip_zero.real <= 0 or ip_phi.real <= 0 or abs(ip_zero - ip_phi) > NORM_TOL:
-        raise CertificationError(
-            f"need <0|psi> = <phi|psi> real positive, got {ip_zero!r}, {ip_phi!r}"
-        )
-    c = ip_zero.real
-    p = psi.amplitudes
-    a_raw = zero.amplitudes - c * p
-    b_raw = phi.amplitudes - c * p
-    s = np.linalg.norm(a_raw)
-    t = np.linalg.norm(b_raw)
-    dim = psi.dim
-    if s <= NORM_TOL and t <= NORM_TOL:
-        return UnitaryMap.identity(dim)
-    if abs(s - t) > 1e-10:
-        raise CertificationError("orthogonal components of zero and phi differ in norm")
-    a_hat = a_raw / s
-    b_hat = b_raw / t
-    overlap = complex(np.vdot(a_hat, b_hat))
-    if abs(abs(overlap) - 1.0) <= 1e-14:
-        # same ray: diagonal phase on the a_hat direction
-        u = np.eye(dim, dtype=complex) + (overlap - 1.0) * np.outer(a_hat, a_hat.conj())
-    else:
-        c_perp = b_hat - overlap * a_hat
-        c_hat = c_perp / np.linalg.norm(c_perp)
-        q = complex(np.vdot(c_hat, b_hat))
-        # 2x2 rotation in the (a_hat, c_hat) plane sending a_hat to b_hat
-        rot = np.array([[overlap, -np.conj(q)], [q, np.conj(overlap)]], dtype=complex)
-        frame = np.column_stack([a_hat, c_hat])
-        u = np.eye(dim, dtype=complex) - frame @ frame.conj().T + frame @ rot @ frame.conj().T
+    if abs(ip_zero - ip_phi) > NORM_TOL:
+        raise CertificationError(f"need <0|psi> = <phi|psi>, got {ip_zero!r}, {ip_phi!r}")
+    if abs(zero.inner(phi).imag) > NORM_TOL:
+        raise CertificationError("overlap <0|phi> must be real")
+    w = zero.amplitudes - phi.amplitudes
+    w_sq = float(np.vdot(w, w).real)
+    u = np.eye(psi.dim, dtype=complex)
+    if w_sq > 0.0:
+        u -= (2.0 / w_sq) * np.outer(w, w.conj())
     try:
         return UnitaryMap(u)
     except ValueError as exc:

@@ -193,7 +193,9 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
     (lambda model, frag: ([model], frag), "model: expected a JSON object, got list"),
     (lambda model, frag: (model, {k: v for k, v in frag.items() if k != "dim"}),
      "fragment: missing key 'dim'"),
-], ids=["empty-model", "list-model", "fragment-without-dim"])
+    (lambda model, frag: ({**model, "updates": {"macro": "eig_up"}}, frag),
+     "model 'updates': 'macro' must be dict, got str"),
+], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
@@ -234,12 +236,10 @@ ALL_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[-1])
-@pytest.mark.parametrize("alpha", [5e-9, macroreal.witness.ALPHA_MAX - 1e-12])
-def test_numerical_limits_inside_the_alpha_range_exit_1(alpha, argv, capsys):
+def test_numerical_limits_inside_the_alpha_range_exit_1(argv, capsys):
     """Near 0, 1 - 2 alpha^2 rounds to 1 and leaves no normalization
-    headroom; next to 1/sqrt(2), the fixing unitary misses unitarity by
-    1e-10. Both alphas are valid input, so neither is a usage error."""
-    code, out, err = run_cli(capsys, *argv, "--alpha", repr(alpha))
+    headroom. The alpha is valid input, so this is not a usage error."""
+    code, out, err = run_cli(capsys, *argv, "--alpha", "5e-09")
     assert code == 1
     assert out == ""
     assert err.startswith("certification failure: ")
@@ -253,6 +253,46 @@ def test_esmr_lower_edge(alpha, expected, capsys):
     code, out, _ = run_cli(capsys, "exclude", "--alpha", repr(alpha), "--mode", "esmr")
     assert code == expected
     assert json.loads(out)["status"] == "infeasible"
+
+
+ALPHA_MAX = macroreal.witness.ALPHA_MAX
+COMMANDS = {argv[-1]: argv for argv in ALL_COMMANDS}
+
+# The edges of the README table "The alpha envelope", one point on each
+# side, as (command, dim, alpha, exit code).
+ENVELOPE = [
+    # witness, max-overlap, emmr: from alpha = 5.268e-9 to the last double
+    # below 1/sqrt(2); 1/sqrt(2) itself is a usage error
+    *[(cmd, dim, alpha, code)
+      for cmd in ("witness", "max-overlap", "emmr")
+      for dim in (4, 6)
+      for alpha, code in [(5.26e-9, 1), (5.28e-9, 0), (1e-7, 0), (ALPHA_MAX - 1e-12, 0),
+                          (math.nextafter(ALPHA_MAX, 0.0), 0), (ALPHA_MAX, 2)]],
+    # esmr: 4.0825e-4 <= alpha and eps = 1/sqrt(2) - alpha >= 7.0711e-8
+    *[("esmr", dim, alpha, code)
+      for dim in (4, 6)
+      for alpha, code in [(4e-4, 1), (4.2e-4, 0), (ALPHA_MAX - 7e-8, 1), (ALPHA_MAX - 7.2e-8, 0)]],
+    # emmr fails for eps in [3.54e-10, 1.83e-8) at d=4 and [2.65e-11, 1.77e-8) at d=6
+    ("emmr", 4, ALPHA_MAX - 1.85e-8, 0), ("emmr", 4, ALPHA_MAX - 1.8e-8, 1),
+    ("emmr", 4, ALPHA_MAX - 1e-8, 1),
+    ("emmr", 4, ALPHA_MAX - 3.6e-10, 1), ("emmr", 4, ALPHA_MAX - 3.5e-10, 0),
+    ("emmr", 6, ALPHA_MAX - 1.8e-8, 0), ("emmr", 6, ALPHA_MAX - 1.75e-8, 1),
+    ("emmr", 6, ALPHA_MAX - 1e-8, 1),
+    ("emmr", 6, ALPHA_MAX - 2.7e-11, 1), ("emmr", 6, ALPHA_MAX - 2.6e-11, 0),
+    # and at d=6 on parts of [7.08e-4, 9.23e-4], the first and last failures
+    # of a 301-point log grid over [4.3e-4, 3e-3] beside their neighbours
+    ("emmr", 6, 0.0007033861803784633, 0), ("emmr", 6, 0.000707955577080063, 1),
+    ("emmr", 6, 0.0009055298304384401, 1),
+    ("emmr", 6, 0.0009232200405437342, 1), ("emmr", 6, 0.0009292175405313542, 0),
+    ("emmr", 4, 0.0009055298304384401, 0),
+]
+
+
+@pytest.mark.parametrize(("cmd", "dim", "alpha", "expected"), ENVELOPE)
+def test_alpha_envelope_edges(cmd, dim, alpha, expected, capsys):
+    """A change that moves an edge must also change the README table."""
+    code, _, _ = run_cli(capsys, *COMMANDS[cmd], "--alpha", repr(alpha), "--dim", str(dim))
+    assert code == expected
 
 
 def test_lgi_quantum_csv(capsys):

@@ -174,6 +174,18 @@ def _toy_json():
      "model: missing key 'responses'"),
     (lambda m: {**m, "maps": {"step": {"targets": [1, 0]}}},
      "map 'step': missing key 'deterministic'"),
+    (lambda m: {**m, "updates": {"macro": "eig_up"}},
+     "model 'updates': 'macro' must be dict, got str"),
+    (lambda m: {**m, "outcomes": {"macro": 2}},
+     "model 'outcomes': 'macro' must be list, got int"),
+    (lambda m: {**m, "eigenstate_preps": {"q-": 0}},
+     "model 'eigenstate_preps': 'q-' must be list, got int"),
+    (lambda m: {**m, "delta_sets": {"up": 0}},
+     "model 'delta_sets': 'up' must be list, got int"),
+    (lambda m: {**m, "delta_sets": {"up": "eig_up"}},
+     "model 'delta_sets': 'up' must be list, got str"),
+    (lambda m: {**m, "eigenstate_preps": {"q-": "eig_down"}},
+     "model 'eigenstate_preps': 'q-' must be list, got str"),
 ])
 def test_malformed_model_names_the_key(malform, words):
     model, _ = _toy_json()

@@ -123,6 +123,45 @@ def test_fixing_unitary_rejects_mismatched_overlaps():
         build_fixing_unitary(psi, zero, phi)
 
 
+def test_fixing_unitary_rejects_complex_overlap_of_zero_and_phi():
+    e = np.eye(4, dtype=complex)
+    psi = StateVector(e[2])
+    zero = StateVector(e[0])
+    phi = StateVector(0.6j * e[0] + 0.8 * e[1])
+    with pytest.raises(CertificationError, match="must be real"):
+        build_fixing_unitary(psi, zero, phi)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_fixing_unitary_on_random_reflected_triples(dim):
+    """phi = H zero for a reflection H across a random w orthogonal to psi,
+    so the requirements <0|psi> = <phi|psi> and <0|phi> real hold."""
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        psi, zero = (StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+                     for _ in range(2))
+        w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        w -= np.vdot(psi.amplitudes, w) * psi.amplitudes
+        h = np.eye(dim) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+        phi = StateVector.normalized(h @ zero.amplitudes)
+        u = build_fixing_unitary(psi, zero, phi).matrix
+        assert np.linalg.norm(u @ zero.amplitudes - phi.amplitudes) <= 1e-12
+        assert np.linalg.norm(u @ psi.amplitudes - psi.amplitudes) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("alpha", [
+    6e-9, 1e-7, 1e-3, ALPHA_MAX - 1e-6, ALPHA_MAX - 1e-12, math.nextafter(ALPHA_MAX, 0.0),
+])
+def test_fixing_unitary_at_both_ends_of_the_alpha_range(alpha, dim):
+    bundle = build_witness(WitnessParams(alpha, dim))
+    u = bundle.fixing_unitary.matrix
+    zero, phi, psi = bundle.zero.amplitudes, bundle.phi.amplitudes, bundle.psi.amplitudes
+    assert np.linalg.norm(u @ zero - phi) <= 1e-12
+    assert np.linalg.norm(u @ psi - psi) <= 1e-12
+    assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-12
+
+
 def test_u_invariance_of_psi_statistics():
     bundle = build_witness(WitnessParams(0.37))
     moved = apply_unitary(bundle.fixing_unitary, bundle.psi)
