@@ -30,6 +30,18 @@ as plain Bland's rule.
 A phase-1 leftover above ``FEAS_TOL`` but within ``CERT_TOL`` whose Farkas
 ray fails re-verification is rounding, not infeasibility (a pivot on a 1e-8
 entry scales the rhs error by 1e8); the solve then goes on to phase 2.
+
+Pivot updates are sparse. A pivot scales its row, then rewrites only the
+rows with a nonzero in the pivot column and, in those rows, only the
+columns where the scaled pivot row is nonzero, plus the rhs column. At
+d=10 the EMMR tableau has 8 002 columns, and a pivot row about 330
+nonzeros. A skipped cell would have computed ``t - f*0``, which is ``t``
+up to the sign of a zero, and no sign of a zero is read: a zero stays
+zero through later pivots and pricing, every decision compares against a
+tolerance, and the rhs column, which yields ``x`` and the phase-1
+leftover, is always updated. So the kernel makes the dense update's
+pivots and returns its bits; the dense kernel survives as the test
+suite's oracle.
 """
 
 from __future__ import annotations
@@ -110,22 +122,54 @@ class LPOutcome:
 
 
 class _Simplex:
-    """Tableau simplex over the sign-normalized system A x = b, b >= 0."""
+    """Tableau simplex over the sign-normalized system A x = b, b >= 0.
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.m, self.n = a.shape
-        self.a = a
-        self.table = np.hstack([a, np.eye(self.m), b[:, None]])
-        self.basis = list(range(self.n, self.n + self.m))  # start on artificials
-        self.live = list(range(self.m))                    # original row ids kept
+    ``A`` is ``[A_eq; A_ub]`` with a slack column for each inequality row,
+    and every row whose rhs is negative negated (its zeros become ``-0.0``).
+    The tableau is ``[A | b]``, filled straight from the program's blocks.
+    It carries no artificial columns: phase 1 starts on one artificial per
+    row (basis entries ``n + i``), but pricing stops at column ``n``, so an
+    artificial never re-enters, and no step reads its column. The duals
+    rebuild the basis matrix from the program instead.
+    """
+
+    def __init__(self, program: LinearProgram):
+        n_var = program.n_vars
+        n_eq, n_ub = program.a_eq.shape[0], program.a_ub.shape[0]
+        self.program = program
+        self.m = self.m0 = n_eq + n_ub   # m drops with redundant rows
+        self.n = n_var + n_ub
+        table = np.zeros((self.m, self.n + 1))
+        table[:n_eq, :n_var] = program.a_eq
+        table[n_eq:, :n_var] = program.a_ub
+        table[n_eq:, n_var:-1] = np.eye(n_ub)
+        table[:n_eq, -1] = program.b_eq
+        table[n_eq:, -1] = program.b_ub
+        self.flip = table[:, -1] < 0.0
+        table[self.flip] = -table[self.flip]   # b >= 0
+        self.table = table
+        self.basis = np.arange(self.n, self.n + self.m)  # start on artificials
+        self.basic = np.zeros(self.n + self.m, dtype=bool)
+        self.basic[self.basis] = True
+        self.live = np.arange(self.m)                    # original row ids kept
         self.pivots = 0
 
     def _pivot(self, row: int, col: int) -> None:
+        """Scale the pivot row, then update only the cells the elimination
+        can change: the rows with a nonzero in column ``col`` times the
+        columns with a nonzero in the scaled row, and always the rhs."""
         t = self.table
-        t[row] = t[row] / t[row, col]
-        other = np.abs(t[:, col]) > 0.0
-        other[row] = False
-        t[other] -= np.outer(t[other, col], t[row])
+        pr = t[row] / t[row, col]
+        t[row] = pr
+        hit = t[:, col] != 0.0
+        hit[row] = False
+        other = hit.nonzero()[0]
+        touched = pr != 0.0
+        touched[-1] = True
+        cols = touched.nonzero()[0]
+        t[other[:, None], cols] -= t[other, col][:, None] * pr[cols]
+        self.basic[self.basis[row]] = False
+        self.basic[col] = True
         self.basis[row] = col
         self.pivots += 1
 
@@ -143,19 +187,15 @@ class _Simplex:
             fresh = rc is None
             if fresh:
                 rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
-            candidates = np.where(rc < -FEAS_TOL)[0]
-            entering = -1
-            for j in candidates:
-                if j not in self.basis:
-                    entering = int(j)
-                    break
-            if entering < 0:
+            eligible = (rc < -FEAS_TOL) & ~self.basic[:enterable]
+            entering = int(eligible.argmax())
+            if not eligible[entering]:
                 if fresh:
                     return "optimal"
                 rc = None
                 continue
             col = self.table[:, entering]
-            rows = np.where(col > FEAS_TOL)[0]
+            rows = (col > FEAS_TOL).nonzero()[0]
             if rows.size == 0:
                 if fresh:
                     return "unbounded"
@@ -167,47 +207,59 @@ class _Simplex:
             sound = tied[col[tied] > PIVOT_TOL]
             if sound.size:
                 tied = sound
-            leave = int(min(tied, key=lambda r: self.basis[r]))
+            leave = int(tied[self.basis[tied].argmin()])
             self._pivot(leave, entering)
             rc -= rc[entering] * self.table[leave, :enterable]
 
     def drop_redundant_rows(self) -> None:
-        """Remove rows whose artificial stayed basic with no pivot available."""
-        keep = []
-        for i in range(len(self.basis)):
-            if self.basis[i] >= self.n:
-                row = self.table[i, : self.n]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > FEAS_TOL:
-                    self._pivot(i, j)
-                    keep.append(i)
-                # else: 0 = 0 row, redundant
+        """Pivot each artificial still basic out of its row; drop the rows
+        left with no pivot available (0 = 0 rows)."""
+        dropped = []
+        for i in np.flatnonzero(self.basis >= self.n):
+            row = self.table[i, : self.n]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > FEAS_TOL:
+                self._pivot(i, j)
             else:
-                keep.append(i)
-        if len(keep) != len(self.basis):
+                dropped.append(i)
+        if dropped:
+            keep = np.delete(np.arange(self.m), dropped)
             self.table = self.table[keep]
-            self.basis = [self.basis[i] for i in keep]
-            self.live = [self.live[i] for i in keep]
-            self.m = len(keep)
+            self.basis = self.basis[keep]
+            self.live = self.live[keep]
+            self.m = keep.size
 
     def solution(self) -> np.ndarray:
         x = np.zeros(self.n)
-        for i, j in enumerate(self.basis):
-            if j < self.n:
-                x[j] = self.table[i, -1]
+        real = self.basis < self.n
+        x[self.basis[real]] = self.table[real, -1]
         return x
 
-    def duals(self, cost: np.ndarray, n_rows_orig: int) -> np.ndarray:
-        """Solve B^T y = c_B on the live rows; dropped rows get dual zero."""
-        basis = np.array(self.basis, dtype=int)
-        live = np.array(self.live, dtype=int)
+    def duals(self, cost: np.ndarray) -> np.ndarray:
+        """Solve B^T y = c_B on the live rows; dropped rows get dual zero.
+
+        B's structural and slack columns are gathered from the program's
+        blocks and sign-normalized as the tableau was (the same floats,
+        ``-0.0`` included); an artificial column is a unit vector.
+        """
+        p = self.program
+        n_var, n_eq = p.n_vars, p.a_eq.shape[0]
+        basis, live = self.basis, self.live
         real = basis < self.n
+        cols = basis[real]
+        eq, var = live < n_eq, cols < n_var
+        block = np.zeros((self.m, cols.size))
+        block[np.ix_(eq, var)] = p.a_eq[np.ix_(live[eq], cols[var])]
+        block[np.ix_(~eq, var)] = p.a_ub[np.ix_(live[~eq] - n_eq, cols[var])]
+        block[np.ix_(~eq, ~var)] = live[~eq, None] - n_eq == cols[~var] - n_var
+        flipped = self.flip[live]
+        block[flipped] = -block[flipped]
         basis_cols = np.zeros((self.m, self.m))
-        basis_cols[:, real] = self.a[np.ix_(live, basis[real])]
+        basis_cols[:, real] = block
         basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
         y_live = np.linalg.solve(basis_cols.T, cost[basis])
-        y = np.zeros(n_rows_orig)
-        y[self.live] = y_live
+        y = np.zeros(self.m0)
+        y[live] = y_live
         return y
 
 
@@ -222,26 +274,14 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     n = program.n_vars
     n_eq = program.a_eq.shape[0]
     n_ub = program.a_ub.shape[0]
-    m = n_eq + n_ub
+    sx = _Simplex(program)
+    m = sx.m
 
-    # slack columns turn the inequality block into equalities
-    a_all = np.zeros((m, n + n_ub))
-    a_all[:n_eq, :n] = program.a_eq
-    a_all[n_eq:, :n] = program.a_ub
-    a_all[n_eq:, n:] = np.eye(n_ub)
-    b_all = np.concatenate([program.b_eq, program.b_ub])
-    flip = b_all < 0.0
-    a_all[flip] = -a_all[flip]      # sign-normalize in place: b >= 0
-    b_all[flip] = -b_all[flip]
-
-    sx = _Simplex(a_all, b_all)
-    n_cols = sx.n
-
-    phase1 = np.concatenate([np.zeros(n_cols), np.ones(m)])
+    phase1 = np.concatenate([np.zeros(sx.n), np.ones(m)])
     sx.run(phase1)
     infeasibility = float(phase1[sx.basis] @ sx.table[:, -1])
     if infeasibility > FEAS_TOL:
-        y = np.where(flip, -1.0, 1.0) * sx.duals(phase1, m)
+        y = np.where(sx.flip, -1.0, 1.0) * sx.duals(phase1)
         scale = np.abs(y).max()
         if scale > 1.0:
             y = y / scale
@@ -265,7 +305,7 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
 
     x = sx.solution()[:n]
     value = float(program.objective @ x)
-    y = np.where(flip, 1.0, -1.0) * sx.duals(phase2, m)
+    y = np.where(sx.flip, 1.0, -1.0) * sx.duals(phase2)
     status = STATUS_OPTIMAL if program.objective.any() else STATUS_FEASIBLE
     return LPOutcome(
         status=status,

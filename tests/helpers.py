@@ -28,6 +28,7 @@ from macroreal import (
     born,
     computational_measurement,
     enumerate_atoms,
+    lp,
     solve_lp,
 )
 from macroreal.exclusion import (
@@ -483,6 +484,112 @@ def lp_atom_maxima(
         assert outcome.status == "optimal", outcome.status
         maxima.append(outcome.value)
     return np.array(maxima)
+
+
+# -- dense simplex kernel oracle ---------------------------------------------------
+
+class DenseSimplex(lp._Simplex):
+    """The simplex kernel as it was before sparse pivot updates: the oracle
+    the library's kernel must match bit for bit.
+
+    The tableau carries an identity block of artificial columns, every pivot
+    rewrites every column of each touched row, Bland's rule scans the basis
+    list, and the duals solve against a dense sign-normalized copy of the
+    constraints.
+    """
+
+    def __init__(self, program: LinearProgram):
+        super().__init__(program)
+        t = self.table
+        self.table = np.hstack([t[:, :-1], np.eye(self.m), t[:, -1:]])
+
+    def _pivot(self, row: int, col: int) -> None:
+        t = self.table
+        t[row] = t[row] / t[row, col]
+        other = np.abs(t[:, col]) > 0.0
+        other[row] = False
+        t[other] -= np.outer(t[other, col], t[row])
+        self.basis[row] = col
+        self.pivots += 1
+
+    def run(self, cost: np.ndarray) -> str:
+        enterable = self.n
+        rc = None
+        while True:
+            if self.pivots > lp.MAX_PIVOTS:
+                raise lp.PivotBudgetError("pivot budget exhausted")
+            fresh = rc is None
+            if fresh:
+                rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
+            candidates = np.where(rc < -lp.FEAS_TOL)[0]
+            entering = -1
+            for j in candidates:
+                if j not in self.basis:
+                    entering = int(j)
+                    break
+            if entering < 0:
+                if fresh:
+                    return "optimal"
+                rc = None
+                continue
+            col = self.table[:, entering]
+            rows = np.where(col > lp.FEAS_TOL)[0]
+            if rows.size == 0:
+                if fresh:
+                    return "unbounded"
+                rc = None
+                continue
+            ratios = np.maximum(self.table[rows, -1], 0.0) / col[rows]
+            best = ratios.min()
+            tied = rows[ratios <= best + lp.FEAS_TOL]
+            sound = tied[col[tied] > lp.PIVOT_TOL]
+            if sound.size:
+                tied = sound
+            leave = int(min(tied, key=lambda r: self.basis[r]))
+            self._pivot(leave, entering)
+            rc -= rc[entering] * self.table[leave, :enterable]
+
+    def duals(self, cost: np.ndarray) -> np.ndarray:
+        p = self.program
+        n_var, n_eq = p.n_vars, p.a_eq.shape[0]
+        a = np.zeros((self.m0, self.n))
+        a[:n_eq, :n_var] = p.a_eq
+        a[n_eq:, :n_var] = p.a_ub
+        a[n_eq:, n_var:] = np.eye(self.n - n_var)
+        a[self.flip] = -a[self.flip]
+        basis = np.array(self.basis, dtype=int)
+        live = np.array(self.live, dtype=int)
+        real = basis < self.n
+        basis_cols = np.zeros((self.m, self.m))
+        basis_cols[:, real] = a[np.ix_(live, basis[real])]
+        basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
+        y_live = np.linalg.solve(basis_cols.T, cost[basis])
+        y = np.zeros(self.m0)
+        y[self.live] = y_live
+        return y
+
+
+def solve_lp_with(kernel: type, program: LinearProgram) -> lp.LPOutcome:
+    """``solve_lp(program)`` with ``kernel`` standing in for the library's
+    simplex class."""
+    library = lp._Simplex
+    lp._Simplex = kernel
+    try:
+        return lp.solve_lp(program)
+    finally:
+        lp._Simplex = library
+
+
+def outcome_bits(outcome: lp.LPOutcome) -> dict:
+    """Status, pivot count and the raw bytes of every number an outcome
+    carries, for bit-for-bit comparison."""
+    bits = {"status": outcome.status, "pivots": outcome.pivots}
+    if outcome.value is not None:
+        bits["value"] = np.float64(outcome.value).tobytes()
+    for name in ("x", "dual_eq", "dual_ub", "farkas_eq", "farkas_ub"):
+        vec = getattr(outcome, name)
+        bits[name] = None if vec is None else vec.tobytes()
+    return bits
 
 
 # -- per-row exclusion program assembly ------------------------------------------

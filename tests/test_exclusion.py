@@ -19,10 +19,13 @@ from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
 from macroreal.lp import CERT_TOL, FEAS_TOL
 from macroreal.witness import ALPHA_MAX
 from helpers import (
+    DenseSimplex,
     lp_atom_maxima,
+    outcome_bits,
     reference_emmr_program,
     reference_esmr_program,
     reference_max_overlap_program,
+    solve_lp_with,
 )
 
 
@@ -208,7 +211,8 @@ class TestExclusionPrograms:
 @pytest.mark.parametrize("alpha", [0.05, 0.5553106689789393, ALPHA_MAX - 1e-6])
 def test_programs_match_per_row_assembly(alpha, dim):
     """Every program, controls included, is bit for bit the one the per-atom,
-    per-row assembly in ``helpers`` builds (negative zeros included)."""
+    per-row assembly in ``helpers`` builds (negative zeros included), and
+    its solve takes the dense kernel's pivots and returns its bits."""
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
     pairs = [
         (context.esmr(), reference_esmr_program(context)),
@@ -226,6 +230,16 @@ def test_programs_match_per_row_assembly(alpha, dim):
             mine, ref = getattr(report.program, attr), getattr(reference, attr)
             assert mine.shape == ref.shape, (report.mode, attr)
             assert mine.tobytes() == ref.tobytes(), (report.mode, attr)
+        dense = solve_lp_with(DenseSimplex, reference)
+        assert outcome_bits(report.outcome) == outcome_bits(dense), report.mode
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.5552396860617598])
+def test_d10_emmr_solve_matches_dense_kernel_bit_for_bit(alpha):
+    """The CLI digests reach d <= 6 only; this guards the kernel at d=10."""
+    report = WitnessExclusion(build_witness(WitnessParams(alpha, 10))).emmr()
+    dense = solve_lp_with(DenseSimplex, report.program)
+    assert outcome_bits(report.outcome) == outcome_bits(dense)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.69])

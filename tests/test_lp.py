@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from macroreal import LinearProgram, LPOutcome, solve_lp, verify_certificate
 from macroreal.lp import CERT_TOL
+from helpers import DenseSimplex, outcome_bits, solve_lp_with
 
 
 def test_max_with_upper_bound():
@@ -184,16 +185,56 @@ def test_farkas_ray_without_gain_does_not_verify():
     assert verify_certificate(p, empty) > CERT_TOL
 
 
-def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
+def _tiny_pivot_program() -> LinearProgram:
     """x3 is fixed only through a 1e-8 entry; pivoting on it leaves 6e-9
-    in a phase-1 artificial. No Farkas ray can gain on a feasible program,
-    so the solve goes on and certifies the optimum."""
+    in a phase-1 artificial, above FEAS_TOL but within CERT_TOL."""
     x0 = np.array([0.0, 0.0, 0.5, 0.5])
     a_eq = np.array([[-2.0, -2.0, -2.0, -2.0], [-2.0, -2.0, 0.0, -2.0], [-2.0, -2.0, 1e-8, -2.0]])
-    p = LinearProgram(
+    return LinearProgram(
         objective=[2.0] * 4, a_eq=a_eq, b_eq=a_eq @ x0, a_ub=[[1.0] * 4], b_ub=[2.0],
     )
+
+
+def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
+    """No Farkas ray can gain on a feasible program, so the solve goes on
+    from the phase-1 leftover and certifies the optimum."""
+    p = _tiny_pivot_program()
     out = solve_lp(p)
     assert out.status == "optimal"
     assert out.value == pytest.approx(2.0, abs=1e-7)
     assert verify_certificate(p, out) <= CERT_TOL
+
+
+# -- the sparse kernel against the dense one -----------------------------------
+# Negative right-hand sides flip rows (their zeros become -0.0), 1e-8 entries
+# force pivots on rounding-sized numbers, and repeated equality rows leave
+# artificials for drop_redundant_rows. Right-hand sides off the drawn point
+# make some programs infeasible, so Farkas rays are compared too.
+KERNEL_ENTRIES = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 1e-8, -1e-8])
+
+
+@st.composite
+def kernel_lps(draw):
+    n = draw(st.integers(1, 6))
+    m_eq, m_ub = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a_eq = np.array(draw(st.lists(KERNEL_ENTRIES, min_size=m_eq * n, max_size=m_eq * n)))
+    a_ub = np.array(draw(st.lists(KERNEL_ENTRIES, min_size=m_ub * n, max_size=m_ub * n)))
+    a_eq, a_ub = a_eq.reshape(m_eq, n), a_ub.reshape(m_ub, n)
+    x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    offsets = st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1e-8])
+    b_eq = a_eq @ x0 + np.array(draw(st.lists(offsets, min_size=m_eq, max_size=m_eq)))
+    b_ub = a_ub @ x0 + np.array(draw(st.lists(offsets, min_size=m_ub, max_size=m_ub)))
+    for _ in range(draw(st.integers(0, 2)) if m_eq else 0):
+        i = draw(st.integers(0, m_eq - 1))
+        scale = draw(st.sampled_from([1.0, -1.0, 2.0]))
+        a_eq = np.vstack([a_eq, scale * a_eq[i]])
+        b_eq = np.append(b_eq, scale * b_eq[i])
+    c = np.array(draw(st.lists(COSTS, min_size=n, max_size=n)))
+    return LinearProgram(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(kernel_lps())
+@example(_tiny_pivot_program())
+def test_kernel_matches_dense_oracle_bit_for_bit(p):
+    assert outcome_bits(solve_lp(p)) == outcome_bits(solve_lp_with(DenseSimplex, p))
