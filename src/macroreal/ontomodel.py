@@ -6,7 +6,9 @@ bookkeeping a macro-realism analysis needs: which preparations count as
 operational eigenstates of the designated macro observable, and which
 preparations realize which quantum state (the delta sets). Queries are pure;
 models are immutable, and registering a pushed-forward preparation returns a
-new model.
+new model. Each preparation's support is computed once per model, on first
+use, and ``with_preparation`` carries the supports already computed over to
+the new model.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _registered(names, preparations: dict, what: str) -> tuple:
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteOntModel:
     """Ontic atoms 0..atoms-1 with preparations, maps, responses, and the
     macro-realism declarations.
@@ -111,6 +113,9 @@ class FiniteOntModel:
     names declared as its operational eigenstates; ``delta_sets`` maps a
     state name to the preparations that realize it; ``updates`` maps a
     measurement and outcome label to the re-prepared preparation name.
+
+    Models compare and hash by identity: they hold arrays and memoized
+    supports, so equal fields do not make two models interchangeable.
     """
 
     atoms: int
@@ -186,6 +191,8 @@ class FiniteOntModel:
         object.__setattr__(self, "eigenstate_preps", eigen)
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "delta_sets", delta)
+        # preparation name -> support(preparation); not a dataclass field
+        object.__setattr__(self, "_supports", {})
 
     # -- resolution helpers -------------------------------------------------
 
@@ -194,6 +201,16 @@ class FiniteOntModel:
             return self.preparations[name]
         except KeyError:
             raise ValueError(f"unknown preparation {name!r}") from None
+
+    def support(self, name: str) -> np.ndarray:
+        """Read-only ascending atom indices of ``support(preparation(name))``,
+        computed on first use and kept for the model's lifetime."""
+        atoms = self._supports.get(name)
+        if atoms is None:
+            atoms = support(self.preparation(name))
+            atoms.setflags(write=False)
+            self._supports[name] = atoms
+        return atoms
 
     def response(self, name: str) -> np.ndarray:
         try:
@@ -238,6 +255,8 @@ class FiniteOntModel:
         model = copy.copy(self)
         object.__setattr__(model, "preparations", preps)
         object.__setattr__(model, "delta_sets", delta)
+        # its own memo: a shared dict would let siblings see each other's names
+        object.__setattr__(model, "_supports", dict(self._supports))
         return model
 
 
@@ -250,7 +269,7 @@ def _support_mask(model: FiniteOntModel, names: Iterable[str]) -> np.ndarray:
     """Boolean union over atoms of the supports of the named preparations."""
     mask = np.zeros(model.atoms, dtype=bool)
     for name in names:
-        mask |= model.preparation(name) > SUPPORT_EPS
+        mask[model.support(name)] = True
     return mask
 
 
@@ -390,7 +409,9 @@ class OverlapReport:
     """Overlap mass, the realizing atom set, and the resolved targets.
 
     ``realizing_set`` is a read-only ascending array of atom indices, so
-    reports are not meant to be hashed or compared.
+    reports are not meant to be hashed or compared. When the targets
+    resolve to one preparation it is that preparation's memoized support,
+    shared with every other report that reads it.
     """
 
     value: float
@@ -412,9 +433,15 @@ def asymmetric_overlap(
         targets = (targets,)
     targets = tuple(targets)
     mu = model.preparation(mu_name)
-    names = (pname for target in targets for pname in model.target_preparations(target))
-    realizing = np.flatnonzero(_support_mask(model, names))
-    realizing.setflags(write=False)
+    names = dict.fromkeys(
+        pname for target in targets for pname in model.target_preparations(target)
+    )
+    if len(names) == 1:
+        (name,) = names
+        realizing = model.support(name)
+    else:
+        realizing = np.flatnonzero(_support_mask(model, names))
+        realizing.setflags(write=False)
     value = float(mu[realizing].sum())
     return OverlapReport(value, realizing, targets)
 
@@ -460,7 +487,7 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
     # (a) eigenstate support
     support_ok = True
     for pname, mu in model.preparations.items():
-        atoms = support(mu)
+        atoms = model.support(pname)
         outside = atoms[~accessible[atoms]]
         if outside.size:
             support_ok = False

@@ -10,6 +10,7 @@ macro value on every atom while escaping the eigenstate supports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,12 @@ PAULI = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
-    """Quadrature nodes on the unit sphere with positive weights."""
+    """Quadrature nodes on the unit sphere with positive weights.
+
+    Grids compare and hash by identity, like the models built on them.
+    """
 
     nodes: np.ndarray     # (n, 3) unit vectors
     weights: np.ndarray   # (n,) positive, summing to 4*pi
@@ -66,6 +70,19 @@ class SphereGrid:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+    @functools.cached_property
+    def _tree(self):
+        # built on first use, not with the grid, so that a grid whose nodes
+        # are never snapped to loads no scipy
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.nodes)
+
+    def nearest(self, points) -> np.ndarray:
+        """Index of the node nearest to each of the (m, 3) ``points``. The
+        KD-tree behind it is built once per grid."""
+        return self._tree.query(points)[1].astype(int)
 
 
 def fibonacci_sphere_grid(n: int) -> SphereGrid:
@@ -291,15 +308,10 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         q: (f"cap:{macro}:{q}",) + eigenstates.get(q, ()) for q in fragment.macro.outcomes
     }
 
-    maps = {}
-    if fragment.unitaries:
-        # imported here so that only models with unitary maps load scipy
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(nodes)
-        for uname, u in fragment.unitaries.items():
-            rot = rotation_of_unitary(u)
-            maps[uname] = tree.query(nodes @ rot.T)[1].astype(int)
+    maps = {
+        uname: grid.nearest(nodes @ rotation_of_unitary(u).T)
+        for uname, u in fragment.unitaries.items()
+    }
 
     return FiniteOntModel(
         atoms=n_atoms,

@@ -103,6 +103,11 @@ commands = [
     "exclude --alpha 0.25 --dim 4 --mode esmr",
     "exclude --alpha 0.25 --dim 4 --mode emmr",
     "exclude --alpha 0.25 --dim 4 --mode max-overlap",
+    # the 1e-3 Born budget holds at 20 000 nodes; it scales as 1/sqrt(nodes)
+    "zoo ks --nodes 2000 --pairs 5 --check-born --tol 3.2e-3",
+    "zoo bb",
+    "zoo det",
+    "zoo emmr-toy",
 ]
 codes = []
 for command in commands:
@@ -121,7 +126,7 @@ def test_witness_sweep_exclude_do_not_load_scipy():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     codes, scipy_modules = json.loads(child.stdout.splitlines()[-1])
-    assert codes == [0] * 5
+    assert codes == [0] * 9
     assert scipy_modules == []
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,18 @@ from macroreal import (
     Bindings,
     FiniteOntModel,
     asymmetric_overlap,
+    beltrametti_bugajski_model,
+    bloch_vector,
     classify,
+    deterministic_extension_model,
+    emmr_toy_model,
+    fibonacci_sphere_grid,
     kernel_set,
+    kochen_specker_model,
     predict,
     push_forward,
+    qubit_fragment,
+    standard_qubit_fragment,
     support,
     validate,
 )
@@ -124,6 +134,103 @@ def test_with_preparation_checks_the_new_vector_and_keeps_the_original():
     assert bigger.delta_sets["s"] == ("mu", "nu2")
     assert not bigger.preparations["nu2"].flags.writeable
     assert "nu2" not in model.preparations and model.delta_sets["s"] == ("mu",)
+
+
+def test_models_compare_and_hash_by_identity():
+    a, b = tiny_model(), tiny_model()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a)
+    assert len({a, b, a.with_preparation("extra", [0.0, 0.0, 1.0])}) == 3
+
+
+# -- memoized supports --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def zoo_models() -> dict:
+    std = standard_qubit_fragment()
+    det_fragment = qubit_fragment(
+        {name: tuple(bloch_vector(s)) for name, s in std.states.items()},
+        {"macro": (0.0, 0.0, 1.0)},
+    )
+    cap_fragment = qubit_fragment(
+        {"up": (0, 0, 1.0), "down": (0, 0, -1.0), "oblique": (0.6, 0.0, 0.8)},
+        {"macro": (0, 0, 1.0), "tilted": (0.8, 0.0, 0.6)},
+        rotations={"step": ((0.0, 1.0, 0.0), 0.7)},
+    )
+    return {
+        "bb": beltrametti_bugajski_model(std),
+        "det": deterministic_extension_model(det_fragment),
+        "emmr-toy": emmr_toy_model(math.pi / 3)[0],
+        "cap2000": kochen_specker_model(fibonacci_sphere_grid(2000), cap_fragment),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bb", "det", "emmr-toy", "cap2000"])
+def test_model_support_is_the_read_only_support_of_the_preparation(zoo_models, kind):
+    model = zoo_models[kind]
+    for name in model.preparations:
+        got = model.support(name)
+        assert not got.flags.writeable
+        assert np.array_equal(got, support(model.preparation(name)))
+        assert model.support(name) is got
+    with pytest.raises(ValueError, match="unknown preparation"):
+        model.support("ghost")
+
+
+def test_with_preparation_leaves_the_parent_memo_alone():
+    model = tiny_model()
+    before = {name: model.support(name) for name in model.preparations}
+    bigger = model.with_preparation("edge", [0.0, 0.0, 1.0])
+    assert bigger.support("edge").tolist() == [2]
+    assert bigger.support("mu") is before["mu"]
+    assert model._supports.keys() == before.keys()
+    assert all(model.support(name) is atoms for name, atoms in before.items())
+    with pytest.raises(ValueError, match="unknown preparation 'edge'"):
+        model.support("edge")
+
+
+def test_sibling_models_keep_their_own_supports():
+    model = tiny_model(delta_sets={"s": ("nu",)})
+    model.support("mu")
+    left = model.with_preparation("new", [1.0, 0.0, 0.0], delta_of="s")
+    right = model.with_preparation("new", [0.0, 0.5, 0.5], delta_of="s")
+    assert left.support("new").tolist() == [0]
+    assert right.support("new").tolist() == [1, 2]
+    assert asymmetric_overlap(left, "mu", "new").realizing_set.tolist() == [0]
+    assert asymmetric_overlap(right, "mu", "new").realizing_set.tolist() == [1, 2]
+    assert asymmetric_overlap(left, "mu", "s").realizing_set.tolist() == [0, 1, 2]
+    assert asymmetric_overlap(right, "mu", "s").realizing_set.tolist() == [1, 2]
+
+
+def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
+    frag = qubit_fragment(
+        {
+            "up": (0, 0, 1.0),
+            "down": (0, 0, -1.0),
+            "plus_x": (1.0, 0, 0),
+            "skew": (0.6, 0.48, 0.64),
+        },
+        {"macro": (0, 0, 1.0)},
+    )
+    models = [
+        beltrametti_bugajski_model(frag),
+        deterministic_extension_model(frag),
+        emmr_toy_model(math.pi / 3)[0],
+    ]
+    for model in models:
+        names = list(model.preparations)
+        targets = names + [(a, b) for a in names for b in names] + list(model.eigenstate_preps)
+        for mu in names:
+            for target in targets:
+                got = asymmetric_overlap(model, mu, target)
+                assert got.value == pytest.approx(brute_force_overlap(model, mu, target), abs=1e-12)
+                resolved = (target,) if isinstance(target, str) else target
+                union = sorted({
+                    int(i) for t in resolved for p in model.target_preparations(t)
+                    for i in support(model.preparation(p))
+                })
+                assert got.realizing_set.tolist() == union
+                assert not got.realizing_set.flags.writeable
 
 
 # -- validate ---------------------------------------------------------------------

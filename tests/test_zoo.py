@@ -16,10 +16,12 @@ from macroreal import (
     predict,
     push_forward,
     qubit_fragment,
+    rotation_unitary,
     state_from_bloch,
     validate,
 )
 from macroreal.ontomodel import default_bindings
+from macroreal.zoo import rotation_of_unitary
 
 
 def test_grid_invariants():
@@ -28,6 +30,49 @@ def test_grid_invariants():
     assert abs(grid.weights.sum() - 4 * math.pi) < 1e-6
     with pytest.raises(ValueError):
         SphereGrid(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.full(2, 2 * math.pi))
+
+
+def test_grids_compare_and_hash_by_identity():
+    a, b = fibonacci_sphere_grid(10), fibonacci_sphere_grid(10)
+    assert (a == a) is True and (a == b) is False
+    assert len({a, b}) == 2 and hash(a) == hash(a)
+
+
+def test_nearest_matches_brute_force_and_a_fresh_tree():
+    from scipy.spatial import cKDTree
+
+    grid = fibonacci_sphere_grid(2000)
+    nodes = grid.nodes
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        axis = rng.normal(size=3)
+        rot = rotation_of_unitary(rotation_unitary(axis, float(rng.uniform(0.1, 3.0))))
+        points = nodes @ rot.T
+        got = grid.nearest(points)
+        brute = np.concatenate([
+            ((chunk[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            for chunk in np.array_split(points, 8)
+        ])
+        assert np.array_equal(got, brute)
+        assert np.array_equal(got, cKDTree(nodes).query(points)[1])
+
+
+def test_lgi_ks_builds_one_tree(monkeypatch, capsys):
+    import scipy.spatial
+
+    from macroreal.cli import run
+
+    real = scipy.spatial.cKDTree
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+    assert run(["lgi", "--model", "ks", "--theta-grid", "8", "--nodes", "2000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert len(built) == 1
 
 
 def test_bloch_round_trip():
