@@ -8,12 +8,13 @@ infeasibility; ``verify_certificate`` re-checks either kind against the
 original program.
 
 Pricing is incremental: each phase prices every column once, and after
-each pivot on (row r, column e) the reduced costs take the O(n) update
+each pivot on (row r, column e) the reduced costs take the update
 ``rc -= rc[e] * T[r]`` with the new pivot row, instead of the O(m n)
-product ``c_B @ T``. Before a phase ends (optimal or unbounded) the
-columns are priced in full once more; if that fresh pricing still admits
-an entering column, the phase goes on from it. So a verdict never rests on
-accumulated rounding.
+product ``c_B @ T``. Bland's mask of eligible entering columns (reduced
+cost below ``-FEAS_TOL``, not basic) is kept the same way. Before a phase
+ends (optimal or unbounded) the columns are priced in full once more; if
+that fresh pricing still admits an entering column, the phase goes on from
+it. So a verdict never rests on accumulated rounding.
 
 The ratio test keeps Bland's rule (smallest basic variable among the
 minimum-ratio rows) with two guards against pivots on rounding-sized
@@ -31,17 +32,24 @@ A phase-1 leftover above ``FEAS_TOL`` but within ``CERT_TOL`` whose Farkas
 ray fails re-verification is rounding, not infeasibility (a pivot on a 1e-8
 entry scales the rhs error by 1e8); the solve then goes on to phase 2.
 
-Pivot updates are sparse. A pivot scales its row, then rewrites only the
-rows with a nonzero in the pivot column and, in those rows, only the
-columns where the scaled pivot row is nonzero, plus the rhs column. At
-d=10 the EMMR tableau has 8 002 columns, and a pivot row about 330
-nonzeros. A skipped cell would have computed ``t - f*0``, which is ``t``
-up to the sign of a zero, and no sign of a zero is read: a zero stays
-zero through later pivots and pricing, every decision compares against a
-tolerance, and the rhs column, which yields ``x`` and the phase-1
-leftover, is always updated. So the kernel makes the dense update's
-pivots and returns its bits; the dense kernel survives as the test
-suite's oracle.
+Pivot updates are windowed. The window ``[lo, hi)`` runs from the pivot
+row's first nonzero to its last. A pivot scales the window and the rhs of
+its row, then, in the rows with a nonzero in the pivot column, updates the
+window and the rhs column with the dense update's expression ``t - f*p``;
+the reduced costs and the eligible mask change only inside the window. The
+exclusion programs keep each block's columns contiguous, so at d=10 the
+EMMR pivot row's ~330 nonzeros span ~480 of the tableau's 8 002 columns,
+and the window is read and written as contiguous runs rather than
+gathered cell by cell. A cell outside the window would have computed
+``t - f*0``, which is ``t`` up to the sign of a zero, and no sign of a
+zero is read: a zero stays zero through later pivots and pricing, every
+decision compares against a tolerance, and the rhs column, which yields
+``x`` and the phase-1 leftover, is always updated. The pivot column and
+the column that leaves the basis both lie inside the window (their pivot
+row entries are the pivot and the leaving column's unit entry), so their
+eligibility is refreshed with it. So the kernel makes the dense update's
+pivots and returns its bits; the dense kernel survives as the test suite's
+oracle.
 """
 
 from __future__ import annotations
@@ -153,55 +161,71 @@ class _Simplex:
         self.basic[self.basis] = True
         self.live = np.arange(self.m)                    # original row ids kept
         self.pivots = 0
+        self.rc = None        # reduced costs while a phase prices incrementally
+        self.eligible = None  # Bland's entering candidates: rc < -FEAS_TOL, nonbasic
 
     def _pivot(self, row: int, col: int) -> None:
-        """Scale the pivot row, then update only the cells the elimination
-        can change: the rows with a nonzero in column ``col`` times the
-        columns with a nonzero in the scaled row, and always the rhs."""
+        """Pivot on (row, col) within the window ``[lo, hi)`` spanning the
+        pivot row's nonzeros: scale the window and the rhs of the row, then
+        update the window and the rhs of the rows with a nonzero in column
+        ``col``. While a phase prices incrementally, update the reduced
+        costs and refresh Bland's eligible mask on the same window, which
+        holds ``col`` and the column that left."""
         t = self.table
-        pr = t[row] / t[row, col]
-        t[row] = pr
-        hit = t[:, col] != 0.0
+        n = self.n
+        nz = (t[row, :n] != 0.0).nonzero()[0]
+        lo, hi = int(nz[0]), int(nz[-1]) + 1
+        column, rhs = t[:, col], t[:, -1]
+        piv = column[row]
+        pr = t[row, lo:hi]
+        pr /= piv
+        rhs[row] /= piv
+        hit = column != 0.0
         hit[row] = False
         other = hit.nonzero()[0]
-        touched = pr != 0.0
-        touched[-1] = True
-        cols = touched.nonzero()[0]
-        t[other[:, None], cols] -= t[other, col][:, None] * pr[cols]
+        f = column[other]
+        t[other, lo:hi] -= f[:, None] * pr
+        rhs[other] -= f * rhs[row]
         self.basic[self.basis[row]] = False
         self.basic[col] = True
         self.basis[row] = col
         self.pivots += 1
+        rc = self.rc
+        if rc is not None:
+            rc[lo:hi] -= rc[col] * pr
+            self.eligible[lo:hi] = (rc[lo:hi] < -FEAS_TOL) & ~self.basic[lo:hi]
 
     def run(self, cost: np.ndarray) -> str:
         """Bland's rule: smallest eligible entering column, smallest basic
         variable among the minimum-ratio rows, rows with entries above
-        PIVOT_TOL first."""
+        PIVOT_TOL first. A fresh pricing sets ``rc`` and ``eligible`` in
+        full; ``_pivot`` keeps them up to date; dropping ``rc`` asks for
+        the next fresh pricing, and every verdict returns without it."""
         enterable = self.n  # artificial columns never re-enter
-        rc = None           # reduced costs; None until priced in full
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise PivotBudgetError(
                     f"simplex pivot budget of {MAX_PIVOTS} exhausted"
                 )
-            fresh = rc is None
+            fresh = self.rc is None
             if fresh:
                 rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
-            eligible = (rc < -FEAS_TOL) & ~self.basic[:enterable]
-            entering = int(eligible.argmax())
-            if not eligible[entering]:
+                self.eligible = (rc < -FEAS_TOL) & ~self.basic[:enterable]
+                self.rc = rc
+            entering = int(self.eligible.argmax())
+            if not self.eligible[entering]:
+                self.rc = None
                 if fresh:
                     return "optimal"
-                rc = None
                 continue
-            col = self.table[:, entering]
+            col, rhs = self.table[:, entering], self.table[:, -1]
             rows = (col > FEAS_TOL).nonzero()[0]
             if rows.size == 0:
+                self.rc = None
                 if fresh:
                     return "unbounded"
-                rc = None
                 continue
-            ratios = np.maximum(self.table[rows, -1], 0.0) / col[rows]
+            ratios = np.maximum(rhs[rows], 0.0) / col[rows]
             best = ratios.min()
             tied = rows[ratios <= best + FEAS_TOL]
             sound = tied[col[tied] > PIVOT_TOL]
@@ -209,7 +233,6 @@ class _Simplex:
                 tied = sound
             leave = int(tied[self.basis[tied].argmin()])
             self._pivot(leave, entering)
-            rc -= rc[entering] * self.table[leave, :enterable]
 
     def drop_redundant_rows(self) -> None:
         """Pivot each artificial still basic out of its row; drop the rows

@@ -489,13 +489,13 @@ def lp_atom_maxima(
 # -- dense simplex kernel oracle ---------------------------------------------------
 
 class DenseSimplex(lp._Simplex):
-    """The simplex kernel as it was before sparse pivot updates: the oracle
-    the library's kernel must match bit for bit.
+    """The dense simplex kernel: the oracle the library's window kernel
+    must match bit for bit, and the only other kernel.
 
     The tableau carries an identity block of artificial columns, every pivot
-    rewrites every column of each touched row, Bland's rule scans the basis
-    list, and the duals solve against a dense sign-normalized copy of the
-    constraints.
+    rewrites every column of each touched row, pricing updates the whole
+    reduced-cost row, Bland's rule scans the basis list, and the duals solve
+    against a dense sign-normalized copy of the constraints.
     """
 
     def __init__(self, program: LinearProgram):
@@ -569,15 +569,57 @@ class DenseSimplex(lp._Simplex):
         return y
 
 
-def solve_lp_with(kernel: type, program: LinearProgram) -> lp.LPOutcome:
-    """``solve_lp(program)`` with ``kernel`` standing in for the library's
-    simplex class."""
+class CheckingSimplex(lp._Simplex):
+    """The library kernel, checked after every pivot.
+
+    While a phase prices incrementally, the eligible mask must equal
+    ``(rc < -FEAS_TOL) & ~basic`` computed from scratch, and ``rc`` must
+    equal the full-width update ``rc - rc[e] * T[r]`` up to the sign of a
+    zero. ``checked`` counts the pivots so checked; ``windows`` holds each
+    pivot's (span, count) of the pivot row's nonzeros.
+    """
+
+    def __init__(self, program: LinearProgram):
+        super().__init__(program)
+        self.checked = 0
+        self.windows = []
+
+    def _pivot(self, row: int, col: int) -> None:
+        before = None if self.rc is None else self.rc.copy()
+        super()._pivot(row, col)
+        pivot_row = self.table[row, : self.n]
+        nz = np.flatnonzero(pivot_row)
+        self.windows.append((int(nz[-1] + 1 - nz[0]), nz.size))
+        if before is None:
+            return
+        full = before - before[col] * pivot_row
+        assert (self.rc + 0.0).tobytes() == (full + 0.0).tobytes(), "reduced costs drifted"
+        scratch = (self.rc < -lp.FEAS_TOL) & ~self.basic[: self.n]
+        assert np.array_equal(self.eligible, scratch), "eligible mask drifted"
+        self.checked += 1
+
+
+def solve_lp_with(kernel, program: LinearProgram) -> lp.LPOutcome:
+    """``solve_lp(program)`` with ``kernel(program)`` standing in for the
+    library's simplex class."""
     library = lp._Simplex
     lp._Simplex = kernel
     try:
         return lp.solve_lp(program)
     finally:
         lp._Simplex = library
+
+
+def solve_lp_checked(program: LinearProgram) -> tuple:
+    """``solve_lp(program)`` on a ``CheckingSimplex``: the outcome and the
+    kernel that reached it."""
+    kernels = []
+
+    def kernel(p: LinearProgram) -> CheckingSimplex:
+        kernels.append(CheckingSimplex(p))
+        return kernels[-1]
+
+    return solve_lp_with(kernel, program), kernels[0]
 
 
 def outcome_bits(outcome: lp.LPOutcome) -> dict:

@@ -25,6 +25,7 @@ from helpers import (
     reference_emmr_program,
     reference_esmr_program,
     reference_max_overlap_program,
+    solve_lp_checked,
     solve_lp_with,
 )
 
@@ -240,6 +241,39 @@ def test_d10_emmr_solve_matches_dense_kernel_bit_for_bit(alpha):
     report = WitnessExclusion(build_witness(WitnessParams(alpha, 10))).emmr()
     dense = solve_lp_with(DenseSimplex, report.program)
     assert outcome_bits(report.outcome) == outcome_bits(dense)
+
+
+@pytest.mark.parametrize("gap, dim", [(1e-2, 6), (1e-4, 6), (1e-2, 8), (1e-4, 8), (1e-6, 10)])
+def test_near_boundary_solves_match_dense_kernel_bit_for_bit(gap, dim):
+    """The benchmark certifies a witness 1e-6..1e-2 below 1/sqrt(2) in every
+    cycle (1e-6 itself is in ``test_programs_match_per_row_assembly``)."""
+    context = WitnessExclusion(build_witness(WitnessParams(ALPHA_MAX - gap, dim)))
+    for report in (context.esmr(), context.emmr(), context.max_overlap()):
+        dense = solve_lp_with(DenseSimplex, report.program)
+        assert outcome_bits(report.outcome) == outcome_bits(dense), report.mode
+
+
+def test_d10_emmr_incremental_pricing_matches_full_pricing():
+    """Every pivot of the d=10 EMMR solve prices incrementally, and after
+    each one ``CheckingSimplex`` finds the window-updated reduced costs and
+    eligible mask equal to the full-width ones."""
+    report = WitnessExclusion(build_witness(WitnessParams(0.5, 10))).emmr()
+    outcome, kernel = solve_lp_checked(report.program)
+    assert kernel.checked == outcome.pivots == report.outcome.pivots
+    assert outcome_bits(outcome) == outcome_bits(report.outcome)
+
+
+@pytest.mark.parametrize("dim", [6, 10])
+def test_emmr_pivot_windows_stay_narrow(dim):
+    """A pivot costs the span of its row's nonzeros, not their count. The
+    EMMR program keeps each eigenstate block's columns contiguous, so the
+    mean span is 1.55 (d=6) and 1.44 (d=10) times the mean count. With the
+    blocks interleaved column by column it is 15 and 25 times: the windows
+    widen toward the whole tableau and the window update loses its gain."""
+    report = WitnessExclusion(build_witness(WitnessParams(0.5, dim))).emmr()
+    _, kernel = solve_lp_checked(report.program)
+    spans, counts = np.array(kernel.windows).T
+    assert spans.mean() <= 2.0 * counts.mean()
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.69])

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from macroreal import LinearProgram, LPOutcome, solve_lp, verify_certificate
 from macroreal.lp import CERT_TOL
-from helpers import DenseSimplex, outcome_bits, solve_lp_with
+from helpers import DenseSimplex, outcome_bits, solve_lp_checked, solve_lp_with
 
 
 def test_max_with_upper_bound():
@@ -205,7 +205,7 @@ def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
     assert verify_certificate(p, out) <= CERT_TOL
 
 
-# -- the sparse kernel against the dense one -----------------------------------
+# -- the window kernel against the dense one -----------------------------------
 # Negative right-hand sides flip rows (their zeros become -0.0), 1e-8 entries
 # force pivots on rounding-sized numbers, and repeated equality rows leave
 # artificials for drop_redundant_rows. Right-hand sides off the drawn point
@@ -238,3 +238,79 @@ def kernel_lps(draw):
 @example(_tiny_pivot_program())
 def test_kernel_matches_dense_oracle_bit_for_bit(p):
     assert outcome_bits(solve_lp(p)) == outcome_bits(solve_lp_with(DenseSimplex, p))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(kernel_lps())
+def test_incremental_pricing_matches_full_pricing(p):
+    """After every pivot the window-updated reduced costs equal the
+    full-width update up to the sign of a zero, and the incremental
+    eligible mask equals the one computed from scratch (asserted inside
+    ``CheckingSimplex``); the checks leave the outcome's bits alone."""
+    outcome, _ = solve_lp_checked(p)
+    assert outcome_bits(outcome) == outcome_bits(solve_lp(p))
+
+
+# -- pivot windows on block-structured programs ----------------------------------
+# Like the exclusion programs, each block of columns has rows of its own, and
+# one coupling row spans them all, so a pivot row's nonzeros sit in a window
+# narrower than the tableau, with zeros inside it. The coupling row is a
+# positive capacity, so the programs are bounded and phase 2 has work to do.
+
+@st.composite
+def block_lps(draw):
+    widths = draw(st.lists(st.integers(3, 8), min_size=2, max_size=4))
+    n = sum(widths)
+    rows, equality = [], []
+    start = 0
+    for w in widths:
+        for _ in range(draw(st.integers(1, 3))):
+            row = np.zeros(n)
+            row[start:start + w] = draw(st.lists(KERNEL_ENTRIES, min_size=w, max_size=w))
+            rows.append(row)
+            equality.append(draw(st.booleans()))
+        start += w
+    capacity = st.sampled_from([0.5, 1.0, 2.0, 1e-8])   # bounds every column
+    rows.append(np.array(draw(st.lists(capacity, min_size=n, max_size=n))))
+    equality.append(False)
+    if draw(st.booleans()):   # a negated copy leaves work for drop_redundant_rows
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.append(-rows[i])
+        equality.append(True)
+    a, eq = np.array(rows), np.array(equality)
+    x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    offsets = st.sampled_from([0.0, 0.0, 0.0, 0.5, -0.5, 1e-8])
+    b = a @ x0 + np.array(draw(st.lists(offsets, min_size=len(rows), max_size=len(rows))))
+    c = np.array(draw(st.lists(COSTS, min_size=n, max_size=n)))
+    return LinearProgram(objective=c, a_eq=a[eq], b_eq=b[eq], a_ub=a[~eq], b_ub=b[~eq])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(block_lps())
+# the pivot row's only nonzeros are the first and last columns: window [0, n)
+@example(LinearProgram(objective=[0.0, 0, 0, 0, 1.0], a_eq=[[1.0, 0, 0, 0, 1.0]], b_eq=[1.0]))
+# pivot rows with zeros inside windows that touch neither edge
+@example(LinearProgram(
+    objective=[0.0, 0, 0, 1.0, 0, 0, 0],
+    a_eq=[[1.0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1], [0, 1.0, 0, 0, 0, 2.0, 0]],
+    b_eq=[1.0, 1.0, 1.0], a_ub=[[0, 0, 1.0, 1.0, 1.0, 0, 0]], b_ub=[2.0],
+))
+# drop_redundant_rows pivots on -4 over a zero rhs: x[0] comes back as -0.0
+@example(LinearProgram(
+    objective=[1.0, -1.0, -1.0],
+    a_eq=[[0.0, -2.0, -2.0], [2.0, 1.0, 1.0], [0.0, 2.0, 2.0]], b_eq=[-2.0, 1.0, 2.0],
+))
+def test_block_kernel_matches_dense_oracle_bit_for_bit(p):
+    assert _bits_or_error(solve_lp, p) == _bits_or_error(
+        lambda q: solve_lp_with(DenseSimplex, q), p
+    )
+
+
+def _bits_or_error(solve, p) -> dict:
+    """The outcome's bits, or the type of the error the solve raised: a
+    pivot on a 1e-8 rounding entry can leave a singular basis, and then
+    both kernels' ``duals`` raise ``LinAlgError`` alike."""
+    try:
+        return outcome_bits(solve(p))
+    except np.linalg.LinAlgError as err:
+        return {"error": type(err)}
