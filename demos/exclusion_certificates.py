@@ -4,8 +4,12 @@
 Runs the eigenstate-support and eigenstate-mixture feasibility programs on
 the deterministic response atoms of a certified witness fragment, verifies
 the infeasibility certificates, and contrasts them with the feasible
-control programs and the quantum overlap ceiling.
+control programs and the quantum overlap ceiling. The eigenstate-support
+certificate is printed row by row: its nonzero multipliers are the paper's
+inequality chain.
 """
+
+from fractions import Fraction
 
 from macroreal import WitnessExclusion, WitnessParams, build_witness
 
@@ -28,7 +32,21 @@ print(f"""
   status: {esmr.status}
   certificate residual: {esmr.certificate_residual:.2e} (budget 1e-7)
   {esmr.explanation}
-""")
+  certificate path: {esmr.certificate_path}
+  Farkas multipliers (half 1 is psi before the fixing unitary, half 2 after):""")
+rows = [
+    f"half {half}, {name}, outcome {label}"
+    for half in (1, 2)
+    for name, meas in context.fragment.measurements.items()
+    for label in meas.outcomes
+]
+multipliers = list(esmr.outcome.farkas_eq) + list(esmr.outcome.farkas_ub)
+for row, y in zip(rows + ["transport"], multipliers):
+    if y != 0.0:
+        print(f"    {str(Fraction(y).limit_denominator(1000)):>5}  [{row}]")
+gain = esmr.program.b_eq @ esmr.outcome.farkas_eq
+print(f"  gain b.y = {gain:.6f} = (3/5) alpha^2 (1 - 2 alpha^2) "
+      f"= {0.6 * ALPHA**2 * (1 - 2 * ALPHA**2):.6f}\n")
 
 emmr = context.emmr()
 print(f"[eigenstate-mixture program]\n  status: {emmr.status}, "

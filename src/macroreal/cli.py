@@ -2,7 +2,9 @@
 classification, and LGI scans, serialized to JSON or CSV.
 
 Exit codes: 0 success, 1 certification failure, 2 usage error (a bad flag
-or a malformed input file). Outputs are deterministic for fixed flags and a
+or a malformed input file). Exit 1 writes one line to stderr,
+``certification failure: <reason>``, and leaves stdout as it would be on
+success. Outputs are deterministic for fixed flags and a
 fixed BLAS thread count. CSV floats print with 17 significant digits; JSON
 floats print as their shortest round-trip ``repr``, as ``json`` writes them.
 """
@@ -77,6 +79,12 @@ def _emit(text: str, target: str | None) -> None:
         Path(target).write_text(text)
 
 
+def _fail(reason: str) -> int:
+    """Exit 1 with the one stderr line that names the failed certificate."""
+    print(f"certification failure: {reason}", file=sys.stderr)
+    return 1
+
+
 def _witness_json(alpha: float, dim: int) -> dict:
     bundle = build_witness(WitnessParams(alpha, dim))
     report = check_antidistinguishable(bundle.psi, bundle.phi, bundle.zero)
@@ -108,7 +116,13 @@ def _witness_json(alpha: float, dim: int) -> dict:
 def _cmd_witness(args) -> int:
     payload = _witness_json(args.alpha, args.dim)
     _emit(dumps_json(payload), args.json)
-    return 0 if payload["antidistinguishability"]["certified"] else 1
+    report = payload["antidistinguishability"]
+    if not report["certified"]:
+        return _fail(
+            "witness triple is not certified anti-distinguishable "
+            f"(slack1 {report['slack1']:.3g}, slack2 {report['slack2']:.3g})"
+        )
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -129,7 +143,13 @@ def _cmd_sweep(args) -> int:
              _fmt(gap.quantum_upper_bound), _fmt(gap.deficit)]
         )
     _emit(buf.getvalue(), args.csv)
-    return 0 if all(r.antidist.certified for r in rows) else 1
+    failed = [r.alpha for r in rows if not r.antidist.certified]
+    if failed:
+        return _fail(
+            f"{len(failed)} of {len(rows)} witness triples are not certified "
+            f"anti-distinguishable (first at alpha {failed[0]!r})"
+        )
+    return 0
 
 
 # --mode -> (WitnessExclusion method, the status that certifies the claim)
@@ -145,8 +165,17 @@ def _cmd_exclude(args) -> int:
     method, expected = EXCLUDE_MODES[args.mode]
     report = getattr(context, method)()
     _emit(dumps_json(report.to_json_dict()), args.json)
-    certified = report.status == expected and report.certificate_residual <= CERT_TOL
-    return 0 if certified else 1
+    residual = report.certificate_residual
+    if report.status != expected:
+        return _fail(
+            f"{args.mode} program is {report.status}, not {expected} "
+            f"(certificate residual {residual:.3g})"
+        )
+    if not residual <= CERT_TOL:
+        return _fail(
+            f"{args.mode} certificate residual {residual:.3g} exceeds CERT_TOL {CERT_TOL:g}"
+        )
+    return 0
 
 
 def _zoo_build(args):
@@ -191,7 +220,10 @@ def _cmd_zoo(args) -> int:
         _emit(dumps_json(fragment_to_json(fragment)), args.fragment_out)
     _emit(dumps_json(result), args.json)
     if args.check_born and not result["validation"]["passed"]:
-        return 1
+        return _fail(
+            f"model misses the Born statistics by {report.max_deviation:.3g} "
+            f"> tol {report.tol:g} at {report.worst_pair}"
+        )
     return 0
 
 
@@ -298,8 +330,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (CertificationError, PivotBudgetError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,10 @@ Three programs matter:
 * ``esmr``: two measures, both reproducing the witness state's statistics,
   supported on eigenstate-accessible atoms, with the transported measure
   carrying at least as much mass on the image state's atoms as the original
-  carries on the macro eigenstate's. Infeasible for every valid alpha.
+  carries on the macro eigenstate's. Infeasible for every valid alpha. Its
+  Farkas ray is the paper's inequality chain, built in closed form from the
+  accessible sets (``WitnessExclusion._esmr_ray``); the simplex runs only
+  where that ray gains less than ``CERT_TOL``.
 * ``emmr``: the same with both measures decomposed into per-value
   eigenstate blocks. Infeasible a fortiori.
 * ``max_overlap``: the quantum ceiling; maximizing the mass on the union of
@@ -33,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
+    CERT_TOL,
+    STATUS_INFEASIBLE,
     LinearProgram,
     LPOutcome,
     solve_lp,
@@ -179,6 +184,7 @@ class ExclusionReport:
     explanation: str
     required_mass: float | None = None
     quantum_ceiling: float | None = None
+    certificate_path: str = "simplex"   # or "closed_form"; not in the JSON
 
     @property
     def status(self) -> str:
@@ -275,18 +281,25 @@ class WitnessExclusion:
         return masks
 
     def _certify(
-        self, mode: str, program: LinearProgram, explain, *, targets, atom_count: int, bounds: bool
+        self, mode: str, program: LinearProgram, explain, *, targets, atom_count: int,
+        bounds: bool, ray: LPOutcome | None = None,
     ) -> ExclusionReport:
-        """Solve ``program``, re-verify its certificate and report it.
+        """Certify ``program``, re-verify its certificate and report it.
 
-        ``explain`` words the verdict from the solver outcome. ``targets``
-        name the accessible sets whose sizes the report lists, and
-        ``atom_count`` the atoms the program's columns range over. ``bounds``
-        says whether the report carries the alpha bounds (required mass and
-        quantum ceiling).
+        A closed-form ``ray`` is the certificate when it re-verifies within
+        ``CERT_TOL``; otherwise, or without one, ``solve_lp`` decides.
+        ``explain`` words the verdict from the outcome. ``targets`` name the
+        accessible sets whose sizes the report lists, and ``atom_count`` the
+        atoms the program's columns range over. ``bounds`` says whether the
+        report carries the alpha bounds (required mass and quantum ceiling).
         """
-        outcome = solve_lp(program)
-        residual = verify_certificate(program, outcome)
+        path = "closed_form"
+        outcome = ray
+        residual = math.inf if ray is None else verify_certificate(program, ray)
+        if residual > CERT_TOL:
+            path = "simplex"
+            outcome = solve_lp(program)
+            residual = verify_certificate(program, outcome)
         return ExclusionReport(
             alpha=self.bundle.alpha,
             mode=mode,
@@ -298,18 +311,78 @@ class WitnessExclusion:
             explanation=explain(outcome),
             required_mass=self._required if bounds else None,
             quantum_ceiling=self._ceiling if bounds else None,
+            certificate_path=path,
         )
 
     # -- the three programs --------------------------------------------------
 
+    def _esmr_ray(self, columns: np.ndarray, transport: np.ndarray) -> LPOutcome:
+        """The paper's ESMR contradiction as a Farkas ray of the ESMR
+        program whose columns are the atoms ``columns`` (rows of
+        ``self.atoms``), with ``transport`` marking those accessible from
+        zero and from phi.
+
+        Write mu' for the first half (psi before the fixing unitary), mu for
+        the second (psi after it), B for bprime and D for the
+        anti-distinguishing measurement. Three sets of outcomes carry the
+        chain:
+
+        * Z, the B outcomes of zero's atoms. Of the macro eigenstates only
+          zero reaches them, so every column with a B outcome in Z is
+          in A_zero, and mu'(A_zero) >= mu'(B in Z) = psi_B(Z) = alpha^2.
+        * N, the D outcomes of phi's atoms whose B outcome lies in Z, and
+          H, the B outcomes of the phi atoms whose D outcome is outside N.
+          Every phi atom then has its D outcome in N or its B outcome in H,
+          so mu(A_phi) <= psi_D(N) + psi_B(H). N, when phi shares atoms
+          with zero, is the outcome that excludes psi, so psi_D(N) = 0; H
+          is phi's other B outcomes, where psi puts beta^2 = 2 alpha^4.
+        * The transport row, mu'(A_zero) <= mu(A_phi), closes the chain:
+          alpha^2 <= 2 alpha^4, which fails below 1/sqrt 2 by the gain
+          alpha^2 (1 - 2 alpha^2).
+
+        In units of 1/3: half one takes 3 on the B rows in Z, half two -3 on
+        the D rows in N and on the B rows in H, and the transport row -3.
+        Each measurement's rows sum to the half's mass, so adding 1 to every
+        row of a half and -3 to every row of one measurement there changes
+        no column and no gain; half one takes that gauge on B, half two on
+        D, as at the simplex's vertex. The ray is then scaled the way
+        ``solve_lp`` scales its rays, to a largest entry of magnitude 1 when
+        it exceeds 1, with one rounding per entry. Within about 1.118e-5 of
+        1/sqrt 2, phi's B and macro probabilities on zero's outcome,
+        (1 - 2 alpha^2)^2, fall below ``STRICT_POS_EPS``: phi shares no atom
+        with zero, N is empty and the ray is in thirds. Elsewhere N's -5/3
+        rows scale it to fifths and the gain to 3/5 of the above. Both are
+        the simplex's rays bit for bit.
+        """
+        names = list(self.fragment.measurements)
+        i_d, i_b = names.index(MEAS_ANTIDIST), names.index(MEAS_BPRIME)
+        sizes = [meas.n_outcomes for meas in self.fragment.measurements.values()]
+        start = np.cumsum([0] + sizes)
+        zero_b = np.unique(columns[transport[0], i_b])
+        phi = columns[transport[1]]
+        n_out = np.unique(phi[np.isin(phi[:, i_b], zero_b), i_d])
+        h_out = np.unique(phi[~np.isin(phi[:, i_d], n_out), i_b])
+
+        thirds = np.ones((2, start[-1]))
+        thirds[0, start[i_b] : start[i_b + 1]] -= 3.0
+        thirds[0, start[i_b] + zero_b] += 3.0
+        thirds[1, start[i_d] : start[i_d + 1]] -= 3.0
+        thirds[1, start[i_d] + n_out] -= 3.0
+        thirds[1, start[i_b] + h_out] -= 3.0
+        scale = max(3.0, float(np.abs(thirds).max()))
+        return LPOutcome(
+            status=STATUS_INFEASIBLE,
+            farkas_eq=thirds.ravel() / scale,
+            farkas_ub=np.array([-3.0 / scale]),
+        )
+
     def esmr(self) -> ExclusionReport:
-        """Two-measure feasibility program for eigenstate-supported models."""
+        """Two-measure feasibility program for eigenstate-supported models,
+        certified by the closed-form ray when it verifies."""
         allowed = self._eigen_union()
+        transport = self._transport_masks()[:, allowed]
         program = _block_program(
-            self._marg[:, allowed],
-            _born_rhs(self.fragment, "psi"),
-            halves=2,
-            transport=self._transport_masks()[:, allowed],
+            self._marg[:, allowed], _born_rhs(self.fragment, "psi"), halves=2, transport=transport
         )
         return self._certify("esmr", program, lambda outcome: (
             "Within the deterministic-response model class, any "
@@ -318,7 +391,8 @@ class WitnessExclusion:
             "{phi, zero}, while the witness statistics cap that mass at "
             f"alpha^2 (1 + 2 alpha^2) = {self._ceiling:.6f}; the program is "
             f"{outcome.status}."
-        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
+        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True,
+            ray=self._esmr_ray(self.atoms[allowed], transport))
 
     def emmr(self) -> ExclusionReport:
         """Per-value block decomposition; each block reproduces its

@@ -35,6 +35,7 @@ from macroreal.exclusion import (
     MEAS_ANTIDIST,
     MEAS_BPRIME,
     MEAS_MACRO,
+    _block_program,
     _born_rhs,
     _marginal_matrix,
 )
@@ -484,6 +485,22 @@ def lp_atom_maxima(
         assert outcome.status == "optimal", outcome.status
         maxima.append(outcome.value)
     return np.array(maxima)
+
+
+def simplex_esmr(context) -> tuple:
+    """``WitnessExclusion.esmr``'s program solved by the simplex, as the
+    library certified it before the closed-form ray: the oracle for that
+    ray. Returns the program, the solver's outcome and its re-verified
+    residual."""
+    allowed = context._eigen_union()
+    program = _block_program(
+        context._marg[:, allowed],
+        _born_rhs(context.fragment, "psi"),
+        halves=2,
+        transport=context._transport_masks()[:, allowed],
+    )
+    outcome = solve_lp(program)
+    return program, outcome, lp.verify_certificate(program, outcome)
 
 
 # -- dense simplex kernel oracle ---------------------------------------------------

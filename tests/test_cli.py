@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import macroreal
+import macroreal.cli
 import macroreal.witness
 from macroreal.cli import run
 
@@ -92,6 +94,53 @@ def test_witness_root_find_failure_exits_1(capsys, monkeypatch):
     assert err == "certification failure: root find did not converge (iteration cap 1)\n"
 
 
+def one_failure_line(err: str) -> bool:
+    return err.startswith("certification failure: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_esmr_feasible_verdict_exits_1_with_one_stderr_line(capsys):
+    """At eps = 1e-8 the float solver finds a point within the budget; the
+    report still goes to stdout, and stderr names the failure once."""
+    code, out, err = run_cli(
+        capsys, "exclude", "--alpha", "0.7071067711865474", "--dim", "4", "--mode", "esmr"
+    )
+    assert code == 1
+    assert json.loads(out)["status"] == "feasible"
+    assert one_failure_line(err)
+    assert "esmr program is feasible, not infeasible" in err
+
+
+def run_uncertified(capsys, monkeypatch, *argv) -> tuple:
+    """Run ``argv`` as is, then with every anti-distinguishability report
+    uncertified: both stdouts and the second run's exit code and stderr."""
+    real = macroreal.witness.check_antidistinguishable
+
+    def uncertified(*states):
+        return dataclasses.replace(real(*states), measurement=None)
+
+    code, certified_out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(macroreal.witness, "check_antidistinguishable", uncertified)
+    monkeypatch.setattr(macroreal.cli, "check_antidistinguishable", uncertified)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert one_failure_line(err)
+    assert "not certified anti-distinguishable" in err
+    return certified_out, out
+
+
+def test_uncertified_witness_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    certified_out, out = run_uncertified(capsys, monkeypatch, "witness", "--alpha", "0.5")
+    expected = json.loads(certified_out)
+    expected["antidistinguishability"]["certified"] = False
+    assert json.loads(out) == expected
+
+
+def test_uncertified_sweep_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    certified_out, out = run_uncertified(capsys, monkeypatch, "sweep", "--steps", "3")
+    assert out == certified_out.replace(",true,", ",false,")
+
+
 IMPORT_GUARD_CHILD = """
 import contextlib, io, json, sys
 import macroreal
@@ -146,6 +195,16 @@ def test_exclude_max_overlap_value(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["optimum"] == pytest.approx(0.375, abs=1e-7)
+
+
+def test_zoo_missed_born_budget_exits_1_with_one_stderr_line(capsys):
+    code, out, err = run_cli(
+        capsys, "zoo", "ks", "--nodes", "200", "--pairs", "3", "--check-born", "--tol", "1e-6"
+    )
+    assert code == 1
+    assert json.loads(out)["validation"]["passed"] is False
+    assert one_failure_line(err)
+    assert "misses the Born statistics" in err
 
 
 def test_zoo_classify_round_trip(tmp_path, capsys):
@@ -295,9 +354,14 @@ ENVELOPE = [
 
 @pytest.mark.parametrize(("cmd", "dim", "alpha", "expected"), ENVELOPE)
 def test_alpha_envelope_edges(cmd, dim, alpha, expected, capsys):
-    """A change that moves an edge must also change the README table."""
-    code, _, _ = run_cli(capsys, *COMMANDS[cmd], "--alpha", repr(alpha), "--dim", str(dim))
+    """A change that moves an edge must also change the README table. Every
+    exit 1 names its failure in one stderr line; exit 0 writes none."""
+    code, _, err = run_cli(capsys, *COMMANDS[cmd], "--alpha", repr(alpha), "--dim", str(dim))
     assert code == expected
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert one_failure_line(err), err
 
 
 def test_lgi_quantum_csv(capsys):

@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from macroreal import (
     enumerate_atoms,
     verify_certificate,
 )
+import macroreal.exclusion as exclusion
 from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
-from macroreal.lp import CERT_TOL, FEAS_TOL
+from macroreal.lp import CERT_TOL, FEAS_TOL, solve_lp
 from macroreal.witness import ALPHA_MAX
 from helpers import (
     DenseSimplex,
@@ -25,6 +29,7 @@ from helpers import (
     reference_emmr_program,
     reference_esmr_program,
     reference_max_overlap_program,
+    simplex_esmr,
     solve_lp_checked,
     solve_lp_with,
 )
@@ -231,8 +236,19 @@ def test_programs_match_per_row_assembly(alpha, dim):
             mine, ref = getattr(report.program, attr), getattr(reference, attr)
             assert mine.shape == ref.shape, (report.mode, attr)
             assert mine.tobytes() == ref.tobytes(), (report.mode, attr)
-        dense = solve_lp_with(DenseSimplex, reference)
-        assert outcome_bits(report.outcome) == outcome_bits(dense), report.mode
+        assert_matches_dense_kernel(report)
+
+
+def assert_matches_dense_kernel(report):
+    """The report's outcome is the dense kernel's, bit for bit. A closed-form
+    ESMR ray takes no pivots, so for ESMR the pivot count is left out there,
+    and the kernel's own solve of the program is held to every bit."""
+    dense = outcome_bits(solve_lp_with(DenseSimplex, report.program))
+    mine = outcome_bits(report.outcome)
+    if report.mode == "esmr":
+        assert outcome_bits(solve_lp(report.program)) == dense
+        del mine["pivots"], dense["pivots"]
+    assert mine == dense, report.mode
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.5552396860617598])
@@ -249,8 +265,72 @@ def test_near_boundary_solves_match_dense_kernel_bit_for_bit(gap, dim):
     cycle (1e-6 itself is in ``test_programs_match_per_row_assembly``)."""
     context = WitnessExclusion(build_witness(WitnessParams(ALPHA_MAX - gap, dim)))
     for report in (context.esmr(), context.emmr(), context.max_overlap()):
-        dense = solve_lp_with(DenseSimplex, report.program)
-        assert outcome_bits(report.outcome) == outcome_bits(dense), report.mode
+        assert_matches_dense_kernel(report)
+
+
+RECORDED_ESMR_ALPHAS = sorted({
+    float(command.split()[2])
+    for command in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json").read_text()
+    )
+    if command.startswith("exclude") and command.endswith("--mode esmr")
+})
+# phi's two Born probabilities of about 8 eps^2 cross STRICT_POS_EPS here
+EPS_SWITCH = math.sqrt(STRICT_POS_EPS / 8)
+ESMR_ORACLE_ALPHAS = RECORDED_ESMR_ALPHAS + [
+    1e-4, 4.04e-4, 4.12e-4, 1e-3, 1e-2, 0.3, 0.5553106689789393,
+    *[ALPHA_MAX - eps for eps in (
+        1e-2, 1e-4, EPS_SWITCH * 1.01, EPS_SWITCH * 0.99, 1e-6,
+        7.14e-8, 7.0e-8, 1e-8, 1e-12,
+    )],
+]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 10, 16])
+def test_esmr_closed_form_matches_simplex_oracle(dim):
+    """Where the closed-form ray certifies, it is the simplex's ray bit for
+    bit, with the same status and residual; where it declines, the report
+    is the simplex's, and the simplex does not certify either. The grid has
+    the recorded CLI alphas, both sides of the thirds/fifths switch, and
+    both edges where the ray's gain falls under CERT_TOL."""
+    paths, transport = set(), {}
+    assert len(RECORDED_ESMR_ALPHAS) == 16
+    for alpha in ESMR_ORACLE_ALPHAS:
+        context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+        report = context.esmr()
+        program, outcome, residual = simplex_esmr(context)
+        for attr in ("a_eq", "b_eq", "a_ub", "b_ub"):
+            assert getattr(report.program, attr).tobytes() == getattr(program, attr).tobytes()
+        assert report.status == outcome.status, alpha
+        assert report.certificate_residual == residual, alpha
+        certified = outcome.status == "infeasible" and residual <= CERT_TOL
+        assert (report.certificate_path == "closed_form") == certified, alpha
+        if certified:
+            assert report.outcome.farkas_eq.tobytes() == outcome.farkas_eq.tobytes(), alpha
+            assert report.outcome.farkas_ub.tobytes() == outcome.farkas_ub.tobytes(), alpha
+            transport[alpha] = float(outcome.farkas_ub[0])
+        else:
+            assert outcome_bits(report.outcome) == outcome_bits(outcome), alpha
+        paths.add(report.certificate_path)
+    assert paths == {"closed_form", "simplex"}
+    # the fifths ray above the switch, the thirds ray below it
+    assert transport[ALPHA_MAX - EPS_SWITCH * 1.01] == -0.6
+    assert transport[ALPHA_MAX - EPS_SWITCH * 0.99] == -1.0
+    assert set(transport.values()) == {-1.0, -0.6}
+
+
+def test_esmr_certifies_without_the_simplex(monkeypatch):
+    def no_simplex(program):
+        raise AssertionError("ESMR called the simplex")
+
+    monkeypatch.setattr(exclusion, "solve_lp", no_simplex)
+    for dim in range(4, 17):
+        report = WitnessExclusion(build_witness(WitnessParams(0.5, dim))).esmr()
+        assert report.certificate_path == "closed_form"
+        assert report.status == "infeasible"
+        assert report.certificate_residual <= CERT_TOL
+        assert report.outcome.pivots == 0
+        assert "certificate_path" not in report.to_json_dict()
 
 
 def test_d10_emmr_incremental_pricing_matches_full_pricing():
