@@ -32,7 +32,6 @@ print(f"""
   status: {esmr.status}
   certificate residual: {esmr.certificate_residual:.2e} (budget 1e-7)
   {esmr.explanation}
-  certificate path: {esmr.certificate_path}
   Farkas multipliers (half 1 is psi before the fixing unitary, half 2 after):""")
 rows = [
     f"half {half}, {name}, outcome {label}"

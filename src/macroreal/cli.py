@@ -172,6 +172,11 @@ def _cmd_exclude(args) -> int:
             f"(certificate residual {residual:.3g})"
         )
     if not residual <= CERT_TOL:
+        if report.status == "infeasible":
+            y, z = report.outcome.farkas_eq, report.outcome.farkas_ub
+            gain = float(report.program.b_eq @ y + report.program.b_ub @ z)
+            if residual == 2.0 * CERT_TOL - gain:   # verify_certificate's charge on a short gain
+                return _fail(f"{args.mode} ray gains {gain:.3g} < CERT_TOL {CERT_TOL:g}")
         return _fail(
             f"{args.mode} certificate residual {residual:.3g} exceeds CERT_TOL {CERT_TOL:g}"
         )

@@ -15,8 +15,9 @@ Three programs matter:
   carrying at least as much mass on the image state's atoms as the original
   carries on the macro eigenstate's. Infeasible for every valid alpha. Its
   Farkas ray is the paper's inequality chain, built in closed form from the
-  accessible sets (``WitnessExclusion._esmr_ray``); the simplex runs only
-  where that ray gains less than ``CERT_TOL``.
+  accessible sets (``WitnessExclusion._esmr_ray``); no solver runs. Below
+  alpha = 4.0825e-4 and within 7.07e-8 of 1/sqrt(2) it gains less than
+  ``CERT_TOL`` and certifies nothing.
 * ``emmr``: the same with both measures decomposed into per-value
   eigenstate blocks. Infeasible a fortiori.
 * ``max_overlap``: the quantum ceiling; maximizing the mass on the union of
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
-    CERT_TOL,
     STATUS_INFEASIBLE,
     LinearProgram,
     LPOutcome,
@@ -184,7 +184,6 @@ class ExclusionReport:
     explanation: str
     required_mass: float | None = None
     quantum_ceiling: float | None = None
-    certificate_path: str = "simplex"   # or "closed_form"; not in the JSON
 
     @property
     def status(self) -> str:
@@ -281,37 +280,27 @@ class WitnessExclusion:
         return masks
 
     def _certify(
-        self, mode: str, program: LinearProgram, explain, *, targets, atom_count: int,
-        bounds: bool, ray: LPOutcome | None = None,
+        self, mode: str, program: LinearProgram, outcome: LPOutcome, explain, *,
+        targets, atom_count: int, bounds: bool,
     ) -> ExclusionReport:
-        """Certify ``program``, re-verify its certificate and report it.
+        """Re-verify ``outcome``'s certificate on ``program`` and report both.
 
-        A closed-form ``ray`` is the certificate when it re-verifies within
-        ``CERT_TOL``; otherwise, or without one, ``solve_lp`` decides.
         ``explain`` words the verdict from the outcome. ``targets`` name the
         accessible sets whose sizes the report lists, and ``atom_count`` the
         atoms the program's columns range over. ``bounds`` says whether the
         report carries the alpha bounds (required mass and quantum ceiling).
         """
-        path = "closed_form"
-        outcome = ray
-        residual = math.inf if ray is None else verify_certificate(program, ray)
-        if residual > CERT_TOL:
-            path = "simplex"
-            outcome = solve_lp(program)
-            residual = verify_certificate(program, outcome)
         return ExclusionReport(
             alpha=self.bundle.alpha,
             mode=mode,
             program=program,
             outcome=outcome,
-            certificate_residual=residual,
+            certificate_residual=verify_certificate(program, outcome),
             atom_count=atom_count,
             accessible_sizes={t: len(self.accessible(t)) for t in targets},
             explanation=explain(outcome),
             required_mass=self._required if bounds else None,
             quantum_ceiling=self._ceiling if bounds else None,
-            certificate_path=path,
         )
 
     # -- the three programs --------------------------------------------------
@@ -351,8 +340,8 @@ class WitnessExclusion:
         1/sqrt 2, phi's B and macro probabilities on zero's outcome,
         (1 - 2 alpha^2)^2, fall below ``STRICT_POS_EPS``: phi shares no atom
         with zero, N is empty and the ray is in thirds. Elsewhere N's -5/3
-        rows scale it to fifths and the gain to 3/5 of the above. Both are
-        the simplex's rays bit for bit.
+        rows scale it to fifths and the gain to 3/5 of the above. Wherever
+        they certify, both are the simplex's rays bit for bit.
         """
         names = list(self.fragment.measurements)
         i_d, i_b = names.index(MEAS_ANTIDIST), names.index(MEAS_BPRIME)
@@ -378,21 +367,22 @@ class WitnessExclusion:
 
     def esmr(self) -> ExclusionReport:
         """Two-measure feasibility program for eigenstate-supported models,
-        certified by the closed-form ray when it verifies."""
+        certified by the closed-form ray alone: always infeasible, with a
+        residual over budget where the ray gains less than ``CERT_TOL``."""
         allowed = self._eigen_union()
         transport = self._transport_masks()[:, allowed]
         program = _block_program(
             self._marg[:, allowed], _born_rhs(self.fragment, "psi"), halves=2, transport=transport
         )
-        return self._certify("esmr", program, lambda outcome: (
+        ray = self._esmr_ray(self.atoms[allowed], transport)
+        return self._certify("esmr", program, ray, lambda outcome: (
             "Within the deterministic-response model class, any "
             "eigenstate-supported measure pair must put "
             f"{self._required:.6f} = 2 alpha^2 of mass on the accessible atoms of "
             "{phi, zero}, while the witness statistics cap that mass at "
             f"alpha^2 (1 + 2 alpha^2) = {self._ceiling:.6f}; the program is "
             f"{outcome.status}."
-        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True,
-            ray=self._esmr_ray(self.atoms[allowed], transport))
+        ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
 
     def emmr(self) -> ExclusionReport:
         """Per-value block decomposition; each block reproduces its
@@ -404,7 +394,7 @@ class WitnessExclusion:
             eigen_rhs=[_born_rhs(self.fragment, q) for q in self._eigen_names],
             transport=self._transport_masks(),
         )
-        return self._certify("emmr", program, lambda outcome: (
+        return self._certify("emmr", program, solve_lp(program), lambda outcome: (
             "Eigenstate-mixture decompositions inherit the eigenstate "
             "support constraint, so the contradiction chain applies "
             f"unchanged; the program is {outcome.status}."
@@ -418,7 +408,7 @@ class WitnessExclusion:
             a_eq=self._marg,
             b_eq=_born_rhs(self.fragment, "psi"),
         )
-        return self._certify("max_overlap", program, lambda outcome: (
+        return self._certify("max_overlap", program, solve_lp(program), lambda outcome: (
             f"Maximum joint accessible mass is {outcome.value:.9f}; macro-"
             f"realism needs {self._required:.9f}, leaving a deficit of "
             f"{self._required - (outcome.value or 0.0):.9f}."
@@ -437,7 +427,7 @@ class WitnessExclusion:
 
     def _esmr_control(self, mode: str, marg: np.ndarray) -> ExclusionReport:
         program = _block_program(marg, _born_rhs(self.fragment, "psi"), halves=2)
-        return self._certify(mode, program, lambda outcome: (
+        return self._certify(mode, program, solve_lp(program), lambda outcome: (
             f"Control program ({mode}); the solver verdict is recorded, "
             "not asserted."
         ), targets=self._eigen_names + ["phi"], atom_count=len(self.atoms), bounds=True)
@@ -453,7 +443,7 @@ class WitnessExclusion:
             halves=1,
             eigen_rhs=[self.fragment.born(q, MEAS_MACRO) for q in self._eigen_names],
         )
-        return self._certify("emmr_macro_only", program, lambda outcome: (
+        return self._certify("emmr_macro_only", program, solve_lp(program), lambda outcome: (
             "Macro-only control: mixtures of macro eigenstates reproduce "
             f"any macro statistics; the program is {outcome.status}."
         ), targets=(), atom_count=self.bundle.dim, bounds=False)

@@ -98,16 +98,20 @@ def one_failure_line(err: str) -> bool:
     return err.startswith("certification failure: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_esmr_feasible_verdict_exits_1_with_one_stderr_line(capsys):
-    """At eps = 1e-8 the float solver finds a point within the budget; the
-    report still goes to stdout, and stderr names the failure once."""
+@pytest.mark.parametrize(("mode", "alpha", "dim", "gain"), [
+    ("esmr", "0.7071067711865474", 4, "1.41e-08"),     # eps = 1e-8, the thirds ray
+    ("esmr", "0.0001", 4, "6e-09"),                    # the fifths ray
+    ("emmr", "0.0009055298304384401", 6, "9.38e-08"),  # the simplex's ray
+])
+def test_short_ray_gain_exits_1_with_one_stderr_line(mode, alpha, dim, gain, capsys):
+    """An infeasible report whose ray gains less than CERT_TOL still goes to
+    stdout, and the one stderr line names the shortfall in gain terms."""
     code, out, err = run_cli(
-        capsys, "exclude", "--alpha", "0.7071067711865474", "--dim", "4", "--mode", "esmr"
+        capsys, "exclude", "--alpha", alpha, "--dim", str(dim), "--mode", mode
     )
     assert code == 1
-    assert json.loads(out)["status"] == "feasible"
-    assert one_failure_line(err)
-    assert "esmr program is feasible, not infeasible" in err
+    assert json.loads(out)["status"] == "infeasible"
+    assert err == f"certification failure: {mode} ray gains {gain} < CERT_TOL 1e-07\n"
 
 
 def run_uncertified(capsys, monkeypatch, *argv) -> tuple:

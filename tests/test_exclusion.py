@@ -278,22 +278,31 @@ RECORDED_ESMR_ALPHAS = sorted({
 # phi's two Born probabilities of about 8 eps^2 cross STRICT_POS_EPS here
 EPS_SWITCH = math.sqrt(STRICT_POS_EPS / 8)
 ESMR_ORACLE_ALPHAS = RECORDED_ESMR_ALPHAS + [
-    1e-4, 4.04e-4, 4.12e-4, 1e-3, 1e-2, 0.3, 0.5553106689789393,
+    1e-5, 1e-4, 2e-4, 4.04e-4, 4.12e-4, 1e-3, 1e-2, 0.3, 0.5553106689789393,
     *[ALPHA_MAX - eps for eps in (
         1e-2, 1e-4, EPS_SWITCH * 1.01, EPS_SWITCH * 0.99, 1e-6,
-        7.14e-8, 7.0e-8, 1e-8, 1e-12,
+        7.14e-8, 7.0e-8, 3e-8, 1e-8, 1e-12, 1e-13,
     )],
 ]
+# the README's ESMR edges: below either the ray gains less than CERT_TOL
+ESMR_EDGES = (4.0825e-4, 7.0711e-8)
+
+
+def esmr_ray(context):
+    allowed = context._eigen_union()
+    return context._esmr_ray(context.atoms[allowed], context._transport_masks()[:, allowed])
 
 
 @pytest.mark.parametrize("dim", [4, 6, 8, 10, 16])
 def test_esmr_closed_form_matches_simplex_oracle(dim):
     """Where the closed-form ray certifies, it is the simplex's ray bit for
-    bit, with the same status and residual; where it declines, the report
-    is the simplex's, and the simplex does not certify either. The grid has
+    bit, with the same status and residual. Where it declines, the simplex
+    does not certify either, and the report is still infeasible, carries
+    the ray, and charges its short gain as 2 CERT_TOL - gain. The grid has
     the recorded CLI alphas, both sides of the thirds/fifths switch, and
-    both edges where the ray's gain falls under CERT_TOL."""
-    paths, transport = set(), {}
+    points on both sides of, and inside, both bands where the ray
+    declines."""
+    transport, declined = {}, set()
     assert len(RECORDED_ESMR_ALPHAS) == 16
     for alpha in ESMR_ORACLE_ALPHAS:
         context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
@@ -301,36 +310,41 @@ def test_esmr_closed_form_matches_simplex_oracle(dim):
         program, outcome, residual = simplex_esmr(context)
         for attr in ("a_eq", "b_eq", "a_ub", "b_ub"):
             assert getattr(report.program, attr).tobytes() == getattr(program, attr).tobytes()
-        assert report.status == outcome.status, alpha
-        assert report.certificate_residual == residual, alpha
-        certified = outcome.status == "infeasible" and residual <= CERT_TOL
-        assert (report.certificate_path == "closed_form") == certified, alpha
-        if certified:
+        assert report.status == "infeasible", alpha
+        if report.certificate_residual <= CERT_TOL:
+            assert outcome.status == "infeasible", alpha
+            assert report.certificate_residual == residual, alpha
             assert report.outcome.farkas_eq.tobytes() == outcome.farkas_eq.tobytes(), alpha
             assert report.outcome.farkas_ub.tobytes() == outcome.farkas_ub.tobytes(), alpha
             transport[alpha] = float(outcome.farkas_ub[0])
         else:
-            assert outcome_bits(report.outcome) == outcome_bits(outcome), alpha
-        paths.add(report.certificate_path)
-    assert paths == {"closed_form", "simplex"}
+            declined.add(alpha)
+            assert not (outcome.status == "infeasible" and residual <= CERT_TOL), alpha
+            assert outcome_bits(report.outcome) == outcome_bits(esmr_ray(context)), alpha
+            ray = report.outcome
+            gain = float(program.b_eq @ ray.farkas_eq + program.b_ub @ ray.farkas_ub)
+            assert gain < CERT_TOL, alpha
+            assert report.certificate_residual == 2.0 * CERT_TOL - gain, alpha
+    low, high = ESMR_EDGES
+    assert declined == {a for a in ESMR_ORACLE_ALPHAS if a < low or ALPHA_MAX - a < high}
     # the fifths ray above the switch, the thirds ray below it
     assert transport[ALPHA_MAX - EPS_SWITCH * 1.01] == -0.6
     assert transport[ALPHA_MAX - EPS_SWITCH * 0.99] == -1.0
     assert set(transport.values()) == {-1.0, -0.6}
 
 
-def test_esmr_certifies_without_the_simplex(monkeypatch):
+@pytest.mark.parametrize("dim", [4, 6, 10, 16])
+def test_esmr_certifies_without_the_simplex(dim, monkeypatch):
     def no_simplex(program):
         raise AssertionError("ESMR called the simplex")
 
     monkeypatch.setattr(exclusion, "solve_lp", no_simplex)
-    for dim in range(4, 17):
-        report = WitnessExclusion(build_witness(WitnessParams(0.5, dim))).esmr()
-        assert report.certificate_path == "closed_form"
-        assert report.status == "infeasible"
-        assert report.certificate_residual <= CERT_TOL
-        assert report.outcome.pivots == 0
-        assert "certificate_path" not in report.to_json_dict()
+    low, high = ESMR_EDGES
+    for alpha in ESMR_ORACLE_ALPHAS:
+        report = WitnessExclusion(build_witness(WitnessParams(alpha, dim))).esmr()
+        assert report.status == "infeasible", alpha
+        assert report.outcome.pivots == 0, alpha
+        assert (report.certificate_residual <= CERT_TOL) == (low <= alpha <= ALPHA_MAX - high)
 
 
 def test_d10_emmr_incremental_pricing_matches_full_pricing():
