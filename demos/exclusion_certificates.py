@@ -12,6 +12,7 @@ inequality chain.
 from fractions import Fraction
 
 from macroreal import WitnessExclusion, WitnessParams, build_witness
+from macroreal.lp import farkas_gain
 
 ALPHA = 0.5
 
@@ -43,7 +44,7 @@ multipliers = list(esmr.outcome.farkas_eq) + list(esmr.outcome.farkas_ub)
 for row, y in zip(rows + ["transport"], multipliers):
     if y != 0.0:
         print(f"    {str(Fraction(y).limit_denominator(1000)):>5}  [{row}]")
-gain = esmr.program.b_eq @ esmr.outcome.farkas_eq
+gain = farkas_gain(esmr.program, esmr.outcome)
 print(f"  gain b.y = {gain:.6f} = (3/5) alpha^2 (1 - 2 alpha^2) "
       f"= {0.6 * ALPHA**2 * (1 - 2 * ALPHA**2):.6f}\n")
 

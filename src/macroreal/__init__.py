@@ -16,7 +16,6 @@ from .quantum import (
     basis_measurement,
     born,
     computational_measurement,
-    conjugate_measurement,
     gram,
 )
 from .witness import (

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .exclusion import WitnessExclusion
 from .lgi import LGIModelBinding, model_correlators, quantum_correlators, rotation_protocol
-from .lp import CERT_TOL, PivotBudgetError
+from .lp import CERT_TOL, PivotBudgetError, farkas_gain
 from .ontomodel import classify, default_bindings, validate
 from .serialize import (
     dumps_json,
@@ -89,14 +89,10 @@ def _witness_json(alpha: float, dim: int) -> dict:
     bundle = build_witness(WitnessParams(alpha, dim))
     report = check_antidistinguishable(bundle.psi, bundle.phi, bundle.zero)
     gap = contradiction_gap(alpha)
-    co = bundle.coefficients
     return {
         "alpha": alpha,
         "dim": dim,
-        "coefficients": {
-            "alpha": co.alpha, "beta": co.beta, "tau": co.tau,
-            "delta": co.delta, "eta": co.eta, "kappa": co.kappa,
-        },
+        "coefficients": bundle.coefficients._asdict(),
         "antidistinguishability": {
             "a": report.a, "b": report.b, "c": report.c,
             "inequality1_ok": report.inequality1_ok,
@@ -173,9 +169,8 @@ def _cmd_exclude(args) -> int:
         )
     if not residual <= CERT_TOL:
         if report.status == "infeasible":
-            y, z = report.outcome.farkas_eq, report.outcome.farkas_ub
-            gain = float(report.program.b_eq @ y + report.program.b_ub @ z)
-            if residual == 2.0 * CERT_TOL - gain:   # verify_certificate's charge on a short gain
+            gain = farkas_gain(report.program, report.outcome)
+            if gain < CERT_TOL:
                 return _fail(f"{args.mode} ray gains {gain:.3g} < CERT_TOL {CERT_TOL:g}")
         return _fail(
             f"{args.mode} certificate residual {residual:.3g} exceeds CERT_TOL {CERT_TOL:g}"

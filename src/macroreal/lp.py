@@ -340,6 +340,15 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     )
 
 
+def farkas_gain(program: LinearProgram, outcome: LPOutcome) -> float:
+    """b_eq . y + b_ub . z of the Farkas ray (y, z) an infeasible outcome
+    carries; ``verify_certificate`` wants it at least ``CERT_TOL``."""
+    y, z = outcome.farkas_eq, outcome.farkas_ub
+    if y is None or z is None:
+        raise ValueError("infeasible outcome lacks a Farkas certificate")
+    return float(program.b_eq @ y + program.b_ub @ z)
+
+
 def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     """Maximum violation of the certificate carried by ``outcome``.
 
@@ -351,12 +360,9 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     if outcome.status == STATUS_UNBOUNDED:
         raise ValueError("unbounded outcomes carry no certificate to verify")
     if outcome.status == STATUS_INFEASIBLE:
-        y = outcome.farkas_eq
-        z = outcome.farkas_ub
-        if y is None or z is None:
-            raise ValueError("infeasible outcome lacks a Farkas certificate")
+        gain = farkas_gain(program, outcome)
+        y, z = outcome.farkas_eq, outcome.farkas_ub
         combo = program.a_eq.T @ y + program.a_ub.T @ z
-        gain = float(program.b_eq @ y + program.b_ub @ z)
         viol = max(
             float(combo.max(initial=0.0)),
             float(z.max(initial=0.0)),

@@ -14,6 +14,8 @@ the new model.
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -332,12 +334,8 @@ class Bindings:
 
     def iter_pairs(self):
         if self.pairs is not None:
-            for prep, meas in self.pairs:
-                yield prep, meas
-        else:
-            for prep in self.preparations:
-                for meas in self.measurements:
-                    yield prep, meas
+            return iter(self.pairs)
+        return itertools.product(self.preparations, self.measurements)
 
 
 def default_bindings(model: FiniteOntModel, fragment: QuantumFragment) -> Bindings:
@@ -359,7 +357,7 @@ class ValidationReport:
     passed: bool
     max_deviation: float
     tol: float
-    worst_pair: tuple | None
+    worst_pair: tuple
     rows: tuple
 
 
@@ -369,9 +367,14 @@ def validate(
     bindings: Bindings,
     tol: float,
 ) -> ValidationReport:
-    """Compare model predictions with Born probabilities over bound pairs."""
+    """Compare model predictions with Born probabilities over bound pairs.
+
+    ``tol`` must be a finite number >= 0: an infinite one would pass any
+    model, and a NaN or negative one would fail every model.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     rows = []
-    worst = (None, -1.0)
     for prep, meas in bindings.iter_pairs():
         if prep not in bindings.preparations:
             raise ValueError(f"pair references unbound preparation {prep!r}")
@@ -386,18 +389,15 @@ def validate(
                 f"outcome count mismatch for pair ({prep!r}, {meas!r}): "
                 f"{got.shape} vs {expected.shape}"
             )
-        dev = float(np.abs(got - expected).max())
-        rows.append((prep, meas, dev))
-        if dev > worst[1]:
-            worst = ((prep, meas), dev)
+        rows.append((prep, meas, float(np.abs(got - expected).max())))
     if not rows:
         raise ValueError("bindings produce no pairs to validate")
-    max_dev = worst[1]
+    prep, meas, max_dev = max(rows, key=lambda row: row[2])   # the first maximum
     return ValidationReport(
         passed=max_dev <= tol,
         max_deviation=max_dev,
         tol=tol,
-        worst_pair=worst[0],
+        worst_pair=(prep, meas),
         rows=tuple(rows),
     )
 

@@ -96,10 +96,6 @@ class UnitaryMap:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @staticmethod
-    def identity(dim: int) -> "UnitaryMap":
-        return UnitaryMap(np.eye(dim, dtype=complex))
-
 
 @dataclass(frozen=True)
 class ProjMeasurement:
@@ -184,20 +180,10 @@ def apply_unitary(u: UnitaryMap, state: StateVector) -> StateVector:
 
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:
-    """Hermitian matrix of inner products <s_i|s_j>."""
+    """Hermitian matrix of inner products, entry (i, j) being
+    ``states[i].inner(states[j])`` bit for bit."""
     if not states:
         raise ValueError("gram of an empty state list")
-    d = states[0].dim
-    for s in states:
-        if s.dim != d:
-            raise ValueError("states must share a dimension")
-    mat = np.stack([s.amplitudes for s in states])
-    return mat.conj() @ mat.T
-
-
-def conjugate_measurement(u: UnitaryMap, meas: ProjMeasurement) -> ProjMeasurement:
-    """Measurement with projectors U P U^dag (same outcome labels)."""
-    if u.dim != meas.dim:
-        raise ValueError(f"dimension mismatch: unitary {u.dim}, measurement {meas.dim}")
-    projs = np.einsum("ij,kjl,ml->kim", u.matrix, meas.projectors, u.matrix.conj())
-    return ProjMeasurement(meas.outcomes, projs)
+    if len({s.dim for s in states}) != 1:
+        raise ValueError("states must share a dimension")
+    return np.array([[s.inner(t) for t in states] for s in states], dtype=complex)

@@ -28,6 +28,7 @@ from .quantum import (
     basis_measurement,
     born,
     computational_measurement,
+    gram,
 )
 
 ALPHA_MAX = 1.0 / math.sqrt(2.0)
@@ -520,12 +521,8 @@ def check_antidistinguishable(
     assembled inside the 3-dimensional span of the triple from a
     zero-diagonal Gram factor, padded with the orthocomplement projector.
     """
-    if not (psi.dim == phi.dim == zero.dim):
-        raise ValueError("states must share a dimension")
     states = (psi, phi, zero)
-    g = np.array(
-        [[s.inner(t) for t in states] for s in states], dtype=complex
-    )
+    g = gram(states)
     a = float(abs(g[0, 1]) ** 2)
     b = float(abs(g[0, 2]) ** 2)
     c = float(abs(g[1, 2]) ** 2)

@@ -21,6 +21,7 @@ from .quantum import (
     ProjMeasurement,
     StateVector,
     UnitaryMap,
+    apply_unitary,
     basis_measurement,
     born,
 )
@@ -113,7 +114,11 @@ def bloch_vector(state: StateVector) -> np.ndarray:
     if state.dim != 2:
         raise ValueError("bloch_vector expects a qubit state")
     amp = state.amplitudes
-    rho = np.outer(amp, amp.conj())
+    return _pauli_expectations(np.outer(amp, amp.conj()))
+
+
+def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    """(tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho)), real parts."""
     return np.real(np.einsum("kij,ji->k", PAULI, rho))
 
 
@@ -156,8 +161,7 @@ def _measurement_direction(meas: ProjMeasurement) -> np.ndarray:
     """Bloch direction of the first outcome of a dichotomic qubit measurement."""
     if meas.dim != 2 or meas.n_outcomes != 2:
         raise ValueError("expected a two-outcome qubit measurement")
-    p = meas.projectors[0]
-    direction = np.real(np.einsum("kij,ji->k", PAULI, p))
+    direction = _pauli_expectations(meas.projectors[0])
     norm = np.linalg.norm(direction)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("outcome projector is not rank one")
@@ -214,10 +218,11 @@ def orbit_closed_directions(seeds: dict, rotation: np.ndarray) -> dict:
     return {name: tuple(d) for name, d in dirs.items()}
 
 
-def standard_qubit_fragment(theta: float = math.pi / 3) -> QuantumFragment:
+def standard_qubit_fragment() -> QuantumFragment:
     """Small spread-out fragment used by the property suite: macro z-axis,
-    oblique and equatorial states, one rotation by ``theta`` about y, with
-    the catalogue closed under the rotation's orbit."""
+    oblique and equatorial states, one rotation by pi/3 about y, with the
+    catalogue closed under the rotation's orbit."""
+    theta = math.pi / 3
     s3 = math.sin(theta)
     c3 = math.cos(theta)
     # both macro eigenstates are seeded so classification can run
@@ -281,24 +286,21 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         preparations[name] = cap_weights(bloch_vector(state))
         delta_sets[name] = (name,)
 
+    # caps enter after the states, in measurement order: classify's evidence
+    # names the first offending preparation in registration order
     responses = {}
     outcome_labels = {}
-    meas_dirs = {}
+    updates = {}
     for mname, meas in fragment.measurements.items():
         direction = _measurement_direction(meas)
-        meas_dirs[mname] = direction
         first = (nodes @ direction >= 0.0).astype(float)
         responses[mname] = np.vstack([first, 1.0 - first])
         outcome_labels[mname] = meas.outcomes
-
-    updates = {}
-    for mname, meas in fragment.measurements.items():
         table = {}
-        for k, label in enumerate(meas.outcomes):
-            direction = meas_dirs[mname] if k == 0 else -meas_dirs[mname]
+        for label, cap in zip(meas.outcomes, (direction, -direction)):
             pname = f"cap:{mname}:{label}"
             if pname not in preparations:
-                preparations[pname] = cap_weights(direction)
+                preparations[pname] = cap_weights(cap)
             table[label] = pname
         updates[mname] = table
 
@@ -370,8 +372,7 @@ def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
     for uname, u in fragment.unitaries.items():
         targets = []
         for sname in names:
-            image_amp = u.matrix @ fragment.states[sname].amplitudes
-            image = StateVector.normalized(image_amp)
+            image = apply_unitary(u, fragment.states[sname])
             hit = None
             for tname in names:
                 if image.same_ray(fragment.states[tname], tol=1e-10):

@@ -295,6 +295,16 @@ def test_empty_grids_are_usage_errors(argv, capsys):
     assert "must be an integer of at least 1" in err
 
 
+@pytest.mark.parametrize(("tol", "shown"), [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+def test_check_born_tol_must_be_finite_and_nonnegative(tol, shown, capsys):
+    """An infinite tol would certify any model; a NaN or negative one would
+    report every model as a certification failure."""
+    code, out, err = run_cli(capsys, "zoo", "bb", "--check-born", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: tol must be a finite number >= 0, got {shown}\n"
+
+
 ALL_COMMANDS = [
     ["witness"],
     ["exclude", "--mode", "esmr"],

@@ -49,7 +49,7 @@ def test_protocol_requires_dichotomic():
     with pytest.raises(ValueError):
         LGIProtocol(
             measurement=computational_measurement(4),
-            step=UnitaryMap.identity(4),
+            step=UnitaryMap(np.eye(4)),
         )
 
 

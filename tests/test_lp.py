@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from macroreal import LinearProgram, LPOutcome, solve_lp, verify_certificate
-from macroreal.lp import CERT_TOL
+from macroreal.lp import CERT_TOL, farkas_gain
 from helpers import DenseSimplex, outcome_bits, solve_lp_checked, solve_lp_with
 
 
@@ -183,6 +183,16 @@ def test_farkas_ray_without_gain_does_not_verify():
     p = LinearProgram(objective=[0.0], a_eq=[[1.0]], b_eq=[1.0])
     empty = LPOutcome(status="infeasible", farkas_eq=np.zeros(1), farkas_ub=np.zeros(0))
     assert verify_certificate(p, empty) > CERT_TOL
+
+
+def test_short_farkas_gain_is_charged_as_twice_cert_tol_less_the_gain():
+    p = LinearProgram(objective=[0.0], a_eq=[[1.0]], b_eq=[-1.0], a_ub=[[1.0]], b_ub=[2.0])
+    ray = LPOutcome(status="infeasible", farkas_eq=np.array([-5e-8]), farkas_ub=np.array([-1e-8]))
+    gain = farkas_gain(p, ray)
+    assert gain == -1.0 * -5e-8 + 2.0 * -1e-8
+    assert verify_certificate(p, ray) == 2.0 * CERT_TOL - gain
+    with pytest.raises(ValueError, match="lacks a Farkas certificate"):
+        farkas_gain(p, LPOutcome(status="infeasible"))
 
 
 def _tiny_pivot_program() -> LinearProgram:

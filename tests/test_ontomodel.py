@@ -268,6 +268,16 @@ def test_validate_names_offending_pair():
     assert meas == "macro"
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+def test_validate_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    model = tiny_model(eigenstate_preps={"q0": ("point0",)})
+    frag = macro_only_fragment(np.random.default_rng(0), 2)
+    bindings = Bindings({"point0": "e0"}, {"macro": "macro"}, (("point0", "macro"),))
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        validate(model, frag, bindings, tol=tol)
+    assert validate(model, frag, bindings, tol=0.0).passed
+
+
 def test_validate_single_deterministic_pair():
     model = tiny_model(eigenstate_preps={"q0": ("point0",)})
     frag = macro_only_fragment(np.random.default_rng(0), 2)

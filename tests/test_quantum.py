@@ -11,9 +11,9 @@ from macroreal import (
     basis_measurement,
     born,
     computational_measurement,
-    conjugate_measurement,
     gram,
 )
+from macroreal.witness import ALPHA_MAX, WitnessParams, build_witness
 from helpers import random_state, random_unitary
 
 
@@ -80,7 +80,7 @@ def test_born_dimension_mismatch():
 
 def test_apply_identity_and_permutation():
     s = StateVector.normalized([0.6, 0.8j])
-    assert apply_unitary(UnitaryMap.identity(2), s).same_ray(s, tol=1e-12)
+    assert apply_unitary(UnitaryMap(np.eye(2)), s).same_ray(s, tol=1e-12)
     x = UnitaryMap(np.array([[0, 1], [1, 0]], dtype=complex))
     e0 = StateVector(np.array([1, 0], dtype=complex))
     e1 = StateVector(np.array([0, 1], dtype=complex))
@@ -94,6 +94,8 @@ def test_gram_trivial_cases():
     assert np.allclose(gram(states[:1]), [[1.0]], atol=1e-12)
     with pytest.raises(ValueError):
         gram([])
+    with pytest.raises(ValueError, match="share a dimension"):
+        gram([StateVector(e[0][:2]), states[0]])
 
 
 def test_gram_hermitian_unit_diagonal():
@@ -104,6 +106,28 @@ def test_gram_hermitian_unit_diagonal():
     assert np.allclose(np.diag(g).real, 1.0, atol=1e-12)
 
 
+def assert_gram_is_entrywise_inner(states):
+    expected = np.array([[s.inner(t) for t in states] for s in states], dtype=complex)
+    assert gram(states).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 6, 10, 16])
+def test_gram_of_witness_triples_is_inner_bit_for_bit(dim):
+    """The anti-distinguishability check reads its overlaps from ``gram``, so
+    ``gram`` must carry the bits of ``StateVector.inner``; a matrix product
+    differs in the last bit at d = 10 and 16."""
+    for alpha in np.linspace(0.02, 0.98 * ALPHA_MAX, 35):
+        bundle = build_witness(WitnessParams(float(alpha), dim))
+        assert_gram_is_entrywise_inner([bundle.psi, bundle.phi, bundle.zero])
+
+
+def test_gram_of_random_states_is_inner_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        dim = int(rng.integers(2, 17))
+        assert_gram_is_entrywise_inner([random_state(rng, dim) for _ in range(4)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), dim=st.sampled_from([2, 3, 4]))
 def test_born_unitary_invariance(seed, dim):
@@ -112,7 +136,8 @@ def test_born_unitary_invariance(seed, dim):
     u = random_unitary(rng, dim)
     meas = basis_measurement(_random_basis(rng, dim))
     direct = born(state, meas)
-    rotated = born(apply_unitary(u, state), conjugate_measurement(u, meas))
+    conjugated = [u.matrix @ p @ u.matrix.conj().T for p in meas.projectors]   # U P U^dag
+    rotated = born(apply_unitary(u, state), ProjMeasurement(meas.outcomes, conjugated))
     assert np.abs(direct - rotated).max() < 1e-10
     assert direct.min() >= 0.0
     assert abs(direct.sum() - 1.0) < 1e-12

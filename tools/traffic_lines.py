@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Executable lines of the ``macroreal`` package that ordinary traffic never reaches.
+
+Runs, in one process and under ``sys.settrace``:
+
+- every command recorded in ``bench/cli_digests.json``, through
+  ``macroreal.cli.run`` inside a temporary directory, in the order
+  ``tests/test_cli_digests.py`` runs them (the ``witness``/``exclude``
+  commands sorted, then the fixed commands in the benchmark script's order,
+  so ``classify`` reads the files ``zoo ks`` wrote);
+- two cycles each of the benchmark's ``exclusion`` and ``model_audit``
+  workloads at seed 1, with their output checks;
+- the four demos.
+
+Then it prints each executable line of the package that none of them
+reached, as ``module:line: source``, so the outputs of two commits can be
+diffed:
+
+    PYTHONPATH=src python3 tools/traffic_lines.py > traffic.txt
+
+The package is imported from ``PYTHONPATH``. A command that exits non-zero,
+a workload check that reports a problem or a demo that raises stops the run
+with exit code 1, since its traffic would not be the ordinary one.
+"""
+
+import os
+
+# One BLAS thread, as the benchmark and the digest guard run. Set before
+# numpy is imported anywhere.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import importlib.util
+import json
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CYCLES = 2
+SEED = 1
+
+
+def executable_lines(path: Path) -> set:
+    """Line numbers that carry bytecode in the module's code objects. A
+    nested code object's first line (its ``def``, or the line of a lambda or
+    comprehension) is left to the enclosing code, which executes that line
+    whenever it defines or builds the nested one."""
+    lines = set()
+    todo = [(compile(path.read_text(), str(path), "exec"), True)]
+    while todo:
+        code, top = todo.pop()
+        first = None if top else code.co_firstlineno
+        lines.update(line for _, _, line in code.co_lines() if line and line != first)
+        todo.extend((const, False) for const in code.co_consts if hasattr(const, "co_lines"))
+    return lines
+
+
+def tracer(package: str, reached: set):
+    """A global trace function that line-traces frames of files in
+    ``package`` and records each (file, line) they execute."""
+    inside: dict = {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            reached.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        filename = frame.f_code.co_filename
+        hit = inside.get(filename)
+        if hit is None:
+            hit = inside[filename] = os.path.realpath(filename).startswith(package + os.sep)
+        return local if hit else None
+
+    return trace
+
+
+@contextlib.contextmanager
+def quiet_in(workdir: str):
+    """Run with ``workdir`` as the working directory and stdout and stderr
+    discarded."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with open(os.devnull, "w") as sink:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                yield
+    finally:
+        os.chdir(cwd)
+
+
+def run_traffic(workdir: str) -> None:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from macroreal.cli import run
+
+    digests = json.loads((ROOT / "bench" / "cli_digests.json").read_text())
+    recorded = sorted(c for c in digests if c.split()[0] in ("witness", "exclude"))
+    fixed = [" ".join(argv) for argv in workloads.FIXED_COMMANDS]
+    if sorted(recorded + fixed) != sorted(digests):
+        sys.exit("traffic: bench/cli_digests.json holds commands outside the script")
+    for command in recorded + fixed:
+        with quiet_in(workdir):
+            code = run(command.split())
+        if code != 0:
+            sys.exit(f"traffic: `macroreal {command}` exited {code}")
+
+    for workload in (workloads.Exclusion, workloads.ModelAudit):
+        bench = workload(SEED, False)
+        for k in range(CYCLES):
+            for inp in bench.cycle(k):
+                problems = bench.check(inp, bench.run(inp))
+                if problems:
+                    sys.exit(f"traffic: {workload.name}: {problems[0]}")
+
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        with quiet_in(workdir):
+            runpy.run_path(str(demo), run_name="__main__")
+
+
+def main() -> None:
+    package = os.path.realpath(importlib.util.find_spec("macroreal").submodule_search_locations[0])
+    reached: set = set()
+    sys.settrace(tracer(package, reached))
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            run_traffic(workdir)
+    finally:
+        sys.settrace(None)
+    reached = {(os.path.realpath(f), line) for f, line in reached}
+    for path in sorted(Path(package).glob("*.py")):
+        source = path.read_text().splitlines()
+        for line in sorted(executable_lines(path)):
+            if (str(path), line) not in reached:
+                print(f"{path.stem}:{line}: {source[line - 1].strip()}")
+
+
+if __name__ == "__main__":
+    main()
