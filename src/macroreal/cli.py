@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zoo", help="build reference models")
     p.add_argument("model", choices=["ks", "bb", "det", "emmr-toy"])
     p.add_argument("--nodes", type=int, default=20000)
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_count, default=50)
     p.add_argument("--check-born", action="store_true")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--model-out", default=None)

@@ -3,12 +3,16 @@
 Convention (declared in all outputs): two-valued measurements at times
 t1 < t2 < t3 with one application of the step evolution between consecutive
 times; each correlator C_ij comes from a run measuring at its two times
-only, and K = C12 + C23 - C13 with classical bound 1.
+only, and K = C12 + C23 - C13 with classical bound 1. Every run starts from
+the uniform mixture over the macro measurement's eigenstates: the
+projectors' eigenvectors for quantum dynamics, the first declared eigenstate
+preparation of each macro value for a finite model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -83,51 +87,39 @@ def _pair_correlator_quantum(
     return total
 
 
-def quantum_correlators(
-    protocol: LGIProtocol, initial: StateVector | None = None
-) -> LGICorrelators:
-    """Sequential projective evaluation of C12, C23, C13 and K.
-
-    ``initial=None`` starts from the uniform mixture over the measurement's
-    eigenstates, which makes the non-invasiveness comparison with mixture
-    models meaningful.
-    """
-    if initial is None:
-        branches = _eigen_branches(protocol)
-    else:
-        if initial.dim != protocol.measurement.dim:
-            raise ValueError("initial state dimension mismatch")
-        branches = [(1.0, initial)]
-    c12 = _pair_correlator_quantum(protocol, branches, 0, 1)
-    c23 = _pair_correlator_quantum(protocol, branches, 1, 1)
-    c13 = _pair_correlator_quantum(protocol, branches, 0, 2)
+def _correlators(pair) -> LGICorrelators:
+    """C12, C23, C13 and K from ``pair(steps_before, steps_between)``, the
+    correlator of a run measuring after ``steps_before`` steps and again
+    ``steps_between`` steps later."""
+    c12 = pair(0, 1)
+    c23 = pair(1, 1)
+    c13 = pair(0, 2)
     return LGICorrelators(c12, c23, c13, c12 + c23 - c13)
+
+
+def quantum_correlators(protocol: LGIProtocol) -> LGICorrelators:
+    """Sequential projective evaluation of C12, C23, C13 and K."""
+    return _correlators(partial(_pair_correlator_quantum, protocol, _eigen_branches(protocol)))
 
 
 @dataclass(frozen=True)
 class LGIModelBinding:
-    """Names inside a model realizing the protocol pieces.
-
-    ``initial`` defaults to the uniform mixture over the first declared
-    eigenstate preparation of each macro value.
-    """
+    """Names inside a model realizing the protocol pieces."""
 
     measurement: str
     step_map: str
-    initial: tuple | None = None
 
 
-def _initial_weights(model: FiniteOntModel, binding: LGIModelBinding) -> np.ndarray:
-    if binding.initial is not None:
-        names = binding.initial
-    else:
-        labels = model.outcome_labels[model.macro_measurement]
-        try:
-            names = tuple(model.eigenstate_preps[q][0] for q in labels)
-        except KeyError as exc:
-            raise ValueError(
-                "no declared eigenstate preparation to build the initial mixture"
-            ) from exc
+def _initial_weights(model: FiniteOntModel) -> np.ndarray:
+    """Uniform mixture over the first declared eigenstate preparation of
+    each macro value."""
+    labels = model.outcome_labels[model.macro_measurement]
+    try:
+        names = tuple(model.eigenstate_preps[q][0] for q in labels)
+    except KeyError as exc:
+        raise ValueError(
+            "no declared eigenstate preparation to build the initial mixture"
+        ) from exc
     vecs = [model.preparation(n) for n in names]
     return np.mean(vecs, axis=0)
 
@@ -177,8 +169,4 @@ def _pair_correlator_model(
 def model_correlators(model: FiniteOntModel, binding: LGIModelBinding) -> LGICorrelators:
     """Exhaustive outcome-tree evaluation of the three correlators on a
     finite model with measurement update rules."""
-    mu0 = _initial_weights(model, binding)
-    c12 = _pair_correlator_model(model, binding, mu0, 0, 1)
-    c23 = _pair_correlator_model(model, binding, mu0, 1, 1)
-    c13 = _pair_correlator_model(model, binding, mu0, 0, 2)
-    return LGICorrelators(c12, c23, c13, c12 + c23 - c13)
+    return _correlators(partial(_pair_correlator_model, model, binding, _initial_weights(model)))

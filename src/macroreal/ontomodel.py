@@ -76,7 +76,7 @@ def _stochastic(values, shape: tuple, what: str) -> np.ndarray:
     if arr.min(initial=0.0) < -PROB_TOL:
         raise ValueError(f"{what}: negative entry {float(arr.min())!r}")
     off = float(np.abs(arr.sum(axis=0) - 1.0).max(initial=0.0))
-    if off > PROB_TOL:
+    if not off <= PROB_TOL:
         raise ValueError(f"{what}: columns not stochastic, a sum is off 1 by {off!r}")
     arr.setflags(write=False)
     return arr
@@ -86,12 +86,18 @@ def _check_map(mat, n: int, name: str) -> np.ndarray:
     arr = np.asarray(mat)
     if arr.ndim != 1:
         return _stochastic(arr, (n, n), f"map {name!r}")
-    # deterministic map given as target indices per atom
-    arr = arr.astype(int)
-    if arr.shape != (n,) or arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
+    # deterministic map given as target indices per atom: whole numbers in
+    # range, so NaN and 0.7 fail and the cast below truncates nothing
+    arr = arr.astype(float)
+    if (
+        arr.shape != (n,)
+        or not (arr.min(initial=0) >= 0 and arr.max(initial=0) < n)
+        or not (arr == np.floor(arr)).all()
+    ):
         raise ValueError(f"map {name!r}: bad deterministic target array")
-    arr.setflags(write=False)
-    return arr
+    targets = arr.astype(int)
+    targets.setflags(write=False)
+    return targets
 
 
 def _registered(names, preparations: dict, what: str) -> tuple:
@@ -312,7 +318,7 @@ def kernel_set(f: np.ndarray, mu: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if np.shape(mu) != f.shape:
         raise ValueError(f"kernel_set: mu has shape {np.shape(mu)}, f has {f.shape}")
-    if f.min(initial=0.0) < -1e-12 or f.max(initial=0.0) > 1.0 + 1e-12:
+    if not (f.min(initial=0.0) >= -1e-12 and f.max(initial=0.0) <= 1.0 + 1e-12):
         raise ValueError("kernel_set expects entries in [0, 1]")
     return np.where(1.0 - f <= KERNEL_EPS)[0]
 

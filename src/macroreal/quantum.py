@@ -51,7 +51,7 @@ class StateVector:
         arr = _as_complex_vector(self.amplitudes).copy()
         _check_dim(arr.shape[0])
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |a_i|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _freeze(arr))
 
@@ -88,7 +88,7 @@ class UnitaryMap:
         mat = _as_complex_matrix(self.matrix).copy()
         _check_dim(mat.shape[0])
         dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
-        if dev > STRUCT_TOL:
+        if not dev <= STRUCT_TOL:
             raise ValueError(f"matrix not unitary: ||U^dag U - I||_F = {dev!r}")
         object.__setattr__(self, "matrix", _freeze(mat))
 
@@ -116,15 +116,15 @@ class ProjMeasurement:
         _check_dim(projs.shape[1])
         d = projs.shape[1]
         for k, p in enumerate(projs):
-            if np.abs(p - p.conj().T).max() > STRUCT_TOL:
+            if not np.abs(p - p.conj().T).max() <= STRUCT_TOL:
                 raise ValueError(f"projector {outcomes[k]} not Hermitian")
-            if np.abs(p @ p - p).max() > STRUCT_TOL:
+            if not np.abs(p @ p - p).max() <= STRUCT_TOL:
                 raise ValueError(f"projector {outcomes[k]} not idempotent")
-        if np.abs(projs.sum(axis=0) - np.eye(d)).max() > STRUCT_TOL:
+        if not np.abs(projs.sum(axis=0) - np.eye(d)).max() <= STRUCT_TOL:
             raise ValueError("projectors do not sum to the identity")
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
-                if np.abs(projs[i] @ projs[j]).max() > STRUCT_TOL:
+                if not np.abs(projs[i] @ projs[j]).max() <= STRUCT_TOL:
                     raise ValueError(
                         f"projectors {outcomes[i]} and {outcomes[j]} not orthogonal"
                     )

@@ -57,11 +57,11 @@ class SphereGrid:
         if weights.shape != (nodes.shape[0],):
             raise ValueError("one weight per node required")
         norms = np.linalg.norm(nodes, axis=1)
-        if np.abs(norms - 1.0).max(initial=0.0) > 1e-12:
+        if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-12:
             raise ValueError("nodes must be unit vectors")
-        if weights.min(initial=1.0) <= 0.0:
+        if not weights.min(initial=1.0) > 0.0:
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 4.0 * math.pi) > GRID_WEIGHT_TOL:
+        if not abs(weights.sum() - 4.0 * math.pi) <= GRID_WEIGHT_TOL:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 4*pi")
         nodes.setflags(write=False)
         weights.setflags(write=False)

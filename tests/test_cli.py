@@ -263,7 +263,14 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
      "fragment: missing key 'dim'"),
     (lambda model, frag: ({**model, "updates": {"macro": "eig_up"}}, frag),
      "model 'updates': 'macro' must be dict, got str"),
-], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object"])
+    (lambda model, frag: (
+        {**model, "preparations": {**model["preparations"], "eig_up": [1.0, math.nan]}}, frag),
+     "preparation 'eig_up': columns not stochastic, a sum is off 1 by nan"),
+    (lambda model, frag: (
+        model, {**frag, "states": {**frag["states"], "up": [[math.nan, 0.0], [0.0, 0.0]]}}),
+     "state not normalized: sum |a_i|^2 = nan"),
+], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object",
+        "nan-preparation", "nan-amplitude"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
@@ -286,9 +293,11 @@ def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--steps", "0"], ["sweep", "--steps", "-1"],
     ["lgi", "--theta-grid", "0"], ["lgi", "--model", "emmr-toy", "--theta-grid", "-2"],
+    ["zoo", "ks", "--pairs", "0"], ["zoo", "ks", "--pairs", "-3"],
 ])
 def test_empty_grids_are_usage_errors(argv, capsys):
-    """An empty grid would print only the CSV header and exit 0."""
+    """An empty grid would print only the CSV header, or check no pairs, and
+    exit 0."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import math
 
@@ -83,48 +85,48 @@ def test_quantum_matches_sequence_enumeration(theta):
     assert cors.c13 == pytest.approx(math.cos(2 * theta), abs=1e-12)
 
 
-def test_quantum_pure_initial_state():
-    from macroreal import StateVector
-
-    protocol = rotation_protocol(math.pi / 2)
-    up = StateVector(np.array([1.0, 0.0], dtype=complex))
-    cors = quantum_correlators(protocol, up)
-    assert cors.c12 == pytest.approx(0.0, abs=1e-12)
-
-
 def test_correlator_magnitude_bound():
     for theta in np.linspace(0, math.pi, 16):
         cors = quantum_correlators(rotation_protocol(theta))
         assert max(abs(cors.c12), abs(cors.c23), abs(cors.c13)) <= 1 + 1e-12
 
 
-def test_single_atom_model_is_frozen():
-    model = FiniteOntModel(
-        atoms=1,
-        preparations={"only": np.array([1.0])},
-        responses={"macro": np.array([[1.0], [0.0]])},
+def two_atom_model(**overrides):
+    """Atom 0 carries macro value +, atom 1 value -; the step map is the
+    identity and each value has a declared eigenstate preparation."""
+    base = dict(
+        atoms=2,
+        preparations={"up": np.array([1.0, 0.0]), "down": np.array([0.0, 1.0])},
+        responses={"macro": np.eye(2)},
         outcome_labels={"macro": ("+", "-")},
         macro_measurement="macro",
-        eigenstate_preps={"+": ("only",)},
-        maps={"step": np.eye(1)},
-        updates={"macro": {"+": "only", "-": "only"}},
+        eigenstate_preps={"+": ("up",), "-": ("down",)},
+        maps={"step": np.eye(2)},
+        updates={"macro": {"+": "up", "-": "down"}},
     )
-    cors = model_correlators(model, LGIModelBinding("macro", "step", initial=("only",)))
-    assert cors.k == pytest.approx(1.0, abs=1e-12)
+    base.update(overrides)
+    return FiniteOntModel(**base)
+
+
+def test_two_atom_model_is_frozen():
+    cors = model_correlators(two_atom_model(), LGIModelBinding("macro", "step"))
+    assert cors == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_missing_update_rule_is_an_error():
-    model = FiniteOntModel(
-        atoms=1,
-        preparations={"only": np.array([1.0])},
-        responses={"macro": np.array([[1.0], [0.0]])},
-        outcome_labels={"macro": ("+", "-")},
-        macro_measurement="macro",
-        eigenstate_preps={"+": ("only",)},
-        maps={"step": np.eye(1)},
-    )
     with pytest.raises(ValueError, match="update"):
-        model_correlators(model, LGIModelBinding("macro", "step", initial=("only",)))
+        model_correlators(two_atom_model(updates={}), LGIModelBinding("macro", "step"))
+
+
+def test_missing_eigenstate_preparation_is_an_error():
+    model = two_atom_model(eigenstate_preps={"+": ("up",)})
+    with pytest.raises(ValueError, match="no declared eigenstate preparation"):
+        model_correlators(model, LGIModelBinding("macro", "step"))
+
+
+def test_binding_names_a_measurement_and_a_step_map_only():
+    assert [f.name for f in dataclasses.fields(LGIModelBinding)] == ["measurement", "step_map"]
+    assert list(inspect.signature(quantum_correlators).parameters) == ["protocol"]
 
 
 def test_unknown_step_map_is_an_error():

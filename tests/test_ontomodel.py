@@ -83,6 +83,24 @@ def test_rejects_bad_map():
         tiny_model(maps={"bad": np.array([[0.5, 0, 0], [0.5, 1, 0], [0.1, 0, 1.0]])})
 
 
+@pytest.mark.parametrize(("overrides", "words"), [
+    ({"preparations": {"bad": np.array([np.nan, 0.5, 0.5])}}, "preparation 'bad'"),
+    ({"responses": {"macro": np.array([[1.0, np.nan, 0.0], [0.0, 0.0, 1.0]])}},
+     "response 'macro'"),
+    ({"maps": {"bad": np.where(np.eye(3) == 1, np.nan, 0.0)}}, "map 'bad'"),
+    ({"maps": {"bad": np.array([1.0, np.nan, 0.0])}}, "map 'bad'"),
+], ids=["preparation", "response", "dense-map", "deterministic-map"])
+def test_rejects_nan_entries(overrides, words):
+    with pytest.raises(ValueError, match=words):
+        tiny_model(**overrides)
+
+
+def test_rejects_deterministic_targets_that_are_not_whole_numbers():
+    with pytest.raises(ValueError, match="bad deterministic target array"):
+        tiny_model(maps={"bad": np.array([0.7, 1.2, 2.0])})
+    assert tiny_model(maps={"ok": np.array([1.0, 2.0, 0.0])}).maps["ok"].tolist() == [1, 2, 0]
+
+
 # -- predict / push_forward ------------------------------------------------------
 
 def test_predict_point_mass_reads_response_column():
@@ -305,6 +323,11 @@ def test_kernel_set_point_mass():
     k = kernel_set(f, mu)
     assert list(k) == [1]
     assert mu[k].sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_kernel_set_rejects_nan_entries():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        kernel_set(np.array([np.nan, 1.0]), np.array([0.5, 0.5]))
 
 
 def test_kernel_set_rejects_mismatched_measure():

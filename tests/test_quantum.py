@@ -46,6 +46,17 @@ def test_measurement_structure_checks():
         ProjMeasurement(("0",), np.stack([np.eye(2, dtype=complex) * 0.5]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StateVector(np.array([np.nan, 0.0])),
+    lambda: UnitaryMap(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    lambda: ProjMeasurement(("0", "1"), np.stack([np.diag([1.0, 0.0]), np.diag([np.nan, 1.0])])),
+], ids=["state", "unitary", "measurement"])
+def test_nan_entries_are_rejected(build):
+    """Every structural check is a tolerance comparison that NaN must fail."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_born_eigenstate_case():
     meas = computational_measurement(4)
     e0 = StateVector(np.eye(4, dtype=complex)[0])

@@ -32,6 +32,15 @@ def test_grid_invariants():
         SphereGrid(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.full(2, 2 * math.pi))
 
 
+@pytest.mark.parametrize(("nodes", "weights"), [
+    ([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [2 * math.pi, 2 * math.pi]),
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [4 * math.pi, np.nan]),
+], ids=["node", "weight"])
+def test_grid_rejects_nan_entries(nodes, weights):
+    with pytest.raises(ValueError):
+        SphereGrid(np.array(nodes), np.array(weights))
+
+
 def test_grids_compare_and_hash_by_identity():
     a, b = fibonacci_sphere_grid(10), fibonacci_sphere_grid(10)
     assert (a == a) is True and (a == b) is False
