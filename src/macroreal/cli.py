@@ -33,6 +33,7 @@ from .serialize import (
     load_json,
     model_from_json,
     model_to_json,
+    write_json,
 )
 from .witness import (
     CertificationError,
@@ -79,6 +80,17 @@ def _emit(text: str, target: str | None) -> None:
         Path(target).write_text(text)
 
 
+def _emit_json(obj, target: str | None) -> None:
+    """``obj`` as JSON: streamed by ``write_json`` to a file target, through
+    ``dumps_json`` to ``sys.stdout`` as it is at call time, so a redirect
+    of stdout captures it."""
+    if target is None or target == "-":
+        sys.stdout.write(dumps_json(obj))
+    else:
+        with open(target, "w") as fh:
+            write_json(obj, fh)
+
+
 def _fail(reason: str) -> int:
     """Exit 1 with the one stderr line that names the failed certificate."""
     print(f"certification failure: {reason}", file=sys.stderr)
@@ -111,7 +123,7 @@ def _witness_json(alpha: float, dim: int) -> dict:
 
 def _cmd_witness(args) -> int:
     payload = _witness_json(args.alpha, args.dim)
-    _emit(dumps_json(payload), args.json)
+    _emit_json(payload, args.json)
     report = payload["antidistinguishability"]
     if not report["certified"]:
         return _fail(
@@ -160,7 +172,7 @@ def _cmd_exclude(args) -> int:
     context = WitnessExclusion(build_witness(WitnessParams(args.alpha, args.dim)))
     method, expected = EXCLUDE_MODES[args.mode]
     report = getattr(context, method)()
-    _emit(dumps_json(report.to_json_dict()), args.json)
+    _emit_json(report.to_json_dict(), args.json)
     residual = report.certificate_residual
     if report.status != expected:
         return _fail(
@@ -215,10 +227,10 @@ def _cmd_zoo(args) -> int:
             "worst_pair": list(report.worst_pair),
         }
     if args.model_out:
-        _emit(dumps_json(model_to_json(model)), args.model_out)
+        _emit_json(model_to_json(model), args.model_out)
     if args.fragment_out:
-        _emit(dumps_json(fragment_to_json(fragment)), args.fragment_out)
-    _emit(dumps_json(result), args.json)
+        _emit_json(fragment_to_json(fragment), args.fragment_out)
+    _emit_json(result, args.json)
     if args.check_born and not result["validation"]["passed"]:
         return _fail(
             f"model misses the Born statistics by {report.max_deviation:.3g} "
@@ -232,7 +244,7 @@ def _cmd_classify(args) -> int:
     fragment = fragment_from_json(load_json(args.fragment))
     verdict = classify(model, fragment)
     payload = {"classification": verdict.kind, "evidence": verdict.evidence}
-    _emit(dumps_json(payload), args.json)
+    _emit_json(payload, args.json)
     return 0
 
 

@@ -69,8 +69,14 @@ class QuantumFragment:
 def _stochastic(values, shape: tuple, what: str) -> np.ndarray:
     """Read-only float copy of ``values`` with nonnegative entries whose
     columns (axis 0) sum to 1 within ``PROB_TOL``. ``shape`` is checked as a
-    numpy shape, where -1 takes the array's own extent."""
-    arr = np.array(values, dtype=float)
+    numpy shape, where -1 takes the array's own extent. A read-only float64
+    array that owns its data is kept, not copied: models share such arrays
+    as they share their own."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
     if arr.ndim != len(shape) or any(want not in (-1, got) for want, got in zip(shape, arr.shape)):
         raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
     if arr.min(initial=0.0) < -PROB_TOL:

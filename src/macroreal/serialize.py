@@ -6,17 +6,25 @@ Stochastic maps serialize as dense matrices, with deterministic maps
 compacted to {"deterministic": [target, ...]} (a dense matrix for a large
 grid would be enormous).
 
-``dumps_json`` writes exactly the bytes of ``json.dumps(obj,
-sort_keys=True, indent=1) + "\n"``, so identical objects produce
-byte-identical files. The standard library encodes an indented dump in
-pure Python, one value at a time; this writer formats each list of finite
-floats in one pass. The readers turn a missing key or a value of the wrong
-JSON type into a ``ValueError`` that names it.
+``model_to_json`` hands over the model's own numpy arrays. One writer walk
+serves two entry points: ``write_json`` streams to a text file and
+``dumps_json`` returns a string. Both write exactly the bytes of
+``json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist) +
+"\n"``, so identical objects produce byte-identical files. The standard
+library encodes an indented dump in pure Python, one value at a time; this
+writer formats each 1-D array (or list) of finite floats in one pass,
+straight from the array, and writes a 2-D array row by row, so a file
+target never holds more than one row's text.
+
+The readers turn a missing key, a value of the wrong JSON type, or a number
+list holding strings, booleans or nulls into a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +41,41 @@ def _complex_out(arr: np.ndarray) -> list:
 def _complex_in(data) -> np.ndarray:
     """Inverse of ``_complex_out``, bit for bit: the float64 pairs are
     viewed as complex128 (``re + 1j * im`` would lose signed zeros)."""
-    pairs = np.ascontiguousarray(data, dtype=np.float64)
+    pairs = np.ascontiguousarray(_numbers(data, "[re, im] pairs"), dtype=np.float64)
     if pairs.shape[-1] != 2:
         raise ValueError(f"complex data must end in [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(np.complex128)[..., 0]
+
+
+# numpy dtype kind of a JSON list that holds something other than numbers
+_NON_NUMBERS = {"b": "booleans", "U": "strings", "O": "other JSON values"}
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a numpy array of numbers. JSON strings, booleans and
+    nulls are told apart by the array's dtype, never by a loop over the
+    entries. A list is converted once, read-only, so ``FiniteOntModel``
+    keeps that array instead of copying it."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular array of numbers") from None
+    if arr.dtype.kind not in "iuf":
+        got = _NON_NUMBERS.get(arr.dtype.kind, arr.dtype.name)
+        raise ValueError(f"{what} must hold only numbers, got {got}")
+    if arr is not value:
+        arr.setflags(write=False)
+    return arr
+
+
+@contextmanager
+def _naming(what: str):
+    """Prefix a ``ValueError`` raised inside with ``what``, the entry being
+    read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def fragment_to_json(fragment: QuantumFragment) -> dict:
@@ -52,9 +91,10 @@ def fragment_to_json(fragment: QuantumFragment) -> dict:
     }
 
 
-def _field(data, key: str, kind: type, what: str, default=None):
-    """``data[key]``, checked to be a ``kind``; ``default`` (when given)
-    stands in for a missing key."""
+def _field(data, key: str, kind, what: str, default=None):
+    """``data[key]``, checked to be a ``kind`` (a type or a tuple of types;
+    a JSON boolean is no int); ``default`` (when given) stands in for a
+    missing key."""
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected a JSON object, got {type(data).__name__}")
     if key not in data:
@@ -62,43 +102,46 @@ def _field(data, key: str, kind: type, what: str, default=None):
             raise ValueError(f"{what}: missing key {key!r}")
         return default
     value = data[key]
-    if not isinstance(value, kind):
-        raise ValueError(
-            f"{what}: {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what}: {key!r} must be {names}, got {type(value).__name__}")
     return value
 
 
 def fragment_from_json(data: dict) -> QuantumFragment:
+    """An entry that its constructor rejects is named in the error."""
     dim = _field(data, "dim", int, "fragment")
-    states = _field(data, "states", dict, "fragment")
-    unitaries = _field(data, "unitaries", dict, "fragment")
-    measurements = {}
+    states, unitaries, measurements = {}, {}, {}
+    for name, amplitudes in _field(data, "states", dict, "fragment").items():
+        with _naming(f"state {name!r}"):
+            states[name] = StateVector(_complex_in(amplitudes))
+    for name, matrix in _field(data, "unitaries", dict, "fragment").items():
+        with _naming(f"unitary {name!r}"):
+            unitaries[name] = UnitaryMap(_complex_in(matrix))
     for name, spec in _field(data, "measurements", dict, "fragment").items():
         what = f"measurement {name!r}"
-        measurements[name] = ProjMeasurement(
-            tuple(_field(spec, "outcomes", list, what)),
-            _complex_in(_field(spec, "projectors", list, what)),
-        )
+        outcomes = tuple(_field(spec, "outcomes", list, what))
+        projectors = _field(spec, "projectors", list, what)
+        with _naming(what):
+            measurements[name] = ProjMeasurement(outcomes, _complex_in(projectors))
     return QuantumFragment(
-        dim,
-        {name: StateVector(_complex_in(v)) for name, v in states.items()},
-        {name: UnitaryMap(_complex_in(m)) for name, m in unitaries.items()},
-        measurements,
+        dim, states, unitaries, measurements,
         _field(data, "macro_observable", str, "fragment"),
     )
 
 
 def model_to_json(model: FiniteOntModel) -> dict:
+    """The model's own arrays, not copies; ``write_json`` formats them."""
     return {
         "atoms": model.atoms,
-        "preparations": {name: vec.tolist() for name, vec in model.preparations.items()},
+        "preparations": dict(model.preparations),
         "eigenstate_preps": {q: list(v) for q, v in model.eigenstate_preps.items()},
         "maps": {
-            name: {"deterministic": gamma.tolist()} if gamma.ndim == 1 else gamma.tolist()
+            name: {"deterministic": gamma} if gamma.ndim == 1 else gamma
             for name, gamma in model.maps.items()
         },
-        "responses": {name: resp.tolist() for name, resp in model.responses.items()},
+        "responses": dict(model.responses),
         "updates": {m: dict(t) for m, t in model.updates.items()},
         "outcomes": {m: list(v) for m, v in model.outcome_labels.items()},
         "macro_measurement": model.macro_measurement,
@@ -115,19 +158,29 @@ def _table(data, key: str, kind: type) -> dict:
     return table
 
 
+def _number_table(data, key: str) -> dict:
+    """``data[key]``, a JSON object of number arrays, each checked by
+    ``_numbers``."""
+    table = _field(data, key, dict, "model")
+    return {name: _numbers(value, f"model {key!r}: {name!r}") for name, value in table.items()}
+
+
 def model_from_json(data: dict) -> FiniteOntModel:
-    """The JSON lists go to ``FiniteOntModel`` as they are; it converts and
-    checks every array once."""
+    """Each number list is converted to an array once, here, and checked to
+    hold only numbers; ``FiniteOntModel`` checks the values."""
     atoms = _field(data, "atoms", int, "model")
-    maps = {
-        name: _field(spec, "deterministic", list, f"map {name!r}")
-        if isinstance(spec, dict) else spec
-        for name, spec in _field(data, "maps", dict, "model", {}).items()
-    }
+    maps = {}
+    for name, spec in _field(data, "maps", dict, "model", {}).items():
+        if isinstance(spec, dict):
+            what = f"map {name!r}"
+            maps[name] = _numbers(_field(spec, "deterministic", (list, np.ndarray), what),
+                                  f"{what}: 'deterministic'")
+        else:
+            maps[name] = _numbers(spec, f"model 'maps': {name!r}")
     return FiniteOntModel(
         atoms=atoms,
-        preparations=_field(data, "preparations", dict, "model"),
-        responses=_field(data, "responses", dict, "model"),
+        preparations=_number_table(data, "preparations"),
+        responses=_number_table(data, "responses"),
         outcome_labels=_table(data, "outcomes", list),
         macro_measurement=_field(data, "macro_measurement", str, "model"),
         eigenstate_preps=_table(data, "eigenstate_preps", list),
@@ -138,41 +191,51 @@ def model_from_json(data: dict) -> FiniteOntModel:
 
 
 def dumps_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, byte for byte."""
-    parts = []
-    _write(obj, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    """``json.dumps(obj, sort_keys=True, indent=1,
+    default=np.ndarray.tolist) + "\\n"``, byte for byte."""
+    buf = io.StringIO()
+    write_json(obj, buf)
+    return buf.getvalue()
 
 
-def _write(obj, pad: str, parts: list) -> None:
-    """Append ``obj`` in the ``indent=1`` layout, its closing bracket at
-    ``pad`` (a newline and the enclosing indent)."""
+def write_json(obj, fh) -> None:
+    """Write what ``dumps_json`` returns to the text file ``fh``, piece by
+    piece, so no more than one array row is formatted at a time."""
+    _write(obj, "\n", fh.write)
+    fh.write("\n")
+
+
+def _write(obj, pad: str, out) -> None:
+    """Write ``obj`` through ``out`` in the ``indent=1`` layout, its closing
+    bracket at ``pad`` (a newline and the enclosing indent)."""
+    if isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}:
+        obj = np.array(obj, dtype=np.float64)
+    if isinstance(obj, np.ndarray) and obj.ndim < 2:
+        if _finite_floats(obj):
+            _write_floats(obj, pad, out)
+            return
+        obj = obj.tolist()
     inner = pad + " "
     if isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            out("{}")
             return
-        parts.append("{")
+        out("{")
         for i, (key, value) in enumerate(sorted(obj.items())):
-            parts.append(("," if i else "") + inner + json.dumps(_key(key)) + ": ")
-            _write(value, inner, parts)
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
+            out(("," if i else "") + inner + json.dumps(_key(key)) + ": ")
+            _write(value, inner, out)
+        out(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):   # arrays here are 2-D or more
+        if not len(obj):
+            out("[]")
             return
-        reprs = _float_reprs(obj)
-        if reprs is not None:
-            parts.append("[" + inner + ("," + inner).join(reprs) + pad + "]")
-            return
-        parts.append("[")
+        out("[")
         for i, value in enumerate(obj):
-            parts.append(("," if i else "") + inner)
-            _write(value, inner, parts)
-        parts.append(pad + "]")
+            out(("," if i else "") + inner)
+            _write(value, inner, out)
+        out(pad + "]")
     else:
-        parts.append(json.dumps(obj))
+        out(json.dumps(obj))
 
 
 def _key(key) -> str:
@@ -185,23 +248,25 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _float_reprs(values) -> list | None:
-    """``float.__repr__`` of each value (what ``json`` writes), or None
-    unless every value is exactly a finite ``float``. The bulk of a model,
-    +0.0 and 1.0, is filled in by bit-pattern masks; -0.0 keeps its repr."""
-    if set(map(type, values)) != {float}:
-        return None
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        return None
+def _finite_floats(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is a non-empty 1-D array of finite native float64."""
+    return (arr.ndim == 1 and len(arr) > 0 and arr.dtype == np.float64
+            and bool(np.isfinite(arr).all()))
+
+
+def _write_floats(arr: np.ndarray, pad: str, out) -> None:
+    """Write a ``_finite_floats`` array as ``json`` writes its ``tolist()``:
+    ``float.__repr__`` of each value. The bulk of a model, +0.0 and 1.0, is
+    filled in by bit-pattern masks; -0.0 keeps its repr."""
     zero = arr.view(np.uint64) == 0      # +0.0 only: -0.0 has its sign bit set
     one = arr == 1.0
     rest = ~(zero | one)
-    out = np.empty(len(values), dtype=object)
-    out[zero] = "0.0"
-    out[one] = "1.0"
-    out[rest] = list(map(float.__repr__, arr[rest].tolist()))
-    return out.tolist()
+    reprs = np.empty(len(arr), dtype=object)
+    reprs[zero] = "0.0"
+    reprs[one] = "1.0"
+    reprs[rest] = list(map(float.__repr__, arr[rest].tolist()))
+    inner = pad + " "
+    out("[" + inner + ("," + inner).join(reprs.tolist()) + pad + "]")
 
 
 def load_json(path) -> dict:

@@ -872,5 +872,6 @@ def scipy_slot_angles(p: float, q: float, r: float):
 
 def json_oracle(obj) -> str:
     """What ``serialize.dumps_json`` must write, byte for byte: the standard
-    library's indented, key-sorted dump (its pure-Python encoder)."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    library's indented, key-sorted dump (its pure-Python encoder), with
+    numpy arrays written as their ``tolist()``."""
+    return json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n"

@@ -268,7 +268,7 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
      "preparation 'eig_up': columns not stochastic, a sum is off 1 by nan"),
     (lambda model, frag: (
         model, {**frag, "states": {**frag["states"], "up": [[math.nan, 0.0], [0.0, 0.0]]}}),
-     "state not normalized: sum |a_i|^2 = nan"),
+     "state 'up': state not normalized: sum |a_i|^2 = nan"),
 ], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object",
         "nan-preparation", "nan-amplitude"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from macroreal import (
     classify,
@@ -18,7 +21,7 @@ from macroreal.cli import _witness_json, _zoo_build, build_parser
 from macroreal.exclusion import WitnessExclusion
 from macroreal.ontomodel import QuantumFragment
 from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap
-from macroreal.serialize import dumps_json
+from macroreal.serialize import dumps_json, write_json
 from macroreal.witness import WitnessParams, build_witness
 from helpers import json_oracle, random_fragment, split_state_model
 
@@ -64,8 +67,8 @@ def test_deterministic_map_compact_form():
 
     model, _ = emmr_toy_model(math.pi / 4)
     data = model_to_json(model)
-    # dense map serializes as a matrix
-    assert isinstance(data["maps"]["step"], list)
+    # dense map serializes as the model's own matrix
+    assert data["maps"]["step"] is model.maps["step"]
     # deterministic maps round-trip through the compact form
     det = {"atoms": 2,
            "preparations": {"p": [1.0, 0.0]},
@@ -76,7 +79,24 @@ def test_deterministic_map_compact_form():
     back = model_from_json(det)
     assert back.maps["swap"].ndim == 1
     again = model_to_json(back)
-    assert again["maps"]["swap"] == {"deterministic": [1, 0]}
+    assert list(again["maps"]["swap"]) == ["deterministic"]
+    assert again["maps"]["swap"]["deterministic"] is back.maps["swap"]
+    assert json.loads(dumps_json(again))["maps"]["swap"] == {"deterministic": [1, 0]}
+    assert model_from_json(again).maps["swap"].tolist() == [1, 0]
+
+
+def test_model_to_json_hands_over_the_models_arrays():
+    rng = np.random.default_rng(6)
+    model = split_state_model(rng, random_fragment(rng, 2))
+    data = model_to_json(model)
+    for name, vec in model.preparations.items():
+        assert data["preparations"][name] is vec
+    for name, resp in model.responses.items():
+        assert data["responses"][name] is resp
+    # read-only arrays are shared, not copied, by the model read back
+    back = model_from_json(data)
+    for name, vec in model.preparations.items():
+        assert back.preparations[name] is vec
 
 
 def test_round_trip_classification_identical():
@@ -146,12 +166,35 @@ def test_dumps_json_matches_the_oracle(value):
     assert dumps_json(value) == json_oracle(value)
 
 
-def test_cli_payloads_match_the_oracle():
-    """The payloads the commands write, byte for byte, in this process."""
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+ARRAYS = (hnp.arrays(np.float64, SHAPES, elements=FLOATS)
+          | hnp.arrays(np.int64, SHAPES)
+          | hnp.arrays(np.bool_, SHAPES))
+ARRAY_VALUES = ARRAYS | st.lists(ARRAYS, max_size=3) | st.dictionaries(st.text(), ARRAYS, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARRAY_VALUES)
+@example(np.array([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-5, 1e-4, 1e16, 2.0**53, 0.1]))
+@example(np.array([[1.0, math.nan], [math.inf, -0.0], [0.0, -math.inf]]))
+@example({"int": np.array([3, -1, 0]), "empty": np.zeros(0), "no-cols": np.zeros((2, 0)),
+          "no-rows": np.zeros((0, 3)), "scalar": np.array(2.5), "int-scalar": np.array(7)})
+@example([np.arange(6.0).reshape(2, 3).T, np.linspace(0.0, 1.0, 7)[::3],
+          np.array([1.5, 0.0, -0.0], dtype=">f8"), np.array([0.5, 1.0], dtype=np.float32)])
+def test_dumps_json_writes_arrays_as_the_oracle(value):
+    assert dumps_json(value) == json_oracle(value)
+
+
+def _ks_2000():
     args = build_parser().parse_args(["zoo", "ks", "--nodes", "2000", "--pairs", "6"])
     model, fragment, _ = _zoo_build(args)
+    return model, fragment
+
+
+def _cli_payloads():
+    model, fragment = _ks_2000()
     context = WitnessExclusion(build_witness(WitnessParams(0.5, 4)))
-    payloads = [
+    return [
         model_to_json(model),
         fragment_to_json(fragment),
         context.esmr().to_json_dict(),
@@ -159,8 +202,36 @@ def test_cli_payloads_match_the_oracle():
         context.max_overlap().to_json_dict(),
         _witness_json(0.5, 4),
     ]
-    for payload in payloads:
+
+
+def test_cli_payloads_match_the_oracle():
+    """The payloads the commands write, byte for byte, in this process."""
+    for payload in _cli_payloads():
         assert dumps_json(payload) == json_oracle(payload)
+
+
+def test_write_json_streams_the_bytes_of_dumps_json(tmp_path):
+    path = tmp_path / "out.json"
+    for payload in _cli_payloads() + [{"b": [1.0, math.nan], "a": np.eye(2), "": []}]:
+        with open(path, "w") as fh:
+            write_json(payload, fh)
+        assert path.read_bytes() == dumps_json(payload).encode()
+
+
+def test_writing_a_model_holds_less_than_half_the_file(tmp_path):
+    """A file target streams: the writer never holds the whole text, nor
+    the model's values as Python floats."""
+    model, _ = _ks_2000()
+    data = model_to_json(model)
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as fh:
+            write_json(data, fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def _toy_json():
@@ -186,6 +257,19 @@ def _toy_json():
      "model 'delta_sets': 'up' must be list, got str"),
     (lambda m: {**m, "eigenstate_preps": {"q-": "eig_down"}},
      "model 'eigenstate_preps': 'q-' must be list, got str"),
+    (lambda m: {**m, "maps": {"step": {"deterministic": ["1", "0"]}}},
+     "map 'step': 'deterministic' must hold only numbers, got strings"),
+    (lambda m: {**m, "maps": {"step": {"deterministic": [True, False]}}},
+     "map 'step': 'deterministic' must hold only numbers, got booleans"),
+    (lambda m: {**m, "maps": {"step": {"deterministic": [1, "a"]}}},
+     "map 'step': 'deterministic' must hold only numbers, got strings"),
+    (lambda m: {**m, "preparations": {**m["preparations"], "eig_up": ["1.0", "0"]}},
+     "model 'preparations': 'eig_up' must hold only numbers, got strings"),
+    (lambda m: {**m, "responses": {"macro": [[1.0, None], [0.0, 1.0]]}},
+     "model 'responses': 'macro' must hold only numbers, got other JSON values"),
+    (lambda m: {**m, "maps": {"step": [[1.0, 0.0], [0.0]]}},
+     "model 'maps': 'step' must be a rectangular array of numbers"),
+    (lambda m: {**m, "atoms": True}, "model: 'atoms' must be int, got bool"),
 ])
 def test_malformed_model_names_the_key(malform, words):
     model, _ = _toy_json()
@@ -198,8 +282,20 @@ def test_malformed_model_names_the_key(malform, words):
     (lambda f: {**f, "states": []}, "fragment: 'states' must be dict, got list"),
     (lambda f: {**f, "measurements": {"macro": {"outcomes": ["+", "-"]}}},
      "measurement 'macro': missing key 'projectors'"),
+    (lambda f: {**f, "dim": True}, "fragment: 'dim' must be int, got bool"),
+    (lambda f: {**f, "states": {**f["states"], "up": [["1.0", "0"], [0.0, 0.0]]}},
+     "state 'up': [re, im] pairs must hold only numbers, got strings"),
+    (lambda f: {**f, "states": {**f["states"], "up": [[True, False], [False, False]]}},
+     "state 'up': [re, im] pairs must hold only numbers, got booleans"),
+    (lambda f: {**f, "states": {**f["states"], "up": [[1.0], [0.0]]}},
+     "state 'up': complex data must end in [re, im] pairs, got shape (2, 1)"),
+    (lambda f: {**f, "unitaries": {"u": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}},
+     "unitary 'u': matrix not unitary"),
+    (lambda f: {**f, "measurements": {"macro": {**f["measurements"]["macro"],
+                                                "outcomes": ["a", "b", "c"]}}},
+     "measurement 'macro': one projector per outcome required"),
 ])
 def test_malformed_fragment_names_the_key(malform, words):
     _, frag = _toy_json()
-    with pytest.raises(ValueError, match=words):
+    with pytest.raises(ValueError, match=re.escape(words)):
         fragment_from_json(malform(frag))
