@@ -16,6 +16,19 @@ writer formats each 1-D array (or list) of finite floats in one pass,
 straight from the array, and writes a 2-D array row by row, so a file
 target never holds more than one row's text.
 
+``load_json`` is ``json``'s decoder with one change: a leaf list (one that
+holds no list, object or string) of numbers is parsed straight to a
+read-only numpy array, exactly ``np.asarray`` of the list json would give,
+so a 5 M-value model never lives as Python floats. A leaf whose text holds
+no ``t``, ``f`` or ``n`` can hold no ``true``, ``false`` or ``null``; any
+other leaf is walked once and stays a list if it holds a non-number.
+Objects, strings, scalars and every other list go through json's own code,
+so the reader accepts and rejects exactly what ``json.loads`` does, with
+the same message, up to its depth: it spends three Python frames per
+level, so at the default recursion limit it reads lists nested about 330
+deep (``json.loads`` about 990), and deeper nesting is a ``ValueError``
+naming the file.
+
 The readers turn a missing key, a value of the wrong JSON type, or a number
 list holding strings, booleans or nulls into a ``ValueError`` that names it.
 """
@@ -25,6 +38,7 @@ from __future__ import annotations
 import io
 import json
 from contextlib import contextmanager
+from json.decoder import JSONArray, JSONObject
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +67,9 @@ _NON_NUMBERS = {"b": "booleans", "U": "strings", "O": "other JSON values"}
 
 def _numbers(value, what: str) -> np.ndarray:
     """``value`` as a numpy array of numbers. JSON strings, booleans and
-    nulls are told apart by the array's dtype, never by a loop over the
-    entries. A list is converted once, read-only, so ``FiniteOntModel``
+    nulls are told apart by the array's dtype; a list whose dtype is
+    numeric is walked for booleans mixed in among numbers, and an array is
+    not walked. A list is converted once, read-only, so ``FiniteOntModel``
     keeps that array instead of copying it."""
     try:
         arr = np.asarray(value)
@@ -64,8 +79,18 @@ def _numbers(value, what: str) -> np.ndarray:
         got = _NON_NUMBERS.get(arr.dtype.kind, arr.dtype.name)
         raise ValueError(f"{what} must hold only numbers, got {got}")
     if arr is not value:
+        if _holds_bool(value):
+            raise ValueError(f"{what} must hold only numbers, got booleans")
         arr.setflags(write=False)
     return arr
+
+
+def _holds_bool(value) -> bool:
+    """Whether a (nested) list holds a boolean; arrays inside are not
+    walked."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
 
 
 @contextmanager
@@ -103,6 +128,8 @@ def _field(data, key: str, kind, what: str, default=None):
         return default
     value = data[key]
     kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, np.ndarray) and np.ndarray not in kinds:
+        value = value.tolist()   # a number list that load_json parsed to an array
     if not isinstance(value, kinds) or (int in kinds and isinstance(value, bool)):
         names = " or ".join(k.__name__ for k in kinds)
         raise ValueError(f"{what}: {key!r} must be {names}, got {type(value).__name__}")
@@ -153,9 +180,7 @@ def _table(data, key: str, kind: type) -> dict:
     """``data[key]`` (default empty), a JSON object whose values are each a
     ``kind``."""
     table = _field(data, key, dict, "model", {})
-    for name in table:
-        _field(table, name, kind, f"model {key!r}")
-    return table
+    return {name: _field(table, name, kind, f"model {key!r}") for name in table}
 
 
 def _number_table(data, key: str) -> dict:
@@ -270,4 +295,56 @@ def _write_floats(arr: np.ndarray, pad: str, out) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """``json.loads`` of the file's text, with leaf number lists parsed
+    straight to read-only numpy arrays."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text, cls=_LeafDecoder)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+class _LeafDecoder(json.JSONDecoder):
+    """json's decoder, scanning objects and lists with json's own
+    ``JSONObject`` and ``JSONArray`` (leaf lists with ``_array``) and every
+    scalar with json's C scanner. (``json.scanner.py_make_scanner`` would
+    do the first two, but its number pattern's ``\\d`` takes non-ASCII
+    digits: it reads 1 followed by U+0661, ARABIC-INDIC DIGIT ONE, as 11.)"""
+
+    def __init__(self):
+        super().__init__()
+        scalar, memo = self.scan_once, {}
+
+        def scan_once(s, idx):
+            opener = s[idx:idx + 1]
+            if opener == "{":
+                return JSONObject((s, idx + 1), True, scan_once, None, None, memo)
+            if opener == "[":
+                return _array(s, idx + 1, scan_once)
+            return scalar(s, idx)
+
+        self.scan_once = scan_once
+
+
+def _array(s: str, end: int, scan_once):
+    """The list opened just before ``s[end]`` and the index after it, as
+    ``JSONArray`` returns them, except that a non-empty leaf list of
+    numbers becomes a read-only array."""
+    close = s.find("]", end) + 1
+    if not close or _holds(s, '[{"', end, close):
+        return JSONArray((s, end), scan_once)
+    try:
+        values = json.loads(s[end - 1:close])
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(exc.msg, s, end - 1 + exc.pos) from None
+    # without a t, f or n the text holds no true, false or null
+    if values and (not _holds(s, "tfn", end, close)
+                   or all(type(v) in (int, float) for v in values)):
+        values = np.asarray(values)
+        values.setflags(write=False)
+    return values, close
+
+
+def _holds(s: str, chars: str, start: int, stop: int) -> bool:
+    """Whether ``s[start:stop]`` holds any of ``chars``."""
+    return any(s.find(c, start, stop) >= 0 for c in chars)

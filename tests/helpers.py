@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -875,3 +876,38 @@ def json_oracle(obj) -> str:
     library's indented, key-sorted dump (its pure-Python encoder), with
     numpy arrays written as their ``tolist()``."""
     return json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n"
+
+
+def json_load_oracle(text: str):
+    """What ``serialize.load_json`` must return for a file whose text is
+    ``text``: ``json.loads(text)``, with each non-empty list of ints and
+    floats only (no booleans) replaced by its ``np.asarray``, read-only."""
+
+    def arrays_at_leaves(value):
+        if isinstance(value, dict):
+            return {key: arrays_at_leaves(v) for key, v in value.items()}
+        if not isinstance(value, list):
+            return value
+        if value and all(type(v) in (int, float) for v in value):
+            arr = np.asarray(value)
+            arr.setflags(write=False)
+            return arr
+        return [arrays_at_leaves(v) for v in value]
+
+    return arrays_at_leaves(json.loads(text))
+
+
+def tree_bits(value):
+    """``value`` with each array and float replaced by a record of its exact
+    bits (and an array's dtype, shape and writeability), so that two trees
+    compare equal only when they are identical bit for bit."""
+    if isinstance(value, np.ndarray):
+        data = value.tolist() if value.dtype == object else value.tobytes()
+        return ("array", value.dtype.str, value.shape, value.flags.writeable, data)
+    if isinstance(value, dict):
+        return ("dict", [(key, tree_bits(v)) for key, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [tree_bits(v) for v in value])
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)

@@ -263,6 +263,10 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
      "fragment: missing key 'dim'"),
     (lambda model, frag: ({**model, "updates": {"macro": "eig_up"}}, frag),
      "model 'updates': 'macro' must be dict, got str"),
+    (lambda model, frag: ({**model, "updates": {"macro": [1, 2]}}, frag),
+     "model 'updates': 'macro' must be dict, got list"),
+    (lambda model, frag: ({**model, "delta_sets": {"up": [7]}}, frag),
+     "delta set of 'up' names unknown preparation 7"),
     (lambda model, frag: (
         {**model, "preparations": {**model["preparations"], "eig_up": [1.0, math.nan]}}, frag),
      "preparation 'eig_up': columns not stochastic, a sum is off 1 by nan"),
@@ -270,7 +274,7 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
         model, {**frag, "states": {**frag["states"], "up": [[math.nan, 0.0], [0.0, 0.0]]}}),
      "state 'up': state not normalized: sum |a_i|^2 = nan"),
 ], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object",
-        "nan-preparation", "nan-amplitude"])
+        "update-number-list", "delta-set-number-list", "nan-preparation", "nan-amplitude"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
@@ -288,6 +292,40 @@ def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {words}\n"
+
+
+def _classify_model_text(text: str, tmp_path, capsys) -> tuple:
+    """Run ``classify`` on a model file holding ``text`` and the toy
+    fragment."""
+    code, _, _ = run_cli(
+        capsys, "zoo", "emmr-toy", "--fragment-out", str(tmp_path / "f.json"),
+        "--json", str(tmp_path / "out.json"),
+    )
+    assert code == 0
+    (tmp_path / "m.json").write_text(text)
+    return run_cli(capsys, "classify", "--model", str(tmp_path / "m.json"),
+                   "--fragment", str(tmp_path / "f.json"))
+
+
+@pytest.mark.parametrize("text", [
+    '{"atoms": [1,]}',
+    '{"atoms": 2, "preparations": {"up": [1.0, 0.0}}',
+    '{"atoms": 2,\n "maps": {"step": {"deterministic": [0, 1\u0661]}}}',
+], ids=["trailing-comma", "brace-in-leaf", "non-ascii-digit"])
+def test_classify_json_error_is_json_loads_line(text, tmp_path, capsys):
+    """A decode error inside a number list names the position in the file,
+    as ``json.loads`` does."""
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    assert _classify_model_text(text, tmp_path, capsys) == (2, "", f"error: {want.value}\n")
+
+
+def test_classify_deeply_nested_model_is_usage_error(tmp_path, capsys):
+    """Nesting deeper than the interpreter's stack exits 2 with one stderr
+    line, not a traceback."""
+    code, out, err = _classify_model_text("[" * 5000 + "]" * 5000, tmp_path, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {tmp_path / 'm.json'}: JSON nested too deeply to read\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,9 +21,9 @@ from macroreal.cli import _witness_json, _zoo_build, build_parser
 from macroreal.exclusion import WitnessExclusion
 from macroreal.ontomodel import QuantumFragment
 from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap
-from macroreal.serialize import dumps_json, write_json
+from macroreal.serialize import dumps_json, load_json, write_json
 from macroreal.witness import WitnessParams, build_witness
-from helpers import json_oracle, random_fragment, split_state_model
+from helpers import json_load_oracle, json_oracle, random_fragment, split_state_model, tree_bits
 
 
 def test_fragment_round_trip():
@@ -234,6 +234,137 @@ def test_writing_a_model_holds_less_than_half_the_file(tmp_path):
     assert peak < path.stat().st_size / 2
 
 
+def _ks_2000_file(tmp_path):
+    """The ``zoo ks --nodes 2000 --pairs 6`` model and the file it is
+    written to."""
+    model, _ = _ks_2000()
+    path = tmp_path / "model.json"
+    with open(path, "w") as fh:
+        write_json(model_to_json(model), fh)
+    return model, path
+
+
+def test_reading_a_model_peaks_below_two_and_a_half_times_the_file(tmp_path):
+    """The reader holds the file's bytes and its text at once, but never
+    the model's values as Python floats beside the text."""
+    _, path = _ks_2000_file(tmp_path)
+    tracemalloc.start()
+    try:
+        model_from_json(load_json(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
+
+
+def test_the_model_keeps_the_arrays_load_json_parsed(tmp_path):
+    model, path = _ks_2000_file(tmp_path)
+    data = load_json(path)
+    loaded = model_from_json(data)
+    for name, vec in data["preparations"].items():
+        assert loaded.preparations[name] is vec
+        assert vec.dtype == np.float64 and not vec.flags.writeable
+    assert all(np.array_equal(loaded.responses[m], resp) for m, resp in model.responses.items())
+
+
+# JSON text, drawn piece by piece so that documents hold every form the
+# reader must tell apart: number lists, lists with true/false/null, strings
+# holding brackets, braces, quotes and escapes, and nested containers
+NUMBER_TEXT = (
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "1.0", "5e-324", "1e308", "1E+2", "2.5e-3",
+                     "-1.5E-7", "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775809", "123456789012345678901234567890",
+                     "NaN", "Infinity", "-Infinity"])
+    | st.integers().map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds("{}E{:+d}".format, st.integers(-999, 999), st.integers(-400, 400))
+)
+STRING_TEXT = (
+    st.text(st.sampled_from('ab[]{}",:\\/ \n\t\u00e9\u2028'), max_size=6).map(json.dumps)
+    | st.sampled_from(['"\\u005d"', '"\\u005b["', '"\\"]"', '"\\\\"', '"\\/{"'])
+)
+CONSTANT_TEXT = st.sampled_from(["true", "false", "null"])
+SPACE = st.sampled_from(["", " ", "\n ", "\t", "\r\n"])
+
+
+def _joined(opener: str, closer: str, items) -> st.SearchStrategy:
+    """``items`` as a JSON container's text, with whitespace drawn around
+    each item."""
+    spaced = st.tuples(SPACE, items, SPACE).map("".join)
+    return st.lists(spaced, max_size=5).map(lambda xs: opener + ",".join(xs) + closer)
+
+
+LEAF_TEXT = (_joined("[", "]", NUMBER_TEXT)
+             | _joined("[", "]", NUMBER_TEXT | CONSTANT_TEXT))
+DOC_TEXT = st.recursive(
+    NUMBER_TEXT | STRING_TEXT | CONSTANT_TEXT | LEAF_TEXT,
+    lambda inner: (_joined("[", "]", inner)
+                   | _joined("{", "}", st.tuples(STRING_TEXT, SPACE, inner)
+                             .map(lambda kv: kv[0] + ":" + kv[1] + kv[2]))),
+    max_leaves=12,
+)
+
+
+def _outcome(read):
+    """``read()``'s value as ``tree_bits``, or the type and message of the
+    exception it raised."""
+    try:
+        return tree_bits(read())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _load_both(path, text: str) -> tuple:
+    """What ``load_json`` and its oracle make of a file holding ``text``."""
+    path.write_text(text)
+    return _outcome(lambda: load_json(path)), _outcome(lambda: json_load_oracle(path.read_text()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOC_TEXT)
+@example('{"a": [1, 2.5], "b": [[0.0, -0.0], [1e308, 5e-324]], "c": ["]", 1], "d": [1, true]}')
+@example("[[], [ ], [1, null], [Infinity, -Infinity, NaN], [12345678901234567890123, 1]]")
+@example('{"\\u005b": [1], "k": "[1, 2]", "e": {"x": [-0]}}')
+def test_load_json_matches_json_loads(tmp_path_factory, text):
+    """Every document: the same structure as ``json.loads``, each number
+    leaf bit for bit ``np.asarray`` of json's list, with its dtype."""
+    got, want = _load_both(tmp_path_factory.getbasetemp() / "doc.json", text)
+    assert not isinstance(want[0], type)     # the drawn text is valid JSON
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOC_TEXT, st.data())
+@example('{"atoms": [1, 2]}', None)
+@example('{"a": 1\u0661}', None)
+@example("[[1, 2], [3, 4\u0661]]", None)
+@example("\ufeff[1]", None)
+def test_load_json_rejects_what_json_loads_rejects(tmp_path_factory, text, data):
+    """A document cut short, or with a character deleted or inserted, reads
+    as ``json.loads`` reads it: the same value, or the same exception and
+    message, at the same line and column."""
+    if data is not None:
+        at = data.draw(st.integers(0, len(text)))
+        edit = data.draw(st.sampled_from(["cut", "delete", "insert"]))
+        if edit == "cut":
+            text = text[:at]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + data.draw(st.sampled_from('[]{},:" -.e0tn\\')) + text[at:]
+    got, want = _load_both(tmp_path_factory.getbasetemp() / "doc.json", text)
+    assert got == want
+
+
+def test_mixed_number_list_in_a_file_is_rejected(tmp_path):
+    model, _ = _toy_json()
+    path = tmp_path / "model.json"
+    path.write_text(dumps_json({**model, "maps": {"step": {"deterministic": [1, False]}}}))
+    with pytest.raises(ValueError,
+                       match="map 'step': 'deterministic' must hold only numbers, got booleans"):
+        model_from_json(load_json(path))
+
+
 def _toy_json():
     model, frag = emmr_toy_model(math.pi / 3)
     return model_to_json(model), fragment_to_json(frag)
@@ -263,6 +394,12 @@ def _toy_json():
      "map 'step': 'deterministic' must hold only numbers, got booleans"),
     (lambda m: {**m, "maps": {"step": {"deterministic": [1, "a"]}}},
      "map 'step': 'deterministic' must hold only numbers, got strings"),
+    (lambda m: {**m, "maps": {"step": {"deterministic": [1, True]}}},
+     "map 'step': 'deterministic' must hold only numbers, got booleans"),
+    (lambda m: {**m, "preparations": {**m["preparations"], "eig_up": [1.0, False]}},
+     "model 'preparations': 'eig_up' must hold only numbers, got booleans"),
+    (lambda m: {**m, "responses": {"macro": [[1.0, 0.0], [0.0, True]]}},
+     "model 'responses': 'macro' must hold only numbers, got booleans"),
     (lambda m: {**m, "preparations": {**m["preparations"], "eig_up": ["1.0", "0"]}},
      "model 'preparations': 'eig_up' must hold only numbers, got strings"),
     (lambda m: {**m, "responses": {"macro": [[1.0, None], [0.0, 1.0]]}},

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Write one benchmark snapshot of this checkout to a JSON file.
+
+    python3 tools/bench_snapshot.py BENCH_<n>.json
+
+The snapshot holds three kinds of timing, all taken on this host:
+
+- ``tier1``: the wall seconds of the tier-1 suite
+  (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
+  the path) and its summary line;
+- ``cli``: each command's cold wall seconds, round by round, and the
+  child's largest ``ru_maxrss`` in MB, from ``tools/cli_cost.py``'s child
+  runner (BLAS on one thread). The commands are the benchmark's five fixed
+  ones, then ``witness``, ``sweep`` and ``exclude`` in its three modes at
+  d = 4 and 16;
+- ``serialize``: the median of each ``serialize.*`` metric over
+  ``TRACED_SEEDS`` traced ``bench/run.py --workload cli`` runs, since one
+  traced run swings by 20-30%.
+
+The whole snapshot takes about five minutes on two cores. Two snapshots
+compare only when taken on the same host.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import cli_cost  # noqa: E402  (the sibling tool, found through the path above)
+
+ROOT = cli_cost.ROOT
+TRACED_SEEDS = (1, 2, 3, 4)
+TRACED_SECONDS = 5
+POINT_ALPHA = "0.5"
+
+
+def point_commands() -> list:
+    out = []
+    for dim in ("4", "16"):
+        out.append(["witness", "--alpha", POINT_ALPHA, "--dim", dim, "--json", "-"])
+        out.append(["sweep", "--dim", dim, "--csv", "-"])
+        for mode in ("esmr", "emmr", "max-overlap"):
+            out.append(["exclude", "--alpha", POINT_ALPHA, "--dim", dim, "--mode", mode,
+                        "--json", "-"])
+    return out
+
+
+def tier1() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
+
+
+def cli() -> list:
+    commands = cli_cost.fixed_commands() + point_commands()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.update({var: "1" for var in cli_cost.BLAS_VARS})
+    rows = [{"argv": argv, "wall_s": [], "max_rss_mb": 0.0} for argv in commands]
+    with tempfile.TemporaryDirectory() as cwd:
+        for _ in range(cli_cost.ROUNDS):
+            for row in rows:
+                code, wall, mb = cli_cost.run_child(row["argv"], cwd, env)
+                if code != 0:
+                    raise SystemExit(f"`macroreal {' '.join(row['argv'])}` exited {code}")
+                row["wall_s"].append(wall)
+                row["max_rss_mb"] = max(row["max_rss_mb"], mb)
+    for row in rows:
+        row["median_wall_s"] = statistics.median(row["wall_s"])
+    return rows
+
+
+def serialize_medians() -> dict:
+    values = {}
+    for seed in TRACED_SEEDS:
+        done = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", "cli", "--seed", str(seed),
+             "--seconds", str(TRACED_SECONDS), "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        if result["failed"]:
+            raise SystemExit(f"traced cli run at seed {seed}: {result['failed']} failed")
+        for name, metric in result["metrics"].items():
+            if name.startswith("serialize."):
+                values.setdefault(name, []).append(metric["value"])
+    return {"seeds": list(TRACED_SEEDS), "seconds": TRACED_SECONDS,
+            "median": {name: statistics.median(v) for name, v in sorted(values.items())}}
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python3 tools/bench_snapshot.py OUT.json", file=sys.stderr)
+        return 2
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                            capture_output=True, text=True).stdout.strip()
+    snapshot = {
+        "commit": commit or None,
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": version("numpy"), "scipy": version("scipy")},
+        "tier1": tier1(),
+        "cli": cli(),
+        "serialize": serialize_medians(),
+    }
+    Path(sys.argv[1]).write_text(json.dumps(snapshot, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
