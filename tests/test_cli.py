@@ -13,6 +13,7 @@ import pytest
 import macroreal
 import macroreal.cli
 import macroreal.witness
+import macroreal.zoo
 from macroreal.cli import run
 
 
@@ -161,6 +162,7 @@ commands = [
     "zoo bb",
     "zoo det",
     "zoo emmr-toy",
+    "lgi --model ks --nodes 2000 --theta-grid 4",
 ]
 codes = []
 for command in commands:
@@ -179,7 +181,7 @@ def test_witness_sweep_exclude_do_not_load_scipy():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     codes, scipy_modules = json.loads(child.stdout.splitlines()[-1])
-    assert codes == [0] * 9
+    assert codes == [0] * 10
     assert scipy_modules == []
 
 
@@ -340,6 +342,26 @@ def test_empty_grids_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert "must be an integer of at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "ks", "--nodes", "100000000000"],
+    ["lgi", "--model", "ks", "--nodes", "100000000000"],
+], ids=["zoo", "lgi"])
+def test_oversized_grid_is_usage_error_before_allocation(argv, capsys, monkeypatch):
+    """A grid past MAX_GRID_NODES exits 2 with one line, never a numpy
+    memory traceback, and its nodes are never computed."""
+    spiral = macroreal.zoo._golden_spiral
+
+    def small_spirals_only(n):
+        assert n <= macroreal.zoo.MAX_GRID_NODES, f"computing {n} grid nodes"
+        return spiral(n)
+
+    monkeypatch.setattr(macroreal.zoo, "_golden_spiral", small_spirals_only)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: 100000000000 grid nodes exceed the 1000000 cap\n"
 
 
 @pytest.mark.parametrize(("tol", "shown"), [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])

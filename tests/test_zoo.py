@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macroreal import (
     Bindings,
-    SphereGrid,
     beltrametti_bugajski_model,
     bloch_vector,
     classify,
@@ -28,17 +29,6 @@ def test_grid_invariants():
     grid = fibonacci_sphere_grid(2000)
     assert np.abs(np.linalg.norm(grid.nodes, axis=1) - 1.0).max() < 1e-12
     assert abs(grid.weights.sum() - 4 * math.pi) < 1e-6
-    with pytest.raises(ValueError):
-        SphereGrid(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), np.full(2, 2 * math.pi))
-
-
-@pytest.mark.parametrize(("nodes", "weights"), [
-    ([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [2 * math.pi, 2 * math.pi]),
-    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [4 * math.pi, np.nan]),
-], ids=["node", "weight"])
-def test_grid_rejects_nan_entries(nodes, weights):
-    with pytest.raises(ValueError):
-        SphereGrid(np.array(nodes), np.array(weights))
 
 
 def test_grids_compare_and_hash_by_identity():
@@ -47,41 +37,60 @@ def test_grids_compare_and_hash_by_identity():
     assert len({a, b}) == 2 and hash(a) == hash(a)
 
 
-def test_nearest_matches_brute_force_and_a_fresh_tree():
+def _unit_rows(rng, m):
+    points = rng.normal(size=(m, 3))
+    return points / np.linalg.norm(points, axis=1)[:, None]
+
+
+def _assert_nearest_matches_oracles(grid, points):
+    """``grid.nearest`` equals a fresh cKDTree's answer, and brute force's
+    where the grid has at most 2 000 nodes."""
     from scipy.spatial import cKDTree
 
-    grid = fibonacci_sphere_grid(2000)
     nodes = grid.nodes
-    rng = np.random.default_rng(11)
-    for _ in range(4):
-        axis = rng.normal(size=3)
-        rot = rotation_of_unitary(rotation_unitary(axis, float(rng.uniform(0.1, 3.0))))
-        points = nodes @ rot.T
-        got = grid.nearest(points)
+    got = grid.nearest(points)
+    assert np.array_equal(got, cKDTree(nodes).query(points)[1])
+    if grid.node_count <= 2000:
         brute = np.concatenate([
             ((chunk[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
             for chunk in np.array_split(points, 8)
         ])
         assert np.array_equal(got, brute)
-        assert np.array_equal(got, cKDTree(nodes).query(points)[1])
 
 
-def test_lgi_ks_builds_one_tree(monkeypatch, capsys):
-    import scipy.spatial
+def _rotated_nodes(grid, axis, angle):
+    return grid.nodes @ rotation_of_unitary(rotation_unitary(axis, angle)).T
 
-    from macroreal.cli import run
 
-    real = scipy.spatial.cKDTree
-    built = []
+AXIS_POINTS = np.vstack([np.eye(3), -np.eye(3)])
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
-    assert run(["lgi", "--model", "ks", "--theta-grid", "8", "--nodes", "2000"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 9
-    assert len(built) == 1
+def test_nearest_matches_brute_force_and_a_fresh_tree():
+    rng = np.random.default_rng(11)
+    for n in (4, 5, 13, 2000, 20000):
+        grid = fibonacci_sphere_grid(n)
+        for _ in range(4):
+            _assert_nearest_matches_oracles(
+                grid, _rotated_nodes(grid, rng.normal(size=3), float(rng.uniform(0.1, 3.0))))
+        _assert_nearest_matches_oracles(grid, _unit_rows(rng, 4000))
+        _assert_nearest_matches_oracles(grid, AXIS_POINTS)
+    # the rotations of `lgi --model ks` at its default 32 thetas and nodes
+    grid = fibonacci_sphere_grid(20000)
+    for theta in np.linspace(0.0, math.pi, 32):
+        _assert_nearest_matches_oracles(grid, _rotated_nodes(grid, (0.0, 1.0, 0.0), theta))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 20000),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: sum(c * c for c in v) > 1e-6),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def drawn(n, axis, angle):
+        grid = fibonacci_sphere_grid(n)
+        _assert_nearest_matches_oracles(grid, _rotated_nodes(grid, axis, angle))
+
+    drawn()
 
 
 def test_bloch_round_trip():

@@ -15,9 +15,12 @@ The snapshot holds three kinds of timing, all taken on this host:
   d = 4 and 16;
 - ``serialize``: the median of each ``serialize.*`` metric over
   ``TRACED_SEEDS`` traced ``bench/run.py --workload cli`` runs, since one
-  traced run swings by 20-30%.
+  traced run swings by 20-30%;
+- ``model_audit``: the median of every per-layer metric over
+  ``TRACED_SEEDS`` traced ``bench/run.py --workload model_audit`` runs,
+  among them ``zoo.grid_s`` and ``zoo.ks_build_s``.
 
-The whole snapshot takes about five minutes on two cores. Two snapshots
+The whole snapshot takes about six minutes on two cores. Two snapshots
 compare only when taken on the same host.
 """
 
@@ -82,19 +85,21 @@ def cli() -> list:
     return rows
 
 
-def serialize_medians() -> dict:
+def traced_medians(workload: str, prefix: str = "") -> dict:
+    """Median over ``TRACED_SEEDS`` of each per-layer metric whose name
+    starts with ``prefix``, from traced runs of ``workload``."""
     values = {}
     for seed in TRACED_SEEDS:
         done = subprocess.run(
-            [sys.executable, "bench/run.py", "--workload", "cli", "--seed", str(seed),
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(TRACED_SECONDS), "--trace", "1"],
             cwd=ROOT, capture_output=True, text=True, check=True,
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
         if result["failed"]:
-            raise SystemExit(f"traced cli run at seed {seed}: {result['failed']} failed")
+            raise SystemExit(f"traced {workload} run at seed {seed}: {result['failed']} failed")
         for name, metric in result["metrics"].items():
-            if name.startswith("serialize."):
+            if name.startswith(prefix):
                 values.setdefault(name, []).append(metric["value"])
     return {"seeds": list(TRACED_SEEDS), "seconds": TRACED_SECONDS,
             "median": {name: statistics.median(v) for name, v in sorted(values.items())}}
@@ -112,7 +117,8 @@ def main() -> int:
                  "numpy": version("numpy"), "scipy": version("scipy")},
         "tier1": tier1(),
         "cli": cli(),
-        "serialize": serialize_medians(),
+        "serialize": traced_medians("cli", "serialize."),
+        "model_audit": traced_medians("model_audit"),
     }
     Path(sys.argv[1]).write_text(json.dumps(snapshot, indent=1) + "\n")
     return 0
