@@ -3,7 +3,7 @@
 
     python3 tools/bench_snapshot.py BENCH_<n>.json
 
-The snapshot holds three kinds of timing, all taken on this host:
+The snapshot holds four kinds of timing, all taken on this host:
 
 - ``tier1``: the wall seconds of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
