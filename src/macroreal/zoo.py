@@ -11,6 +11,7 @@ macro value on every atom while escaping the eigenstate supports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,8 @@ class SphereGrid:
     weights: np.ndarray = field(init=False, repr=False)   # (n,) all 4*pi/n
 
     def __post_init__(self) -> None:
-        n = self.node_count
+        # operator.index rejects NaN and other non-integers with a TypeError
+        n = operator.index(self.node_count)
         if n < 4:
             raise ValueError("need at least 4 nodes")
         if n > MAX_GRID_NODES:
@@ -68,6 +70,7 @@ class SphereGrid:
         weights = np.full(n, 4.0 * math.pi / n)
         nodes.setflags(write=False)
         weights.setflags(write=False)
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from macroreal import (
     Bindings,
+    SphereGrid,
     beltrametti_bugajski_model,
     bloch_vector,
     classify,
@@ -22,13 +23,29 @@ from macroreal import (
     validate,
 )
 from macroreal.ontomodel import default_bindings
-from macroreal.zoo import rotation_of_unitary
+from macroreal.zoo import MAX_GRID_NODES, rotation_of_unitary
 
 
 def test_grid_invariants():
     grid = fibonacci_sphere_grid(2000)
     assert np.abs(np.linalg.norm(grid.nodes, axis=1) - 1.0).max() < 1e-12
     assert abs(grid.weights.sum() - 4 * math.pi) < 1e-6
+
+
+@pytest.mark.parametrize(("count", "error"), [
+    (3, ValueError),
+    (MAX_GRID_NODES + 1, ValueError),
+    (math.nan, TypeError),
+    (2000.0, TypeError),
+], ids=["too-few", "past-cap", "nan", "float"])
+def test_grid_rejects_bad_node_counts(count, error):
+    with pytest.raises(error):
+        SphereGrid(count)
+
+
+def test_grid_node_count_is_a_python_int():
+    grid = SphereGrid(np.int64(10))
+    assert type(grid.node_count) is int and grid.nodes.shape == (10, 3)
 
 
 def test_grids_compare_and_hash_by_identity():
@@ -91,6 +108,34 @@ def test_nearest_matches_brute_force_and_a_fresh_tree():
         _assert_nearest_matches_oracles(grid, _rotated_nodes(grid, axis, angle))
 
     drawn()
+
+
+def test_lgi_ks_builds_one_tree(monkeypatch, capsys):
+    """``lgi --model ks`` builds its snapping structure once for all thetas.
+    That structure is the spiral grid itself: its nodes are computed once
+    and no KD-tree is built."""
+    import scipy.spatial
+
+    import macroreal.zoo
+    from macroreal.cli import run
+
+    real_tree, real_spiral = scipy.spatial.cKDTree, macroreal.zoo._golden_spiral
+    trees, spirals = [], []
+
+    def counting_tree(*args, **kwargs):
+        trees.append(1)
+        return real_tree(*args, **kwargs)
+
+    def counting_spiral(n):
+        spirals.append(n)
+        return real_spiral(n)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+    monkeypatch.setattr(macroreal.zoo, "_golden_spiral", counting_spiral)
+    assert run(["lgi", "--model", "ks", "--theta-grid", "8", "--nodes", "2000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert spirals == [2000]
+    assert trees == []
 
 
 def test_bloch_round_trip():
