@@ -106,32 +106,91 @@ def _block_program(
     sum_{A_zero} mu' - sum_{A_phi} mu <= 0, with mu' the first half and mu
     the second: the transported measure must cover at least the eigenstate
     mass it started from.
+
+    The equality matrix is not built here: a ``_BlockEq`` writes any slab of
+    it from ``marg`` and the Born vectors, so the simplex fills its tableau
+    straight from the blocks and the dense matrix is built only when
+    ``a_eq`` is first read, after the solve.
     """
-    n_keys, n_cols = marg.shape
-    n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
-    n_eigen = 0 if eigen_rhs is None else halves * n_blocks
-    width = n_blocks * n_cols                   # columns per half
-    a_eq = np.zeros(((n_eigen + halves) * n_keys, halves * width))
-    b_eq = np.zeros(a_eq.shape[0])
-    for blk in range(n_eigen):
-        born_q = eigen_rhs[blk % n_blocks]
-        rows = slice(blk * n_keys, (blk + 1) * n_keys)
-        a_eq[rows, blk * n_cols : (blk + 1) * n_cols] = marg - born_q[:, None]
-    tiled = np.tile(marg, n_blocks)
-    for half in range(halves):
-        rows = slice((n_eigen + half) * n_keys, (n_eigen + half + 1) * n_keys)
-        a_eq[rows, half * width : (half + 1) * width] = tiled
-        b_eq[rows] = psi_rhs
+    eq = _BlockEq(marg, eigen_rhs, halves)
+    n_rows, n_vars = eq.shape
+    b_eq = np.zeros(n_rows)
+    b_eq[n_rows - halves * len(psi_rhs):] = np.tile(psi_rhs, halves)
     a_ub = b_ub = None
     if transport is not None:
         zero_mask, phi_mask = transport
-        a_ub = np.zeros((1, a_eq.shape[1]))
-        a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), n_blocks)
-        a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), n_blocks)
+        width = n_vars // halves
+        a_ub = np.zeros((1, n_vars))
+        a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), eq.n_blocks)
+        a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), eq.n_blocks)
         b_ub = np.zeros(1)
-    return LinearProgram(
-        objective=np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub
-    )
+    return LinearProgram(objective=np.zeros(n_vars), a_eq=eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+class _BlockEq:
+    """The equality matrix of ``_block_program``, written slab by slab.
+
+    Rows come in groups of ``n_keys`` (one per row of ``marg``) and columns
+    in blocks of ``n_cols``. Eigenstate group g holds ``marg - born_q`` in
+    column block g, with q = g mod ``n_blocks``; half group h holds ``marg``
+    in each of half h's ``n_blocks`` column blocks; every other entry is
+    zero. ``write`` computes the block rows as ``marg - born_q`` entry by
+    entry, as the dense assembly did, so every slab holds the dense
+    matrix's floats.
+    """
+
+    def __init__(self, marg: np.ndarray, eigen_rhs: list | None, halves: int):
+        n_keys, n_cols = marg.shape
+        self.marg = marg
+        self.eigen_rhs = eigen_rhs
+        self.n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
+        self.n_eigen = 0 if eigen_rhs is None else halves * self.n_blocks
+        self.shape = ((self.n_eigen + halves) * n_keys, halves * self.n_blocks * n_cols)
+
+    def write(self, out: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+        n_keys, n_cols = self.marg.shape
+        by_block = {b: (at, atoms) for b, at, atoms in _groups(cols, n_cols)}
+        for g, at_rows, keys in _groups(rows, n_keys):
+            if g < self.n_eigen:
+                targets, born_q = (g,), self.eigen_rhs[g % self.n_blocks]
+            else:
+                first = (g - self.n_eigen) * self.n_blocks
+                targets, born_q = range(first, first + self.n_blocks), None
+            for b in targets:
+                if b not in by_block:
+                    continue
+                at_cols, atoms = by_block[b]
+                values = self.marg[_slab(keys, atoms)]
+                if born_q is not None:
+                    values = values - born_q[keys, None]
+                out[_slab(at_rows, at_cols)] = values
+
+
+def _groups(idx: np.ndarray, size: int):
+    """Split the indices ``idx`` into groups of ``size`` consecutive
+    indices: yield each group g met, the positions in ``idx`` of its
+    indices and their offsets within it (idx = g * size + offset). An
+    ascending run of indices, as the tableau and the dense matrix ask for,
+    splits into slices, so their blocks are written as views."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size and (np.diff(idx) == 1).all():
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        for g in range(lo // size, (hi - 1) // size + 1):
+            start, stop = max(lo, g * size), min(hi, (g + 1) * size)
+            yield g, slice(start - lo, stop - lo), slice(start - g * size, stop - g * size)
+    else:
+        group, offset = np.divmod(idx, size)
+        for g in np.unique(group).tolist():
+            at = np.flatnonzero(group == g)
+            yield g, at, offset[at]
+
+
+def _slab(rows, cols):
+    """The index of the ``(rows, cols)`` slab of a matrix, each of ``rows``
+    and ``cols`` an integer array or a slice (a slice reads and writes a
+    view)."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
 
 
 def accessible_atoms(

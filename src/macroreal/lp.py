@@ -7,6 +7,17 @@ Bland's anti-cycling rule. Every verdict carries a certificate: an optimal
 infeasibility; ``verify_certificate`` re-checks either kind against the
 original program.
 
+A program's equality matrix may be given by a writer instead of dense
+(``LinearProgram``). The solver takes its shapes from ``n_eq``/``n_ub``
+and reads A_eq only through ``write_eq``: the tableau is filled from it,
+and the duals gather their basis columns from it. Both receive the floats
+the dense matrix holds, so a writer-backed solve makes the dense solve's
+pivots and returns its bits. The dense matrix is built on the first read of
+``a_eq``, which comes from ``verify_certificate`` after the solve has freed
+its tableau; the EMMR program (``exclusion._block_program``) is thus held
+once during its solve, not twice. The one exception is the phase-1
+leftover check below, which re-verifies a ray while the tableau lives.
+
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
 ``rc -= rc[e] * T[r]`` with the new pivot row, instead of the O(m n)
@@ -73,30 +84,66 @@ class PivotBudgetError(RuntimeError):
     """The simplex made more than ``MAX_PIVOTS`` pivots without a verdict."""
 
 
-@dataclass(frozen=True)
 class LinearProgram:
-    """max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0."""
+    """max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 
-    objective: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
+    ``a_eq`` is the dense matrix, or a writer of it: an object with a
+    ``shape`` and a method ``write(out, rows, cols)`` that fills ``out``
+    (zeros on entry) with the entries of A_eq in rows ``rows`` and columns
+    ``cols``, both integer arrays. The solver takes its shapes from
+    ``n_eq``/``n_ub`` and reads A_eq only through ``write_eq``, so a
+    writer-backed program is never held dense during a solve. The
+    ``a_eq`` attribute builds the dense matrix from the writer on first
+    read and keeps it; certificate re-verification reads it. Programs are
+    read-only once built.
+    """
 
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
+    def __init__(self, objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
+        c = np.atleast_1d(np.asarray(objective, dtype=float))
         n = c.shape[0]
-        a_eq, b_eq = _normalize_block(self.a_eq, self.b_eq, n, "eq")
-        a_ub, b_ub = _normalize_block(self.a_ub, self.b_ub, n, "ub")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
+        self._writer = None
+        if hasattr(a_eq, "write"):
+            if tuple(a_eq.shape) != (len(b_eq), n):
+                raise ValueError(
+                    f"eq writer has shape {tuple(a_eq.shape)}, expected ({len(b_eq)}, {n})"
+                )
+            self._writer, self._a_eq = a_eq, None
+            b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        else:
+            self._a_eq, b_eq = _normalize_block(a_eq, b_eq, n, "eq")
+        self.objective = c
+        self.b_eq = b_eq
+        self.a_ub, self.b_ub = _normalize_block(a_ub, b_ub, n, "ub")
 
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
+
+    @property
+    def n_eq(self) -> int:
+        return self.b_eq.shape[0]
+
+    @property
+    def n_ub(self) -> int:
+        return self.b_ub.shape[0]
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        if self._a_eq is None:
+            self._a_eq = self._build_a_eq()
+        return self._a_eq
+
+    def _build_a_eq(self) -> np.ndarray:
+        dense = np.zeros((self.n_eq, self.n_vars))
+        self._writer.write(dense, np.arange(self.n_eq), np.arange(self.n_vars))
+        return dense
+
+    def write_eq(self, out: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Fill ``out`` (zeros on entry) with A_eq's ``(rows, cols)`` slab."""
+        if self._writer is None:
+            out[...] = self._a_eq[np.ix_(rows, cols)]
+        else:
+            self._writer.write(out, rows, cols)
 
 
 def _normalize_block(a, b, n: int, kind: str):
@@ -134,21 +181,23 @@ class _Simplex:
 
     ``A`` is ``[A_eq; A_ub]`` with a slack column for each inequality row,
     and every row whose rhs is negative negated (its zeros become ``-0.0``).
-    The tableau is ``[A | b]``, filled straight from the program's blocks.
-    It carries no artificial columns: phase 1 starts on one artificial per
-    row (basis entries ``n + i``), but pricing stops at column ``n``, so an
+    The tableau is ``[A | b]``. Its A_eq part is written in place by the
+    program's ``write_eq``, so a writer-backed program never has a dense
+    copy beside the tableau; A_ub, the slacks and b are copied. The tableau
+    carries no artificial columns: phase 1 starts on one artificial per row
+    (basis entries ``n + i``), but pricing stops at column ``n``, so an
     artificial never re-enters, and no step reads its column. The duals
-    rebuild the basis matrix from the program instead.
+    rebuild the basis matrix from the program instead, gathering its A_eq
+    columns through ``write_eq``.
     """
 
     def __init__(self, program: LinearProgram):
-        n_var = program.n_vars
-        n_eq, n_ub = program.a_eq.shape[0], program.a_ub.shape[0]
+        n_var, n_eq, n_ub = program.n_vars, program.n_eq, program.n_ub
         self.program = program
         self.m = self.m0 = n_eq + n_ub   # m drops with redundant rows
         self.n = n_var + n_ub
         table = np.zeros((self.m, self.n + 1))
-        table[:n_eq, :n_var] = program.a_eq
+        program.write_eq(table[:n_eq, :n_var], np.arange(n_eq), np.arange(n_var))
         table[n_eq:, :n_var] = program.a_ub
         table[n_eq:, n_var:-1] = np.eye(n_ub)
         table[:n_eq, -1] = program.b_eq
@@ -266,13 +315,15 @@ class _Simplex:
         ``-0.0`` included); an artificial column is a unit vector.
         """
         p = self.program
-        n_var, n_eq = p.n_vars, p.a_eq.shape[0]
+        n_var, n_eq = p.n_vars, p.n_eq
         basis, live = self.basis, self.live
         real = basis < self.n
         cols = basis[real]
         eq, var = live < n_eq, cols < n_var
+        gathered = np.zeros((int(eq.sum()), int(var.sum())))
+        p.write_eq(gathered, live[eq], cols[var])
         block = np.zeros((self.m, cols.size))
-        block[np.ix_(eq, var)] = p.a_eq[np.ix_(live[eq], cols[var])]
+        block[np.ix_(eq, var)] = gathered
         block[np.ix_(~eq, var)] = p.a_ub[np.ix_(live[~eq] - n_eq, cols[var])]
         block[np.ix_(~eq, ~var)] = live[~eq, None] - n_eq == cols[~var] - n_var
         flipped = self.flip[live]
@@ -294,9 +345,7 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     which no feasible x >= 0 can satisfy. Unbounded objectives are a
     distinct status.
     """
-    n = program.n_vars
-    n_eq = program.a_eq.shape[0]
-    n_ub = program.a_ub.shape[0]
+    n, n_eq, n_ub = program.n_vars, program.n_eq, program.n_ub
     sx = _Simplex(program)
     m = sx.m
 
@@ -316,7 +365,9 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
         )
         # A leftover within the certificate budget that no ray proves is
         # rounding (pivots on 1e-8 entries scale the rhs error by 1e8):
-        # go on to phase 2 from the nearly feasible point.
+        # go on to phase 2 from the nearly feasible point. The check reads
+        # the dense A_eq, so this is the one place where a writer-backed
+        # program is held dense beside its tableau.
         if infeasibility > CERT_TOL or verify_certificate(program, outcome) <= CERT_TOL:
             return outcome
 
@@ -375,7 +426,7 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     if x is None:
         raise ValueError("outcome lacks a primal point")
     viol = float(-x.min(initial=0.0))
-    if program.a_eq.shape[0]:
+    if program.n_eq:
         viol = max(viol, float(np.abs(program.a_eq @ x - program.b_eq).max()))
     if program.a_ub.shape[0]:
         viol = max(viol, float((program.a_ub @ x - program.b_ub).max(initial=0.0)))

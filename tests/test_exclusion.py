@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,12 @@ from scipy.optimize import linprog
 
 from macroreal import (
     CertificationError,
+    LinearProgram,
     WitnessExclusion,
     WitnessParams,
     accessible_atoms,
     build_witness,
+    check_antidistinguishable,
     enumerate_atoms,
     verify_certificate,
 )
@@ -266,6 +269,91 @@ def test_near_boundary_solves_match_dense_kernel_bit_for_bit(gap, dim):
     context = WitnessExclusion(build_witness(WitnessParams(ALPHA_MAX - gap, dim)))
     for report in (context.esmr(), context.emmr(), context.max_overlap()):
         assert_matches_dense_kernel(report)
+
+
+# -- the block writer behind the EMMR tableau -------------------------------------
+
+EMMR_WRITER_GRID = [
+    (alpha, dim)
+    for dim in (4, 6, 8, 10)
+    for alpha in (0.05, 0.3, 0.5, 0.5553, 0.7, ALPHA_MAX - 1e-6)
+] + [(9.055298304384401e-4, 6)]   # inside the d=6 gap: the ray gains too little
+
+
+@pytest.mark.parametrize("alpha, dim", EMMR_WRITER_GRID)
+def test_emmr_from_block_writer_matches_dense_program(alpha, dim):
+    """The simplex filling its tableau and gathering its basis columns from
+    the block writer takes the pivots and returns the ray that it takes and
+    returns on the per-row dense program, and the residual re-verified on
+    that dense program is the report's, bit for bit."""
+    context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+    report = context.emmr()
+    dense = reference_emmr_program(context)
+    outcome = solve_lp(dense)
+    assert report.outcome.pivots == outcome.pivots
+    for name in ("farkas_eq", "farkas_ub"):
+        assert getattr(report.outcome, name).tobytes() == getattr(outcome, name).tobytes()
+    residual = verify_certificate(dense, outcome)
+    assert np.float64(report.certificate_residual).tobytes() == np.float64(residual).tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_block_writer_slabs_match_dense_matrix(dim):
+    """Any slab the writer fills, rows and columns drawn in any order with
+    repeats, holds the dense matrix's entries at those rows and columns."""
+    rng = np.random.default_rng(dim)
+    program = WitnessExclusion(build_witness(WitnessParams(0.5, dim))).emmr().program
+    for _ in range(20):
+        for n_rows, n_cols in ((1, 1), (7, 40), (program.n_eq, 200)):
+            rows = rng.integers(0, program.n_eq, n_rows)
+            cols = rng.integers(0, program.n_vars, n_cols)
+            out = np.zeros((n_rows, n_cols))
+            program.write_eq(out, rows, cols)
+            assert out.tobytes() == program.a_eq[np.ix_(rows, cols)].tobytes()
+
+
+def test_emmr_dense_matrix_built_only_after_solve(monkeypatch):
+    """The solve reads the EMMR equality matrix only through its writer: the
+    dense matrix is built once, on the certificate check after the solve."""
+    builds = []
+    build = LinearProgram._build_a_eq
+
+    def counted(program):
+        builds.append(program)
+        return build(program)
+
+    at_return = []
+
+    def solve(program):
+        outcome = solve_lp(program)
+        at_return.append(len(builds))
+        return outcome
+
+    monkeypatch.setattr(LinearProgram, "_build_a_eq", counted)
+    monkeypatch.setattr(exclusion, "solve_lp", solve)
+    report = WitnessExclusion(build_witness(WitnessParams(0.5, 6))).emmr()
+    assert at_return == [0]
+    assert builds == [report.program]
+    assert report.program.a_eq is report.program.a_eq   # built once, then kept
+    assert len(builds) == 1
+
+
+def test_emmr_peak_memory_is_about_one_tableau():
+    """The tableau is the solve's one copy of the program: under tracemalloc
+    the d=8 EMMR call peaks at 1.25 times the tableau's bytes (2.14 times
+    when the dense matrix was built first and copied into the tableau)."""
+    bundle = build_witness(WitnessParams(0.5, 8))
+    antidist = check_antidistinguishable(bundle.psi, bundle.phi, bundle.zero)
+    tracemalloc.start()
+    try:
+        report = WitnessExclusion(bundle, antidist).emmr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = report.program
+    rows = p.n_eq + p.n_ub
+    tableau_bytes = rows * (p.n_vars + p.n_ub + 1) * 8
+    assert peak < 1.3 * tableau_bytes
 
 
 RECORDED_ESMR_ALPHAS = sorted({

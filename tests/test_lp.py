@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from macroreal import LinearProgram, LPOutcome, solve_lp, verify_certificate
+from macroreal import LinearProgram, LPOutcome, lp, solve_lp, verify_certificate
+from macroreal.exclusion import _BlockEq
 from macroreal.lp import CERT_TOL, farkas_gain
 from helpers import DenseSimplex, outcome_bits, solve_lp_checked, solve_lp_with
 
@@ -214,6 +215,27 @@ def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
     assert out.value == pytest.approx(2.0, abs=1e-7)
     assert verify_certificate(p, out) <= CERT_TOL
 
+
+def test_rounding_leftover_check_reads_the_dense_matrix_of_a_writer_backed_program(monkeypatch):
+    """The same program with its equality matrix behind the exclusion block
+    writer reaches the phase-1 leftover check, the one step of a solve that
+    reads the dense matrix, and comes back with the dense program's bits."""
+    dense = _tiny_pivot_program()
+    writer = _BlockEq(dense.a_eq, None, halves=1)
+    p = LinearProgram(objective=dense.objective, a_eq=writer, b_eq=dense.b_eq,
+                      a_ub=dense.a_ub, b_ub=dense.b_ub)
+    checks = []
+    verify = lp.verify_certificate
+
+    def counted(program, outcome):
+        checks.append(program._a_eq is None)
+        return verify(program, outcome)
+
+    monkeypatch.setattr(lp, "verify_certificate", counted)
+    out = solve_lp(p)
+    assert checks == [True]   # the leftover check built the dense matrix
+    assert p._a_eq is not None
+    assert outcome_bits(out) == outcome_bits(solve_lp(dense))
 
 # -- the window kernel against the dense one -----------------------------------
 # Negative right-hand sides flip rows (their zeros become -0.0), 1e-8 entries

@@ -18,9 +18,13 @@ The snapshot holds four kinds of timing, all taken on this host:
   traced run swings by 20-30%;
 - ``model_audit``: the median of every per-layer metric over
   ``TRACED_SEEDS`` traced ``bench/run.py --workload model_audit`` runs,
-  among them ``zoo.grid_s`` and ``zoo.ks_build_s``.
+  among them ``zoo.grid_s`` and ``zoo.ks_build_s``;
+- ``exclusion``: the same over traced ``bench/run.py --workload exclusion``
+  runs, among them the EMMR child's peak RSS
+  ``exclusion.emmr_rss_mb.d4``/``d8``/``d10`` and the EMMR solve's counts
+  ``lp.pivots.emmr`` and ``lp.tableau_cells.emmr``.
 
-The whole snapshot takes about six minutes on two cores. Two snapshots
+The whole snapshot takes about seven minutes on two cores. Two snapshots
 compare only when taken on the same host.
 """
 
@@ -119,6 +123,7 @@ def main() -> int:
         "cli": cli(),
         "serialize": traced_medians("cli", "serialize."),
         "model_audit": traced_medians("model_audit"),
+        "exclusion": traced_medians("exclusion"),
     }
     Path(sys.argv[1]).write_text(json.dumps(snapshot, indent=1) + "\n")
     return 0
