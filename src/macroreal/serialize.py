@@ -16,18 +16,21 @@ writer formats each 1-D array (or list) of finite floats in one pass,
 straight from the array, and writes a 2-D array row by row, so a file
 target never holds more than one row's text.
 
-``load_json`` is ``json``'s decoder with one change: a leaf list (one that
-holds no list, object or string) of numbers is parsed straight to a
-read-only numpy array, exactly ``np.asarray`` of the list json would give,
-so a 5 M-value model never lives as Python floats. A leaf whose text holds
-no ``t``, ``f`` or ``n`` can hold no ``true``, ``false`` or ``null``; any
-other leaf is walked once and stays a list if it holds a non-number.
-Objects, strings, scalars and every other list go through json's own code,
-so the reader accepts and rejects exactly what ``json.loads`` does, with
-the same message, up to its depth: it spends three Python frames per
-level, so at the default recursion limit it reads lists nested about 330
-deep (``json.loads`` about 990), and deeper nesting is a ``ValueError``
-naming the file.
+``load_json`` reads the file in ``_CHUNK``-sized pieces (1 Mi characters)
+and never holds its whole text. A string-aware splitter cuts out each leaf
+list (one whose first ``]`` comes before any ``[``, ``{`` or ``"``) as soon
+as it closes and parses it: a leaf of numbers becomes a read-only numpy
+array, exactly ``np.asarray`` of the list json would give, so a 5 M-value
+model never lives as Python floats. A leaf whose text holds no ``t``, ``f``
+or ``n`` can hold no ``true``, ``false`` or ``null``; any other leaf is
+walked once and stays a list if it holds a non-number. The rest, a skeleton
+with a placeholder ``[k]`` for each leaf, is decoded by json's own code, so
+the reader accepts exactly what ``json.loads`` does. A file it rejects is
+read again whole and handed to ``json.loads``, so the error raised is
+json's, with its message and position. Its depth is smaller: it spends
+three Python frames per level, so at the default recursion limit it reads
+lists nested about 330 deep (``json.loads`` about 990), and deeper nesting
+is a ``ValueError`` naming the file.
 
 The readers turn a missing key, a value of the wrong JSON type, or a number
 list holding strings, booleans or nulls into a ``ValueError`` that names it.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from contextlib import contextmanager
 from json.decoder import JSONArray, JSONObject
 from pathlib import Path
@@ -296,22 +300,94 @@ def _write_floats(arr: np.ndarray, pad: str, out) -> None:
 
 def load_json(path) -> dict:
     """``json.loads`` of the file's text, with leaf number lists parsed
-    straight to read-only numpy arrays."""
-    text = Path(path).read_text()
+    straight to read-only numpy arrays. The file is read once, in chunks;
+    a document that does not parse is read again whole and handed to
+    ``json.loads``, whose error is the one raised."""
     try:
-        return json.loads(text, cls=_LeafDecoder)
+        try:
+            with open(path) as fh:
+                skeleton, leaves = _split(fh)
+            return json.loads(skeleton, cls=_LeafDecoder, leaves=leaves)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            json.loads(Path(path).read_text())
+            raise
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-class _LeafDecoder(json.JSONDecoder):
-    """json's decoder, scanning objects and lists with json's own
-    ``JSONObject`` and ``JSONArray`` (leaf lists with ``_array``) and every
-    scalar with json's C scanner. (``json.scanner.py_make_scanner`` would
-    do the first two, but its number pattern's ``\\d`` takes non-ASCII
-    digits: it reads 1 followed by U+0661, ARABIC-INDIC DIGIT ONE, as 11.)"""
+_CHUNK = 1 << 20                       # characters load_json reads at a time
+_OUTSIDE_STOP = re.compile(r'[\["]')   # outside strings: a list or a string opens
+_STRING_STOP = re.compile(r'["\\]')   # inside a string: it closes, or an escape
 
-    def __init__(self):
+
+def _split(fh) -> tuple:
+    """The text of ``fh``, read ``_CHUNK`` characters at a time, as a
+    skeleton and the values of its leaf lists. A leaf list is one whose
+    first ``]`` comes before any ``[``, ``{`` or ``"``. Each is parsed by
+    ``_leaf`` as soon as it closes, and the skeleton holds ``[k]`` in its
+    place, k its index among the leaves. Strings are skipped with their
+    escapes, so a chunk may end anywhere. The pieces of a leaf longer than
+    a chunk are joined once, when it closes."""
+    skeleton, leaves = [], []
+    pieces = None     # the text read in earlier chunks of a list that may be a leaf
+    in_string = False
+    at = 0            # where reading goes on in the chunk (1 after an escape at the end)
+    while chunk := fh.read(_CHUNK):
+        n, mark = len(chunk), 0     # chunk[mark:at] is not yet in skeleton or pieces
+        while at < n:
+            if pieces is not None:
+                close = chunk.find("]", at)
+                other = _first(chunk, '[{"', at, n if close < 0 else close)
+                if other >= 0:      # not a leaf: its text is skeleton
+                    skeleton += pieces
+                    pieces, at = None, other
+                elif close < 0:
+                    at = n
+                else:
+                    pieces.append(chunk[mark:close + 1])
+                    skeleton.append(f"[{len(leaves)}]")
+                    leaves.append(_leaf("".join(pieces)))
+                    pieces, at = None, close + 1
+                    mark = at
+            else:
+                found = (_STRING_STOP if in_string else _OUTSIDE_STOP).search(chunk, at)
+                if found is None:
+                    at = n
+                elif found.group() == '"':
+                    in_string, at = not in_string, found.end()
+                elif in_string:     # a backslash: skip the character it escapes
+                    at = found.end() + 1
+                else:               # a list opens
+                    skeleton.append(chunk[mark:found.start()])
+                    pieces, mark, at = [], found.start(), found.end()
+        (skeleton if pieces is None else pieces).append(chunk[mark:])
+        at -= n
+    if pieces is not None:
+        skeleton += pieces
+    return "".join(skeleton), leaves
+
+
+def _leaf(text: str):
+    """``json.loads`` of a leaf list's text, except that a non-empty list
+    of numbers becomes a read-only array. Without a t, f or n the text
+    holds no true, false or null."""
+    values = json.loads(text)
+    if values and (_first(text, "tfn", 0, len(text)) < 0
+                   or all(type(v) in (int, float) for v in values)):
+        values = np.asarray(values)
+        values.setflags(write=False)
+    return values
+
+
+class _LeafDecoder(json.JSONDecoder):
+    """json's decoder for a ``_split`` skeleton, scanning objects and lists
+    with json's own ``JSONObject`` and ``JSONArray`` (leaf placeholders with
+    ``_array``) and every scalar with json's C scanner.
+    (``json.scanner.py_make_scanner`` would do the first two, but its number
+    pattern's ``\\d`` takes non-ASCII digits: it reads 1 followed by
+    U+0661, ARABIC-INDIC DIGIT ONE, as 11.)"""
+
+    def __init__(self, leaves: list):
         super().__init__()
         scalar, memo = self.scan_once, {}
 
@@ -320,31 +396,22 @@ class _LeafDecoder(json.JSONDecoder):
             if opener == "{":
                 return JSONObject((s, idx + 1), True, scan_once, None, None, memo)
             if opener == "[":
-                return _array(s, idx + 1, scan_once)
+                return _array(s, idx + 1, leaves, scan_once)
             return scalar(s, idx)
 
         self.scan_once = scan_once
 
 
-def _array(s: str, end: int, scan_once):
+def _array(s: str, end: int, leaves: list, scan_once):
     """The list opened just before ``s[end]`` and the index after it, as
-    ``JSONArray`` returns them, except that a non-empty leaf list of
-    numbers becomes a read-only array."""
+    ``JSONArray`` returns them, except that a leaf's placeholder ``[k]``
+    becomes ``leaves[k]``."""
     close = s.find("]", end) + 1
-    if not close or _holds(s, '[{"', end, close):
+    if not close or _first(s, '[{"', end, close) >= 0:
         return JSONArray((s, end), scan_once)
-    try:
-        values = json.loads(s[end - 1:close])
-    except json.JSONDecodeError as exc:
-        raise json.JSONDecodeError(exc.msg, s, end - 1 + exc.pos) from None
-    # without a t, f or n the text holds no true, false or null
-    if values and (not _holds(s, "tfn", end, close)
-                   or all(type(v) in (int, float) for v in values)):
-        values = np.asarray(values)
-        values.setflags(write=False)
-    return values, close
+    return leaves[int(s[end:close - 1])], close
 
 
-def _holds(s: str, chars: str, start: int, stop: int) -> bool:
-    """Whether ``s[start:stop]`` holds any of ``chars``."""
-    return any(s.find(c, start, stop) >= 0 for c in chars)
+def _first(s: str, chars: str, start: int, stop: int) -> int:
+    """The index of the first of ``chars`` in ``s[start:stop]``, or -1."""
+    return min((i for i in (s.find(c, start, stop) for c in chars) if i >= 0), default=-1)

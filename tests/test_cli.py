@@ -296,15 +296,18 @@ def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     assert err == f"error: {words}\n"
 
 
-def _classify_model_text(text: str, tmp_path, capsys) -> tuple:
-    """Run ``classify`` on a model file holding ``text`` and the toy
-    fragment."""
+def _classify_model_text(text, tmp_path, capsys) -> tuple:
+    """Run ``classify`` on a model file holding ``text`` (a string, or
+    bytes written as they are) and the toy fragment."""
     code, _, _ = run_cli(
         capsys, "zoo", "emmr-toy", "--fragment-out", str(tmp_path / "f.json"),
         "--json", str(tmp_path / "out.json"),
     )
     assert code == 0
-    (tmp_path / "m.json").write_text(text)
+    if isinstance(text, bytes):
+        (tmp_path / "m.json").write_bytes(text)
+    else:
+        (tmp_path / "m.json").write_text(text)
     return run_cli(capsys, "classify", "--model", str(tmp_path / "m.json"),
                    "--fragment", str(tmp_path / "f.json"))
 
@@ -319,6 +322,35 @@ def test_classify_json_error_is_json_loads_line(text, tmp_path, capsys):
     as ``json.loads`` does."""
     with pytest.raises(json.JSONDecodeError) as want:
         json.loads(text)
+    assert _classify_model_text(text, tmp_path, capsys) == (2, "", f"error: {want.value}\n")
+
+
+def test_classify_json_error_in_a_leaf_across_chunks_is_json_loads_line(
+        tmp_path, capsys, monkeypatch):
+    """A trailing comma in a number list that a chunk boundary cuts is
+    reported with ``json.loads``'s message and position."""
+    text = '{"atoms": 2,\n "preparations": {"up": [1.0, 0.0,]}}'
+    monkeypatch.setattr(macroreal.serialize, "_CHUNK", 40)
+    assert text.index("[") < 40 < text.index("]")
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    assert _classify_model_text(text, tmp_path, capsys) == (2, "", f"error: {want.value}\n")
+
+
+def test_classify_invalid_utf8_past_the_first_chunk_names_its_file_position(
+        tmp_path, capsys, monkeypatch):
+    """A byte that is not UTF-8, past the first chunk and past the text
+    layer's first buffer, is reported as reading the whole file reports
+    it: at its byte position in the file."""
+    head = ('{"atoms": 2, "preparations": {"up": [' + ", ".join(["0.0"] * 3000)
+            + '], "down": [1.0, 0.0]}, "macro_measurement": "').encode()
+    assert len(head) > io.DEFAULT_BUFFER_SIZE
+    monkeypatch.setattr(macroreal.serialize, "_CHUNK", 64)
+    text = head + b'\xff"}'
+    (tmp_path / "whole.json").write_bytes(text)
+    with pytest.raises(UnicodeDecodeError) as want:
+        (tmp_path / "whole.json").read_text()
+    assert f"position {len(head)}:" in str(want.value)
     assert _classify_model_text(text, tmp_path, capsys) == (2, "", f"error: {want.value}\n")
 
 

@@ -16,6 +16,7 @@ from macroreal import (
     fragment_to_json,
     model_from_json,
     model_to_json,
+    serialize,
 )
 from macroreal.cli import _witness_json, _zoo_build, build_parser
 from macroreal.exclusion import WitnessExclusion
@@ -244,17 +245,19 @@ def _ks_2000_file(tmp_path):
     return model, path
 
 
-def test_reading_a_model_peaks_below_two_and_a_half_times_the_file(tmp_path):
-    """The reader holds the file's bytes and its text at once, but never
-    the model's values as Python floats beside the text."""
+def test_reading_a_model_peaks_below_six_fifths_of_the_file(tmp_path, monkeypatch):
+    """The reader holds one chunk of the text and one leaf's values as
+    Python numbers at a time, beside the arrays already parsed, so its
+    peak is set by the model's arrays, not by the file."""
     _, path = _ks_2000_file(tmp_path)
+    monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
     tracemalloc.start()
     try:
         model_from_json(load_json(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * path.stat().st_size
+    assert peak < 1.2 * path.stat().st_size
 
 
 def test_the_model_keeps_the_arrays_load_json_parsed(tmp_path):
@@ -314,10 +317,21 @@ def _outcome(read):
         return type(exc), str(exc)
 
 
+# the chunk sizes load_json is checked at: small ones, so that a chunk ends
+# inside every token and escape, and the default
+CHUNKS = (1, 2, 3, 7, serialize._CHUNK)
+
+
 def _load_both(path, text: str) -> tuple:
-    """What ``load_json`` and its oracle make of a file holding ``text``."""
+    """What ``load_json`` makes of a file holding ``text`` at each of
+    ``CHUNKS``, and what its oracle makes of it."""
     path.write_text(text)
-    return _outcome(lambda: load_json(path)), _outcome(lambda: json_load_oracle(path.read_text()))
+    got = []
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_CHUNK", chunk)
+            got.append(_outcome(lambda: load_json(path)))
+    return got, _outcome(lambda: json_load_oracle(path.read_text()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,12 +339,16 @@ def _load_both(path, text: str) -> tuple:
 @example('{"a": [1, 2.5], "b": [[0.0, -0.0], [1e308, 5e-324]], "c": ["]", 1], "d": [1, true]}')
 @example("[[], [ ], [1, null], [Infinity, -Infinity, NaN], [12345678901234567890123, 1]]")
 @example('{"\\u005b": [1], "k": "[1, 2]", "e": {"x": [-0]}}')
+@example('["abcd\\"[", [1]]')          # chunk 7 ends between a backslash and its quote
+@example('[1, 2,\r\n3]')               # chunk 7 ends between \r and \n in the file's bytes
+@example('[12345678, 0.5e-3]')          # chunks 3 and 7 end inside numbers
 def test_load_json_matches_json_loads(tmp_path_factory, text):
-    """Every document: the same structure as ``json.loads``, each number
-    leaf bit for bit ``np.asarray`` of json's list, with its dtype."""
+    """Every document, at every chunk size: the same structure as
+    ``json.loads``, each number leaf bit for bit ``np.asarray`` of json's
+    list, with its dtype."""
     got, want = _load_both(tmp_path_factory.getbasetemp() / "doc.json", text)
     assert not isinstance(want[0], type)     # the drawn text is valid JSON
-    assert got == want
+    assert got == [want] * len(CHUNKS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -339,10 +357,14 @@ def test_load_json_matches_json_loads(tmp_path_factory, text):
 @example('{"a": 1\u0661}', None)
 @example("[[1, 2], [3, 4\u0661]]", None)
 @example("\ufeff[1]", None)
+@example('["abcd\\"]', None)             # chunk 7 ends between a backslash and its quote
+@example('[1,\r\n 2,]', None)            # chunk 2 ends between \r and \n in the file's bytes
+@example('[1, 234567,]', None)          # chunks 2, 3 and 7 end inside a number
+@example("[[1], [", None)               # chunk 7 ends right after a lone [ at the end
 def test_load_json_rejects_what_json_loads_rejects(tmp_path_factory, text, data):
     """A document cut short, or with a character deleted or inserted, reads
-    as ``json.loads`` reads it: the same value, or the same exception and
-    message, at the same line and column."""
+    at every chunk size as ``json.loads`` reads it: the same value, or the
+    same exception and message, at the same line and column."""
     if data is not None:
         at = data.draw(st.integers(0, len(text)))
         edit = data.draw(st.sampled_from(["cut", "delete", "insert"]))
@@ -353,7 +375,26 @@ def test_load_json_rejects_what_json_loads_rejects(tmp_path_factory, text, data)
         else:
             text = text[:at] + data.draw(st.sampled_from('[]{},:" -.e0tn\\')) + text[at:]
     got, want = _load_both(tmp_path_factory.getbasetemp() / "doc.json", text)
-    assert got == want
+    assert got == [want] * len(CHUNKS)
+
+
+def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch):
+    """A document that parses is read once, in chunks, and never whole."""
+    _, path = _ks_2000_file(tmp_path)
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    def whole_read(self, *args, **kwargs):
+        raise AssertionError(f"{self} read whole")
+
+    monkeypatch.setattr(serialize, "open", counted_open, raising=False)
+    monkeypatch.setattr(serialize.Path, "read_text", whole_read)
+    monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
+    assert tree_bits(load_json(path)) == tree_bits(json_load_oracle(path.read_bytes().decode()))
+    assert opened == [path]
 
 
 def test_mixed_number_list_in_a_file_is_rejected(tmp_path):

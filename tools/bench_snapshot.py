@@ -8,11 +8,13 @@ The snapshot holds four kinds of timing, all taken on this host:
 - ``tier1``: the wall seconds of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path) and its summary line;
-- ``cli``: each command's cold wall seconds, round by round, and the
+- ``cli``: each command's cold wall seconds, round by round, raw and
+  scaled to the reference speed of ``bench/hostspeed.py``'s kernel, and the
   child's largest ``ru_maxrss`` in MB, from ``tools/cli_cost.py``'s child
   runner (BLAS on one thread). The commands are the benchmark's five fixed
   ones, then ``witness``, ``sweep`` and ``exclude`` in its three modes at
-  d = 4 and 16;
+  d = 4 and 16. ``host.kernel_s_median`` is the kernel's median time over
+  the samples taken around these children;
 - ``serialize``: the median of each ``serialize.*`` metric over
   ``TRACED_SEEDS`` traced ``bench/run.py --workload cli`` runs, since one
   traced run swings by 20-30%;
@@ -25,7 +27,8 @@ The snapshot holds four kinds of timing, all taken on this host:
   ``lp.pivots.emmr`` and ``lp.tableau_cells.emmr``.
 
 The whole snapshot takes about seven minutes on two cores. Two snapshots
-compare only when taken on the same host.
+compare only when taken on the same host, and their CLI times compare best
+by the scaled walls.
 """
 
 import json
@@ -71,22 +74,28 @@ def tier1() -> dict:
     return {"wall_s": wall, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
 
 
-def cli() -> list:
+def cli() -> tuple:
+    """The command rows, and the host-speed kernel's median seconds over
+    the samples taken around them."""
     commands = cli_cost.fixed_commands() + point_commands()
+    host = cli_cost.bench_module("hostspeed").HostSpeed()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in cli_cost.BLAS_VARS})
-    rows = [{"argv": argv, "wall_s": [], "max_rss_mb": 0.0} for argv in commands]
+    rows = [{"argv": argv, "wall_s": [], "scaled_wall_s": [], "max_rss_mb": 0.0}
+            for argv in commands]
     with tempfile.TemporaryDirectory() as cwd:
         for _ in range(cli_cost.ROUNDS):
             for row in rows:
-                code, wall, mb = cli_cost.run_child(row["argv"], cwd, env)
+                code, wall, scaled, mb = cli_cost.run_child(row["argv"], cwd, env, host)
                 if code != 0:
                     raise SystemExit(f"`macroreal {' '.join(row['argv'])}` exited {code}")
                 row["wall_s"].append(wall)
+                row["scaled_wall_s"].append(scaled)
                 row["max_rss_mb"] = max(row["max_rss_mb"], mb)
     for row in rows:
         row["median_wall_s"] = statistics.median(row["wall_s"])
-    return rows
+        row["median_scaled_wall_s"] = statistics.median(row["scaled_wall_s"])
+    return rows, host.median()
 
 
 def traced_medians(workload: str, prefix: str = "") -> dict:
@@ -115,12 +124,16 @@ def main() -> int:
         return 2
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
+    tier1_run = tier1()
+    rows, kernel_s = cli()
+    hostspeed = cli_cost.bench_module("hostspeed")
     snapshot = {
         "commit": commit or None,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                 "numpy": version("numpy"), "scipy": version("scipy")},
-        "tier1": tier1(),
-        "cli": cli(),
+                 "numpy": version("numpy"), "scipy": version("scipy"),
+                 "ref_s": hostspeed.REF_S, "kernel_s_median": kernel_s},
+        "tier1": tier1_run,
+        "cli": rows,
         "serialize": traced_medians("cli", "serialize."),
         "model_audit": traced_medians("model_audit"),
         "exclusion": traced_medians("exclusion"),

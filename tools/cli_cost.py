@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Wall time and peak RSS of the benchmark's five fixed ``macroreal`` commands.
 
-Reads ``FIXED_COMMANDS`` from ``bench/workloads.py`` (loaded read-only, as
-``tests/test_trace_sites.py`` loads it) and runs the five commands in that
-order, so ``classify`` reads the files ``zoo ks`` wrote. Each command runs
-as its own child interpreter, ``python -m macroreal.cli ...``, inside a
+Reads ``FIXED_COMMANDS`` from ``bench/workloads.py`` and the host-speed
+kernel from ``bench/hostspeed.py`` (both loaded read-only, as
+``tests/test_trace_sites.py`` loads the first) and runs the five commands in
+that order, so ``classify`` reads the files ``zoo ks`` wrote. Each command
+runs as its own child interpreter, ``python -m macroreal.cli ...``, inside a
 temporary directory, with BLAS on one thread and the package imported from
-the ``src`` directory beside this script. For each command it prints the
-exit code, the wall seconds of each round and the child's largest
-``ru_maxrss`` in MB:
+the ``src`` directory beside this script. The kernel is timed just before
+and just after each child, and the child's wall time is also given scaled to
+the kernel's reference speed, as ``bench/run.py`` scales its times, so that
+runs on a host whose speed drifts can be compared. For each command it
+prints the exit code, the raw and the scaled wall seconds of each round and
+the child's largest ``ru_maxrss`` in MB:
 
     python3 tools/cli_cost.py
 
@@ -28,48 +32,76 @@ ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 3
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# Linux carries a process's high-water RSS across exec into what it spawns,
+# so a command spawned from this script would report at least this script's
+# RSS (numpy, the benchmark's modules, the host-speed kernel). Each command
+# is spawned from a bare interpreter instead, which times it and prints its
+# exit code, wall seconds and ru_maxrss in KB.
+SPAWNER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded without touching the file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def fixed_commands() -> list:
     sys.path.insert(0, str(ROOT / "src"))  # bench/workloads.py imports macroreal
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.FIXED_COMMANDS
+    return bench_module("workloads").FIXED_COMMANDS
 
 
-def run_child(argv: list, cwd: str, env: dict) -> tuple:
-    """(exit code, wall seconds, ru_maxrss in MB) of one command."""
+def run_child(argv: list, cwd: str, env: dict, host) -> tuple:
+    """(exit code, wall seconds, wall seconds at the reference host speed,
+    ru_maxrss in MB) of one command. ``host`` is sampled just before and
+    just after it."""
+    host.sample()
     start = time.perf_counter()
-    child = subprocess.Popen(
-        [sys.executable, "-m", "macroreal.cli", *argv],
-        stdout=subprocess.DEVNULL, cwd=cwd, env=env,
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWNER, sys.executable, "-m", "macroreal.cli", *argv],
+        stdout=subprocess.PIPE, cwd=cwd, env=env, text=True, check=True,
     )
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, wall, usage.ru_maxrss / 1024.0
+    end = time.perf_counter()
+    host.sample()
+    code, wall, kb = done.stdout.split()
+    wall = float(wall)
+    return int(code), wall, wall * host.factor(start, end), int(kb) / 1024.0
 
 
 def main() -> int:
     commands = fixed_commands()
+    hostspeed = bench_module("hostspeed")
+    host = hostspeed.HostSpeed()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in BLAS_VARS})
     walls = [[] for _ in commands]
+    scaled = [[] for _ in commands]
     rss = [0.0] * len(commands)
     with tempfile.TemporaryDirectory() as cwd:
         for _ in range(ROUNDS):
             for i, argv in enumerate(commands):
-                code, wall, mb = run_child(argv, cwd, env)
+                code, wall, at_ref, mb = run_child(argv, cwd, env, host)
                 if code != 0:
                     print(f"`macroreal {' '.join(argv)}` exited {code}", file=sys.stderr)
                     return 1
                 walls[i].append(wall)
+                scaled[i].append(at_ref)
                 rss[i] = max(rss[i], mb)
-    print(f"{'command':<88} {'wall s (each round)':<22} max_rss MB")
-    for argv, times, mb in zip(commands, walls, rss):
-        print(f"{' '.join(argv):<88} {' '.join(f'{t:.2f}' for t in times):<22} {mb:.1f}")
+    print(f"{'command':<88} {'wall s (each round)':<20} {'scaled s':<20} max_rss MB")
+    for argv, times, at_ref, mb in zip(commands, walls, scaled, rss):
+        print(f"{' '.join(argv):<88} {' '.join(f'{t:.2f}' for t in times):<20} "
+              f"{' '.join(f'{t:.2f}' for t in at_ref):<20} {mb:.1f}")
+    print(f"host kernel median {host.median():.5f} s; scaled times are at its "
+          f"reference {hostspeed.REF_S} s")
     return 0
 
 
