@@ -16,7 +16,7 @@ writer formats each 1-D array (or list) of finite floats in one pass,
 straight from the array, and writes a 2-D array row by row, so a file
 target never holds more than one row's text.
 
-``load_json`` reads the file in ``_CHUNK``-sized pieces (1 Mi characters)
+``load_json`` reads the file in ``_CHUNK``-sized pieces (64 Ki characters)
 and never holds its whole text. A string-aware splitter cuts out each leaf
 list (one whose first ``]`` comes before any ``[``, ``{`` or ``"``) as soon
 as it closes and parses it: a leaf of numbers becomes a read-only numpy
@@ -24,13 +24,12 @@ array, exactly ``np.asarray`` of the list json would give, so a 5 M-value
 model never lives as Python floats. A leaf whose text holds no ``t``, ``f``
 or ``n`` can hold no ``true``, ``false`` or ``null``; any other leaf is
 walked once and stays a list if it holds a non-number. The rest, a skeleton
-with a placeholder ``[k]`` for each leaf, is decoded by json's own code, so
-the reader accepts exactly what ``json.loads`` does. A file it rejects is
-read again whole and handed to ``json.loads``, so the error raised is
-json's, with its message and position. Its depth is smaller: it spends
-three Python frames per level, so at the default recursion limit it reads
-lists nested about 330 deep (``json.loads`` about 990), and deeper nesting
-is a ``ValueError`` naming the file.
+with a placeholder ``[k]`` for each leaf, goes through ``json.loads``, and
+one walk puts each leaf in its placeholder's place, so the reader accepts
+exactly what ``json.loads`` does. A file it rejects is read again whole and
+handed to ``json.loads``, so the error raised is json's, with its message
+and position. Nesting too deep for the interpreter's stack is a
+``ValueError`` naming the file.
 
 The readers turn a missing key, a value of the wrong JSON type, or a number
 list holding strings, booleans or nulls into a ``ValueError`` that names it.
@@ -42,7 +41,6 @@ import io
 import json
 import re
 from contextlib import contextmanager
-from json.decoder import JSONArray, JSONObject
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +305,7 @@ def load_json(path) -> dict:
         try:
             with open(path) as fh:
                 skeleton, leaves = _split(fh)
-            return json.loads(skeleton, cls=_LeafDecoder, leaves=leaves)
+            return _fill(json.loads(skeleton), leaves)
         except (json.JSONDecodeError, UnicodeDecodeError):
             json.loads(Path(path).read_text())
             raise
@@ -315,7 +313,7 @@ def load_json(path) -> dict:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-_CHUNK = 1 << 20                       # characters load_json reads at a time
+_CHUNK = 1 << 16                       # characters load_json reads at a time
 _OUTSIDE_STOP = re.compile(r'[\["]')   # outside strings: a list or a string opens
 _STRING_STOP = re.compile(r'["\\]')   # inside a string: it closes, or an escape
 
@@ -379,37 +377,20 @@ def _leaf(text: str):
     return values
 
 
-class _LeafDecoder(json.JSONDecoder):
-    """json's decoder for a ``_split`` skeleton, scanning objects and lists
-    with json's own ``JSONObject`` and ``JSONArray`` (leaf placeholders with
-    ``_array``) and every scalar with json's C scanner.
-    (``json.scanner.py_make_scanner`` would do the first two, but its number
-    pattern's ``\\d`` takes non-ASCII digits: it reads 1 followed by
-    U+0661, ARABIC-INDIC DIGIT ONE, as 11.)"""
-
-    def __init__(self, leaves: list):
-        super().__init__()
-        scalar, memo = self.scan_once, {}
-
-        def scan_once(s, idx):
-            opener = s[idx:idx + 1]
-            if opener == "{":
-                return JSONObject((s, idx + 1), True, scan_once, None, None, memo)
-            if opener == "[":
-                return _array(s, idx + 1, leaves, scan_once)
-            return scalar(s, idx)
-
-        self.scan_once = scan_once
-
-
-def _array(s: str, end: int, leaves: list, scan_once):
-    """The list opened just before ``s[end]`` and the index after it, as
-    ``JSONArray`` returns them, except that a leaf's placeholder ``[k]``
-    becomes ``leaves[k]``."""
-    close = s.find("]", end) + 1
-    if not close or _first(s, '[{"', end, close) >= 0:
-        return JSONArray((s, end), scan_once)
-    return leaves[int(s[end:close - 1])], close
+def _fill(value, leaves: list):
+    """``value`` with each placeholder ``[k]`` in it replaced, in place, by
+    ``leaves[k]``. A list of one int is always a placeholder: ``_split``
+    cuts out every leaf list, so any list it leaves holds a string, a list
+    or an object."""
+    if isinstance(value, list):
+        if len(value) == 1 and type(value[0]) is int:
+            return leaves[value[0]]
+        for i, item in enumerate(value):
+            value[i] = _fill(item, leaves)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            value[key] = _fill(item, leaves)
+    return value
 
 
 def _first(s: str, chars: str, start: int, stop: int) -> int:

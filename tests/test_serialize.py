@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -395,6 +397,38 @@ def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
     assert tree_bits(load_json(path)) == tree_bits(json_load_oracle(path.read_bytes().decode()))
     assert opened == [path]
+
+
+def test_no_leaf_array_outlives_the_result(tmp_path):
+    """With the cycle collector off, dropping what ``load_json`` returned
+    frees every leaf array it parsed: nothing the reader leaves behind
+    refers to them."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": [1.5, 2.5], "b": [[0, 1], [2, 3]], "c": {"d": [4.0]}}')
+    gc.disable()
+    try:
+        data = load_json(path)
+        arrays = [data["a"], *data["b"], data["c"]["d"]]
+        assert all(isinstance(arr, np.ndarray) for arr in arrays)
+        refs = [weakref.ref(arr) for arr in arrays]
+        del data, arrays
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_load_json_reads_as_deep_as_json_loads(tmp_path):
+    """A document nested about 900 deep, which ``json.loads`` reads at the
+    default recursion limit, reads as ``json.loads`` reads it."""
+    pairs = 450                         # an object and a list each
+    text = '{"a": [' * pairs + "[1.5, -0.0]" + "]}" * pairs
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    got, want = load_json(path), json.loads(text)
+    for _ in range(pairs):
+        assert list(got) == list(want) == ["a"] and len(got["a"]) == len(want["a"]) == 1
+        got, want = got["a"][0], want["a"][0]
+    assert tree_bits(got) == tree_bits(json_load_oracle(json.dumps(want)))
 
 
 def test_mixed_number_list_in_a_file_is_rejected(tmp_path):

@@ -10,7 +10,7 @@ The snapshot holds four kinds of timing, all taken on this host:
   the path) and its summary line;
 - ``cli``: each command's cold wall seconds, round by round, raw and
   scaled to the reference speed of ``bench/hostspeed.py``'s kernel, and the
-  child's largest ``ru_maxrss`` in MB, from ``tools/cli_cost.py``'s child
+  child's largest ``ru_maxrss`` in MB, from ``tools/cli_cost.py``'s round
   runner (BLAS on one thread). The commands are the benchmark's five fixed
   ones, then ``witness``, ``sweep`` and ``exclude`` in its three modes at
   d = 4 and 16. ``host.kernel_s_median`` is the kernel's median time over
@@ -37,7 +37,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from importlib.metadata import version
 from pathlib import Path
@@ -77,21 +76,8 @@ def tier1() -> dict:
 def cli() -> tuple:
     """The command rows, and the host-speed kernel's median seconds over
     the samples taken around them."""
-    commands = cli_cost.fixed_commands() + point_commands()
     host = cli_cost.bench_module("hostspeed").HostSpeed()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.update({var: "1" for var in cli_cost.BLAS_VARS})
-    rows = [{"argv": argv, "wall_s": [], "scaled_wall_s": [], "max_rss_mb": 0.0}
-            for argv in commands]
-    with tempfile.TemporaryDirectory() as cwd:
-        for _ in range(cli_cost.ROUNDS):
-            for row in rows:
-                code, wall, scaled, mb = cli_cost.run_child(row["argv"], cwd, env, host)
-                if code != 0:
-                    raise SystemExit(f"`macroreal {' '.join(row['argv'])}` exited {code}")
-                row["wall_s"].append(wall)
-                row["scaled_wall_s"].append(scaled)
-                row["max_rss_mb"] = max(row["max_rss_mb"], mb)
+    rows = cli_cost.run_rounds(cli_cost.fixed_commands() + point_commands(), host)
     for row in rows:
         row["median_wall_s"] = statistics.median(row["wall_s"])
         row["median_scaled_wall_s"] = statistics.median(row["scaled_wall_s"])

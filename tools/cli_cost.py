@@ -77,29 +77,35 @@ def run_child(argv: list, cwd: str, env: dict, host) -> tuple:
     return int(code), wall, wall * host.factor(start, end), int(kb) / 1024.0
 
 
-def main() -> int:
-    commands = fixed_commands()
-    hostspeed = bench_module("hostspeed")
-    host = hostspeed.HostSpeed()
+def run_rounds(commands: list, host) -> list:
+    """One row per command, each run ``ROUNDS`` times in order inside one
+    temporary directory, BLAS on one thread: its ``argv``, its ``wall_s``
+    and ``scaled_wall_s`` of each round and its largest ``max_rss_mb``. A
+    command that exits non-zero stops the run with exit code 1."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in BLAS_VARS})
-    walls = [[] for _ in commands]
-    scaled = [[] for _ in commands]
-    rss = [0.0] * len(commands)
+    rows = [{"argv": argv, "wall_s": [], "scaled_wall_s": [], "max_rss_mb": 0.0}
+            for argv in commands]
     with tempfile.TemporaryDirectory() as cwd:
         for _ in range(ROUNDS):
-            for i, argv in enumerate(commands):
-                code, wall, at_ref, mb = run_child(argv, cwd, env, host)
+            for row in rows:
+                code, wall, scaled, mb = run_child(row["argv"], cwd, env, host)
                 if code != 0:
-                    print(f"`macroreal {' '.join(argv)}` exited {code}", file=sys.stderr)
-                    return 1
-                walls[i].append(wall)
-                scaled[i].append(at_ref)
-                rss[i] = max(rss[i], mb)
+                    raise SystemExit(f"`macroreal {' '.join(row['argv'])}` exited {code}")
+                row["wall_s"].append(wall)
+                row["scaled_wall_s"].append(scaled)
+                row["max_rss_mb"] = max(row["max_rss_mb"], mb)
+    return rows
+
+
+def main() -> int:
+    hostspeed = bench_module("hostspeed")
+    host = hostspeed.HostSpeed()
+    rows = run_rounds(fixed_commands(), host)
     print(f"{'command':<88} {'wall s (each round)':<20} {'scaled s':<20} max_rss MB")
-    for argv, times, at_ref, mb in zip(commands, walls, scaled, rss):
-        print(f"{' '.join(argv):<88} {' '.join(f'{t:.2f}' for t in times):<20} "
-              f"{' '.join(f'{t:.2f}' for t in at_ref):<20} {mb:.1f}")
+    for row in rows:
+        print(f"{' '.join(row['argv']):<88} {' '.join(f'{t:.2f}' for t in row['wall_s']):<20} "
+              f"{' '.join(f'{t:.2f}' for t in row['scaled_wall_s']):<20} {row['max_rss_mb']:.1f}")
     print(f"host kernel median {host.median():.5f} s; scaled times are at its "
           f"reference {hostspeed.REF_S} s")
     return 0
