@@ -1,10 +1,10 @@
 """Batch front door: witness sweeps, exclusion certificates, zoo builds,
 classification, and LGI scans, serialized to JSON or CSV.
 
-Exit codes: 0 success, 1 certification failure, 2 usage error (a bad flag
-or a malformed input file). Exit 1 writes one line to stderr,
-``certification failure: <reason>``, and leaves stdout as it would be on
-success. Outputs are deterministic for fixed flags and a
+Exit codes: 0 success, 1 certification failure, 2 usage error (a bad flag,
+a malformed input file or a grid too large to allocate). Exit 1 writes one
+line to stderr, ``certification failure: <reason>``, and leaves stdout as it
+would be on success. Outputs are deterministic for fixed flags and a
 fixed BLAS thread count. CSV floats print with 17 significant digits; JSON
 floats print as their shortest round-trip ``repr``, as ``json`` writes them.
 """
@@ -343,7 +343,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except (CertificationError, PivotBudgetError) as exc:
         return _fail(str(exc))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,9 @@ Three programs matter:
   alpha = 4.0825e-4 and within 7.07e-8 of 1/sqrt(2) it gains less than
   ``CERT_TOL`` and certifies nothing.
 * ``emmr``: the same with both measures decomposed into per-value
-  eigenstate blocks. Infeasible a fortiori.
+  eigenstate blocks. Infeasible a fortiori. The simplex tableau is filled
+  whole from the blocks by ``_BlockEq``; the dense equality matrix is built
+  once, after the tableau is freed, for the duals and the re-verification.
 * ``max_overlap``: the quantum ceiling; maximizing the mass on the union of
   the two accessible sets under the statistics constraints alone lands at
   alpha^2 (1 + 2 alpha^2), short of the required 2 alpha^2.
@@ -107,10 +109,10 @@ def _block_program(
     the second: the transported measure must cover at least the eigenstate
     mass it started from.
 
-    The equality matrix is not built here: a ``_BlockEq`` writes any slab of
-    it from ``marg`` and the Born vectors, so the simplex fills its tableau
-    straight from the blocks and the dense matrix is built only when
-    ``a_eq`` is first read, after the solve.
+    The equality matrix is not built here: a ``_BlockEq`` writes it from
+    ``marg`` and the Born vectors, so the simplex fills its tableau straight
+    from the blocks and the dense matrix is built only when ``a_eq`` is
+    first read, after the solve has freed its tableau.
     """
     eq = _BlockEq(marg, eigen_rhs, halves)
     n_rows, n_vars = eq.shape
@@ -128,15 +130,15 @@ def _block_program(
 
 
 class _BlockEq:
-    """The equality matrix of ``_block_program``, written slab by slab.
+    """The equality matrix of ``_block_program``, written whole.
 
     Rows come in groups of ``n_keys`` (one per row of ``marg``) and columns
     in blocks of ``n_cols``. Eigenstate group g holds ``marg - born_q`` in
     column block g, with q = g mod ``n_blocks``; half group h holds ``marg``
     in each of half h's ``n_blocks`` column blocks; every other entry is
-    zero. ``write`` computes the block rows as ``marg - born_q`` entry by
-    entry, as the dense assembly did, so every slab holds the dense
-    matrix's floats.
+    zero. ``write`` computes the eigenstate blocks as ``marg - born_q``
+    entry by entry, as the per-row assembly does, so the matrix holds the
+    per-row assembly's floats.
     """
 
     def __init__(self, marg: np.ndarray, eigen_rhs: list | None, halves: int):
@@ -147,50 +149,17 @@ class _BlockEq:
         self.n_eigen = 0 if eigen_rhs is None else halves * self.n_blocks
         self.shape = ((self.n_eigen + halves) * n_keys, halves * self.n_blocks * n_cols)
 
-    def write(self, out: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    def write(self, out: np.ndarray) -> None:
+        """Fill ``out`` (zeros on entry) with the matrix."""
         n_keys, n_cols = self.marg.shape
-        by_block = {b: (at, atoms) for b, at, atoms in _groups(cols, n_cols)}
-        for g, at_rows, keys in _groups(rows, n_keys):
-            if g < self.n_eigen:
-                targets, born_q = (g,), self.eigen_rhs[g % self.n_blocks]
-            else:
-                first = (g - self.n_eigen) * self.n_blocks
-                targets, born_q = range(first, first + self.n_blocks), None
-            for b in targets:
-                if b not in by_block:
-                    continue
-                at_cols, atoms = by_block[b]
-                values = self.marg[_slab(keys, atoms)]
-                if born_q is not None:
-                    values = values - born_q[keys, None]
-                out[_slab(at_rows, at_cols)] = values
 
+        def block(g: int, b: int) -> np.ndarray:
+            return out[g * n_keys:(g + 1) * n_keys, b * n_cols:(b + 1) * n_cols]
 
-def _groups(idx: np.ndarray, size: int):
-    """Split the indices ``idx`` into groups of ``size`` consecutive
-    indices: yield each group g met, the positions in ``idx`` of its
-    indices and their offsets within it (idx = g * size + offset). An
-    ascending run of indices, as the tableau and the dense matrix ask for,
-    splits into slices, so their blocks are written as views."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size and (np.diff(idx) == 1).all():
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        for g in range(lo // size, (hi - 1) // size + 1):
-            start, stop = max(lo, g * size), min(hi, (g + 1) * size)
-            yield g, slice(start - lo, stop - lo), slice(start - g * size, stop - g * size)
-    else:
-        group, offset = np.divmod(idx, size)
-        for g in np.unique(group).tolist():
-            at = np.flatnonzero(group == g)
-            yield g, at, offset[at]
-
-
-def _slab(rows, cols):
-    """The index of the ``(rows, cols)`` slab of a matrix, each of ``rows``
-    and ``cols`` an integer array or a slice (a slice reads and writes a
-    view)."""
-    if isinstance(rows, slice) or isinstance(cols, slice):
-        return rows, cols
-    return np.ix_(rows, cols)
+        for g in range(self.n_eigen):
+            block(g, g)[...] = self.marg - self.eigen_rhs[g % self.n_blocks][:, None]
+        for b in range(self.shape[1] // n_cols):
+            block(self.n_eigen + b // self.n_blocks, b)[...] = self.marg
 
 
 def accessible_atoms(

@@ -9,14 +9,15 @@ original program.
 
 A program's equality matrix may be given by a writer instead of dense
 (``LinearProgram``). The solver takes its shapes from ``n_eq``/``n_ub``
-and reads A_eq only through ``write_eq``: the tableau is filled from it,
-and the duals gather their basis columns from it. Both receive the floats
-the dense matrix holds, so a writer-backed solve makes the dense solve's
-pivots and returns its bits. The dense matrix is built on the first read of
-``a_eq``, which comes from ``verify_certificate`` after the solve has freed
-its tableau; the EMMR program (``exclusion._block_program``) is thus held
-once during its solve, not twice. The one exception is the phase-1
-leftover check below, which re-verifies a ray while the tableau lives.
+and fills its tableau through ``write_eq``, so the tableau is the solve's
+one copy of the program. Once the verdict is read the solve frees the
+tableau, and only then do the duals read ``a_eq``: that builds the dense
+matrix from the same writer, with the floats the tableau was filled with,
+and keeps it for ``verify_certificate``. So a writer-backed solve makes
+the dense solve's pivots and returns its bits, and the EMMR program
+(``exclusion._block_program``) is never held twice. The one exception is
+the phase-1 leftover check below, whose duals and re-verification run
+while the tableau lives.
 
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
@@ -88,14 +89,12 @@ class LinearProgram:
     """max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 
     ``a_eq`` is the dense matrix, or a writer of it: an object with a
-    ``shape`` and a method ``write(out, rows, cols)`` that fills ``out``
-    (zeros on entry) with the entries of A_eq in rows ``rows`` and columns
-    ``cols``, both integer arrays. The solver takes its shapes from
-    ``n_eq``/``n_ub`` and reads A_eq only through ``write_eq``, so a
-    writer-backed program is never held dense during a solve. The
-    ``a_eq`` attribute builds the dense matrix from the writer on first
-    read and keeps it; certificate re-verification reads it. Programs are
-    read-only once built.
+    ``shape`` and a method ``write(out)`` that fills ``out`` (zeros on
+    entry) with A_eq. The simplex fills its tableau through ``write_eq``.
+    The ``a_eq`` attribute builds the dense matrix from the writer on first
+    read and keeps it; the duals and certificate re-verification read it,
+    after the solve has freed its tableau. Programs are read-only once
+    built.
     """
 
     def __init__(self, objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -135,15 +134,15 @@ class LinearProgram:
 
     def _build_a_eq(self) -> np.ndarray:
         dense = np.zeros((self.n_eq, self.n_vars))
-        self._writer.write(dense, np.arange(self.n_eq), np.arange(self.n_vars))
+        self._writer.write(dense)
         return dense
 
-    def write_eq(self, out: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Fill ``out`` (zeros on entry) with A_eq's ``(rows, cols)`` slab."""
+    def write_eq(self, out: np.ndarray) -> None:
+        """Fill ``out`` (zeros on entry) with A_eq."""
         if self._writer is None:
-            out[...] = self._a_eq[np.ix_(rows, cols)]
+            out[...] = self._a_eq
         else:
-            self._writer.write(out, rows, cols)
+            self._writer.write(out)
 
 
 def _normalize_block(a, b, n: int, kind: str):
@@ -182,13 +181,12 @@ class _Simplex:
     ``A`` is ``[A_eq; A_ub]`` with a slack column for each inequality row,
     and every row whose rhs is negative negated (its zeros become ``-0.0``).
     The tableau is ``[A | b]``. Its A_eq part is written in place by the
-    program's ``write_eq``, so a writer-backed program never has a dense
-    copy beside the tableau; A_ub, the slacks and b are copied. The tableau
+    program's ``write_eq``, so a writer-backed program has no dense copy
+    beside the tableau; A_ub, the slacks and b are copied. The tableau
     carries no artificial columns: phase 1 starts on one artificial per row
     (basis entries ``n + i``), but pricing stops at column ``n``, so an
     artificial never re-enters, and no step reads its column. The duals
-    rebuild the basis matrix from the program instead, gathering its A_eq
-    columns through ``write_eq``.
+    rebuild the basis matrix from the program instead, and need no tableau.
     """
 
     def __init__(self, program: LinearProgram):
@@ -197,7 +195,7 @@ class _Simplex:
         self.m = self.m0 = n_eq + n_ub   # m drops with redundant rows
         self.n = n_var + n_ub
         table = np.zeros((self.m, self.n + 1))
-        program.write_eq(table[:n_eq, :n_var], np.arange(n_eq), np.arange(n_var))
+        program.write_eq(table[:n_eq, :n_var])
         table[n_eq:, :n_var] = program.a_ub
         table[n_eq:, n_var:-1] = np.eye(n_ub)
         table[:n_eq, -1] = program.b_eq
@@ -311,8 +309,8 @@ class _Simplex:
         """Solve B^T y = c_B on the live rows; dropped rows get dual zero.
 
         B's structural and slack columns are gathered from the program's
-        blocks and sign-normalized as the tableau was (the same floats,
-        ``-0.0`` included); an artificial column is a unit vector.
+        dense blocks and sign-normalized as the tableau was (the same
+        floats, ``-0.0`` included); an artificial column is a unit vector.
         """
         p = self.program
         n_var, n_eq = p.n_vars, p.n_eq
@@ -320,8 +318,8 @@ class _Simplex:
         real = basis < self.n
         cols = basis[real]
         eq, var = live < n_eq, cols < n_var
-        gathered = np.zeros((int(eq.sum()), int(var.sum())))
-        p.write_eq(gathered, live[eq], cols[var])
+        # first, so that a writer's dense build reuses the freed tableau's memory
+        gathered = p.a_eq[np.ix_(live[eq], cols[var])]
         block = np.zeros((self.m, cols.size))
         block[np.ix_(eq, var)] = gathered
         block[np.ix_(~eq, var)] = p.a_ub[np.ix_(live[~eq] - n_eq, cols[var])]
@@ -353,6 +351,8 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     sx.run(phase1)
     infeasibility = float(phase1[sx.basis] @ sx.table[:, -1])
     if infeasibility > FEAS_TOL:
+        if infeasibility > CERT_TOL:
+            sx.table = None   # the duals read the dense A_eq: hold one copy
         y = np.where(sx.flip, -1.0, 1.0) * sx.duals(phase1)
         scale = np.abs(y).max()
         if scale > 1.0:
@@ -365,9 +365,9 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
         )
         # A leftover within the certificate budget that no ray proves is
         # rounding (pivots on 1e-8 entries scale the rhs error by 1e8):
-        # go on to phase 2 from the nearly feasible point. The check reads
-        # the dense A_eq, so this is the one place where a writer-backed
-        # program is held dense beside its tableau.
+        # go on to phase 2 from the nearly feasible point. Its duals and
+        # check read the dense A_eq, so this is the one place where a
+        # writer-backed program is held dense beside its tableau.
         if infeasibility > CERT_TOL or verify_certificate(program, outcome) <= CERT_TOL:
             return outcome
 
@@ -378,6 +378,7 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
         return LPOutcome(status=STATUS_UNBOUNDED, pivots=sx.pivots)
 
     x = sx.solution()[:n]
+    sx.table = None   # freed before the duals build the dense A_eq
     value = float(program.objective @ x)
     y = np.where(sx.flip, 1.0, -1.0) * sx.duals(phase2)
     status = STATUS_OPTIMAL if program.objective.any() else STATUS_FEASIBLE

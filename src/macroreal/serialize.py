@@ -313,7 +313,10 @@ def load_json(path) -> dict:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-_CHUNK = 1 << 16                       # characters load_json reads at a time
+# Characters load_json reads at a time. Up to 64 Ki the reader's peak stays
+# below 1.2 times the file (0.88 times on a 924 KB model from 1 Ki to 64 Ki);
+# at 256 Ki it is 1.43 times and at 1 Mi 2.74 times.
+_CHUNK = 1 << 16
 _OUTSIDE_STOP = re.compile(r'[\["]')   # outside strings: a list or a string opens
 _STRING_STOP = re.compile(r'["\\]')   # inside a string: it closes, or an escape
 

@@ -41,6 +41,20 @@ def test_unknown_subcommand_exits_2(capsys):
     assert run(["nonsense"]) == 2
 
 
+def test_grid_too_large_to_allocate_exits_2(capsys, monkeypatch):
+    """Running out of memory ends in one error line and exit 2, not a
+    traceback. The sweep is stubbed: a real oversized allocation could
+    succeed under memory overcommit and reach the OOM killer."""
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def sweep(alphas, dim):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(macroreal.cli, "sweep", sweep)
+    code, out, err = run_cli(capsys, "sweep", "--steps", "7")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_schema_and_rows(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

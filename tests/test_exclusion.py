@@ -22,6 +22,7 @@ from macroreal import (
     verify_certificate,
 )
 import macroreal.exclusion as exclusion
+import macroreal.lp as lp
 from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
 from macroreal.lp import CERT_TOL, FEAS_TOL, solve_lp
 from macroreal.witness import ALPHA_MAX
@@ -297,43 +298,32 @@ def test_emmr_from_block_writer_matches_dense_program(alpha, dim):
     assert np.float64(report.certificate_residual).tobytes() == np.float64(residual).tobytes()
 
 
-@pytest.mark.parametrize("dim", [4, 6])
-def test_block_writer_slabs_match_dense_matrix(dim):
-    """Any slab the writer fills, rows and columns drawn in any order with
-    repeats, holds the dense matrix's entries at those rows and columns."""
-    rng = np.random.default_rng(dim)
-    program = WitnessExclusion(build_witness(WitnessParams(0.5, dim))).emmr().program
-    for _ in range(20):
-        for n_rows, n_cols in ((1, 1), (7, 40), (program.n_eq, 200)):
-            rows = rng.integers(0, program.n_eq, n_rows)
-            cols = rng.integers(0, program.n_vars, n_cols)
-            out = np.zeros((n_rows, n_cols))
-            program.write_eq(out, rows, cols)
-            assert out.tobytes() == program.a_eq[np.ix_(rows, cols)].tobytes()
+@pytest.mark.parametrize("mode, status", [("emmr", "infeasible"), ("macro_only_control", "feasible")])
+def test_block_program_dense_matrix_built_once_with_no_tableau_alive(monkeypatch, mode, status):
+    """The solve fills its tableau from the block writer and frees it before
+    the duals read the dense matrix, on the infeasible path (EMMR) and on
+    the phase-2 path (the macro-only control): the dense matrix is built
+    once, while no simplex holds a tableau, and the certificate check
+    reuses it."""
+    kernels = []
+    init = lp._Simplex.__init__
 
+    def kept(self, program):
+        init(self, program)
+        kernels.append(self)
 
-def test_emmr_dense_matrix_built_only_after_solve(monkeypatch):
-    """The solve reads the EMMR equality matrix only through its writer: the
-    dense matrix is built once, on the certificate check after the solve."""
     builds = []
     build = LinearProgram._build_a_eq
 
     def counted(program):
-        builds.append(program)
+        builds.append([kernel.table is None for kernel in kernels])
         return build(program)
 
-    at_return = []
-
-    def solve(program):
-        outcome = solve_lp(program)
-        at_return.append(len(builds))
-        return outcome
-
+    monkeypatch.setattr(lp._Simplex, "__init__", kept)
     monkeypatch.setattr(LinearProgram, "_build_a_eq", counted)
-    monkeypatch.setattr(exclusion, "solve_lp", solve)
-    report = WitnessExclusion(build_witness(WitnessParams(0.5, 6))).emmr()
-    assert at_return == [0]
-    assert builds == [report.program]
+    report = getattr(WitnessExclusion(build_witness(WitnessParams(0.5, 6))), mode)()
+    assert report.status == status
+    assert builds == [[True]]
     assert report.program.a_eq is report.program.a_eq   # built once, then kept
     assert len(builds) == 1
 

@@ -247,12 +247,17 @@ def _ks_2000_file(tmp_path):
     return model, path
 
 
-def test_reading_a_model_peaks_below_six_fifths_of_the_file(tmp_path, monkeypatch):
+# chunk sizes the whole-model tests read at: a small one and the default
+MODEL_CHUNKS = (1 << 12, serialize._CHUNK)
+
+
+@pytest.mark.parametrize("chunk", MODEL_CHUNKS)
+def test_reading_a_model_peaks_below_six_fifths_of_the_file(tmp_path, monkeypatch, chunk):
     """The reader holds one chunk of the text and one leaf's values as
     Python numbers at a time, beside the arrays already parsed, so its
     peak is set by the model's arrays, not by the file."""
     _, path = _ks_2000_file(tmp_path)
-    monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
     tracemalloc.start()
     try:
         model_from_json(load_json(path))
@@ -380,7 +385,8 @@ def test_load_json_rejects_what_json_loads_rejects(tmp_path_factory, text, data)
     assert got == [want] * len(CHUNKS)
 
 
-def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", MODEL_CHUNKS)
+def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch, chunk):
     """A document that parses is read once, in chunks, and never whole."""
     _, path = _ks_2000_file(tmp_path)
     opened = []
@@ -394,7 +400,7 @@ def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "open", counted_open, raising=False)
     monkeypatch.setattr(serialize.Path, "read_text", whole_read)
-    monkeypatch.setattr(serialize, "_CHUNK", 1 << 16)
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
     assert tree_bits(load_json(path)) == tree_bits(json_load_oracle(path.read_bytes().decode()))
     assert opened == [path]
 
