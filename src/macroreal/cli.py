@@ -344,7 +344,7 @@ def run(argv=None) -> int:
     except (CertificationError, PivotBudgetError) as exc:
         return _fail(str(exc))
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

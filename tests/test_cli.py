@@ -55,6 +55,17 @@ def test_grid_too_large_to_allocate_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_memory_error_without_a_message_still_says_what_failed(capsys, monkeypatch):
+    """Python's own MemoryError (a list or bytes allocation) carries no
+    message; the error line then names the exception."""
+    def sweep(alphas, dim):
+        raise MemoryError()
+
+    monkeypatch.setattr(macroreal.cli, "sweep", sweep)
+    code, out, err = run_cli(capsys, "sweep", "--steps", "7")
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
 def test_sweep_schema_and_rows(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run_cli(
