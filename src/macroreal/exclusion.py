@@ -19,8 +19,8 @@ Three programs matter:
   alpha = 4.0825e-4 and within 7.07e-8 of 1/sqrt(2) it gains less than
   ``CERT_TOL`` and certifies nothing.
 * ``emmr``: the same with both measures decomposed into per-value
-  eigenstate blocks. Infeasible a fortiori. The simplex tableau is filled
-  whole from the blocks by ``_BlockEq``; the dense equality matrix is built
+  eigenstate blocks. Infeasible a fortiori. A function fills its equality
+  matrix from the blocks: the simplex tableau whole, and the dense matrix
   once, after the tableau is freed, for the duals and the re-verification.
 * ``max_overlap``: the quantum ceiling; maximizing the mass on the union of
   the two accessible sets under the statistics constraints alone lands at
@@ -109,57 +109,38 @@ def _block_program(
     the second: the transported measure must cover at least the eigenstate
     mass it started from.
 
-    The equality matrix is not built here: a ``_BlockEq`` writes it from
-    ``marg`` and the Born vectors, so the simplex fills its tableau straight
-    from the blocks and the dense matrix is built only when ``a_eq`` is
-    first read, after the solve has freed its tableau.
+    The equality matrix is not built here. The program's A_eq is a function
+    that fills it: rows in groups of ``n_keys`` (one per row of ``marg``),
+    columns in blocks of ``n_cols``; column block b holds ``marg - born_q``
+    (q = b mod ``n_blocks``, entry by entry as the per-row assembly) in
+    eigenstate group b and ``marg`` in its half's group. The simplex fills
+    its tableau with it, and the dense matrix is built with it only when
+    ``a_eq`` is first read, after the solve has freed its tableau.
     """
-    eq = _BlockEq(marg, eigen_rhs, halves)
-    n_rows, n_vars = eq.shape
+    n_keys, n_cols = marg.shape
+    n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
+    n_eigen = 0 if eigen_rhs is None else halves * n_blocks
+    n_rows, n_vars = (n_eigen + halves) * n_keys, halves * n_blocks * n_cols
+
+    def fill(out: np.ndarray) -> None:
+        for b in range(halves * n_blocks):
+            cols = slice(b * n_cols, (b + 1) * n_cols)
+            if n_eigen:
+                out[b * n_keys:(b + 1) * n_keys, cols] = marg - eigen_rhs[b % n_blocks][:, None]
+            group = n_eigen + b // n_blocks
+            out[group * n_keys:(group + 1) * n_keys, cols] = marg
+
     b_eq = np.zeros(n_rows)
-    b_eq[n_rows - halves * len(psi_rhs):] = np.tile(psi_rhs, halves)
+    b_eq[n_rows - halves * n_keys:] = np.tile(psi_rhs, halves)
     a_ub = b_ub = None
     if transport is not None:
         zero_mask, phi_mask = transport
         width = n_vars // halves
         a_ub = np.zeros((1, n_vars))
-        a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), eq.n_blocks)
-        a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), eq.n_blocks)
+        a_ub[0, :width] = np.tile(np.where(zero_mask, 1.0, 0.0), n_blocks)
+        a_ub[0, width:] = np.tile(np.where(phi_mask, -1.0, 0.0), n_blocks)
         b_ub = np.zeros(1)
-    return LinearProgram(objective=np.zeros(n_vars), a_eq=eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-
-
-class _BlockEq:
-    """The equality matrix of ``_block_program``, written whole.
-
-    Rows come in groups of ``n_keys`` (one per row of ``marg``) and columns
-    in blocks of ``n_cols``. Eigenstate group g holds ``marg - born_q`` in
-    column block g, with q = g mod ``n_blocks``; half group h holds ``marg``
-    in each of half h's ``n_blocks`` column blocks; every other entry is
-    zero. ``write`` computes the eigenstate blocks as ``marg - born_q``
-    entry by entry, as the per-row assembly does, so the matrix holds the
-    per-row assembly's floats.
-    """
-
-    def __init__(self, marg: np.ndarray, eigen_rhs: list | None, halves: int):
-        n_keys, n_cols = marg.shape
-        self.marg = marg
-        self.eigen_rhs = eigen_rhs
-        self.n_blocks = 1 if eigen_rhs is None else len(eigen_rhs)
-        self.n_eigen = 0 if eigen_rhs is None else halves * self.n_blocks
-        self.shape = ((self.n_eigen + halves) * n_keys, halves * self.n_blocks * n_cols)
-
-    def write(self, out: np.ndarray) -> None:
-        """Fill ``out`` (zeros on entry) with the matrix."""
-        n_keys, n_cols = self.marg.shape
-
-        def block(g: int, b: int) -> np.ndarray:
-            return out[g * n_keys:(g + 1) * n_keys, b * n_cols:(b + 1) * n_cols]
-
-        for g in range(self.n_eigen):
-            block(g, g)[...] = self.marg - self.eigen_rhs[g % self.n_blocks][:, None]
-        for b in range(self.shape[1] // n_cols):
-            block(self.n_eigen + b // self.n_blocks, b)[...] = self.marg
+    return LinearProgram(objective=np.zeros(n_vars), a_eq=fill, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
 def accessible_atoms(

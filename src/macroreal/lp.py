@@ -7,17 +7,16 @@ Bland's anti-cycling rule. Every verdict carries a certificate: an optimal
 infeasibility; ``verify_certificate`` re-checks either kind against the
 original program.
 
-A program's equality matrix may be given by a writer instead of dense
-(``LinearProgram``). The solver takes its shapes from ``n_eq``/``n_ub``
-and fills its tableau through ``write_eq``, so the tableau is the solve's
-one copy of the program. Once the verdict is read the solve frees the
-tableau, and only then do the duals read ``a_eq``: that builds the dense
-matrix from the same writer, with the floats the tableau was filled with,
-and keeps it for ``verify_certificate``. So a writer-backed solve makes
-the dense solve's pivots and returns its bits, and the EMMR program
-(``exclusion._block_program``) is never held twice. The one exception is
-the phase-1 leftover check below, whose duals and re-verification run
-while the tableau lives.
+A program's equality matrix may be a function that fills A_eq instead of
+dense (``LinearProgram``). The solver takes its shapes from ``n_eq`` and
+``n_ub`` and fills its tableau through ``write_eq``, so the tableau is the
+solve's one copy of the program. Once the verdict is read the solve frees
+the tableau, and only then do the duals read ``a_eq``, which builds the
+dense matrix with the same fill (so with the tableau's floats) and keeps
+it for ``verify_certificate``. So a solve from a fill makes the dense
+solve's pivots and returns its bits, and the EMMR program is never held
+twice. The one exception is the phase-1 leftover check below, whose duals
+and re-verification run while the tableau lives.
 
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
@@ -88,31 +87,23 @@ class PivotBudgetError(RuntimeError):
 class LinearProgram:
     """max c.x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 
-    ``a_eq`` is the dense matrix, or a writer of it: an object with a
-    ``shape`` and a method ``write(out)`` that fills ``out`` (zeros on
-    entry) with A_eq. The simplex fills its tableau through ``write_eq``.
-    The ``a_eq`` attribute builds the dense matrix from the writer on first
-    read and keeps it; the duals and certificate re-verification read it,
-    after the solve has freed its tableau. Programs are read-only once
-    built.
+    ``a_eq`` is the dense matrix, or a function ``fill(out)`` that fills
+    ``out`` (zeros, of shape ``(len(b_eq), len(objective))``) with A_eq.
+    The simplex fills its tableau through ``write_eq``. The ``a_eq``
+    attribute builds the dense matrix with the fill on first read and keeps
+    it; the duals and certificate re-verification read it, after the solve
+    has freed its tableau. A matrix without its right-hand side (or the
+    reverse) or a non-finite entry raises ``ValueError``. Programs are
+    read-only once built.
     """
 
     def __init__(self, objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
-        c = np.atleast_1d(np.asarray(objective, dtype=float))
-        n = c.shape[0]
-        self._writer = None
-        if hasattr(a_eq, "write"):
-            if tuple(a_eq.shape) != (len(b_eq), n):
-                raise ValueError(
-                    f"eq writer has shape {tuple(a_eq.shape)}, expected ({len(b_eq)}, {n})"
-                )
-            self._writer, self._a_eq = a_eq, None
-            b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        self.objective = _floats(objective, "objective")
+        if callable(a_eq):   # the fill, until ``a_eq`` is first read
+            self._a_eq, self.b_eq = a_eq, _floats(b_eq, "eq right-hand side")
         else:
-            self._a_eq, b_eq = _normalize_block(a_eq, b_eq, n, "eq")
-        self.objective = c
-        self.b_eq = b_eq
-        self.a_ub, self.b_ub = _normalize_block(a_ub, b_ub, n, "ub")
+            self._a_eq, self.b_eq = _normalize_block(a_eq, b_eq, self.n_vars, "eq")
+        self.a_ub, self.b_ub = _normalize_block(a_ub, b_ub, self.n_vars, "ub")
 
     @property
     def n_vars(self) -> int:
@@ -128,28 +119,37 @@ class LinearProgram:
 
     @property
     def a_eq(self) -> np.ndarray:
-        if self._a_eq is None:
-            self._a_eq = self._build_a_eq()
+        if callable(self._a_eq):
+            dense = np.zeros((self.n_eq, self.n_vars))
+            self._a_eq(dense)
+            self._a_eq = dense
         return self._a_eq
-
-    def _build_a_eq(self) -> np.ndarray:
-        dense = np.zeros((self.n_eq, self.n_vars))
-        self._writer.write(dense)
-        return dense
 
     def write_eq(self, out: np.ndarray) -> None:
         """Fill ``out`` (zeros on entry) with A_eq."""
-        if self._writer is None:
-            out[...] = self._a_eq
+        if callable(self._a_eq):
+            self._a_eq(out)
         else:
-            self._writer.write(out)
+            out[...] = self._a_eq
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; they must be given and finite."""
+    if values is None:
+        raise ValueError(f"{what} is missing")
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    return values
 
 
 def _normalize_block(a, b, n: int, kind: str):
     if a is None or (hasattr(a, "__len__") and len(a) == 0):
+        if b is not None and np.size(b):
+            raise ValueError(f"{kind} right-hand side has no matrix rows")
         return np.zeros((0, n)), np.zeros(0)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.atleast_2d(_floats(a, f"{kind} matrix"))
+    b = _floats(b, f"{kind} right-hand side")
     if a.shape[1] != n:
         raise ValueError(f"{kind} matrix has {a.shape[1]} columns, expected {n}")
     if a.shape[0] != b.shape[0]:
@@ -181,8 +181,8 @@ class _Simplex:
     ``A`` is ``[A_eq; A_ub]`` with a slack column for each inequality row,
     and every row whose rhs is negative negated (its zeros become ``-0.0``).
     The tableau is ``[A | b]``. Its A_eq part is written in place by the
-    program's ``write_eq``, so a writer-backed program has no dense copy
-    beside the tableau; A_ub, the slacks and b are copied. The tableau
+    program's ``write_eq``, so a program whose A_eq is a fill has no dense
+    copy beside the tableau; A_ub, the slacks and b are copied. The tableau
     carries no artificial columns: phase 1 starts on one artificial per row
     (basis entries ``n + i``), but pricing stops at column ``n``, so an
     artificial never re-enters, and no step reads its column. The duals
@@ -318,7 +318,7 @@ class _Simplex:
         real = basis < self.n
         cols = basis[real]
         eq, var = live < n_eq, cols < n_var
-        # first, so that a writer's dense build reuses the freed tableau's memory
+        # first, so that building A_eq from a fill reuses the freed tableau's memory
         gathered = p.a_eq[np.ix_(live[eq], cols[var])]
         block = np.zeros((self.m, cols.size))
         block[np.ix_(eq, var)] = gathered
@@ -367,7 +367,7 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
         # rounding (pivots on 1e-8 entries scale the rhs error by 1e8):
         # go on to phase 2 from the nearly feasible point. Its duals and
         # check read the dense A_eq, so this is the one place where a
-        # writer-backed program is held dense beside its tableau.
+        # program given by a fill is held dense beside its tableau.
         if infeasibility > CERT_TOL or verify_certificate(program, outcome) <= CERT_TOL:
             return outcome
 

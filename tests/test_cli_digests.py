@@ -11,6 +11,8 @@ formatting changes a digest. The file is only read.
 The child pins BLAS to one thread, as the benchmark that recorded the
 digests does: LAPACK's threaded solve in ``_Simplex.duals`` moves the last
 bits of some Farkas rays (1e-18 at d=6) with the thread count.
+``tools/digest_threads.py`` runs the same child on more threads through
+``run_recorded``.
 """
 
 import hashlib
@@ -57,11 +59,13 @@ print(json.dumps(result))
 """
 
 
-@pytest.fixture(scope="module")
-def produced():
+def run_recorded(threads: int) -> dict:
+    """Run every recorded command in one child interpreter whose BLAS runs
+    on ``threads`` threads, in script order. Map each command to its exit
+    code, the sha256 of its stdout and those of the files it wrote."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     package_root = str(Path(macroreal.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     script = [
@@ -75,6 +79,11 @@ def produced():
             capture_output=True, text=True, env=env, cwd=workdir, timeout=300, check=True,
         )
     return json.loads(child.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def produced():
+    return run_recorded(1)
 
 
 def test_digests_cover_witness_and_exclude():

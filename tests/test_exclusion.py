@@ -12,7 +12,6 @@ from scipy.optimize import linprog
 
 from macroreal import (
     CertificationError,
-    LinearProgram,
     WitnessExclusion,
     WitnessParams,
     accessible_atoms,
@@ -272,19 +271,19 @@ def test_near_boundary_solves_match_dense_kernel_bit_for_bit(gap, dim):
         assert_matches_dense_kernel(report)
 
 
-# -- the block writer behind the EMMR tableau -------------------------------------
+# -- the block fill behind the EMMR tableau ---------------------------------------
 
-EMMR_WRITER_GRID = [
+EMMR_FILL_GRID = [
     (alpha, dim)
     for dim in (4, 6, 8, 10)
     for alpha in (0.05, 0.3, 0.5, 0.5553, 0.7, ALPHA_MAX - 1e-6)
 ] + [(9.055298304384401e-4, 6)]   # inside the d=6 gap: the ray gains too little
 
 
-@pytest.mark.parametrize("alpha, dim", EMMR_WRITER_GRID)
-def test_emmr_from_block_writer_matches_dense_program(alpha, dim):
-    """The simplex filling its tableau and gathering its basis columns from
-    the block writer takes the pivots and returns the ray that it takes and
+@pytest.mark.parametrize("alpha, dim", EMMR_FILL_GRID)
+def test_emmr_from_block_fill_matches_dense_program(alpha, dim):
+    """The simplex filling its tableau and building its dense matrix with
+    the block fill takes the pivots and returns the ray that it takes and
     returns on the per-row dense program, and the residual re-verified on
     that dense program is the report's, bit for bit."""
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
@@ -300,11 +299,12 @@ def test_emmr_from_block_writer_matches_dense_program(alpha, dim):
 
 @pytest.mark.parametrize("mode, status", [("emmr", "infeasible"), ("macro_only_control", "feasible")])
 def test_block_program_dense_matrix_built_once_with_no_tableau_alive(monkeypatch, mode, status):
-    """The solve fills its tableau from the block writer and frees it before
-    the duals read the dense matrix, on the infeasible path (EMMR) and on
-    the phase-2 path (the macro-only control): the dense matrix is built
-    once, while no simplex holds a tableau, and the certificate check
-    reuses it."""
+    """The solve fills its tableau with the block program's fill and frees
+    it before the duals read the dense matrix, on the infeasible path (EMMR)
+    and on the phase-2 path (the macro-only control): the dense matrix is
+    built once, while no simplex holds a tableau, and the certificate check
+    reuses it. A dense build is a fill call on an array of its own; the
+    tableau's fill writes into a slice of the tableau."""
     kernels = []
     init = lp._Simplex.__init__
 
@@ -313,14 +313,22 @@ def test_block_program_dense_matrix_built_once_with_no_tableau_alive(monkeypatch
         kernels.append(self)
 
     builds = []
-    build = LinearProgram._build_a_eq
+    block_program = exclusion._block_program
 
-    def counted(program):
-        builds.append([kernel.table is None for kernel in kernels])
-        return build(program)
+    def traced(*args, **kwargs):
+        program = block_program(*args, **kwargs)
+        fill = program._a_eq
+
+        def counted(out):
+            if out.base is None:
+                builds.append([kernel.table is None for kernel in kernels])
+            fill(out)
+
+        program._a_eq = counted
+        return program
 
     monkeypatch.setattr(lp._Simplex, "__init__", kept)
-    monkeypatch.setattr(LinearProgram, "_build_a_eq", counted)
+    monkeypatch.setattr(exclusion, "_block_program", traced)
     report = getattr(WitnessExclusion(build_witness(WitnessParams(0.5, 6))), mode)()
     assert report.status == status
     assert builds == [[True]]

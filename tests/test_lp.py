@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from macroreal import LinearProgram, LPOutcome, lp, solve_lp, verify_certificate
-from macroreal.exclusion import _BlockEq
 from macroreal.lp import CERT_TOL, farkas_gain
 from helpers import DenseSimplex, outcome_bits, solve_lp_checked, solve_lp_with
 
@@ -216,15 +215,14 @@ def test_rounding_left_by_tiny_pivot_is_not_infeasibility():
     assert verify_certificate(p, out) <= CERT_TOL
 
 
-def test_rounding_leftover_check_reads_the_dense_matrix_of_a_writer_backed_program(monkeypatch):
-    """The same program with its equality matrix behind the exclusion block
-    writer reaches the phase-1 leftover check once, the one step of a solve
-    that reads the dense matrix while the tableau lives, and comes back with
-    the dense program's bits."""
+def test_rounding_leftover_check_reads_the_dense_matrix_of_a_program_given_by_a_fill(monkeypatch):
+    """The same program with its equality matrix given by a function that
+    fills it reaches the phase-1 leftover check once, the one step of a
+    solve that reads the dense matrix while the tableau lives, and comes
+    back with the dense program's bits."""
     dense = _tiny_pivot_program()
-    writer = _BlockEq(dense.a_eq, None, halves=1)
-    p = LinearProgram(objective=dense.objective, a_eq=writer, b_eq=dense.b_eq,
-                      a_ub=dense.a_ub, b_ub=dense.b_ub)
+    p = LinearProgram(objective=dense.objective, a_eq=lambda out: np.copyto(out, dense.a_eq),
+                      b_eq=dense.b_eq, a_ub=dense.a_ub, b_ub=dense.b_ub)
     checks = []
     verify = lp.verify_certificate
 
@@ -236,6 +234,31 @@ def test_rounding_leftover_check_reads_the_dense_matrix_of_a_writer_backed_progr
     out = solve_lp(p)
     assert checks == [p]
     assert outcome_bits(out) == outcome_bits(solve_lp(dense))
+
+
+def _fill_one(out):
+    out[...] = 1.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(objective=[0.0], a_eq=[], b_eq=[1.0]), "eq right-hand side has no matrix rows"),
+    (dict(objective=[0.0], a_eq=[[1.0]]), "eq right-hand side is missing"),
+    (dict(objective=[0.0], a_ub=[[1.0]]), "ub right-hand side is missing"),
+    (dict(objective=[0.0], a_eq=[[1.0]], b_eq=[np.nan]), "eq right-hand side has a non-finite"),
+    (dict(objective=[np.nan]), "objective has a non-finite"),
+    (dict(objective=[0.0], a_eq=[[np.inf]], b_eq=[1.0]), "eq matrix has a non-finite"),
+    (dict(objective=[0.0], a_eq=_fill_one), "eq right-hand side is missing"),
+    (dict(objective=[0.0], a_eq=_fill_one, b_eq=[np.inf]), "eq right-hand side has a non-finite"),
+], ids=["rhs-without-rows", "eq-without-rhs", "ub-without-rhs", "nan-rhs", "nan-objective",
+        "inf-matrix", "fill-without-rhs", "fill-inf-rhs"])
+def test_malformed_program_raises_naming_the_block(kwargs, message):
+    """Each of these once reached the solver: the row dropped (then
+    ``feasible``), a missing right-hand side read as NaN (then an argmin of
+    an empty sequence), a NaN objective (``optimal`` at NaN), an infinite
+    entry (``optimal`` at x = 0)."""
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(**kwargs)
+
 
 # -- the window kernel against the dense one -----------------------------------
 # Negative right-hand sides flip rows (their zeros become -0.0), 1e-8 entries
