@@ -8,7 +8,8 @@ class (and the reports say so). The atoms are one ``(n_atoms, n_meas)``
 integer array: row a holds atom a's outcome index for each measurement, in
 fragment order, and rows run in ``itertools.product`` order. Atom indices
 in the accessible sets and LP columns are row indices of that array.
-Three programs matter:
+``WitnessExclusion`` computes every state's Born vectors and accessible set
+once per witness, and every program reads them. Three programs matter:
 
 * ``esmr``: two measures, both reproducing the witness state's statistics,
   supported on eigenstate-accessible atoms, with the transported measure
@@ -75,20 +76,6 @@ def enumerate_atoms(fragment: QuantumFragment) -> np.ndarray:
     return np.indices(counts).reshape(len(counts), total).T
 
 
-def _marginal_matrix(fragment: QuantumFragment, atoms: np.ndarray) -> np.ndarray:
-    """Rows summing atom weight per (measurement, outcome): measurements in
-    fragment order, outcomes ascending within each."""
-    return np.concatenate([
-        atoms[:, mi] == np.arange(meas.n_outcomes)[:, None]
-        for mi, meas in enumerate(fragment.measurements.values())
-    ]).astype(float)
-
-
-def _born_rhs(fragment: QuantumFragment, state_name: str) -> np.ndarray:
-    """The state's Born vectors in the row order of ``_marginal_matrix``."""
-    return np.concatenate([fragment.born(state_name, m) for m in fragment.measurements])
-
-
 def _block_program(
     marg: np.ndarray,
     psi_rhs: np.ndarray,
@@ -143,15 +130,16 @@ def _block_program(
     return LinearProgram(objective=np.zeros(n_vars), a_eq=fill, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
-def accessible_atoms(
-    fragment: QuantumFragment, target: str, atoms: np.ndarray
-) -> np.ndarray:
-    """Atoms that can carry positive weight in some measure reproducing the
-    target state's statistics: those whose largest feasible weight exceeds
-    ``STRICT_POS_EPS``, as a read-only ascending index array.
+def accessible_atoms(born: np.ndarray, rows: np.ndarray) -> list:
+    """For each row of the Born table ``born`` (one state's Born vectors,
+    concatenated in marginal-row order), the atoms that can carry positive
+    weight in some measure reproducing that state's statistics: those whose
+    largest feasible weight exceeds ``STRICT_POS_EPS``, as a read-only
+    ascending index array. ``rows[m, a]`` is the marginal row of atom a's
+    outcome for measurement m.
 
     That largest weight is the Fréchet bound w* = min_m p_m(o_m), where
-    p_m is the target's Born distribution for measurement m and o_m the
+    p_m is the state's Born distribution for measurement m and o_m the
     outcome atom a chooses there; the constraints fix each marginal of the
     measure to p_m.
 
@@ -164,19 +152,15 @@ def accessible_atoms(
       every p_m. Its weight on a is zero, because r_m(o_m) = 0 at the
       minimizing m.
 
-    So a is accessible iff w* > STRICT_POS_EPS: one vectorised minimum over
-    the measurements replaces one LP per atom. The atoms, and with them the
-    ESMR, EMMR and overlap programs, are those the per-atom LPs select.
+    So a is accessible iff w* > STRICT_POS_EPS: one gather of the table at
+    ``rows`` and one minimum over the measurements replace one LP per atom
+    and state. The atoms, and with them the ESMR, EMMR and overlap
+    programs, are those the per-atom LPs select.
     """
-    if target not in fragment.states:
-        raise ValueError(f"target {target!r} not in the fragment catalogue")
-    weight = np.full(len(atoms), np.inf)
-    for mi, mname in enumerate(fragment.measurements):
-        born_m = np.asarray(fragment.born(target, mname))
-        weight = np.minimum(weight, born_m[atoms[:, mi]])
-    accessible = np.flatnonzero(weight > STRICT_POS_EPS)
-    accessible.flags.writeable = False
-    return accessible
+    sets = [np.flatnonzero(weight > STRICT_POS_EPS) for weight in born[:, rows].min(axis=1)]
+    for accessible in sets:
+        accessible.flags.writeable = False
+    return sets
 
 
 @dataclass(frozen=True)
@@ -247,11 +231,10 @@ def witness_fragment(bundle: WitnessBundle, antidist_measurement) -> QuantumFrag
 
 
 class WitnessExclusion:
-    """Shared context for the exclusion programs of one certified witness.
-
-    Accessible-atom sets are computed once per target and reused across the
-    ESMR, EMMR, overlap and control programs.
-    """
+    """Shared context for the exclusion programs of one certified witness:
+    the Born table (``fragment.born`` once per state and measurement), the
+    marginal matrix, every accessible set, the eigen-union and the
+    transport masks, all computed at construction."""
 
     def __init__(self, bundle: WitnessBundle, antidist: AntidistReport | None = None):
         if antidist is None:
@@ -266,27 +249,38 @@ class WitnessExclusion:
         self.antidist = antidist
         self.fragment = witness_fragment(bundle, antidist.measurement)
         self.atoms = enumerate_atoms(self.fragment)
-        self._marg = _marginal_matrix(self.fragment, self.atoms)
+        # Marginal rows run (measurement, outcome): measurements in fragment
+        # order, outcomes ascending. Measurement m's rows start at
+        # _offsets[m], so rows[m, a] is the row of atom a's outcome there.
+        measurements = self.fragment.measurements
+        self._offsets = np.cumsum([0] + [meas.n_outcomes for meas in measurements.values()])
+        rows = (self.atoms + self._offsets[:-1]).T
+        self._marg = np.zeros((self._offsets[-1], len(self.atoms)))
+        self._marg[rows, np.arange(len(self.atoms))] = 1.0
         self._marg.flags.writeable = False   # programs share it
-        self._access: dict[str, np.ndarray] = {}
+        # one Born vector per state, in marginal-row order
+        born = np.array([
+            np.concatenate([self.fragment.born(state, m) for m in measurements])
+            for state in self.fragment.states
+        ])
+        born.flags.writeable = False
+        self._born = dict(zip(self.fragment.states, born))
+        self._access = dict(zip(self.fragment.states, accessible_atoms(born, rows)))
         self._eigen_names = ["zero"] + [f"q{k}" for k in range(1, bundle.dim)]
+        self._eigen_union = np.unique(np.concatenate([self._access[q] for q in self._eigen_names]))
+        # rows 0 and 1 mark the atoms accessible from zero and from phi
+        self._transport = np.zeros((2, len(self.atoms)), dtype=bool)
+        self._transport[0, self._access["zero"]] = True
+        self._transport[1, self._access["phi"]] = True
         gap = contradiction_gap(bundle.alpha)
         self._required, self._ceiling = gap.esmr_lower_bound, gap.quantum_upper_bound
 
     def accessible(self, target: str) -> np.ndarray:
+        """The atoms that the target state's statistics let carry weight
+        (``accessible_atoms``), as a read-only ascending index array."""
         if target not in self._access:
-            self._access[target] = accessible_atoms(self.fragment, target, self.atoms)
+            raise ValueError(f"target {target!r} not in the fragment catalogue")
         return self._access[target]
-
-    def _eigen_union(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.accessible(q) for q in self._eigen_names]))
-
-    def _transport_masks(self) -> np.ndarray:
-        """Rows 0 and 1 mark the atoms accessible from zero and from phi."""
-        masks = np.zeros((2, len(self.atoms)), dtype=bool)
-        masks[0, self.accessible("zero")] = True
-        masks[1, self.accessible("phi")] = True
-        return masks
 
     def _certify(
         self, mode: str, program: LinearProgram, outcome: LPOutcome, explain, *,
@@ -314,11 +308,9 @@ class WitnessExclusion:
 
     # -- the three programs --------------------------------------------------
 
-    def _esmr_ray(self, columns: np.ndarray, transport: np.ndarray) -> LPOutcome:
+    def _esmr_ray(self) -> LPOutcome:
         """The paper's ESMR contradiction as a Farkas ray of the ESMR
-        program whose columns are the atoms ``columns`` (rows of
-        ``self.atoms``), with ``transport`` marking those accessible from
-        zero and from phi.
+        program, whose columns are the eigen-union's atoms.
 
         Write mu' for the first half (psi before the fixing unitary), mu for
         the second (psi after it), B for bprime and D for the
@@ -354,8 +346,9 @@ class WitnessExclusion:
         """
         names = list(self.fragment.measurements)
         i_d, i_b = names.index(MEAS_ANTIDIST), names.index(MEAS_BPRIME)
-        sizes = [meas.n_outcomes for meas in self.fragment.measurements.values()]
-        start = np.cumsum([0] + sizes)
+        start = self._offsets
+        columns = self.atoms[self._eigen_union]
+        transport = self._transport[:, self._eigen_union]
         zero_b = np.unique(columns[transport[0], i_b])
         phi = columns[transport[1]]
         n_out = np.unique(phi[np.isin(phi[:, i_b], zero_b), i_d])
@@ -378,13 +371,12 @@ class WitnessExclusion:
         """Two-measure feasibility program for eigenstate-supported models,
         certified by the closed-form ray alone: always infeasible, with a
         residual over budget where the ray gains less than ``CERT_TOL``."""
-        allowed = self._eigen_union()
-        transport = self._transport_masks()[:, allowed]
+        allowed = self._eigen_union
         program = _block_program(
-            self._marg[:, allowed], _born_rhs(self.fragment, "psi"), halves=2, transport=transport
+            self._marg[:, allowed], self._born["psi"], halves=2,
+            transport=self._transport[:, allowed],
         )
-        ray = self._esmr_ray(self.atoms[allowed], transport)
-        return self._certify("esmr", program, ray, lambda outcome: (
+        return self._certify("esmr", program, self._esmr_ray(), lambda outcome: (
             "Within the deterministic-response model class, any "
             "eigenstate-supported measure pair must put "
             f"{self._required:.6f} = 2 alpha^2 of mass on the accessible atoms of "
@@ -398,10 +390,10 @@ class WitnessExclusion:
         eigenstate's statistics scaled by the block mass."""
         program = _block_program(
             self._marg,
-            _born_rhs(self.fragment, "psi"),
+            self._born["psi"],
             halves=2,
-            eigen_rhs=[_born_rhs(self.fragment, q) for q in self._eigen_names],
-            transport=self._transport_masks(),
+            eigen_rhs=[self._born[q] for q in self._eigen_names],
+            transport=self._transport,
         )
         return self._certify("emmr", program, solve_lp(program), lambda outcome: (
             "Eigenstate-mixture decompositions inherit the eigenstate "
@@ -413,9 +405,9 @@ class WitnessExclusion:
         """Maximal mass on the accessible atoms of {phi, zero} under the
         witness statistics alone; the optimum is the quantum ceiling."""
         program = LinearProgram(
-            objective=self._transport_masks().any(axis=0).astype(float),
+            objective=self._transport.any(axis=0).astype(float),
             a_eq=self._marg,
-            b_eq=_born_rhs(self.fragment, "psi"),
+            b_eq=self._born["psi"],
         )
         return self._certify("max_overlap", program, solve_lp(program), lambda outcome: (
             f"Maximum joint accessible mass is {outcome.value:.9f}; macro-"
@@ -427,7 +419,7 @@ class WitnessExclusion:
 
     def static_control(self) -> ExclusionReport:
         """ESMR without the transport row."""
-        return self._esmr_control("esmr_static_control", self._marg[:, self._eigen_union()])
+        return self._esmr_control("esmr_static_control", self._marg[:, self._eigen_union])
 
     def unconstrained_control(self) -> ExclusionReport:
         """ESMR without the transport row and without the eigenstate
@@ -435,7 +427,7 @@ class WitnessExclusion:
         return self._esmr_control("esmr_unconstrained_control", self._marg)
 
     def _esmr_control(self, mode: str, marg: np.ndarray) -> ExclusionReport:
-        program = _block_program(marg, _born_rhs(self.fragment, "psi"), halves=2)
+        program = _block_program(marg, self._born["psi"], halves=2)
         return self._certify(mode, program, solve_lp(program), lambda outcome: (
             f"Control program ({mode}); the solver verdict is recorded, "
             "not asserted."
@@ -446,11 +438,13 @@ class WitnessExclusion:
         transport row. Its atoms are the d macro outcomes, so its marginal
         matrix is the identity; mixtures of macro eigenstates reproduce any
         macro statistics."""
+        i_m = list(self.fragment.measurements).index(MEAS_MACRO)
+        macro = slice(self._offsets[i_m], self._offsets[i_m + 1])
         program = _block_program(
             np.eye(self.bundle.dim),
-            self.fragment.born("psi", MEAS_MACRO),
+            self._born["psi"][macro],
             halves=1,
-            eigen_rhs=[self.fragment.born(q, MEAS_MACRO) for q in self._eigen_names],
+            eigen_rhs=[self._born[q][macro] for q in self._eigen_names],
         )
         return self._certify("emmr_macro_only", program, solve_lp(program), lambda outcome: (
             "Macro-only control: mixtures of macro eigenstates reproduce "

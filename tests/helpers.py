@@ -37,8 +37,6 @@ from macroreal.exclusion import (
     MEAS_BPRIME,
     MEAS_MACRO,
     _block_program,
-    _born_rhs,
-    _marginal_matrix,
 )
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
@@ -470,17 +468,15 @@ def additivity_violations(model: FiniteOntModel, tol: float = 1e-10) -> list[str
     return []
 
 
-def lp_atom_maxima(
-    fragment: QuantumFragment, target: str, atoms: list, indices
-) -> np.ndarray:
-    """Largest weight each of ``atoms[indices]`` can carry in a measure
-    reproducing the target's statistics, one simplex LP per atom: the
-    oracle for the closed-form ``accessible_atoms``."""
-    marg = _marginal_matrix(fragment, atoms)
-    rhs = _born_rhs(fragment, target)
+def lp_atom_maxima(context, target: str, indices) -> np.ndarray:
+    """Largest weight each of the context's atoms ``indices`` can carry in a
+    measure reproducing the target's statistics (its row of the Born
+    table), one simplex LP per atom: the oracle for the closed-form
+    ``accessible_atoms``."""
+    marg, rhs = context._marg, context._born[target]
     maxima = []
     for idx in indices:
-        objective = np.zeros(len(atoms))
+        objective = np.zeros(marg.shape[1])
         objective[idx] = 1.0
         outcome = solve_lp(LinearProgram(objective=objective, a_eq=marg, b_eq=rhs))
         assert outcome.status == "optimal", outcome.status
@@ -493,12 +489,12 @@ def simplex_esmr(context) -> tuple:
     library certified it before the closed-form ray: the oracle for that
     ray. Returns the program, the solver's outcome and its re-verified
     residual."""
-    allowed = context._eigen_union()
+    allowed = context._eigen_union
     program = _block_program(
         context._marg[:, allowed],
-        _born_rhs(context.fragment, "psi"),
+        context._born["psi"],
         halves=2,
-        transport=context._transport_masks()[:, allowed],
+        transport=context._transport[:, allowed],
     )
     outcome = solve_lp(program)
     return program, outcome, lp.verify_certificate(program, outcome)

@@ -3,10 +3,13 @@
 ``bench/cli_digests.json`` maps each command of the benchmark's cli script
 to the sha256 of its stdout, and of the files it writes. Every command runs
 here through ``cli.run``, all in one child interpreter inside a scratch
-directory: the 128 `witness`/`exclude` commands, then the five fixed ones
-in script order, so ``classify`` reads the model ``zoo ks`` wrote. Any
-change to a status, optimum, certificate vector, model entry or float
-formatting changes a digest. The file is only read.
+directory: the 128 `witness`/`exclude` commands, then the fixed ones in
+script order, so ``classify`` reads the model ``zoo ks`` wrote. The fixed
+commands are ``FIXED_COMMANDS`` of ``bench/workloads.py``, loaded from that
+file as ``tests/test_trace_sites.py`` loads it, so the guard cannot drift
+from the benchmark script. Any change to a status, optimum, certificate
+vector, model entry or float formatting changes a digest. Both files are
+only read.
 
 The child pins BLAS to one thread, as the benchmark that recorded the
 digests does: LAPACK's threaded solve in ``_Simplex.duals`` moves the last
@@ -16,6 +19,7 @@ bits of some Farkas rays (1e-18 at d=6) with the thread count.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,20 +32,24 @@ import pytest
 import macroreal
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json"
+WORKLOADS = DIGESTS.with_name("workloads.py")
 ENTRIES = json.loads(DIGESTS.read_text())
 RECORDED = {
     command: entry["stdout"]
     for command, entry in ENTRIES.items()
     if command.split()[0] in ("witness", "exclude")
 }
-# in the order the benchmark's script runs them
-FIXED = [
-    "sweep --steps 64 --csv -",
-    "zoo ks --check-born --model-out ks-model.json --fragment-out ks-fragment.json",
-    "classify --model ks-model.json --fragment ks-fragment.json",
-    "lgi --model quantum --csv -",
-    "lgi --model ks --csv -",
-]
+
+
+def _fixed_commands() -> list:
+    """The benchmark script's fixed commands, in its order."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [" ".join(argv) for argv in module.FIXED_COMMANDS]
+
+
+FIXED = _fixed_commands()
 
 CHILD = """
 import contextlib, hashlib, io, json, sys

@@ -12,9 +12,9 @@ from scipy.optimize import linprog
 
 from macroreal import (
     CertificationError,
+    QuantumFragment,
     WitnessExclusion,
     WitnessParams,
-    accessible_atoms,
     build_witness,
     check_antidistinguishable,
     enumerate_atoms,
@@ -22,7 +22,7 @@ from macroreal import (
 )
 import macroreal.exclusion as exclusion
 import macroreal.lp as lp
-from macroreal.exclusion import STRICT_POS_EPS, _born_rhs, _marginal_matrix
+from macroreal.exclusion import STRICT_POS_EPS
 from macroreal.lp import CERT_TOL, FEAS_TOL, solve_lp
 from macroreal.witness import ALPHA_MAX
 from helpers import (
@@ -97,10 +97,8 @@ def test_accessible_macro_sets_disjoint(exclusion_half):
 
 def test_accessible_against_reference_lp(exclusion_half):
     """Independent oracle: the per-atom maximum via a reference solver."""
-    frag = exclusion_half.fragment
     atoms = exclusion_half.atoms
-    marg = _marginal_matrix(frag, atoms)
-    rhs = _born_rhs(frag, "phi")
+    marg, rhs = exclusion_half._marg, exclusion_half._born["phi"]
     mine = set(exclusion_half.accessible("phi"))
     for idx in range(len(atoms)):
         c = np.zeros(len(atoms))
@@ -120,16 +118,15 @@ def test_accessible_closed_form_matches_lp_oracle(alpha, dim):
     gets its own LP.
     """
     context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
-    frag, atoms = context.fragment, context.atoms
-    marg = _marginal_matrix(frag, atoms)
-    for target in frag.states:
-        rhs = _born_rhs(frag, target)
+    marg = context._marg
+    for target in context.fragment.states:
+        rhs = context._born[target]
         bound = np.where(marg > 0.0, rhs[:, None], np.inf).min(axis=0)
         open_atoms = np.flatnonzero(bound > 0.0)
-        maxima = lp_atom_maxima(frag, target, atoms, open_atoms)
+        maxima = lp_atom_maxima(context, target, open_atoms)
         assert maxima == pytest.approx(bound[open_atoms], abs=FEAS_TOL)
         by_lp = open_atoms[maxima > STRICT_POS_EPS]
-        assert accessible_atoms(frag, target, atoms).tolist() == by_lp.tolist()
+        assert context.accessible(target).tolist() == by_lp.tolist()
 
 
 def test_accessible_sets_are_read_only_ascending_index_arrays(exclusion_half):
@@ -140,6 +137,47 @@ def test_accessible_sets_are_read_only_ascending_index_arrays(exclusion_half):
         assert np.all(np.diff(access) > 0)
         with pytest.raises(ValueError):
             access[0] = 0
+
+
+def test_accessible_rejects_a_target_outside_the_catalogue(exclusion_half):
+    with pytest.raises(ValueError, match="'nope'"):
+        exclusion_half.accessible("nope")
+
+
+def test_born_table_and_marginal_matrix_are_the_per_call_ones(exclusion_half):
+    """The tables the programs and the LP oracles read: each state's Born
+    vectors as ``fragment.born`` gives them, concatenated in fragment
+    order, and one 0/1 row per (measurement, outcome)."""
+    frag, atoms = exclusion_half.fragment, exclusion_half.atoms
+    for state in frag.states:
+        per_call = np.concatenate([frag.born(state, m) for m in frag.measurements])
+        assert exclusion_half._born[state].tobytes() == per_call.tobytes()
+    per_row = np.concatenate([
+        atoms[:, mi] == np.arange(meas.n_outcomes)[:, None]
+        for mi, meas in enumerate(frag.measurements.values())
+    ]).astype(float)
+    assert exclusion_half._marg.tobytes() == per_row.tobytes()
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_born_called_once_per_state_and_measurement(dim, monkeypatch):
+    """Construction and the programs read one Born table: 3(d+2) ``born``
+    calls, one per catalogued state (psi, phi, zero, q1..q_{d-1}) and
+    measurement."""
+    bundle = build_witness(WitnessParams(0.5, dim))
+    calls = []
+    born = QuantumFragment.born
+
+    def counting_born(self, state_name, meas_name):
+        calls.append((state_name, meas_name))
+        return born(self, state_name, meas_name)
+
+    monkeypatch.setattr(QuantumFragment, "born", counting_born)
+    context = WitnessExclusion(bundle)
+    for program in (context.esmr, context.max_overlap, context.emmr, context.macro_only_control):
+        program()
+    assert len(calls) == 3 * (dim + 2)
+    assert len(set(calls)) == len(calls)
 
 
 class TestExclusionPrograms:
@@ -374,11 +412,6 @@ ESMR_ORACLE_ALPHAS = RECORDED_ESMR_ALPHAS + [
 ESMR_EDGES = (4.0825e-4, 7.0711e-8)
 
 
-def esmr_ray(context):
-    allowed = context._eigen_union()
-    return context._esmr_ray(context.atoms[allowed], context._transport_masks()[:, allowed])
-
-
 @pytest.mark.parametrize("dim", [4, 6, 8, 10, 16])
 def test_esmr_closed_form_matches_simplex_oracle(dim):
     """Where the closed-form ray certifies, it is the simplex's ray bit for
@@ -406,7 +439,7 @@ def test_esmr_closed_form_matches_simplex_oracle(dim):
         else:
             declined.add(alpha)
             assert not (outcome.status == "infeasible" and residual <= CERT_TOL), alpha
-            assert outcome_bits(report.outcome) == outcome_bits(esmr_ray(context)), alpha
+            assert outcome_bits(report.outcome) == outcome_bits(context._esmr_ray()), alpha
             ray = report.outcome
             gain = float(program.b_eq @ ray.farkas_eq + program.b_ub @ ray.farkas_ub)
             assert gain < CERT_TOL, alpha
