@@ -280,10 +280,12 @@ def support(weights: np.ndarray) -> np.ndarray:
 
 
 def _support_mask(model: FiniteOntModel, names: Iterable[str]) -> np.ndarray:
-    """Boolean union over atoms of the supports of the named preparations."""
+    """Boolean union over atoms of the supports of the named preparations,
+    read from their weights: the memo is left alone, and one comparison per
+    preparation is cheaper than scattering its memoized indices."""
     mask = np.zeros(model.atoms, dtype=bool)
     for name in names:
-        mask[model.support(name)] = True
+        mask |= model.preparation(name) > SUPPORT_EPS
     return mask
 
 
@@ -496,17 +498,18 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
 
     evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
 
-    # (a) eigenstate support
+    # (a) eigenstate support; (a) and (c) test the weights against
+    # SUPPORT_EPS and leave the support memo to overlap queries
     support_ok = True
     for pname, mu in model.preparations.items():
-        atoms = model.support(pname)
-        outside = atoms[~accessible[atoms]]
-        if outside.size:
+        outside = (mu > SUPPORT_EPS) & ~accessible
+        if outside.any():
+            atom = int(outside.argmax())
             support_ok = False
             evidence["support_violation"] = {
                 "preparation": pname,
-                "atom": int(outside[0]),
-                "weight": float(mu[outside[0]]),
+                "atom": atom,
+                "weight": float(mu[atom]),
             }
             break
 

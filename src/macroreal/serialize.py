@@ -26,10 +26,14 @@ or ``n`` can hold no ``true``, ``false`` or ``null``; any other leaf is
 walked once and stays a list if it holds a non-number. The rest, a skeleton
 with a placeholder ``[k]`` for each leaf, goes through ``json.loads``, and
 one walk puts each leaf in its placeholder's place, so the reader accepts
-exactly what ``json.loads`` does. A file it rejects is read again whole and
-handed to ``json.loads``, so the error raised is json's, with its message
-and position. Nesting too deep for the interpreter's stack is a
-``ValueError`` naming the file.
+exactly what ``json.loads`` does. The walk stacks a list whose items are all
+int64 or float64 arrays of one shape into one read-only array, again
+exactly ``np.asarray`` of json's nested list, and lets go of the rows as it
+does: a response matrix is held once, as one array, not as rows beside it.
+Ragged lists, and lists holding booleans, strings or nulls, stay lists. A
+file it rejects is read again whole and handed to ``json.loads``, so the
+error raised is json's, with its message and position. Nesting too deep for
+the interpreter's stack is a ``ValueError`` naming the file.
 
 The readers turn a missing key, a value of the wrong JSON type, or a number
 list holding strings, booleans or nulls into a ``ValueError`` that names it.
@@ -151,7 +155,7 @@ def fragment_from_json(data: dict) -> QuantumFragment:
     for name, spec in _field(data, "measurements", dict, "fragment").items():
         what = f"measurement {name!r}"
         outcomes = tuple(_field(spec, "outcomes", list, what))
-        projectors = _field(spec, "projectors", list, what)
+        projectors = _field(spec, "projectors", (list, np.ndarray), what)
         with _naming(what):
             measurements[name] = ProjMeasurement(outcomes, _complex_in(projectors))
     return QuantumFragment(
@@ -382,18 +386,36 @@ def _leaf(text: str):
 
 def _fill(value, leaves: list):
     """``value`` with each placeholder ``[k]`` in it replaced, in place, by
-    ``leaves[k]``. A list of one int is always a placeholder: ``_split``
-    cuts out every leaf list, so any list it leaves holds a string, a list
-    or an object."""
+    ``leaves[k]``, which ``leaves`` then lets go. A list of one int is
+    always a placeholder: ``_split`` cuts out every leaf list, so any list
+    it leaves holds a string, a list or an object. A list that fills with
+    ``_stackable`` arrays becomes their read-only stack, and the rows go
+    with the list."""
     if isinstance(value, list):
         if len(value) == 1 and type(value[0]) is int:
-            return leaves[value[0]]
+            leaf, leaves[value[0]] = leaves[value[0]], None
+            return leaf
         for i, item in enumerate(value):
             value[i] = _fill(item, leaves)
+        if _stackable(value):
+            value = np.stack(value)
+            value.setflags(write=False)
     elif isinstance(value, dict):
         for key, item in value.items():
             value[key] = _fill(item, leaves)
     return value
+
+
+# the dtypes np.asarray gives a list of Python ints (within int64) and floats
+_STACKED = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+def _stackable(items: list) -> bool:
+    """Whether ``items`` are arrays of one shape, each int64 or float64:
+    ``np.stack`` of them is then bit for bit ``np.asarray`` of the nested
+    list they were parsed from, the same int to float rounding included."""
+    return (all(isinstance(item, np.ndarray) and item.dtype in _STACKED for item in items)
+            and len({item.shape for item in items}) == 1)
 
 
 def _first(s: str, chars: str, start: int, stop: int) -> int:

@@ -298,7 +298,8 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     max(0, n.node) * node_weight, normalized; a measurement along m answers
     its first outcome exactly when m.node >= 0. Unitaries become node
     permutations by rotate-then-snap-to-nearest. Measurements re-prepare the
-    cap of the observed outcome.
+    cap of the observed outcome. Weights and responses are handed over
+    read-only, so the model keeps them instead of copying them.
     """
     if fragment.dim != 2:
         raise ValueError("the cap model is a qubit construction")
@@ -310,7 +311,9 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         total = w.sum()
         if total <= 0.0:
             raise ValueError("degenerate cap: no grid node in the open hemisphere")
-        return w / total
+        w /= total
+        w.setflags(write=False)
+        return w
 
     preparations = {}
     delta_sets = {}
@@ -327,6 +330,7 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         direction = _measurement_direction(meas)
         first = (nodes @ direction >= 0.0).astype(float)
         responses[mname] = np.vstack([first, 1.0 - first])
+        responses[mname].setflags(write=False)
         outcome_labels[mname] = meas.outcomes
         table = {}
         for label, cap in zip(meas.outcomes, (direction, -direction)):

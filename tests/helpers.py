@@ -17,7 +17,7 @@ import math
 import struct
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar, nnls
 
 from macroreal import (
     FiniteOntModel,
@@ -38,6 +38,7 @@ from macroreal.exclusion import (
     MEAS_MACRO,
     _block_program,
 )
+from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, Classification
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
@@ -304,6 +305,84 @@ def brute_force_overlap(model: FiniteOntModel, mu_name: str, targets) -> float:
             if best is None or mass < best:
                 best = mass
     return float(best)
+
+
+def support_memo_classify(model: FiniteOntModel,
+                          fragment: QuantumFragment | None = None) -> Classification:
+    """Oracle for ``ontomodel.classify``: the form that reads every
+    preparation's support through the model's memo, ``model.support``, for
+    conditions (a) and (c). It fills the memo for every preparation."""
+
+    def memo_mask(names):
+        mask = np.zeros(model.atoms, dtype=bool)
+        for name in names:
+            mask[model.support(name)] = True
+        return mask
+
+    macro = model.macro_measurement
+    macro_labels = model.outcome_labels[macro]
+    missing = [q for q in macro_labels if q not in model.eigenstate_preps]
+    if fragment is not None:
+        frag_labels = fragment.macro.outcomes
+        if tuple(frag_labels) != tuple(macro_labels):
+            raise ValueError(
+                f"macro outcome labels {macro_labels!r} do not match fragment "
+                f"macro outcomes {frag_labels!r}"
+            )
+    if missing:
+        raise ValueError(f"no eigenstate preparations declared for macro values {missing!r}")
+
+    eigen_names = [pname for q in macro_labels for pname in model.eigenstate_preps[q]]
+    accessible = memo_mask(eigen_names)
+
+    evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
+
+    support_ok = True
+    for pname, mu in model.preparations.items():
+        atoms = model.support(pname)
+        outside = atoms[~accessible[atoms]]
+        if outside.size:
+            support_ok = False
+            evidence["support_violation"] = {
+                "preparation": pname,
+                "atom": int(outside[0]),
+                "weight": float(mu[outside[0]]),
+            }
+            break
+
+    eigen_matrix = np.column_stack([model.preparation(p) for p in eigen_names])
+    mixture_ok = True
+    worst_residual = 0.0
+    for pname, mu in model.preparations.items():
+        _, residual = nnls(eigen_matrix, mu)
+        if residual > worst_residual:
+            worst_residual = residual
+            evidence["worst_mixture"] = {"preparation": pname, "residual": float(residual)}
+        if residual > MIXTURE_RESIDUAL_TOL:
+            mixture_ok = False
+    evidence["max_mixture_residual"] = float(worst_residual)
+
+    carried = memo_mask(model.preparations)
+    macro_resp = model.response(macro)
+    col_max = macro_resp[:, carried].max(axis=0) if carried.any() else np.array([])
+    deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
+    if not deterministic_ok:
+        bad_local = int(np.argmin(col_max))
+        bad_atom = int(np.where(carried)[0][bad_local])
+        evidence["nondeterministic_atom"] = {
+            "atom": bad_atom,
+            "max_response": float(col_max[bad_local]),
+        }
+
+    if support_ok and mixture_ok:
+        kind = "EMMR"
+    elif support_ok:
+        kind = "ESMR"
+    elif deterministic_ok:
+        kind = "SSMR"
+    else:
+        kind = "NONE"
+    return Classification(kind, evidence)
 
 
 # -- the framework property suite ---------------------------------------------
@@ -877,7 +956,10 @@ def json_oracle(obj) -> str:
 def json_load_oracle(text: str):
     """What ``serialize.load_json`` must return for a file whose text is
     ``text``: ``json.loads(text)``, with each non-empty list of ints and
-    floats only (no booleans) replaced by its ``np.asarray``, read-only."""
+    floats only (no booleans) replaced by its ``np.asarray``, read-only.
+    Then, from the leaves up, a list whose items all became int64 or
+    float64 arrays of one shape is replaced by ``np.asarray`` of json's
+    nested list, read-only."""
 
     def arrays_at_leaves(value):
         if isinstance(value, dict):
@@ -888,7 +970,14 @@ def json_load_oracle(text: str):
             arr = np.asarray(value)
             arr.setflags(write=False)
             return arr
-        return [arrays_at_leaves(v) for v in value]
+        items = [arrays_at_leaves(v) for v in value]
+        if (items and all(isinstance(v, np.ndarray) and v.dtype.name in ("int64", "float64")
+                          for v in items)
+                and len({v.shape for v in items}) == 1):
+            arr = np.asarray(value)
+            arr.setflags(write=False)
+            return arr
+        return items
 
     return arrays_at_leaves(json.loads(text))
 

@@ -27,8 +27,11 @@ from helpers import (
     brute_force_overlap,
     eigensplit_model,
     macro_only_fragment,
+    product_model,
     random_fragment,
     split_state_model,
+    support_memo_classify,
+    tree_bits,
 )
 
 
@@ -165,6 +168,12 @@ def test_models_compare_and_hash_by_identity():
 
 @pytest.fixture(scope="module")
 def zoo_models() -> dict:
+    return _zoo_models()
+
+
+def _zoo_models() -> dict:
+    """Fresh bb, det, emmr-toy and 2 000-node cap models, their support
+    memos empty."""
     std = standard_qubit_fragment()
     det_fragment = qubit_fragment(
         {name: tuple(bloch_vector(s)) for name, s in std.states.items()},
@@ -475,3 +484,44 @@ def test_classify_evidence_names_first_violations():
     assert verdict.evidence["eigenstate_atoms"] == 2
     assert verdict.evidence["support_violation"] == {"preparation": "mixed", "atom": 2, "weight": 0.2}
     assert verdict.evidence["nondeterministic_atom"] == {"atom": 3, "max_response": 0.6}
+
+
+def _classify_cases(zoo_models) -> list:
+    """(model, fragment or None) pairs: the zoo models and seeded random
+    models of each helper family."""
+    cases = [(model, None) for model in zoo_models.values()]
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        frag = random_fragment(rng, 2 + seed % 3)
+        cases += [(split_state_model(rng, frag), frag), (product_model(frag), frag)]
+        macro_frag = macro_only_fragment(rng, 2 + seed % 3)
+        for mixture_only in (True, False):
+            cases.append((eigensplit_model(rng, macro_frag, mixture_only), macro_frag))
+    return cases
+
+
+def test_classify_matches_the_support_memo_form(zoo_models):
+    """Testing weights against SUPPORT_EPS gives the verdict and evidence of
+    reading each support through the memo, bit for bit."""
+    cases = _classify_cases(zoo_models)
+    kinds = set()
+    for model, frag in cases:
+        if not all(q in model.eigenstate_preps for q in model.outcome_labels[model.macro_measurement]):
+            continue
+        got = classify(model, frag)
+        want = support_memo_classify(model, frag)
+        assert got == want
+        assert tree_bits(got.evidence) == tree_bits(want.evidence)
+        kinds.add(got.kind)
+    assert kinds == {"EMMR", "ESMR", "SSMR", "NONE"}
+
+
+def test_classify_leaves_the_support_memo_as_it_found_it():
+    """On fresh models, with one support read before: classify neither
+    adds to the memo nor replaces what it holds."""
+    for model in _zoo_models().values():
+        first = next(iter(model.preparations))
+        before = {first: model.support(first)}
+        classify(model)
+        assert model._supports == before
+        assert model._supports[first] is before[first]

@@ -271,9 +271,10 @@ def test_the_model_keeps_the_arrays_load_json_parsed(tmp_path):
     model, path = _ks_2000_file(tmp_path)
     data = load_json(path)
     loaded = model_from_json(data)
-    for name, vec in data["preparations"].items():
-        assert loaded.preparations[name] is vec
-        assert vec.dtype == np.float64 and not vec.flags.writeable
+    for table in ("preparations", "responses"):
+        for name, arr in data[table].items():
+            assert getattr(loaded, table)[name] is arr
+            assert arr.dtype == np.float64 and not arr.flags.writeable
     assert all(np.array_equal(loaded.responses[m], resp) for m, resp in model.responses.items())
 
 
@@ -349,6 +350,9 @@ def _load_both(path, text: str) -> tuple:
 @example('["abcd\\"[", [1]]')          # chunk 7 ends between a backslash and its quote
 @example('[1, 2,\r\n3]')               # chunk 7 ends between \r and \n in the file's bytes
 @example('[12345678, 0.5e-3]')          # chunks 3 and 7 end inside numbers
+@example('[[[1, 2.5], [-0.0, 5e-324]], [[3, 4], [5, 6]]]')      # stacked twice
+@example('[[12345678901234567890123, 1], [1, 2], [18446744073709551615, 0]]')
+@example('[[1, 2], [3], [true, 1], [null, 1], ["a", 1], [], [[1]]]')
 def test_load_json_matches_json_loads(tmp_path_factory, text):
     """Every document, at every chunk size: the same structure as
     ``json.loads``, each number leaf bit for bit ``np.asarray`` of json's
@@ -405,22 +409,146 @@ def test_load_json_reads_a_good_file_once(tmp_path, monkeypatch, chunk):
     assert opened == [path]
 
 
-def test_no_leaf_array_outlives_the_result(tmp_path):
-    """With the cycle collector off, dropping what ``load_json`` returned
-    frees every leaf array it parsed: nothing the reader leaves behind
-    refers to them."""
+def test_no_leaf_array_outlives_the_result(tmp_path, monkeypatch):
+    """With the cycle collector off, the rows of a stacked array are freed
+    by the time ``load_json`` returns, and dropping what it returned frees
+    every other array it made: nothing the reader leaves behind refers to
+    them."""
     path = tmp_path / "doc.json"
     path.write_text('{"a": [1.5, 2.5], "b": [[0, 1], [2, 3]], "c": {"d": [4.0]}}')
+    parsed = []
+
+    def recorded_leaf(text):
+        leaf = leaf_of(text)
+        parsed.append(weakref.ref(leaf))
+        return leaf
+
+    leaf_of = serialize._leaf
+    monkeypatch.setattr(serialize, "_leaf", recorded_leaf)
     gc.disable()
     try:
         data = load_json(path)
-        arrays = [data["a"], *data["b"], data["c"]["d"]]
+        arrays = [data["a"], data["b"], data["c"]["d"]]
         assert all(isinstance(arr, np.ndarray) for arr in arrays)
+        assert data["b"].shape == (2, 2)
+        assert [ref() is None for ref in parsed] == [False, True, True, False]
         refs = [weakref.ref(arr) for arr in arrays]
         del data, arrays
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# numbers of every kind a rectangular list mixes: ints within int64, floats
+# and the edge floats (signed zero, the smallest subnormal, NaN, infinities)
+RECT_NUMBERS = (st.integers(-2**63, 2**63 - 1) | FLOATS
+                | st.sampled_from([-0.0, 5e-324, -5e-324, 2**53 + 1]))
+
+
+@st.composite
+def _rectangular_lists(draw):
+    """A 2-D or 3-D nested list of ``RECT_NUMBERS``, every row one length."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=4))
+    values = iter(draw(st.lists(RECT_NUMBERS, min_size=math.prod(shape),
+                                max_size=math.prod(shape))))
+
+    def nest(dims):
+        if len(dims) == 1:
+            return [next(values) for _ in range(dims[0])]
+        return [nest(dims[1:]) for _ in range(dims[0])]
+
+    return nest(shape)
+
+
+def _last_rows(nested: list) -> list:
+    """The innermost list of rows at the end of ``nested``."""
+    while isinstance(nested[-1][-1], list):
+        nested = nested[-1]
+    return nested
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rectangular_lists(), st.sampled_from(["ragged", "true", "\"a\"", "null"]))
+@example([[0.0, -0.0], [5e-324, 1]], "ragged")
+@example([[[1, 2], [3, 4]], [[5, 6], [7, 2**62 + 1]]], "true")
+@example([[[1, 2.5]], [[-0.0, 5e-324]]], "null")
+@example([[2**53 + 1, 0.5], [-2**63, 1e308]], "\"a\"")
+def test_load_json_stacks_rectangular_number_lists(tmp_path_factory, nested, spoiler):
+    """A rectangular nested list of numbers reads, at every chunk size, as
+    one read-only array, bit and dtype equal to ``np.asarray`` of json's
+    list. Given a longer last row, or a boolean, string or null in its
+    last row, it stays a list, as the oracle says."""
+    path = tmp_path_factory.getbasetemp() / "rect.json"
+    text = json.dumps(nested)
+    want = np.asarray(json.loads(text))
+    assert want.dtype in (np.int64, np.float64)
+    rows = _last_rows(nested)
+    if spoiler == "ragged":
+        rows.append([0] * (len(rows[-1]) + 1))
+    else:
+        rows[-1][-1] = json.loads(spoiler)
+    spoiled = json.dumps(nested)
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_CHUNK", chunk)
+            path.write_text(text)
+            got = load_json(path)
+            path.write_text(spoiled)
+            kept = load_json(path)
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert tree_bits(got) == tree_bits(json_load_oracle(text))
+        assert type(kept) is list
+        assert tree_bits(kept) == tree_bits(json_load_oracle(spoiled))
+
+
+def test_fragment_reader_takes_the_readers_arrays(tmp_path, monkeypatch):
+    """Projector stacks reach ``_complex_in`` as the reader's arrays, not as
+    lists made back from them, and the fragment read from the file is bit
+    for bit the one read from ``json.loads``."""
+    _, fragment = _ks_2000()
+    path = tmp_path / "fragment.json"
+    path.write_text(dumps_json(fragment_to_json(fragment)))
+    handed = []
+
+    def recorded(data):
+        handed.append(data)
+        return complex_in(data)
+
+    complex_in = serialize._complex_in
+    monkeypatch.setattr(serialize, "_complex_in", recorded)
+    data = load_json(path)
+    got = fragment_from_json(data)
+    assert len(handed) == len(fragment.states) + len(fragment.measurements)
+    assert all(isinstance(arr, np.ndarray) for arr in handed)
+    for name, spec in data["measurements"].items():
+        assert any(arr is spec["projectors"] for arr in handed)
+    want = fragment_from_json(json.loads(path.read_text()))
+    for field in ("states", "unitaries", "measurements"):
+        assert getattr(got, field).keys() == getattr(want, field).keys()
+    for name in want.states:
+        assert got.states[name].amplitudes.tobytes() == want.states[name].amplitudes.tobytes()
+    for name, meas in want.measurements.items():
+        assert got.measurements[name].outcomes == meas.outcomes
+        assert got.measurements[name].projectors.tobytes() == meas.projectors.tobytes()
+
+
+def test_each_stacked_arrays_rows_are_freed_as_it_is_made(tmp_path):
+    """Four 50 x 500 matrices: the reader lets go of each one's rows as it
+    stacks them, so at most one matrix is held twice, not all four."""
+    rng = np.random.default_rng(3)
+    matrices = {f"m{k}": rng.random((50, 500)) for k in range(4)}
+    path = tmp_path / "matrices.json"
+    with open(path, "w") as fh:
+        write_json(matrices, fh)
+    tracemalloc.start()
+    try:
+        data = load_json(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(data[k].tobytes() == m.tobytes() for k, m in matrices.items())
+    assert peak < 1.5 * sum(m.nbytes for m in matrices.values())
 
 
 def test_load_json_reads_as_deep_as_json_loads(tmp_path):
