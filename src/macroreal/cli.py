@@ -111,7 +111,7 @@ def _witness_json(alpha: float, dim: int) -> dict:
             "inequality2_ok": report.inequality2_ok,
             "slack1": report.slack1, "slack2": report.slack2,
             "certified": report.certified,
-            "residuals": None if report.residuals is None else report.residuals.tolist(),
+            "residuals": report.residuals,
         },
         "contradiction": {
             "esmr_lower_bound": gap.esmr_lower_bound,

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
+    FEAS_TOL,
     STATUS_INFEASIBLE,
     LinearProgram,
     LPOutcome,
@@ -56,7 +57,7 @@ from .witness import (
     contradiction_gap,
 )
 
-STRICT_POS_EPS = 1e-9      # accessibility threshold, matching LP feasibility
+STRICT_POS_EPS = FEAS_TOL  # accessibility threshold: the LP feasibility tolerance
 MAX_ATOMS = 10**6
 
 MEAS_ANTIDIST = "antidist"
@@ -187,11 +188,8 @@ class ExclusionReport:
         return self.outcome.value
 
     def to_json_dict(self) -> dict:
-        cert: dict = {}
-        for attr in ("x", "dual_eq", "dual_ub", "farkas_eq", "farkas_ub"):
-            vec = getattr(self.outcome, attr)
-            if vec is not None:
-                cert[attr] = vec.tolist()
+        cert = {attr: vec for attr in ("x", "dual_eq", "dual_ub", "farkas_eq", "farkas_ub")
+                if (vec := getattr(self.outcome, attr)) is not None}
         return {
             "alpha": self.alpha,
             "mode": self.mode,
@@ -246,7 +244,6 @@ class WitnessExclusion:
                 "measurement in the fragment"
             )
         self.bundle = bundle
-        self.antidist = antidist
         self.fragment = witness_fragment(bundle, antidist.measurement)
         self.atoms = enumerate_atoms(self.fragment)
         # Marginal rows run (measurement, outcome): measurements in fragment

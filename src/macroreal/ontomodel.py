@@ -368,11 +368,12 @@ def default_bindings(model: FiniteOntModel, fragment: QuantumFragment) -> Bindin
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The Born check over bound pairs: its largest deviation, first reached at ``worst_pair``."""
+
     passed: bool
     max_deviation: float
     tol: float
     worst_pair: tuple
-    rows: tuple
 
 
 def validate(
@@ -412,7 +413,6 @@ def validate(
         max_deviation=max_dev,
         tol=tol,
         worst_pair=(prep, meas),
-        rows=tuple(rows),
     )
 
 
@@ -420,7 +420,7 @@ def validate(
 
 @dataclass(frozen=True)
 class OverlapReport:
-    """Overlap mass, the realizing atom set, and the resolved targets.
+    """Overlap mass and the realizing atom set.
 
     ``realizing_set`` is a read-only ascending array of atom indices, so
     reports are not meant to be hashed or compared. When the targets
@@ -430,7 +430,6 @@ class OverlapReport:
 
     value: float
     realizing_set: np.ndarray
-    targets: tuple
 
 
 def asymmetric_overlap(
@@ -445,7 +444,6 @@ def asymmetric_overlap(
     """
     if isinstance(targets, str):
         targets = (targets,)
-    targets = tuple(targets)
     mu = model.preparation(mu_name)
     names = dict.fromkeys(
         pname for target in targets for pname in model.target_preparations(target)
@@ -457,7 +455,7 @@ def asymmetric_overlap(
         realizing = np.flatnonzero(_support_mask(model, names))
         realizing.setflags(write=False)
     value = float(mu[realizing].sum())
-    return OverlapReport(value, realizing, targets)
+    return OverlapReport(value, realizing)
 
 
 # -- classification ---------------------------------------------------------

@@ -6,15 +6,16 @@ Stochastic maps serialize as dense matrices, with deterministic maps
 compacted to {"deterministic": [target, ...]} (a dense matrix for a large
 grid would be enormous).
 
-``model_to_json`` hands over the model's own numpy arrays. One writer walk
+``model_to_json`` hands over the model's own numpy arrays, and
+``fragment_to_json`` float64 views of its complex ones. One writer walk
 serves two entry points: ``write_json`` streams to a text file and
 ``dumps_json`` returns a string. Both write exactly the bytes of
 ``json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist) +
 "\n"``, so identical objects produce byte-identical files. The standard
 library encodes an indented dump in pure Python, one value at a time; this
-writer formats each 1-D array (or list) of finite floats in one pass,
-straight from the array, and writes a 2-D array row by row, so a file
-target never holds more than one row's text.
+writer formats each 1-D array of finite float64 in one pass, straight from
+the array, writes a 2-D array row by row, so a file target never holds more
+than one row's text, and writes everything else value by value.
 
 ``load_json`` reads the file in ``_CHUNK``-sized pieces (64 Ki characters)
 and never holds its whole text. A string-aware splitter cuts out each leaf
@@ -53,9 +54,9 @@ from .ontomodel import FiniteOntModel, QuantumFragment
 from .quantum import ProjMeasurement, StateVector, UnitaryMap
 
 
-def _complex_out(arr: np.ndarray) -> list:
-    """Complex array of any shape as nested lists ending in [re, im] pairs."""
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def _complex_out(arr: np.ndarray) -> np.ndarray:
+    """Complex array of any shape viewed as float64 [re, im] pairs."""
+    return arr.astype(np.complex128, order="C", copy=False)[..., None].view(np.float64)
 
 
 def _complex_in(data) -> np.ndarray:
@@ -239,8 +240,6 @@ def write_json(obj, fh) -> None:
 def _write(obj, pad: str, out) -> None:
     """Write ``obj`` through ``out`` in the ``indent=1`` layout, its closing
     bracket at ``pad`` (a newline and the enclosing indent)."""
-    if isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}:
-        obj = np.array(obj, dtype=np.float64)
     if isinstance(obj, np.ndarray) and obj.ndim < 2:
         if _finite_floats(obj):
             _write_floats(obj, pad, out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -63,8 +64,11 @@ class WitnessParams:
             raise ValueError(
                 f"alpha must lie strictly in (0, {ALPHA_MAX!r}); got {self.alpha!r}"
             )
-        if self.dim < 4:
-            raise ValueError(f"dim must be >= 4, got {self.dim}")
+        # operator.index rejects NaN and other non-integers with a TypeError
+        dim = operator.index(self.dim)
+        if dim < 4:
+            raise ValueError(f"dim must be >= 4, got {dim}")
+        object.__setattr__(self, "dim", dim)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,6 @@ class AntidistReport:
 
 @dataclass(frozen=True)
 class ContradictionReport:
-    alpha: float
     esmr_lower_bound: float
     quantum_upper_bound: float
     deficit: float
@@ -579,7 +582,7 @@ def contradiction_gap(alpha: float) -> ContradictionReport:
         raise ValueError(f"alpha must lie in (0, 1/sqrt(2)]; got {alpha!r}")
     lower = 2.0 * alpha**2
     upper = alpha**2 * (1.0 + 2.0 * alpha**2)
-    return ContradictionReport(alpha, lower, upper, lower - upper)
+    return ContradictionReport(lower, upper, lower - upper)
 
 
 def sweep(alphas: Sequence[float], dim: int = 4) -> list[SweepRow]:

@@ -148,7 +148,7 @@ FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
 SCALARS = (FLOATS | st.integers() | st.booleans() | st.none() | st.text()
            | FLOATS.map(np.float64))
 LEAVES = (SCALARS
-          | st.lists(FLOATS, min_size=1)                  # the all-float path
+          | st.lists(FLOATS, min_size=1)                  # value by value, as any list
           | st.lists(FLOATS | st.integers() | st.booleans())
           | st.lists(FLOATS.map(np.float64), min_size=1))
 JSON_VALUES = st.recursive(
@@ -205,6 +205,23 @@ def _cli_payloads():
         context.max_overlap().to_json_dict(),
         _witness_json(0.5, 4),
     ]
+
+
+def _float_lists(value) -> list:
+    """The lists and tuples in ``value``, at any depth, that hold a float."""
+    if isinstance(value, dict):
+        return [found for item in value.values() for found in _float_lists(item)]
+    if isinstance(value, (list, tuple)):
+        here = [value] if any(isinstance(item, float) for item in value) else []
+        return here + [found for item in value for found in _float_lists(item)]
+    return []
+
+
+def test_cli_payloads_hand_the_writer_arrays():
+    """Certificate vectors, residuals and complex amplitudes reach the
+    writer as the arrays they are, not as lists of Python floats."""
+    for payload in _cli_payloads():
+        assert _float_lists(payload) == []
 
 
 def test_cli_payloads_match_the_oracle():

@@ -43,6 +43,21 @@ def test_params_reject_boundary_and_low_dim():
         WitnessParams(0.5, dim=3)
 
 
+@pytest.mark.parametrize("dim", [4.5, 4.0, math.nan])
+def test_params_reject_a_non_integer_dim_at_construction(dim):
+    with pytest.raises(TypeError):
+        WitnessParams(0.5, dim)
+    with pytest.raises(TypeError):
+        sweep([0.5], dim)
+
+
+def test_params_store_dim_as_a_python_int():
+    params = WitnessParams(0.5, np.int64(5))
+    assert params.dim == 5 and type(params.dim) is int
+    with pytest.raises(ValueError, match=r"^dim must be >= 4, got 3$"):
+        WitnessParams(0.5, np.int64(3))
+
+
 def test_coefficients_at_half():
     co = witness_coefficients(0.5)
     expected = (0.5, 0.35355339059327373, 0.7905694150420949, 0.5, 0.7071067811865476, 0.5)
