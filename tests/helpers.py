@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import struct
 
 import numpy as np
@@ -725,6 +726,17 @@ def outcome_bits(outcome: lp.LPOutcome) -> dict:
         vec = getattr(outcome, name)
         bits[name] = None if vec is None else vec.tobytes()
     return bits
+
+
+def mapping_behind(array: np.ndarray) -> mmap.mmap | None:
+    """The ``mmap.mmap`` whose pages hold ``array``, or None when its memory
+    comes from elsewhere (``np.zeros`` among others)."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return base if isinstance(base, mmap.mmap) else None
 
 
 # -- per-row exclusion program assembly ------------------------------------------

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from macroreal.witness import ALPHA_MAX
 from helpers import (
     DenseSimplex,
     lp_atom_maxima,
+    mapping_behind,
     outcome_bits,
     reference_emmr_program,
     reference_esmr_program,
@@ -390,6 +394,56 @@ def test_emmr_peak_memory_is_about_one_tableau():
     rows = p.n_eq + p.n_ub
     tableau_bytes = rows * (p.n_vars + p.n_ub + 1) * 8
     assert peak < 1.3 * tableau_bytes
+
+
+@pytest.mark.parametrize("dim", [10, 12])
+def test_emmr_on_demand_zero_pages_matches_np_zeros_bit_for_bit(monkeypatch, dim):
+    """From d=10 up the EMMR tableau and dense A_eq exceed
+    ``lp.DEMAND_ZERO_BYTES`` and sit on demand-zero pages; the solve and its
+    re-verification return the bits they return on ``np.zeros`` arrays."""
+    for alpha in (0.05, 0.5, ALPHA_MAX - 1e-6):
+        context = WitnessExclusion(build_witness(WitnessParams(alpha, dim)))
+        mapped = context.emmr()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_zeros", np.zeros)
+            plain = context.emmr()
+        assert mapping_behind(mapped.program.a_eq) is not None, alpha
+        assert mapping_behind(plain.program.a_eq) is None, alpha
+        assert outcome_bits(mapped.outcome) == outcome_bits(plain.outcome), alpha
+        residuals = [np.float64(r.certificate_residual).tobytes() for r in (mapped, plain)]
+        assert residuals[0] == residuals[1], alpha
+
+
+EMMR_RISE_CHILD = """
+import macroreal as m
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+context = m.WitnessExclusion(m.build_witness(m.WitnessParams(0.5, 10)))
+before = peak_kb()
+report = context.emmr()
+print(report.status, peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_d10_emmr_peak_rss_rises_less_than_20_mb():
+    """In a fresh process with BLAS on one thread, the d=10 EMMR call raises
+    the peak RSS by about 12 MB: only the written pages of its 34 MB tableau
+    and 34 MB dense A_eq become resident. On ``np.zeros`` arrays, which
+    advise huge pages, it rose by 39 MB."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    package_root = str(Path(exclusion.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", EMMR_RISE_CHILD],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    status, rise_kb = child.stdout.split()
+    assert status == "infeasible"
+    assert int(rise_kb) < 20 * 1024
 
 
 RECORDED_ESMR_ALPHAS = sorted({

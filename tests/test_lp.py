@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from scipy.optimize import linprog
 
 from macroreal import LinearProgram, LPOutcome, lp, solve_lp, verify_certificate
 from macroreal.lp import CERT_TOL, farkas_gain
-from helpers import DenseSimplex, outcome_bits, solve_lp_checked, solve_lp_with
+from helpers import DenseSimplex, mapping_behind, outcome_bits, solve_lp_checked, solve_lp_with
 
 
 def test_max_with_upper_bound():
@@ -369,3 +371,34 @@ def _bits_or_error(solve, p) -> dict:
         return outcome_bits(solve(p))
     except np.linalg.LinAlgError as err:
         return {"error": type(err)}
+
+
+# -- the allocator behind the tableau and the dense A_eq ---------------------------
+
+COLS = 1024
+ROWS_AT_LINE = lp.DEMAND_ZERO_BYTES // (8 * COLS)   # ROWS_AT_LINE x COLS floats: 32 MiB
+
+
+def test_zeros_above_the_line_are_a_writable_view_of_a_mapping():
+    a = lp._zeros((ROWS_AT_LINE + 1, COLS))
+    assert a.nbytes > lp.DEMAND_ZERO_BYTES
+    assert isinstance(mapping_behind(a), mmap.mmap)
+    assert a.dtype == np.float64 and a.shape == (ROWS_AT_LINE + 1, COLS)
+    assert a.flags.c_contiguous and a.flags.writeable
+    assert not a.any()
+    a[ROWS_AT_LINE, COLS - 1] = 2.5
+    assert a.sum() == 2.5
+
+
+def test_zeros_at_or_below_the_line_come_from_np_zeros():
+    for shape in [(ROWS_AT_LINE, COLS), (3, 4)]:
+        a = lp._zeros(shape)
+        assert a.base is None and mapping_behind(a) is None
+        assert a.dtype == np.float64 and a.shape == shape and not a.any()
+
+
+def test_zeros_without_anonymous_mappings_come_from_np_zeros(monkeypatch):
+    monkeypatch.delattr(mmap, "MAP_ANONYMOUS", raising=False)
+    a = lp._zeros((ROWS_AT_LINE + 1, COLS))
+    assert a.base is None and mapping_behind(a) is None
+    assert a.shape == (ROWS_AT_LINE + 1, COLS) and not a.any()

@@ -7,8 +7,9 @@ that a change renames or removes would fail only minutes into a tool's run.
 This test loads the tools, as ``tests/test_trace_sites.py`` loads
 ``bench/workloads.py``, and parses each of their command lines with the
 command line's own parser. ``tools/bench_pairs.py``'s verdict rule is
-checked on synthetic runs, and ``tools/digest_threads.py``'s thread count
-check without starting a child.
+checked on synthetic runs, ``tools/digest_threads.py``'s thread count
+check without starting a child, and ``tools/traffic_lines.py``'s exit when
+the package is not on the import path.
 """
 
 import importlib.util
@@ -88,3 +89,19 @@ def test_digest_threads_rejects_a_count_outside_the_cpus_before_starting(monkeyp
     with pytest.raises(SystemExit) as stop:
         _tool("digest_threads").main([threads])
     assert stop.value.code == 2
+
+
+def test_traffic_lines_without_the_package_names_its_import_path(monkeypatch, capsys):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "1")   # traffic_lines sets them on import
+    tool = _tool("traffic_lines")
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "macroreal" else find_spec(name, *args))
+    with pytest.raises(SystemExit) as stop:
+        tool.main()
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "macroreal is not importable" in err and "PYTHONPATH" in err

@@ -19,7 +19,8 @@ diffed:
 
     PYTHONPATH=src python3 tools/traffic_lines.py > traffic.txt
 
-The package is imported from ``PYTHONPATH``. A command that exits non-zero,
+The package is imported from ``PYTHONPATH``; without it on the path the
+tool says so in one line and exits with code 2. A command that exits non-zero,
 a workload check that reports a problem or a demo that raises stops the run
 with exit code 1, since its traffic would not be the ordinary one.
 """
@@ -127,7 +128,12 @@ def run_traffic(workdir: str) -> None:
 
 
 def main() -> None:
-    package = os.path.realpath(importlib.util.find_spec("macroreal").submodule_search_locations[0])
+    spec = importlib.util.find_spec("macroreal")
+    if spec is None:
+        print("traffic: macroreal is not importable; this tool imports it from PYTHONPATH "
+              "(PYTHONPATH=src python3 tools/traffic_lines.py)", file=sys.stderr)
+        sys.exit(2)
+    package = os.path.realpath(spec.submodule_search_locations[0])
     reached: set = set()
     sys.settrace(tracer(package, reached))
     try:
