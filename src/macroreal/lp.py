@@ -27,9 +27,9 @@ shared zero page. The EMMR arrays are 94-96% zeros, and ``np.zeros`` would
 advise huge pages for them, so one written cell would make 2 MiB resident.
 At d=10 this cuts the EMMR call's rise in peak RSS from 39 to 12 MB, and
 at d=16 from 336 to 56 MB. Smaller arrays come from ``np.zeros``: the heap
-hands their freed blocks back warm, and demand-zero pages there cost about
-a fifth more time per EMMR call at d=8. The values, and so every pivot and
-bit, are the same on either kind of array.
+hands their freed blocks back warm, while demand-zero pages cost the d=8
+EMMR call 6 500 more minor page faults and up to a fifth more time. The
+values, and so every pivot and bit, are the same on either kind of array.
 
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
@@ -102,12 +102,9 @@ class PivotBudgetError(RuntimeError):
 
 def _zeros(shape: tuple) -> np.ndarray:
     """A C-contiguous float64 array of zeros. One above ``DEMAND_ZERO_BYTES``
-    is a view of a private anonymous mapping, so only the pages written
-    become resident and reads of the others map the shared zero page;
-    ``np.zeros`` would advise huge pages, and one written cell would make
-    2 MiB resident. Smaller arrays, and every array where the platform has
-    no anonymous mappings, come from ``np.zeros``, whose freed blocks the
-    heap hands back warm."""
+    is a view of a private anonymous mapping, whose pages become resident
+    only when written. Smaller arrays, and every array where the platform
+    has no anonymous mappings, come from ``np.zeros``."""
     nbytes = 8 * math.prod(shape)
     anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
     if nbytes <= DEMAND_ZERO_BYTES or anonymous is None:
