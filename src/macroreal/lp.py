@@ -34,11 +34,13 @@ values, and so every pivot and bit, are the same on either kind of array.
 Pricing is incremental: each phase prices every column once, and after
 each pivot on (row r, column e) the reduced costs take the update
 ``rc -= rc[e] * T[r]`` with the new pivot row, instead of the O(m n)
-product ``c_B @ T``. Bland's mask of eligible entering columns (reduced
-cost below ``-FEAS_TOL``, not basic) is kept the same way. Before a phase
-ends (optimal or unbounded) the columns are priced in full once more; if
-that fresh pricing still admits an entering column, the phase goes on from
-it. So a verdict never rests on accumulated rounding.
+product ``c_B @ T``. Every basic column is an exact unit vector (a pivot
+makes its column ``piv / piv`` = 1.0 and ``t - t*1.0`` = 0, and leaves the
+other basic columns, zero in its row, alone), so its reduced cost is
+exactly 0.0 and Bland's rule reads ``rc`` alone. Before a phase ends
+(optimal or unbounded) the columns are priced in full once more; if that
+fresh pricing still admits an entering column, the phase goes on from it.
+So a verdict never rests on accumulated rounding.
 
 The ratio test keeps Bland's rule (smallest basic variable among the
 minimum-ratio rows) with two guards against pivots on rounding-sized
@@ -60,19 +62,16 @@ Pivot updates are windowed. The window ``[lo, hi)`` runs from the pivot
 row's first nonzero to its last. A pivot scales the window and the rhs of
 its row, then, in the rows with a nonzero in the pivot column, updates the
 window and the rhs column with the dense update's expression ``t - f*p``;
-the reduced costs and the eligible mask change only inside the window. The
-exclusion programs keep each block's columns contiguous, so at d=10 the
-EMMR pivot row's ~330 nonzeros span ~480 of the tableau's 8 002 columns,
-and the window is read and written as contiguous runs rather than
-gathered cell by cell. A cell outside the window would have computed
-``t - f*0``, which is ``t`` up to the sign of a zero, and no sign of a
-zero is read: a zero stays zero through later pivots and pricing, every
-decision compares against a tolerance, and the rhs column, which yields
-``x`` and the phase-1 leftover, is always updated. The pivot column and
-the column that leaves the basis both lie inside the window (their pivot
-row entries are the pivot and the leaving column's unit entry), so their
-eligibility is refreshed with it. So the kernel makes the dense update's
-pivots and returns its bits; the dense kernel survives as the test suite's
+the reduced costs change only inside the window. The exclusion programs
+keep each block's columns contiguous, so at d=10 the EMMR pivot row's ~330
+nonzeros span ~480 of the tableau's 8 002 columns, and the window is read
+and written as contiguous runs rather than gathered cell by cell. A cell
+outside the window would have computed ``t - f*0``, which is ``t`` up to
+the sign of a zero, and no sign of a zero is read: a zero stays zero
+through later pivots and pricing, every decision compares against a
+tolerance, and the rhs column, which yields ``x`` and the phase-1
+leftover, is always updated. So the kernel makes the dense update's pivots
+and returns its bits; the dense kernel survives as the test suite's
 oracle.
 """
 
@@ -121,13 +120,15 @@ class LinearProgram:
     The simplex fills its tableau through ``write_eq``. The ``a_eq``
     attribute builds the dense matrix with the fill on first read and keeps
     it; the duals and certificate re-verification read it, after the solve
-    has freed its tableau. A matrix without its right-hand side (or the
-    reverse) or a non-finite entry raises ``ValueError``. Programs are
-    read-only once built.
+    has freed its tableau. An empty objective, a matrix without its
+    right-hand side (or the reverse) or a non-finite entry raises
+    ``ValueError``. Programs are read-only once built.
     """
 
     def __init__(self, objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
         self.objective = _floats(objective, "objective")
+        if not self.n_vars:
+            raise ValueError("objective has no entries: a program needs a variable")
         if callable(a_eq):   # the fill, until ``a_eq`` is first read
             self._a_eq, self.b_eq = a_eq, _floats(b_eq, "eq right-hand side")
         else:
@@ -233,20 +234,16 @@ class _Simplex:
         table[self.flip] = -table[self.flip]   # b >= 0
         self.table = table
         self.basis = np.arange(self.n, self.n + self.m)  # start on artificials
-        self.basic = np.zeros(self.n + self.m, dtype=bool)
-        self.basic[self.basis] = True
         self.live = np.arange(self.m)                    # original row ids kept
         self.pivots = 0
-        self.rc = None        # reduced costs while a phase prices incrementally
-        self.eligible = None  # Bland's entering candidates: rc < -FEAS_TOL, nonbasic
+        self.rc = None   # reduced costs while a phase prices incrementally
 
     def _pivot(self, row: int, col: int) -> None:
         """Pivot on (row, col) within the window ``[lo, hi)`` spanning the
         pivot row's nonzeros: scale the window and the rhs of the row, then
         update the window and the rhs of the rows with a nonzero in column
         ``col``. While a phase prices incrementally, update the reduced
-        costs and refresh Bland's eligible mask on the same window, which
-        holds ``col`` and the column that left."""
+        costs on the same window."""
         t = self.table
         n = self.n
         nz = (t[row, :n] != 0.0).nonzero()[0]
@@ -262,21 +259,18 @@ class _Simplex:
         f = column[other]
         t[other, lo:hi] -= f[:, None] * pr
         rhs[other] -= f * rhs[row]
-        self.basic[self.basis[row]] = False
-        self.basic[col] = True
         self.basis[row] = col
         self.pivots += 1
         rc = self.rc
         if rc is not None:
             rc[lo:hi] -= rc[col] * pr
-            self.eligible[lo:hi] = (rc[lo:hi] < -FEAS_TOL) & ~self.basic[lo:hi]
 
     def run(self, cost: np.ndarray) -> str:
-        """Bland's rule: smallest eligible entering column, smallest basic
-        variable among the minimum-ratio rows, rows with entries above
-        PIVOT_TOL first. A fresh pricing sets ``rc`` and ``eligible`` in
-        full; ``_pivot`` keeps them up to date; dropping ``rc`` asks for
-        the next fresh pricing, and every verdict returns without it."""
+        """Bland's rule: smallest column with ``rc < -FEAS_TOL`` enters,
+        smallest basic variable among the minimum-ratio rows leaves, rows
+        with entries above PIVOT_TOL first. A fresh pricing sets ``rc`` in
+        full; ``_pivot`` keeps it up to date; dropping ``rc`` asks for the
+        next fresh pricing, and every verdict returns without it."""
         enterable = self.n  # artificial columns never re-enter
         while True:
             if self.pivots > MAX_PIVOTS:
@@ -285,11 +279,9 @@ class _Simplex:
                 )
             fresh = self.rc is None
             if fresh:
-                rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
-                self.eligible = (rc < -FEAS_TOL) & ~self.basic[:enterable]
-                self.rc = rc
-            entering = int(self.eligible.argmax())
-            if not self.eligible[entering]:
+                self.rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
+            entering = int((self.rc < -FEAS_TOL).argmax())
+            if not self.rc[entering] < -FEAS_TOL:
                 self.rc = None
                 if fresh:
                     return "optimal"
@@ -349,15 +341,13 @@ class _Simplex:
         eq, var = live < n_eq, cols < n_var
         # a program given by a fill builds its dense A_eq here; the solve
         # has freed its tableau first (bar the phase-1 leftover check)
-        gathered = p.a_eq[np.ix_(live[eq], cols[var])]
-        block = np.zeros((self.m, cols.size))
-        block[np.ix_(eq, var)] = gathered
-        block[np.ix_(~eq, var)] = p.a_ub[np.ix_(live[~eq] - n_eq, cols[var])]
-        block[np.ix_(~eq, ~var)] = live[~eq, None] - n_eq == cols[~var] - n_var
-        flipped = self.flip[live]
-        block[flipped] = -block[flipped]
         basis_cols = np.zeros((self.m, self.m))
-        basis_cols[:, real] = block
+        at = real.nonzero()[0]   # where the structural and slack columns go
+        basis_cols[np.ix_(eq, at[var])] = p.a_eq[np.ix_(live[eq], cols[var])]
+        basis_cols[np.ix_(~eq, at[var])] = p.a_ub[np.ix_(live[~eq] - n_eq, cols[var])]
+        basis_cols[np.ix_(~eq, at[~var])] = live[~eq, None] - n_eq == cols[~var] - n_var
+        flipped = self.flip[live]
+        basis_cols[flipped] = -basis_cols[flipped]
         basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
         y_live = np.linalg.solve(basis_cols.T, cost[basis])
         y = np.zeros(self.m0)
@@ -372,6 +362,12 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     A_eq^T y + A_ub^T z <= 0 componentwise, and b_eq.y + b_ub.z > 0,
     which no feasible x >= 0 can satisfy. Unbounded objectives are a
     distinct status.
+
+    Known conditioning limit (no row scaling, no refactorised basis): on
+    small random programs with +-1e-8 constraint entries, 0.04-0.7% of
+    draws end badly, with a wrong status, a residual of 1.2e-7 to 2e-7, a
+    ray that gains less than ``CERT_TOL``, or ``LinAlgError``. The witness
+    programs are tested on their own and pass.
     """
     n, n_eq, n_ub = program.n_vars, program.n_eq, program.n_ub
     sx = _Simplex(program)

@@ -666,11 +666,13 @@ class DenseSimplex(lp._Simplex):
 class CheckingSimplex(lp._Simplex):
     """The library kernel, checked after every pivot.
 
-    While a phase prices incrementally, the eligible mask must equal
-    ``(rc < -FEAS_TOL) & ~basic`` computed from scratch, and ``rc`` must
-    equal the full-width update ``rc - rc[e] * T[r]`` up to the sign of a
-    zero. ``checked`` counts the pivots so checked; ``windows`` holds each
-    pivot's (span, count) of the pivot row's nonzeros.
+    Each basic column of the tableau must be an exact unit vector, the
+    invariant that lets Bland's rule read the reduced costs alone. While a
+    phase prices incrementally, ``rc`` must equal the full-width update
+    ``rc - rc[e] * T[r]`` up to the sign of a zero, and be exactly 0.0 on
+    every basic column. ``checked`` counts the pivots checked while
+    pricing; ``windows`` holds each pivot's (span, count) of the pivot
+    row's nonzeros.
     """
 
     def __init__(self, program: LinearProgram):
@@ -684,12 +686,16 @@ class CheckingSimplex(lp._Simplex):
         pivot_row = self.table[row, : self.n]
         nz = np.flatnonzero(pivot_row)
         self.windows.append((int(nz[-1] + 1 - nz[0]), nz.size))
+        rows = np.flatnonzero(self.basis < self.n)
+        cols = self.basis[rows]
+        unit = np.zeros((self.m, rows.size))
+        unit[rows, np.arange(rows.size)] = 1.0
+        assert np.array_equal(self.table[:, cols], unit), "a basic column is no unit vector"
         if before is None:
             return
         full = before - before[col] * pivot_row
         assert (self.rc + 0.0).tobytes() == (full + 0.0).tobytes(), "reduced costs drifted"
-        scratch = (self.rc < -lp.FEAS_TOL) & ~self.basic[: self.n]
-        assert np.array_equal(self.eligible, scratch), "eligible mask drifted"
+        assert not self.rc[cols].any(), "a basic column's reduced cost is not 0.0"
         self.checked += 1
 
 

@@ -522,8 +522,9 @@ def test_esmr_certifies_without_the_simplex(dim, monkeypatch):
 
 def test_d10_emmr_incremental_pricing_matches_full_pricing():
     """Every pivot of the d=10 EMMR solve prices incrementally, and after
-    each one ``CheckingSimplex`` finds the window-updated reduced costs and
-    eligible mask equal to the full-width ones."""
+    each one ``CheckingSimplex`` finds every basic column an exact unit
+    vector, the window-updated reduced costs equal to the full-width ones,
+    and the basic columns' reduced costs exactly 0.0."""
     report = WitnessExclusion(build_witness(WitnessParams(0.5, 10))).emmr()
     outcome, kernel = solve_lp_checked(report.program)
     assert kernel.checked == outcome.pivots == report.outcome.pivots

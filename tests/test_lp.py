@@ -251,13 +251,17 @@ def _fill_one(out):
     (dict(objective=[0.0], a_eq=[[np.inf]], b_eq=[1.0]), "eq matrix has a non-finite"),
     (dict(objective=[0.0], a_eq=_fill_one), "eq right-hand side is missing"),
     (dict(objective=[0.0], a_eq=_fill_one, b_eq=[np.inf]), "eq right-hand side has a non-finite"),
+    (dict(objective=[]), "objective has no entries"),
+    (dict(objective=[], a_eq=[[]], b_eq=[0.0]), "objective has no entries"),
 ], ids=["rhs-without-rows", "eq-without-rhs", "ub-without-rhs", "nan-rhs", "nan-objective",
-        "inf-matrix", "fill-without-rhs", "fill-inf-rhs"])
+        "inf-matrix", "fill-without-rhs", "fill-inf-rhs", "no-variables", "no-variables-eq"])
 def test_malformed_program_raises_naming_the_block(kwargs, message):
     """Each of these once reached the solver: the row dropped (then
     ``feasible``), a missing right-hand side read as NaN (then an argmin of
     an empty sequence), a NaN objective (``optimal`` at NaN), an infinite
-    entry (``optimal`` at x = 0)."""
+    entry (``optimal`` at x = 0), no variables (an argmax of an empty
+    sequence in ``run``, or with an empty equality row in
+    ``drop_redundant_rows``)."""
     with pytest.raises(ValueError, match=message):
         LinearProgram(**kwargs)
 
@@ -300,12 +304,12 @@ def test_kernel_matches_dense_oracle_bit_for_bit(p):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(kernel_lps())
 def test_incremental_pricing_matches_full_pricing(p):
-    """After every pivot the window-updated reduced costs equal the
-    full-width update up to the sign of a zero, and the incremental
-    eligible mask equals the one computed from scratch (asserted inside
-    ``CheckingSimplex``); the checks leave the outcome's bits alone."""
-    outcome, _ = solve_lp_checked(p)
-    assert outcome_bits(outcome) == outcome_bits(solve_lp(p))
+    """After every pivot each basic column is an exact unit vector, and
+    the window-updated reduced costs equal the full-width update up to the
+    sign of a zero and are exactly 0.0 on the basic columns (asserted
+    inside ``CheckingSimplex``); the checks leave the outcome's bits, or
+    the error that a singular basis raises, alone."""
+    assert _bits_or_error(lambda q: solve_lp_checked(q)[0], p) == _bits_or_error(solve_lp, p)
 
 
 # -- pivot windows on block-structured programs ----------------------------------

@@ -8,8 +8,9 @@ This test loads the tools, as ``tests/test_trace_sites.py`` loads
 ``bench/workloads.py``, and parses each of their command lines with the
 command line's own parser. ``tools/bench_pairs.py``'s verdict rule is
 checked on synthetic runs, ``tools/digest_threads.py``'s thread count
-check without starting a child, and ``tools/traffic_lines.py``'s exit when
-the package is not on the import path.
+check without starting a child, ``tools/traffic_lines.py``'s exit when
+the package is not on the import path, and ``tools/bench_snapshot.py``'s
+host-speed scaling of the tier-1 wall time with the suite's run stubbed.
 """
 
 import importlib.util
@@ -105,3 +106,25 @@ def test_traffic_lines_without_the_package_names_its_import_path(monkeypatch, ca
     assert out == ""
     assert err.count("\n") == 1
     assert "macroreal is not importable" in err and "PYTHONPATH" in err
+
+
+def test_bench_snapshot_scales_the_tier1_wall_by_host_samples_around_it(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    cli_cost = _tool("cli_cost")
+    monkeypatch.setitem(sys.modules, "cli_cost", cli_cost)
+    snapshot = _tool("bench_snapshot")
+    hostspeed = cli_cost.bench_module("hostspeed")
+    host = hostspeed.HostSpeed()
+    samples_at_start = []
+
+    def suite(argv, **kwargs):   # stands in for the nested pytest run
+        samples_at_start.append(len(host.samples))
+        assert argv[1:3] == ["-m", "pytest"]
+        return subprocess.CompletedProcess(argv, 0, stdout=".\n700 passed in 1.00s\n")
+
+    monkeypatch.setattr(subprocess, "run", suite)
+    run = snapshot.tier1(host)
+    assert samples_at_start == [1] and len(host.samples) == 2
+    scale = hostspeed.REF_S / (0.5 * sum(host.samples))   # the mean of the two samples
+    assert run["scaled_wall_s"] == pytest.approx(run["wall_s"] * scale, rel=1e-12)
+    assert run["exit_code"] == 0 and run["summary"] == "700 passed in 1.00s"

@@ -3,11 +3,13 @@
 
     python3 tools/bench_snapshot.py BENCH_<n>.json
 
-The snapshot holds four kinds of timing, all taken on this host:
+The snapshot holds five kinds of timing, all taken on this host:
 
 - ``tier1``: the wall seconds of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
-  the path) and its summary line;
+  the path), raw and scaled to the reference speed of
+  ``bench/hostspeed.py``'s kernel (timed just before and just after the
+  suite), and its summary line;
 - ``cli``: each command's cold wall seconds, round by round, raw and
   scaled to the reference speed of ``bench/hostspeed.py``'s kernel, and the
   child's largest ``ru_maxrss`` in MB, from ``tools/cli_cost.py``'s round
@@ -26,9 +28,9 @@ The snapshot holds four kinds of timing, all taken on this host:
   ``exclusion.emmr_rss_mb.d4``/``d8``/``d10`` and the EMMR solve's counts
   ``lp.pivots.emmr`` and ``lp.tableau_cells.emmr``.
 
-The whole snapshot takes about seven minutes on two cores. Two snapshots
-compare only when taken on the same host, and their CLI times compare best
-by the scaled walls.
+The whole snapshot takes about three minutes on two cores. Two snapshots
+compare only when taken on the same host, and their wall times compare
+best by the scaled walls.
 """
 
 import json
@@ -61,16 +63,22 @@ def point_commands() -> list:
     return out
 
 
-def tier1() -> dict:
+def tier1(host) -> dict:
+    """The tier-1 suite's run; ``host`` is sampled just before and just
+    after it, as ``cli_cost.run_child`` samples around each command."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    host.sample()
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
-    wall = time.perf_counter() - start
+    end = time.perf_counter()
+    host.sample()
+    wall = end - start
     lines = done.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
+    return {"wall_s": wall, "scaled_wall_s": wall * host.factor(start, end),
+            "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
 
 
 def cli() -> tuple:
@@ -110,9 +118,9 @@ def main() -> int:
         return 2
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
-    tier1_run = tier1()
-    rows, kernel_s = cli()
     hostspeed = cli_cost.bench_module("hostspeed")
+    tier1_run = tier1(hostspeed.HostSpeed())
+    rows, kernel_s = cli()
     snapshot = {
         "commit": commit or None,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
