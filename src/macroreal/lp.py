@@ -349,7 +349,10 @@ class _Simplex:
         flipped = self.flip[live]
         basis_cols[flipped] = -basis_cols[flipped]
         basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
-        y_live = np.linalg.solve(basis_cols.T, cost[basis])
+        try:
+            y_live = np.linalg.solve(basis_cols.T, cost[basis])
+        except np.linalg.LinAlgError:   # a singular B: see solve_lp
+            y_live = np.linalg.lstsq(basis_cols.T, cost[basis])[0]
         y = np.zeros(self.m0)
         y[live] = y_live
         return y
@@ -365,9 +368,9 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
 
     Known conditioning limit (no row scaling, no refactorised basis): on
     small random programs with +-1e-8 constraint entries, 0.04-0.7% of
-    draws end badly, with a wrong status, a residual of 1.2e-7 to 2e-7, a
-    ray that gains less than ``CERT_TOL``, or ``LinAlgError``. The witness
-    programs are tested on their own and pass.
+    draws end badly: a wrong status, a residual of 1.2e-7 to 2e-7, a ray
+    gaining under ``CERT_TOL``, or a singular basis, whose least-squares
+    duals fail re-verification. The witness programs, tested alone, pass.
     """
     n, n_eq, n_ub = program.n_vars, program.n_eq, program.n_ub
     sx = _Simplex(program)

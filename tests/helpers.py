@@ -589,7 +589,8 @@ class DenseSimplex(lp._Simplex):
     The tableau carries an identity block of artificial columns, every pivot
     rewrites every column of each touched row, pricing updates the whole
     reduced-cost row, Bland's rule scans the basis list, and the duals solve
-    against a dense sign-normalized copy of the constraints.
+    against a dense sign-normalized copy of the constraints (by least
+    squares when the basis is singular, as the library's do).
     """
 
     def __init__(self, program: LinearProgram):
@@ -657,7 +658,10 @@ class DenseSimplex(lp._Simplex):
         basis_cols = np.zeros((self.m, self.m))
         basis_cols[:, real] = a[np.ix_(live, basis[real])]
         basis_cols[:, ~real] = live[:, None] == basis[~real] - self.n
-        y_live = np.linalg.solve(basis_cols.T, cost[basis])
+        try:
+            y_live = np.linalg.solve(basis_cols.T, cost[basis])
+        except np.linalg.LinAlgError:
+            y_live = np.linalg.lstsq(basis_cols.T, cost[basis])[0]
         y = np.zeros(self.m0)
         y[self.live] = y_live
         return y

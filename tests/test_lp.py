@@ -238,6 +238,27 @@ def test_rounding_leftover_check_reads_the_dense_matrix_of_a_program_given_by_a_
     assert outcome_bits(out) == outcome_bits(solve_lp(dense))
 
 
+def test_singular_basis_gets_duals_that_fail_verification_instead_of_raising():
+    """Phase 1 pivots on 2.5e-9 and 5e-9 rounding entries and ends on a
+    basis with no column in the second equality row, so B is singular
+    (HiGHS calls the program unbounded). ``duals`` takes the least-squares
+    y instead of raising ``LinAlgError``, and re-verification rejects the
+    outcome; the dense oracle returns the same bits."""
+    p = LinearProgram(
+        objective=[-2.0, -2.0, -2.0, -2.0, 1.0, -2.0],
+        a_eq=[[-2.0, -2.0, -2.0, -2.0, 1e-8, -2.0], [-2.0, -2.0, -2.0, 0.0, 0.0, -2.0]],
+        b_eq=[-1.0, -1.0],
+        a_ub=[[-2.0] * 6, [-2.0] * 6, [-2.0, -2.0, -2.0, -2.0, 0.0, -1e-8]],
+        b_ub=[-1.0, -1.0, -5e-9],
+    )
+    out, kernel = solve_lp_checked(p)
+    basis = kernel.basis[kernel.basis < kernel.n]
+    assert not np.hstack([p.a_eq, np.zeros((2, 3))])[1, basis].any()
+    assert verify_certificate(p, out) > CERT_TOL
+    assert outcome_bits(out) == outcome_bits(solve_lp(p))
+    assert outcome_bits(out) == outcome_bits(solve_lp_with(DenseSimplex, p))
+
+
 def _fill_one(out):
     out[...] = 1.0
 
@@ -307,9 +328,9 @@ def test_incremental_pricing_matches_full_pricing(p):
     """After every pivot each basic column is an exact unit vector, and
     the window-updated reduced costs equal the full-width update up to the
     sign of a zero and are exactly 0.0 on the basic columns (asserted
-    inside ``CheckingSimplex``); the checks leave the outcome's bits, or
-    the error that a singular basis raises, alone."""
-    assert _bits_or_error(lambda q: solve_lp_checked(q)[0], p) == _bits_or_error(solve_lp, p)
+    inside ``CheckingSimplex``); the checks leave the outcome's bits alone."""
+    outcome, _ = solve_lp_checked(p)
+    assert outcome_bits(outcome) == outcome_bits(solve_lp(p))
 
 
 # -- pivot windows on block-structured programs ----------------------------------
@@ -368,9 +389,10 @@ def test_block_kernel_matches_dense_oracle_bit_for_bit(p):
 
 
 def _bits_or_error(solve, p) -> dict:
-    """The outcome's bits, or the type of the error the solve raised: a
-    pivot on a 1e-8 rounding entry can leave a singular basis, and then
-    both kernels' ``duals`` raise ``LinAlgError`` alike."""
+    """The outcome's bits, or the type of a ``LinAlgError`` the solve
+    raised. A pivot on a 1e-8 rounding entry can leave a singular basis;
+    both kernels' ``duals`` then take least squares, so neither should
+    raise, and if one does the other must raise alike."""
     try:
         return outcome_bits(solve(p))
     except np.linalg.LinAlgError as err:

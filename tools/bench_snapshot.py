@@ -16,7 +16,7 @@ The snapshot holds five kinds of timing, all taken on this host:
   runner (BLAS on one thread). The commands are the benchmark's five fixed
   ones, then ``witness``, ``sweep`` and ``exclude`` in its three modes at
   d = 4 and 16. ``host.kernel_s_median`` is the kernel's median time over
-  the samples taken around these children;
+  the samples taken around the suite and these children;
 - ``serialize``: the median of each ``serialize.*`` metric over
   ``TRACED_SEEDS`` traced ``bench/run.py --workload cli`` runs, since one
   traced run swings by 20-30%;
@@ -39,7 +39,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -64,32 +63,25 @@ def point_commands() -> list:
 
 
 def tier1(host) -> dict:
-    """The tier-1 suite's run; ``host`` is sampled just before and just
-    after it, as ``cli_cost.run_child`` samples around each command."""
+    """The tier-1 suite's run, timed by ``cli_cost.sampled_run`` as each
+    command is."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    host.sample()
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    done, wall, factor = cli_cost.sampled_run(
+        host, [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
-    end = time.perf_counter()
-    host.sample()
-    wall = end - start
     lines = done.stdout.strip().splitlines()
-    return {"wall_s": wall, "scaled_wall_s": wall * host.factor(start, end),
+    return {"wall_s": wall, "scaled_wall_s": wall * factor,
             "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
 
 
-def cli() -> tuple:
-    """The command rows, and the host-speed kernel's median seconds over
-    the samples taken around them."""
-    host = cli_cost.bench_module("hostspeed").HostSpeed()
+def cli(host) -> list:
+    """The command rows, timed with ``host``."""
     rows = cli_cost.run_rounds(cli_cost.fixed_commands() + point_commands(), host)
     for row in rows:
         row["median_wall_s"] = statistics.median(row["wall_s"])
         row["median_scaled_wall_s"] = statistics.median(row["scaled_wall_s"])
-    return rows, host.median()
+    return rows
 
 
 def traced_medians(workload: str, prefix: str = "") -> dict:
@@ -119,13 +111,14 @@ def main() -> int:
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
     hostspeed = cli_cost.bench_module("hostspeed")
-    tier1_run = tier1(hostspeed.HostSpeed())
-    rows, kernel_s = cli()
+    host = hostspeed.HostSpeed()
+    tier1_run = tier1(host)
+    rows = cli(host)
     snapshot = {
         "commit": commit or None,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": version("numpy"), "scipy": version("scipy"),
-                 "ref_s": hostspeed.REF_S, "kernel_s_median": kernel_s},
+                 "ref_s": hostspeed.REF_S, "kernel_s_median": host.median()},
         "tier1": tier1_run,
         "cli": rows,
         "serialize": traced_medians("cli", "serialize."),

@@ -60,21 +60,28 @@ def fixed_commands() -> list:
     return bench_module("workloads").FIXED_COMMANDS
 
 
-def run_child(argv: list, cwd: str, env: dict, host) -> tuple:
-    """(exit code, wall seconds, wall seconds at the reference host speed,
-    ru_maxrss in MB) of one command. ``host`` is sampled just before and
-    just after it."""
+def sampled_run(host, argv: list, **kwargs) -> tuple:
+    """``subprocess.run(argv, **kwargs)`` with ``host`` sampled just before
+    and just after it: the finished run, its wall seconds, and the factor
+    that scales its wall seconds to the reference host speed."""
     host.sample()
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", SPAWNER, sys.executable, "-m", "macroreal.cli", *argv],
-        stdout=subprocess.PIPE, cwd=cwd, env=env, text=True, check=True,
-    )
+    done = subprocess.run(argv, **kwargs)
     end = time.perf_counter()
     host.sample()
+    return done, end - start, host.factor(start, end)
+
+
+def run_child(argv: list, cwd: str, env: dict, host) -> tuple:
+    """(exit code, wall seconds, wall seconds at the reference host speed,
+    ru_maxrss in MB) of one command, run by ``sampled_run``."""
+    done, _, factor = sampled_run(
+        host, [sys.executable, "-c", SPAWNER, sys.executable, "-m", "macroreal.cli", *argv],
+        stdout=subprocess.PIPE, cwd=cwd, env=env, text=True, check=True,
+    )
     code, wall, kb = done.stdout.split()
     wall = float(wall)
-    return int(code), wall, wall * host.factor(start, end), int(kb) / 1024.0
+    return int(code), wall, wall * factor, int(kb) / 1024.0
 
 
 def run_rounds(commands: list, host) -> list:
