@@ -2,10 +2,11 @@
 
 Programs are stated over nonnegative variables with equality rows and
 upper-bound inequality rows. The solver is a two-phase tableau simplex with
-Bland's anti-cycling rule. Every verdict carries a certificate: an optimal
-(or feasible) point together with dual multipliers, or a Farkas ray proving
-infeasibility; ``verify_certificate`` re-checks either kind against the
-original program.
+Bland's anti-cycling rule; phase 1's artificial variables end with it, so
+phase 2 and the primal point see only structural and slack columns. Every
+verdict carries a certificate: an optimal (or feasible) point together with
+dual multipliers, or a Farkas ray proving infeasibility;
+``verify_certificate`` re-checks either kind against the original program.
 
 A program's equality matrix may be a function that fills A_eq instead of
 dense (``LinearProgram``). The solver takes its shapes from ``n_eq`` and
@@ -215,8 +216,9 @@ class _Simplex:
     copy beside the tableau; A_ub, the slacks and b are copied. The tableau
     carries no artificial columns: phase 1 starts on one artificial per row
     (basis entries ``n + i``), but pricing stops at column ``n``, so an
-    artificial never re-enters, and no step reads its column. The duals
-    rebuild the basis matrix from the program instead, and need no tableau.
+    artificial never re-enters, no step reads its column, and
+    ``drop_redundant_rows`` ends the rest with phase 1. The duals rebuild
+    the basis matrix from the program instead, and need no tableau.
     """
 
     def __init__(self, program: LinearProgram):
@@ -304,7 +306,8 @@ class _Simplex:
 
     def drop_redundant_rows(self) -> None:
         """Pivot each artificial still basic out of its row; drop the rows
-        left with no pivot available (0 = 0 rows)."""
+        left with no pivot available (0 = 0 rows). No artificial is basic
+        afterwards: a pivot column that is basic elsewhere is zero here."""
         dropped = []
         for i in np.flatnonzero(self.basis >= self.n):
             row = self.table[i, : self.n]
@@ -319,12 +322,6 @@ class _Simplex:
             self.basis = self.basis[keep]
             self.live = self.live[keep]
             self.m = keep.size
-
-    def solution(self) -> np.ndarray:
-        x = np.zeros(self.n)
-        real = self.basis < self.n
-        x[self.basis[real]] = self.table[real, -1]
-        return x
 
     def duals(self, cost: np.ndarray) -> np.ndarray:
         """Solve B^T y = c_B on the live rows; dropped rows get dual zero.
@@ -374,9 +371,8 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
     """
     n, n_eq, n_ub = program.n_vars, program.n_eq, program.n_ub
     sx = _Simplex(program)
-    m = sx.m
 
-    phase1 = np.concatenate([np.zeros(sx.n), np.ones(m)])
+    phase1 = np.concatenate([np.zeros(sx.n), np.ones(sx.m)])
     sx.run(phase1)
     infeasibility = float(phase1[sx.basis] @ sx.table[:, -1])
     if infeasibility > FEAS_TOL:
@@ -402,11 +398,13 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
 
     sx.drop_redundant_rows()
     # the tableau minimizes, so phase 2 prices the negated objective
-    phase2 = np.concatenate([-program.objective, np.zeros(n_ub), np.zeros(m)])
+    phase2 = np.concatenate([-program.objective, np.zeros(n_ub)])
     if sx.run(phase2) == "unbounded":
         return LPOutcome(status=STATUS_UNBOUNDED, pivots=sx.pivots)
 
-    x = sx.solution()[:n]
+    x = np.zeros(sx.n)
+    x[sx.basis] = sx.table[:, -1]
+    x = x[:n]
     sx.table = None   # freed before the duals build the dense A_eq
     value = float(program.objective @ x)
     y = np.where(sx.flip, 1.0, -1.0) * sx.duals(phase2)
@@ -456,16 +454,13 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     if x is None:
         raise ValueError("outcome lacks a primal point")
     viol = float(-x.min(initial=0.0))
-    if program.n_eq:
-        viol = max(viol, float(np.abs(program.a_eq @ x - program.b_eq).max()))
-    if program.a_ub.shape[0]:
-        viol = max(viol, float((program.a_ub @ x - program.b_ub).max(initial=0.0)))
+    viol = max(viol, float(np.abs(program.a_eq @ x - program.b_eq).max(initial=0.0)))
+    viol = max(viol, float((program.a_ub @ x - program.b_ub).max(initial=0.0)))
     if outcome.status == STATUS_OPTIMAL and outcome.dual_eq is not None:
         y, z = outcome.dual_eq, outcome.dual_ub
         reduced = program.objective - program.a_eq.T @ y - program.a_ub.T @ z
         viol = max(viol, float(reduced.max(initial=0.0)))
-        if z.size:
-            viol = max(viol, float(-z.min(initial=0.0)))
+        viol = max(viol, float(-z.min(initial=0.0)))
         dual_value = float(program.b_eq @ y + program.b_ub @ z)
         viol = max(viol, abs(dual_value - float(outcome.value)))
     return viol

@@ -81,7 +81,8 @@ def _stochastic(values, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
     if arr.min(initial=0.0) < -PROB_TOL:
         raise ValueError(f"{what}: negative entry {float(arr.min())!r}")
-    off = float(np.abs(arr.sum(axis=0) - 1.0).max(initial=0.0))
+    with np.errstate(over="ignore"):   # a sum that overflows is off by inf
+        off = float(np.abs(arr.sum(axis=0) - 1.0).max(initial=0.0))
     if not off <= PROB_TOL:
         raise ValueError(f"{what}: columns not stochastic, a sum is off 1 by {off!r}")
     arr.setflags(write=False)
@@ -295,7 +296,7 @@ def predict(model: FiniteOntModel, preparation: str, measurement: str) -> np.nda
     probs = model.response(measurement) @ mu
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"prediction sums to {total!r}")
+        raise ValueError(f"prediction sums to {float(total)!r}")
     return np.clip(probs, 0.0, 1.0) / total
 
 

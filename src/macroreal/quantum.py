@@ -89,7 +89,7 @@ class UnitaryMap:
         _check_dim(mat.shape[0])
         dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
         if not dev <= STRUCT_TOL:
-            raise ValueError(f"matrix not unitary: ||U^dag U - I||_F = {dev!r}")
+            raise ValueError(f"matrix not unitary: ||U^dag U - I||_F = {float(dev)!r}")
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -168,7 +168,7 @@ def born(state: StateVector, meas: ProjMeasurement) -> np.ndarray:
     probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"born probabilities sum to {total!r}")
+        raise ValueError(f"born probabilities sum to {float(total)!r}")
     return probs / total
 
 

@@ -676,13 +676,19 @@ class CheckingSimplex(lp._Simplex):
     ``rc - rc[e] * T[r]`` up to the sign of a zero, and be exactly 0.0 on
     every basic column. ``checked`` counts the pivots checked while
     pricing; ``windows`` holds each pivot's (span, count) of the pivot
-    row's nonzeros.
+    row's nonzeros. After ``drop_redundant_rows`` no artificial may be
+    basic: phase 2 prices, and the primal point reads, only columns below
+    ``n``.
     """
 
     def __init__(self, program: LinearProgram):
         super().__init__(program)
         self.checked = 0
         self.windows = []
+
+    def drop_redundant_rows(self) -> None:
+        super().drop_redundant_rows()
+        assert (self.basis < self.n).all(), "an artificial is basic after phase 1"
 
     def _pivot(self, row: int, col: int) -> None:
         before = None if self.rc is None else self.rc.copy()

@@ -197,13 +197,20 @@ print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))
 """
 
 
-def test_witness_sweep_exclude_do_not_load_scipy():
+def child_env() -> dict:
+    """This environment, with the package's root first on PYTHONPATH and
+    Python's default warning filters."""
     env = dict(os.environ)
     package_root = str(Path(macroreal.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+def test_witness_sweep_exclude_do_not_load_scipy():
     child = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD_CHILD],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=child_env(), timeout=120, check=True,
     )
     codes, scipy_modules = json.loads(child.stdout.splitlines()[-1])
     assert codes == [0] * 10
@@ -283,6 +290,20 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
     assert json.loads(out)["validation"]["passed"] is True
 
 
+def _write_edited_toy(edit, tmp_path, capsys) -> None:
+    """Write the toy's model and fragment, as ``edit(model, fragment)``
+    returns them, to ``m.json`` and ``f.json`` in ``tmp_path``."""
+    code, _, _ = run_cli(
+        capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
+        "--fragment-out", str(tmp_path / "f.json"), "--json", str(tmp_path / "out.json"),
+    )
+    assert code == 0
+    model, frag = edit(json.loads((tmp_path / "m.json").read_text()),
+                       json.loads((tmp_path / "f.json").read_text()))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    (tmp_path / "f.json").write_text(json.dumps(frag))
+
+
 @pytest.mark.parametrize(("edit", "words"), [
     (lambda model, frag: ({}, frag), "model: missing key 'atoms'"),
     (lambda model, frag: ([model], frag), "model: expected a JSON object, got list"),
@@ -300,18 +321,14 @@ def test_zoo_check_born_binds_through_delta_sets(name, capsys):
     (lambda model, frag: (
         model, {**frag, "states": {**frag["states"], "up": [[math.nan, 0.0], [0.0, 0.0]]}}),
      "state 'up': state not normalized: sum |a_i|^2 = nan"),
+    (lambda model, frag: (
+        model, {**frag, "unitaries": {"grow": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}}),
+     "unitary 'grow': matrix not unitary: ||U^dag U - I||_F = 3.0"),
 ], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object",
-        "update-number-list", "delta-set-number-list", "nan-preparation", "nan-amplitude"])
+        "update-number-list", "delta-set-number-list", "nan-preparation", "nan-amplitude",
+        "non-unitary"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
-    code, _, _ = run_cli(
-        capsys, "zoo", "emmr-toy", "--model-out", str(tmp_path / "m.json"),
-        "--fragment-out", str(tmp_path / "f.json"), "--json", str(tmp_path / "out.json"),
-    )
-    assert code == 0
-    model, frag = edit(json.loads((tmp_path / "m.json").read_text()),
-                       json.loads((tmp_path / "f.json").read_text()))
-    (tmp_path / "m.json").write_text(json.dumps(model))
-    (tmp_path / "f.json").write_text(json.dumps(frag))
+    _write_edited_toy(edit, tmp_path, capsys)
     code, out, err = run_cli(
         capsys, "classify", "--model", str(tmp_path / "m.json"),
         "--fragment", str(tmp_path / "f.json"),
@@ -319,6 +336,24 @@ def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {words}\n"
+
+
+def test_classify_overflowing_preparation_writes_one_stderr_line(tmp_path, capsys):
+    """A column sum that overflows is off 1 by inf. The command line, run
+    with the default warning filters, prints the one ``error:`` line and
+    no overflow warning beside it."""
+    _write_edited_toy(lambda model, frag: (
+        {**model, "preparations": {**model["preparations"], "eig_up": [1e308, 1e308]}}, frag),
+        tmp_path, capsys)
+    child = subprocess.run(
+        [sys.executable, "-m", "macroreal.cli", "classify", "--model", str(tmp_path / "m.json"),
+         "--fragment", str(tmp_path / "f.json")],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == (
+        "error: preparation 'eig_up': columns not stochastic, a sum is off 1 by inf\n"
+    )
 
 
 def _classify_model_text(text, tmp_path, capsys) -> tuple:
