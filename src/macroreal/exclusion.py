@@ -41,7 +41,6 @@ import numpy as np
 
 from .lp import (
     FEAS_TOL,
-    STATUS_INFEASIBLE,
     LinearProgram,
     LPOutcome,
     solve_lp,
@@ -332,14 +331,13 @@ class WitnessExclusion:
         Each measurement's rows sum to the half's mass, so adding 1 to every
         row of a half and -3 to every row of one measurement there changes
         no column and no gain; half one takes that gauge on B, half two on
-        D, as at the simplex's vertex. The ray is then scaled the way
-        ``solve_lp`` scales its rays, to a largest entry of magnitude 1 when
-        it exceeds 1, with one rounding per entry. Within about 1.118e-5 of
-        1/sqrt 2, phi's B and macro probabilities on zero's outcome,
-        (1 - 2 alpha^2)^2, fall below ``STRICT_POS_EPS``: phi shares no atom
-        with zero, N is empty and the ray is in thirds. Elsewhere N's -5/3
-        rows scale it to fifths and the gain to 3/5 of the above. Wherever
-        they certify, both are the simplex's rays bit for bit.
+        D, as at the simplex's vertex. ``LPOutcome.farkas`` scales it as it
+        scales ``solve_lp``'s rays. Within about 1.118e-5 of 1/sqrt 2, phi's
+        B and macro probabilities on zero's outcome, (1 - 2 alpha^2)^2,
+        fall below ``STRICT_POS_EPS``: phi shares no atom with zero, N is
+        empty and the ray is in thirds. Elsewhere N's -5/3 rows scale it to
+        fifths and the gain to 3/5 of the above. Wherever they certify, both
+        are the simplex's rays bit for bit.
         """
         names = list(self.fragment.measurements)
         i_d, i_b = names.index(MEAS_ANTIDIST), names.index(MEAS_BPRIME)
@@ -357,12 +355,7 @@ class WitnessExclusion:
         thirds[1, start[i_d] : start[i_d + 1]] -= 3.0
         thirds[1, start[i_d] + n_out] -= 3.0
         thirds[1, start[i_b] + h_out] -= 3.0
-        scale = max(3.0, float(np.abs(thirds).max()))
-        return LPOutcome(
-            status=STATUS_INFEASIBLE,
-            farkas_eq=thirds.ravel() / scale,
-            farkas_ub=np.array([-3.0 / scale]),
-        )
+        return LPOutcome.farkas(np.append(thirds, -3.0), thirds.size)
 
     def esmr(self) -> ExclusionReport:
         """Two-measure feasibility program for eigenstate-supported models,

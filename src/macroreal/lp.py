@@ -205,6 +205,15 @@ class LPOutcome:
     farkas_ub: np.ndarray | None = None
     pivots: int = 0
 
+    @classmethod
+    def farkas(cls, ray: np.ndarray, n_eq: int, pivots: int = 0) -> "LPOutcome":
+        """Infeasible outcome whose Farkas ray (``n_eq`` entries of y, then z)
+        is ``ray``, divided entry by entry by its largest magnitude if above 1."""
+        scale = np.abs(ray).max()
+        if scale > 1.0:
+            ray = ray / scale
+        return cls(STATUS_INFEASIBLE, farkas_eq=ray[:n_eq], farkas_ub=ray[n_eq:], pivots=pivots)
+
 
 class _Simplex:
     """Tableau simplex over the sign-normalized system A x = b, b >= 0.
@@ -379,15 +388,7 @@ def solve_lp(program: LinearProgram) -> LPOutcome:
         if infeasibility > CERT_TOL:
             sx.table = None   # the duals read the dense A_eq: hold one copy
         y = np.where(sx.flip, -1.0, 1.0) * sx.duals(phase1)
-        scale = np.abs(y).max()
-        if scale > 1.0:
-            y = y / scale
-        outcome = LPOutcome(
-            status=STATUS_INFEASIBLE,
-            farkas_eq=y[:n_eq],
-            farkas_ub=y[n_eq:],
-            pivots=sx.pivots,
-        )
+        outcome = LPOutcome.farkas(y, n_eq, sx.pivots)
         # A leftover within the certificate budget that no ray proves is
         # rounding (pivots on 1e-8 entries scale the rhs error by 1e8):
         # go on to phase 2 from the nearly feasible point. Its duals and
@@ -456,8 +457,10 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     viol = float(-x.min(initial=0.0))
     viol = max(viol, float(np.abs(program.a_eq @ x - program.b_eq).max(initial=0.0)))
     viol = max(viol, float((program.a_ub @ x - program.b_ub).max(initial=0.0)))
-    if outcome.status == STATUS_OPTIMAL and outcome.dual_eq is not None:
+    if outcome.status == STATUS_OPTIMAL:
         y, z = outcome.dual_eq, outcome.dual_ub
+        if y is None or z is None:
+            raise ValueError("optimal outcome lacks its duals")
         reduced = program.objective - program.a_eq.T @ y - program.a_ub.T @ z
         viol = max(viol, float(reduced.max(initial=0.0)))
         viol = max(viol, float(-z.min(initial=0.0)))

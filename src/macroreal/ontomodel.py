@@ -467,7 +467,7 @@ class Classification:
     evidence: dict
 
 
-def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> Classification:
+def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
     """Decide which macro-realism category the model's declarations realize.
 
     Conditions, relative to the declared operational-eigenstate sets:
@@ -476,19 +476,15 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
     eigenstate preparations; (c) every carried atom answers the macro
     measurement deterministically. EMMR = (a) and (b); ESMR = (a) without
     (b); SSMR = (c) with some preparation carrying weight outside A;
-    anything else is NONE. The caller is expected to have validated the
-    model against its fragment first.
+    anything else is NONE. The model's macro labels must be ``fragment``'s
+    macro outcomes, and the caller is expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
     missing = [q for q in macro_labels if q not in model.eigenstate_preps]
-    if fragment is not None:
-        frag_labels = fragment.macro.outcomes
-        if tuple(frag_labels) != tuple(macro_labels):
-            raise ValueError(
-                f"macro outcome labels {macro_labels!r} do not match fragment "
-                f"macro outcomes {frag_labels!r}"
-            )
+    if fragment.macro.outcomes != macro_labels:
+        raise ValueError(f"macro outcome labels {macro_labels!r} do not match fragment "
+                         f"macro outcomes {fragment.macro.outcomes!r}")
     if missing:
         raise ValueError(f"no eigenstate preparations declared for macro values {missing!r}")
 
@@ -528,10 +524,9 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment | None = None) -> 
             mixture_ok = False
     evidence["max_mixture_residual"] = float(worst_residual)
 
-    # (c) deterministic macro responses on carried atoms
+    # (c) deterministic macro responses on carried atoms (eigenstates carry some)
     carried = _support_mask(model, model.preparations)
-    macro_resp = model.response(macro)
-    col_max = macro_resp[:, carried].max(axis=0) if carried.any() else np.array([])
+    col_max = model.response(macro)[:, carried].max(axis=0)
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
     if not deterministic_ok:
         bad_local = int(np.argmin(col_max))

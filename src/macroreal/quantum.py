@@ -50,7 +50,8 @@ class StateVector:
     def __post_init__(self) -> None:
         arr = _as_complex_vector(self.amplitudes).copy()
         _check_dim(arr.shape[0])
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflowing norm is off by inf
+            norm_sq = float(np.sum(np.abs(arr) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |a_i|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _freeze(arr))
@@ -87,7 +88,8 @@ class UnitaryMap:
     def __post_init__(self) -> None:
         mat = _as_complex_matrix(self.matrix).copy()
         _check_dim(mat.shape[0])
-        dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow: inf or nan, rejected
+            dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
         if not dev <= STRUCT_TOL:
             raise ValueError(f"matrix not unitary: ||U^dag U - I||_F = {float(dev)!r}")
         object.__setattr__(self, "matrix", _freeze(mat))

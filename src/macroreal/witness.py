@@ -402,11 +402,11 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 def _solve_slot_angles(p: float, q: float, r: float):
     """Solve cos(t1)cos(t2)=p, sin(t1)cos(t3)=q, sin(t2)sin(t3)=r on [0, pi/2].
 
-    Returns (t1, t2, t3) or None. Degenerate zero cases are handled by
-    direct assignment; the generic case reduces to a one-dimensional root
-    find in t3. Tangent maxima (the saturated second inequality) are
-    accepted within a small slack and settled by the downstream residual
-    check on the assembled measurement.
+    p, q and r lie in [0, 1]. Returns (t1, t2, t3) or None. Degenerate
+    zero cases are handled by direct assignment; the generic case reduces
+    to a one-dimensional root find in t3. Tangent maxima (the saturated
+    second inequality) are accepted within a small slack and settled by
+    the downstream residual check on the assembled measurement.
 
     The peak of the gap is found by ``_bounded_min`` and its root by
     ``_brentq``, pure-Python ports of scipy 1.17.1's
@@ -419,8 +419,6 @@ def _solve_slot_angles(p: float, q: float, r: float):
     """
     z = 1e-15
     if q < z:
-        if p > 1.0:
-            return None
         c2 = p
         s2 = math.sqrt(1.0 - c2 * c2)
         if r < z:
@@ -431,8 +429,6 @@ def _solve_slot_angles(p: float, q: float, r: float):
             return (0.0, math.acos(c2), 0.0)
         return (0.0, math.acos(c2), math.asin(min(1.0, r / s2)))
     if r < z:
-        if q > 1.0:
-            return None
         c1 = math.sqrt(1.0 - q * q)
         if c1 < z:
             return (math.pi / 2, math.pi / 2, 0.0) if p < z else None
@@ -440,8 +436,6 @@ def _solve_slot_angles(p: float, q: float, r: float):
             return None
         return (math.asin(q), math.acos(min(1.0, p / c1)), 0.0)
     if p < z:
-        if q > 1.0:
-            return None
         s3 = math.sqrt(1.0 - q * q)
         if s3 < z:
             return None

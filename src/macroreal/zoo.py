@@ -56,8 +56,7 @@ class SphereGrid:
     """
 
     node_count: int
-    nodes: np.ndarray = field(init=False, repr=False)     # (n, 3) unit vectors
-    weights: np.ndarray = field(init=False, repr=False)   # (n,) all 4*pi/n
+    nodes: np.ndarray = field(init=False, repr=False)   # (n, 3) unit vectors
 
     def __post_init__(self) -> None:
         # operator.index rejects NaN and other non-integers with a TypeError
@@ -67,12 +66,9 @@ class SphereGrid:
         if n > MAX_GRID_NODES:
             raise ValueError(f"{n} grid nodes exceed the {MAX_GRID_NODES} cap")
         nodes = _golden_spiral(n)
-        weights = np.full(n, 4.0 * math.pi / n)
         nodes.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
     def nearest(self, points) -> np.ndarray:
         """Index of the node nearest to each of the (m, 3) unit ``points``.
@@ -305,9 +301,10 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
         raise ValueError("the cap model is a qubit construction")
     nodes = grid.nodes
     n_atoms = grid.node_count
+    node_weight = 4.0 * math.pi / n_atoms
 
     def cap_weights(direction: np.ndarray) -> np.ndarray:
-        w = np.maximum(0.0, nodes @ direction) * grid.weights
+        w = np.maximum(0.0, nodes @ direction) * node_weight
         total = w.sum()
         if total <= 0.0:
             raise ValueError("degenerate cap: no grid node in the open hemisphere")

@@ -308,8 +308,7 @@ def brute_force_overlap(model: FiniteOntModel, mu_name: str, targets) -> float:
     return float(best)
 
 
-def support_memo_classify(model: FiniteOntModel,
-                          fragment: QuantumFragment | None = None) -> Classification:
+def support_memo_classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
     """Oracle for ``ontomodel.classify``: the form that reads every
     preparation's support through the model's memo, ``model.support``, for
     conditions (a) and (c). It fills the memo for every preparation."""
@@ -323,13 +322,11 @@ def support_memo_classify(model: FiniteOntModel,
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
     missing = [q for q in macro_labels if q not in model.eigenstate_preps]
-    if fragment is not None:
-        frag_labels = fragment.macro.outcomes
-        if tuple(frag_labels) != tuple(macro_labels):
-            raise ValueError(
-                f"macro outcome labels {macro_labels!r} do not match fragment "
-                f"macro outcomes {frag_labels!r}"
-            )
+    if fragment.macro.outcomes != macro_labels:
+        raise ValueError(
+            f"macro outcome labels {macro_labels!r} do not match fragment "
+            f"macro outcomes {fragment.macro.outcomes!r}"
+        )
     if missing:
         raise ValueError(f"no eigenstate preparations declared for macro values {missing!r}")
 
@@ -364,8 +361,7 @@ def support_memo_classify(model: FiniteOntModel,
     evidence["max_mixture_residual"] = float(worst_residual)
 
     carried = memo_mask(model.preparations)
-    macro_resp = model.response(macro)
-    col_max = macro_resp[:, carried].max(axis=0) if carried.any() else np.array([])
+    col_max = model.response(macro)[:, carried].max(axis=0)
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
     if not deterministic_ok:
         bad_local = int(np.argmin(col_max))

@@ -304,6 +304,17 @@ def _write_edited_toy(edit, tmp_path, capsys) -> None:
     (tmp_path / "f.json").write_text(json.dumps(frag))
 
 
+def _basis_projectors(dim: int) -> list:
+    """The computational basis projectors of C^dim as [re, im] pairs."""
+    return [[[[float(i == j == k), 0.0] for k in range(dim)] for j in range(dim)]
+            for i in range(dim)]
+
+
+def _with_macro(frag, **spec) -> dict:
+    """The fragment with its macro measurement's entries replaced by ``spec``."""
+    return {**frag, "measurements": {"macro": {**frag["measurements"]["macro"], **spec}}}
+
+
 @pytest.mark.parametrize(("edit", "words"), [
     (lambda model, frag: ({}, frag), "model: missing key 'atoms'"),
     (lambda model, frag: ([model], frag), "model: expected a JSON object, got list"),
@@ -324,9 +335,56 @@ def _write_edited_toy(edit, tmp_path, capsys) -> None:
     (lambda model, frag: (
         model, {**frag, "unitaries": {"grow": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}}),
      "unitary 'grow': matrix not unitary: ||U^dag U - I||_F = 3.0"),
+    (lambda model, frag: (
+        model, {**frag, "states": {**frag["states"], "up": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
+     "state 'up' has dim 3, fragment dim 2"),
+    (lambda model, frag: (
+        model, {**frag, "unitaries": {"big": [[[float(j == k), 0.0] for k in range(3)]
+                                              for j in range(3)]}}),
+     "unitary 'big' has dim 3, fragment dim 2"),
+    (lambda model, frag: (model, {**frag, "measurements": {
+        **frag["measurements"], "wide": {"outcomes": ["a", "b", "c"],
+                                         "projectors": _basis_projectors(3)}}}),
+     "measurement 'wide' has dim 3, fragment dim 2"),
+    (lambda model, frag: (model, {**frag, "macro_observable": "tilt"}),
+     "macro observable 'tilt' not in measurements"),
+    (lambda model, frag: (
+        {**model, "preparations": {**model["preparations"], "mixed": [1.5, -0.5]}}, frag),
+     "preparation 'mixed': negative entry -0.5"),
+    (lambda model, frag: ({**model, "atoms": 0}, frag), "atom count must be positive"),
+    (lambda model, frag: ({**model, "outcomes": {"macro": ["q+"]}}, frag),
+     "response 'macro': 1 labels for 2 rows"),
+    (lambda model, frag: ({**model, "macro_measurement": "tilt"}, frag),
+     "macro measurement 'tilt' has no response matrix"),
+    (lambda model, frag: (
+        {**model, "eigenstate_preps": {**model["eigenstate_preps"], "q0": ["mixed"]}}, frag),
+     "eigenstate declaration for unknown macro value 'q0'"),
+    (lambda model, frag: (
+        {**model, "eigenstate_preps": {**model["eigenstate_preps"], "q-": []}}, frag),
+     "eigenstate declaration for 'q-' is empty"),
+    (lambda model, frag: ({**model, "updates": {"tilt": {"q+": "eig_up"}}}, frag),
+     "update rule for unknown measurement 'tilt'"),
+    (lambda model, frag: ({**model, "updates": {"macro": {"q0": "eig_up"}}}, frag),
+     "update rule for unknown outcome 'q0' of 'macro'"),
+    (lambda model, frag: (model, _with_macro(frag, outcomes=["a", "b"])),
+     "macro outcome labels ('q+', 'q-') do not match fragment macro outcomes ('a', 'b')"),
+    (lambda model, frag: (
+        model, {**frag, "states": {**frag["states"], "up": [[[1.0, 0.0]], [[0.0, 0.0]]]}}),
+     "state 'up': expected a vector, got shape (2, 1)"),
+    (lambda model, frag: (
+        model, {**frag, "unitaries": {"wide": [[[1.0, 0.0], [0.0, 0.0]]] * 3}}),
+     "unitary 'wide': expected a square matrix, got shape (3, 2)"),
+    (lambda model, frag: (model, _with_macro(frag, outcomes=["q+", "q+"])),
+     "measurement 'macro': outcome labels must be distinct"),
+    (lambda model, frag: (model, _with_macro(frag, projectors=_basis_projectors(2)[0])),
+     "measurement 'macro': projectors must have shape (n, d, d), got (2, 2)"),
 ], ids=["empty-model", "list-model", "fragment-without-dim", "update-not-object",
         "update-number-list", "delta-set-number-list", "nan-preparation", "nan-amplitude",
-        "non-unitary"])
+        "non-unitary", "state-dim", "unitary-dim", "measurement-dim", "unknown-macro-observable",
+        "negative-entry", "no-atoms", "label-count", "macro-without-response",
+        "eigenstates-of-unknown-value", "empty-eigenstates", "update-of-unknown-measurement",
+        "update-of-unknown-outcome", "macro-label-mismatch", "state-not-vector",
+        "unitary-not-square", "repeated-outcome", "projectors-not-stack"])
 def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     _write_edited_toy(edit, tmp_path, capsys)
     code, out, err = run_cli(
@@ -338,22 +396,29 @@ def test_classify_malformed_file_is_usage_error(edit, words, tmp_path, capsys):
     assert err == f"error: {words}\n"
 
 
-def test_classify_overflowing_preparation_writes_one_stderr_line(tmp_path, capsys):
-    """A column sum that overflows is off 1 by inf. The command line, run
-    with the default warning filters, prints the one ``error:`` line and
-    no overflow warning beside it."""
-    _write_edited_toy(lambda model, frag: (
+@pytest.mark.parametrize(("edit", "words"), [
+    (lambda model, frag: (
         {**model, "preparations": {**model["preparations"], "eig_up": [1e308, 1e308]}}, frag),
-        tmp_path, capsys)
+     "preparation 'eig_up': columns not stochastic, a sum is off 1 by inf"),
+    (lambda model, frag: (
+        model, {**frag, "states": {**frag["states"], "up": [[1e308, 0.0], [0.0, 0.0]]}}),
+     "state 'up': state not normalized: sum |a_i|^2 = inf"),
+    (lambda model, frag: (
+        model, {**frag, "unitaries": {"huge": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}),
+     "unitary 'huge': matrix not unitary: ||U^dag U - I||_F = nan"),
+], ids=["preparation", "state", "unitary"])
+def test_classify_overflowing_preparation_writes_one_stderr_line(edit, words, tmp_path, capsys):
+    """A column sum, a norm or a unitarity deviation that overflows fails
+    its check. The command line, run with the default warning filters,
+    prints the one ``error:`` line and no overflow warning beside it."""
+    _write_edited_toy(edit, tmp_path, capsys)
     child = subprocess.run(
         [sys.executable, "-m", "macroreal.cli", "classify", "--model", str(tmp_path / "m.json"),
          "--fragment", str(tmp_path / "f.json")],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr == (
-        "error: preparation 'eig_up': columns not stochastic, a sum is off 1 by inf\n"
-    )
+    assert child.stderr == f"error: {words}\n"
 
 
 def _classify_model_text(text, tmp_path, capsys) -> tuple:

@@ -187,6 +187,24 @@ def test_farkas_ray_without_gain_does_not_verify():
     assert verify_certificate(p, empty) > CERT_TOL
 
 
+def test_optimal_outcome_without_duals_does_not_verify():
+    p = LinearProgram(objective=[1.0], a_ub=[[1.0]], b_ub=[1.0])
+    out = solve_lp(p)
+    assert verify_certificate(p, out) <= CERT_TOL
+    with pytest.raises(ValueError, match="optimal outcome lacks its duals"):
+        verify_certificate(p, LPOutcome(status="optimal", value=out.value, x=out.x))
+
+
+@pytest.mark.parametrize(("ray", "eq", "ub"), [
+    ([3.0, -1.5, -6.0], [0.5, -0.25], [-1.0]),
+    ([0.5, -0.25, 1.0], [0.5, -0.25], [1.0]),
+], ids=["scaled", "kept"])
+def test_farkas_outcome_scales_a_ray_to_a_largest_magnitude_of_one(ray, eq, ub):
+    out = LPOutcome.farkas(np.array(ray), 2, pivots=7)
+    assert (out.status, out.pivots) == ("infeasible", 7)
+    assert out.farkas_eq.tolist() == eq and out.farkas_ub.tolist() == ub
+
+
 def test_short_farkas_gain_is_charged_as_twice_cert_tol_less_the_gain():
     p = LinearProgram(objective=[0.0], a_eq=[[1.0]], b_eq=[-1.0], a_ub=[[1.0]], b_ub=[2.0])
     ray = LPOutcome(status="infeasible", farkas_eq=np.array([-5e-8]), farkas_ub=np.array([-1e-8]))

@@ -168,12 +168,12 @@ def test_models_compare_and_hash_by_identity():
 
 @pytest.fixture(scope="module")
 def zoo_models() -> dict:
-    return _zoo_models()
+    return {kind: model for kind, (model, _) in _zoo_cases().items()}
 
 
-def _zoo_models() -> dict:
+def _zoo_cases() -> dict:
     """Fresh bb, det, emmr-toy and 2 000-node cap models, their support
-    memos empty."""
+    memos empty, each with its fragment."""
     std = standard_qubit_fragment()
     det_fragment = qubit_fragment(
         {name: tuple(bloch_vector(s)) for name, s in std.states.items()},
@@ -185,10 +185,10 @@ def _zoo_models() -> dict:
         rotations={"step": ((0.0, 1.0, 0.0), 0.7)},
     )
     return {
-        "bb": beltrametti_bugajski_model(std),
-        "det": deterministic_extension_model(det_fragment),
-        "emmr-toy": emmr_toy_model(math.pi / 3)[0],
-        "cap2000": kochen_specker_model(fibonacci_sphere_grid(2000), cap_fragment),
+        "bb": (beltrametti_bugajski_model(std), std),
+        "det": (deterministic_extension_model(det_fragment), det_fragment),
+        "emmr-toy": emmr_toy_model(math.pi / 3),
+        "cap2000": (kochen_specker_model(fibonacci_sphere_grid(2000), cap_fragment), cap_fragment),
     }
 
 
@@ -446,7 +446,7 @@ def test_overlap_unknown_target_errors():
 def test_classify_requires_full_declarations():
     model = tiny_model(eigenstate_preps={"q0": ("point0",)})
     with pytest.raises(ValueError, match="q1"):
-        classify(model)
+        classify(model, macro_only_fragment(np.random.default_rng(0), 2))
 
 
 def test_classify_emmr_and_esmr_families():
@@ -479,17 +479,17 @@ def test_classify_evidence_names_first_violations():
         macro_measurement="macro",
         eigenstate_preps={"q0": ("eig0",), "q1": ("eig1",)},
     )
-    verdict = classify(model)
+    verdict = classify(model, macro_only_fragment(np.random.default_rng(0), 2))
     assert verdict.kind == "NONE"
     assert verdict.evidence["eigenstate_atoms"] == 2
     assert verdict.evidence["support_violation"] == {"preparation": "mixed", "atom": 2, "weight": 0.2}
     assert verdict.evidence["nondeterministic_atom"] == {"atom": 3, "max_response": 0.6}
 
 
-def _classify_cases(zoo_models) -> list:
-    """(model, fragment or None) pairs: the zoo models and seeded random
-    models of each helper family."""
-    cases = [(model, None) for model in zoo_models.values()]
+def _classify_cases() -> list:
+    """(model, fragment) pairs: the zoo models and seeded random models of
+    each helper family."""
+    cases = list(_zoo_cases().values())
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
         frag = random_fragment(rng, 2 + seed % 3)
@@ -500,10 +500,10 @@ def _classify_cases(zoo_models) -> list:
     return cases
 
 
-def test_classify_matches_the_support_memo_form(zoo_models):
+def test_classify_matches_the_support_memo_form():
     """Testing weights against SUPPORT_EPS gives the verdict and evidence of
     reading each support through the memo, bit for bit."""
-    cases = _classify_cases(zoo_models)
+    cases = _classify_cases()
     kinds = set()
     for model, frag in cases:
         if not all(q in model.eigenstate_preps for q in model.outcome_labels[model.macro_measurement]):
@@ -519,9 +519,9 @@ def test_classify_matches_the_support_memo_form(zoo_models):
 def test_classify_leaves_the_support_memo_as_it_found_it():
     """On fresh models, with one support read before: classify neither
     adds to the memo nor replaces what it holds."""
-    for model in _zoo_models().values():
+    for model, frag in _zoo_cases().values():
         first = next(iter(model.preparations))
         before = {first: model.support(first)}
-        classify(model)
+        classify(model, frag)
         assert model._supports == before
         assert model._supports[first] is before[first]

@@ -9,12 +9,14 @@ This test loads the tools, as ``tests/test_trace_sites.py`` loads
 command line's own parser. ``tools/bench_pairs.py``'s verdict rule is
 checked on synthetic runs, ``tools/digest_threads.py``'s thread count
 check without starting a child, ``tools/traffic_lines.py``'s exit when
-the package is not on the import path, and ``tools/bench_snapshot.py``'s
-host-speed scaling of the tier-1 wall time with the suite's run stubbed.
+the package is not on the import path, ``tools/bench_snapshot.py``'s
+host-speed scaling of the tier-1 wall time with the suite's run stubbed,
+and the lines ``tools/outcome_bits.py`` prints for one witness.
 """
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -128,3 +130,14 @@ def test_bench_snapshot_scales_the_tier1_wall_by_host_samples_around_it(monkeypa
     scale = hostspeed.REF_S / (0.5 * sum(host.samples))   # the mean of the two samples
     assert run["scaled_wall_s"] == pytest.approx(run["wall_s"] * scale, rel=1e-12)
     assert run["exit_code"] == 0 and run["summary"] == "700 passed in 1.00s"
+
+
+def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "1")   # outcome_bits sets them on import
+    monkeypatch.setattr(sys, "path", list(sys.path))   # it adds the tests to it
+    tool = _tool("outcome_bits")
+    lines = tool.program_lines(4, 0.5)
+    assert len(lines) == 6
+    for line, method in zip(lines, tool.METHODS):
+        assert re.fullmatch(rf"{method} 4 0\.5 [0-9a-f]{{16}}", line), line

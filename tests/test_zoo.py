@@ -30,8 +30,8 @@ from macroreal.zoo import MAX_GRID_NODES, rotation_of_unitary
 
 def test_grid_invariants():
     grid = fibonacci_sphere_grid(2000)
+    assert grid.nodes.shape == (2000, 3) and not grid.nodes.flags.writeable
     assert np.abs(np.linalg.norm(grid.nodes, axis=1) - 1.0).max() < 1e-12
-    assert abs(grid.weights.sum() - 4 * math.pi) < 1e-6
 
 
 @pytest.mark.parametrize(("count", "error"), [
