@@ -73,18 +73,18 @@ def _count(text: str) -> int:
     return value
 
 
-def _emit(text: str, target: str | None) -> None:
-    if target is None or target == "-":
+def _emit(text: str, target: str) -> None:
+    if target == "-":
         sys.stdout.write(text)
     else:
         Path(target).write_text(text)
 
 
-def _emit_json(obj, target: str | None) -> None:
+def _emit_json(obj, target: str) -> None:
     """``obj`` as JSON: streamed by ``write_json`` to a file target, through
     ``dumps_json`` to ``sys.stdout`` as it is at call time, so a redirect
     of stdout captures it."""
-    if target is None or target == "-":
+    if target == "-":
         sys.stdout.write(dumps_json(obj))
     else:
         with open(target, "w") as fh:
@@ -259,10 +259,9 @@ def _cmd_lgi(args) -> int:
         if args.model == "quantum":
             cors = quantum_correlators(rotation_protocol(theta))
         elif args.model == "ks":
+            # the correlators read only the macro caps, the step map and the updates
             fragment = qubit_fragment(
-                {"up": (0, 0, 1.0), "down": (0, 0, -1.0)},
-                {"macro": (0, 0, 1.0)},
-                rotations={"step": ((0.0, 1.0, 0.0), theta)},
+                {}, {"macro": (0, 0, 1.0)}, rotations={"step": ((0.0, 1.0, 0.0), theta)}
             )
             model = kochen_specker_model(grid, fragment)
             cors = model_correlators(model, LGIModelBinding("macro", "step"))

@@ -282,7 +282,6 @@ class _Simplex:
         with entries above PIVOT_TOL first. A fresh pricing sets ``rc`` in
         full; ``_pivot`` keeps it up to date; dropping ``rc`` asks for the
         next fresh pricing, and every verdict returns without it."""
-        enterable = self.n  # artificial columns never re-enter
         while True:
             if self.pivots > MAX_PIVOTS:
                 raise PivotBudgetError(
@@ -290,7 +289,8 @@ class _Simplex:
                 )
             fresh = self.rc is None
             if fresh:
-                self.rc = cost[:enterable] - cost[self.basis] @ self.table[:, :enterable]
+                # artificial columns never re-enter
+                self.rc = cost[:self.n] - cost[self.basis] @ self.table[:, :self.n]
             entering = int((self.rc < -FEAS_TOL).argmax())
             if not self.rc[entering] < -FEAS_TOL:
                 self.rc = None
@@ -454,7 +454,7 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     x = outcome.x
     if x is None:
         raise ValueError("outcome lacks a primal point")
-    viol = float(-x.min(initial=0.0))
+    viol = max(0.0, float(-x.min(initial=0.0)))  # +0.0, never -0.0
     viol = max(viol, float(np.abs(program.a_eq @ x - program.b_eq).max(initial=0.0)))
     viol = max(viol, float((program.a_ub @ x - program.b_ub).max(initial=0.0)))
     if outcome.status == STATUS_OPTIMAL:

@@ -18,14 +18,14 @@ MAX_DIM = 16
 
 
 def _as_complex_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+    arr = np.array(values, dtype=complex)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got shape {arr.shape}")
     return arr
 
 
 def _as_complex_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+    arr = np.array(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -48,7 +48,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_complex_vector(self.amplitudes).copy()
+        arr = _as_complex_vector(self.amplitudes)
         _check_dim(arr.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):   # an overflowing norm is off by inf
             norm_sq = float(np.sum(np.abs(arr) ** 2))
@@ -86,7 +86,7 @@ class UnitaryMap:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_complex_matrix(self.matrix).copy()
+        mat = _as_complex_matrix(self.matrix)
         _check_dim(mat.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):   # overflow: inf or nan, rejected
             dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
@@ -110,7 +110,7 @@ class ProjMeasurement:
         outcomes = tuple(str(o) for o in self.outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome labels must be distinct")
-        projs = np.asarray(self.projectors, dtype=complex).copy()
+        projs = np.array(self.projectors, dtype=complex)
         if projs.ndim != 3 or projs.shape[1] != projs.shape[2]:
             raise ValueError(f"projectors must have shape (n, d, d), got {projs.shape}")
         if projs.shape[0] != len(outcomes):
@@ -149,10 +149,8 @@ def basis_measurement(vectors: Sequence[StateVector], labels: Sequence[str] | No
     d = vectors[0].dim
     if len(vectors) != d:
         raise ValueError(f"need {d} basis vectors, got {len(vectors)}")
-    if labels is None:
-        labels = [str(i) for i in range(d)]
     projs = np.stack([np.outer(v.amplitudes, v.amplitudes.conj()) for v in vectors])
-    return ProjMeasurement(tuple(labels), projs)
+    return ProjMeasurement(tuple(range(d) if labels is None else labels), projs)
 
 
 def computational_measurement(dim: int, labels: Sequence[str] | None = None) -> ProjMeasurement:

@@ -106,19 +106,13 @@ class SphereGrid:
         det = a0 * b1 - a1 * b0
         c0 = np.floor((b1 * azimuth - a1 * height) / det)
         c1 = np.floor((a0 * height - b0 * azimuth) / det)
-        best = dist = None
-        for s0, s1 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-            corner_z = b0 * (c0 + s0) + b1 * (c1 + s1) + top
-            index = np.clip(np.floor(0.5 * n - 0.5 * n * corner_z), 0, n - 1).astype(int)
-            q = self.nodes[index]
-            d = (q[:, 0] - x) ** 2 + (q[:, 1] - y) ** 2 + (q[:, 2] - z) ** 2
-            if best is None:
-                best, dist = index, d
-            else:
-                closer = d < dist
-                best = np.where(closer, index, best)
-                dist = np.where(closer, d, dist)
-        return best
+        # the cell's four corners as rows; argmin keeps the first on a tie
+        s0, s1 = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :, None]
+        corner_z = b0 * (c0 + s0) + b1 * (c1 + s1) + top
+        index = np.clip(np.floor(0.5 * n - 0.5 * n * corner_z), 0, n - 1).astype(int)
+        q = self.nodes[index]
+        d = (q[..., 0] - x) ** 2 + (q[..., 1] - y) ** 2 + (q[..., 2] - z) ** 2
+        return np.take_along_axis(index, d.argmin(axis=0)[None], axis=0)[0]
 
 
 def fibonacci_sphere_grid(n: int) -> SphereGrid:
@@ -385,18 +379,17 @@ def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
     and classification refuses to run.
     """
     names = list(fragment.states)
-    index = {name: i for i, name in enumerate(names)}
+    states = list(fragment.states.values())
     n_atoms = len(names)
     eye = np.eye(n_atoms)
 
-    preparations = {name: eye[i] for name, i in index.items()}
+    preparations = {name: eye[i] for i, name in enumerate(names)}
     delta_sets = {name: (name,) for name in names}
 
     responses = {}
     outcome_labels = {}
     for mname, meas in fragment.measurements.items():
-        cols = [born(fragment.states[s], meas) for s in names]
-        responses[mname] = np.column_stack(cols)
+        responses[mname] = np.column_stack([born(s, meas) for s in states])
         outcome_labels[mname] = meas.outcomes
 
     eigenstate_preps = _macro_eigenstates(fragment)
@@ -404,13 +397,10 @@ def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
     maps = {}
     for uname, u in fragment.unitaries.items():
         targets = []
-        for sname in names:
-            image = apply_unitary(u, fragment.states[sname])
-            hit = None
-            for tname in names:
-                if image.same_ray(fragment.states[tname], tol=1e-10):
-                    hit = index[tname]
-                    break
+        for sname, state in fragment.states.items():
+            image = apply_unitary(u, state)
+            # the first catalogued state on the image's ray
+            hit = next((i for i, t in enumerate(states) if image.same_ray(t, tol=1e-10)), None)
             if hit is None:
                 raise ValueError(
                     f"catalogue not closed: {uname!r} image of {sname!r} is uncatalogued"

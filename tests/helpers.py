@@ -229,6 +229,25 @@ def eigensplit_model(
     )
 
 
+def build_family_member(seed: int):
+    """Member ``seed`` of the seeded model families, as a (model, fragment)
+    pair: split-state models on random fragments, then macro-only mixture
+    and eigenstate-supported models, in turn."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    family = seed % 3
+    if family == 0:
+        frag = random_fragment(rng, dim)
+        model = split_state_model(rng, frag)
+    elif family == 1:
+        frag = macro_only_fragment(rng, dim)
+        model = eigensplit_model(rng, frag, mixture_only=True)
+    else:
+        frag = macro_only_fragment(rng, dim)
+        model = eigensplit_model(rng, frag, mixture_only=False)
+    return model, frag
+
+
 def product_model(fragment: QuantumFragment) -> FiniteOntModel:
     """Independent-product measures over deterministic response atoms.
 
@@ -423,7 +442,6 @@ def property_violations(
         kernel_set,
         predict,
         push_forward,
-        support,
     )
 
     bad: list[str] = []

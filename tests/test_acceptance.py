@@ -12,22 +12,18 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from macroreal import (
     LGIModelBinding,
     WitnessExclusion,
     WitnessParams,
-    apply_unitary,
     beltrametti_bugajski_model,
     bloch_vector,
-    born,
     build_witness,
     classify,
     contradiction_gap,
     deterministic_extension_model,
     emmr_toy_model,
-    fibonacci_sphere_grid,
     kochen_specker_model,
     model_correlators,
     paired_validation_grid,
@@ -38,15 +34,7 @@ from macroreal import (
     validate,
 )
 from macroreal.ontomodel import Bindings, default_bindings
-from helpers import (
-    additivity_violations,
-    eigensplit_model,
-    macro_only_fragment,
-    product_model,
-    property_violations,
-    random_fragment,
-    split_state_model,
-)
+from helpers import additivity_violations, build_family_member, product_model, property_violations
 
 ALPHAS_64 = np.linspace(0.05, 0.70, 64)
 
@@ -117,18 +105,7 @@ def test_criterion_4_property_suite(ks_model, qubit_frag):
     exact = dict(overlap_tol=1e-10, mono_tol=1e-12, sat_tol=1e-10)
 
     for seed in range(200):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 4))
-        family = seed % 3
-        if family == 0:
-            frag = random_fragment(rng, dim)
-            model = split_state_model(rng, frag)
-        elif family == 1:
-            frag = macro_only_fragment(rng, dim)
-            model = eigensplit_model(rng, frag, mixture_only=True)
-        else:
-            frag = macro_only_fragment(rng, dim)
-            model = eigensplit_model(rng, frag, mixture_only=False)
+        model, frag = build_family_member(seed)
         if not validate(model, frag, default_bindings(model, frag), tol=1e-9).passed:
             violations.append(f"seed {seed}: model invalid")
             continue

@@ -18,7 +18,6 @@ bits of some Farkas rays (1e-18 at d=6) with the thread count.
 ``run_recorded``.
 """
 
-import hashlib
 import importlib.util
 import json
 import os

@@ -1,4 +1,5 @@
-"""Every name a library module imports is referenced in that module."""
+"""Every name a module imports is referenced in that module: the library's
+modules, the tests, the tools and the demos."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,13 @@ import pytest
 import macroreal
 
 PACKAGE = Path(macroreal.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+# the package's __init__ imports names to re-export them
+CHECKED = {path.name: path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+CHECKED.update(
+    (f"{folder}/{path.name}", path)
+    for folder in ("tests", "tools", "demos") for path in (ROOT / folder).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list:
@@ -28,8 +36,6 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["Iterable"]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-)
+@pytest.mark.parametrize("module", sorted(CHECKED))
 def test_module_has_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(CHECKED[module].read_text()) == []

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from macroreal import (
     UnitaryMap,
     emmr_toy_model,
     kochen_specker_model,
-    measurement_from_direction,
     model_correlators,
     quantum_correlators,
     qubit_fragment,
@@ -116,6 +116,36 @@ def test_two_atom_model_is_frozen():
 def test_missing_update_rule_is_an_error():
     with pytest.raises(ValueError, match="update"):
         model_correlators(two_atom_model(updates={}), LGIModelBinding("macro", "step"))
+
+
+def _three_outcome_model() -> FiniteOntModel:
+    """A three-valued macro measurement with an eigenstate for every value,
+    so the initial mixture forms and the dichotomy check is what refuses."""
+    labels = ("a", "b", "c")
+    return FiniteOntModel(
+        atoms=3,
+        preparations={q: np.eye(3)[k] for k, q in enumerate(labels)},
+        responses={"macro": np.eye(3)},
+        outcome_labels={"macro": labels},
+        macro_measurement="macro",
+        eigenstate_preps={q: (q,) for q in labels},
+        maps={"step": np.arange(3)},
+        updates={"macro": {q: q for q in labels}},
+    )
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: LGIProtocol(rotation_protocol(0.5).measurement, UnitaryMap(np.eye(3))),
+     "step unitary and measurement dimensions differ"),
+    (lambda: model_correlators(_three_outcome_model(), LGIModelBinding("macro", "step")),
+     "bound measurement is not dichotomic"),
+    (lambda: model_correlators(two_atom_model(updates={"macro": {"+": "up"}}),
+                               LGIModelBinding("macro", "step")),
+     "no update rule for outcome '-'"),
+], ids=["protocol-dims", "not-dichotomic", "outcome-without-update"])
+def test_malformed_arguments_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_missing_eigenstate_preparation_is_an_error():

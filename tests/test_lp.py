@@ -1,3 +1,4 @@
+import math
 import mmap
 
 import numpy as np
@@ -195,6 +196,23 @@ def test_optimal_outcome_without_duals_does_not_verify():
         verify_certificate(p, LPOutcome(status="optimal", value=out.value, x=out.x))
 
 
+@pytest.mark.parametrize(("outcome", "message"), [
+    (LPOutcome(status="unbounded"), "unbounded outcomes carry no certificate to verify"),
+    (LPOutcome(status="feasible"), "outcome lacks a primal point"),
+], ids=["unbounded", "no-primal-point"])
+def test_outcome_without_a_certificate_is_refused(outcome, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_certificate(LinearProgram(objective=[0.0]), outcome)
+
+
+@pytest.mark.parametrize("objective", [[-1.0], [0.0]], ids=["optimal", "feasible"])
+def test_zero_residual_is_positive_zero(objective):
+    """x = 0 is exact here; the residual must not read -0.0 from -min(x)."""
+    p = LinearProgram(objective=objective)
+    r = verify_certificate(p, solve_lp(p))
+    assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
+
 @pytest.mark.parametrize(("ray", "eq", "ub"), [
     ([3.0, -1.5, -6.0], [0.5, -0.25], [-1.0]),
     ([0.5, -0.25, 1.0], [0.5, -0.25], [1.0]),
@@ -292,8 +310,12 @@ def _fill_one(out):
     (dict(objective=[0.0], a_eq=_fill_one, b_eq=[np.inf]), "eq right-hand side has a non-finite"),
     (dict(objective=[]), "objective has no entries"),
     (dict(objective=[], a_eq=[[]], b_eq=[0.0]), "objective has no entries"),
+    (dict(objective=[0.0, 0.0], a_eq=[[1.0]], b_eq=[1.0]), "eq matrix has 1 columns, expected 2"),
+    (dict(objective=[0.0], a_ub=[[1.0], [1.0]], b_ub=[1.0]),
+     "ub matrix/vector row mismatch: 2 vs 1"),
 ], ids=["rhs-without-rows", "eq-without-rhs", "ub-without-rhs", "nan-rhs", "nan-objective",
-        "inf-matrix", "fill-without-rhs", "fill-inf-rhs", "no-variables", "no-variables-eq"])
+        "inf-matrix", "fill-without-rhs", "fill-inf-rhs", "no-variables", "no-variables-eq",
+        "wrong-columns", "row-mismatch"])
 def test_malformed_program_raises_naming_the_block(kwargs, message):
     """Each of these once reached the solver: the row dropped (then
     ``feasible``), a missing right-hand side read as NaN (then an argmin of

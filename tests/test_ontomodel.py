@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,25 @@ def test_validate_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         validate(model, frag, bindings, tol=tol)
     assert validate(model, frag, bindings, tol=0.0).passed
+
+
+@pytest.mark.parametrize(("bindings", "message"), [
+    (Bindings({"point0": "e0"}, {"macro": "macro"}, (("ghost", "macro"),)),
+     "pair references unbound preparation 'ghost'"),
+    (Bindings({"point0": "e0"}, {"macro": "macro"}, (("point0", "ghost"),)),
+     "pair references unbound measurement 'ghost'"),
+    (Bindings({"point0": "e0"}, {"m3": "macro"}),
+     "outcome count mismatch for pair ('point0', 'm3'): (3,) vs (2,)"),
+    (Bindings({"point0": "e0"}, {"macro": "macro"}, ()), "bindings produce no pairs to validate"),
+], ids=["unbound-preparation", "unbound-measurement", "outcome-count", "no-pairs"])
+def test_validate_refuses_malformed_bindings(bindings, message):
+    model = tiny_model(
+        responses={"macro": np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "m3": np.eye(3)},
+        outcome_labels={"macro": ("q0", "q1"), "m3": ("a", "b", "c")},
+    )
+    frag = macro_only_fragment(np.random.default_rng(0), 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate(model, frag, bindings, tol=1e-9)
 
 
 def test_validate_single_deterministic_pair():

@@ -4,38 +4,13 @@ A fast development-sized run; the acceptance suite repeats it over the full
 200-model batch.
 """
 
-import numpy as np
 import pytest
 
 from macroreal import WitnessExclusion, WitnessParams, build_witness, validate
 from macroreal.ontomodel import default_bindings
-from helpers import (
-    additivity_violations,
-    eigensplit_model,
-    macro_only_fragment,
-    product_model,
-    property_violations,
-    random_fragment,
-    split_state_model,
-)
+from helpers import additivity_violations, build_family_member, product_model, property_violations
 
 EXACT = dict(overlap_tol=1e-10, mono_tol=1e-12, sat_tol=1e-10)
-
-
-def build_family_member(seed: int):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 4))
-    family = seed % 3
-    if family == 0:
-        frag = random_fragment(rng, dim)
-        model = split_state_model(rng, frag)
-    elif family == 1:
-        frag = macro_only_fragment(rng, dim)
-        model = eigensplit_model(rng, frag, mixture_only=True)
-    else:
-        frag = macro_only_fragment(rng, dim)
-        model = eigensplit_model(rng, frag, mixture_only=False)
-    return model, frag
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,23 @@ def test_nan_entries_are_rejected(build):
     """Every structural check is a tolerance comparison that NaN must fail."""
     with pytest.raises(ValueError):
         build()
+
+
+QUBIT = StateVector(np.array([1.0, 0.0]))
+QUTRIT = StateVector(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: StateVector.normalized([0.0, 0.0]), "cannot normalize the zero vector"),
+    (lambda: QUBIT.inner(QUTRIT), "dimension mismatch: 2 vs 3"),
+    (lambda: basis_measurement([]), "empty basis"),
+    (lambda: basis_measurement([QUBIT]), "need 2 basis vectors, got 1"),
+    (lambda: apply_unitary(UnitaryMap(np.eye(3)), QUBIT),
+     "dimension mismatch: unitary 3, state 2"),
+], ids=["normalize-zero", "inner-dims", "empty-basis", "basis-size", "unitary-dims"])
+def test_malformed_arguments_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_born_eigenstate_case():

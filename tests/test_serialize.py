@@ -110,6 +110,11 @@ def test_round_trip_classification_identical():
     assert classify(back, frag).kind == classify(model, frag).kind == "EMMR"
 
 
+def test_dump_refuses_a_key_json_cannot_write():
+    with pytest.raises(TypeError, match=r"^keys must be str, int, float, bool or None, not tuple$"):
+        dumps_json({(1, 2): 0})
+
+
 def test_dump_is_key_sorted_and_repeatable():
     rng = np.random.default_rng(8)
     frag = random_fragment(rng, 2)

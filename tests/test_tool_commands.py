@@ -11,7 +11,8 @@ checked on synthetic runs, ``tools/digest_threads.py``'s thread count
 check without starting a child, ``tools/traffic_lines.py``'s exit when
 the package is not on the import path, ``tools/bench_snapshot.py``'s
 host-speed scaling of the tier-1 wall time with the suite's run stubbed,
-and the lines ``tools/outcome_bits.py`` prints for one witness.
+and the lines ``tools/outcome_bits.py`` prints for one witness and for
+the model zoo.
 """
 
 import importlib.util
@@ -141,3 +142,7 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
     assert len(lines) == 6
     for line, method in zip(lines, tool.METHODS):
         assert re.fullmatch(rf"{method} 4 0\.5 [0-9a-f]{{16}}", line), line
+    lines = tool.model_lines()
+    assert len(lines) == 4
+    for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
+        assert re.fullmatch(rf"model {name} [0-9a-f]{{16}}", line), line

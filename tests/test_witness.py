@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from macroreal import (
     sweep,
     witness_coefficients,
 )
-from helpers import basis_containing
 
 ALPHA_MAX = 1.0 / math.sqrt(2.0)
 
@@ -145,6 +145,17 @@ def test_fixing_unitary_rejects_complex_overlap_of_zero_and_phi():
     phi = StateVector(0.6j * e[0] + 0.8 * e[1])
     with pytest.raises(CertificationError, match="must be real"):
         build_fixing_unitary(psi, zero, phi)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: build_fixing_unitary(
+        StateVector(np.eye(4)[0]), StateVector(np.eye(3)[0]), StateVector(np.eye(4)[1])
+    ), "states must share a dimension"),
+    (lambda: contradiction_gap(0.8), "alpha must lie in (0, 1/sqrt(2)]; got 0.8"),
+], ids=["fixing-unitary-dims", "gap-alpha-out-of-range"])
+def test_malformed_arguments_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16])

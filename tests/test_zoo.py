@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,9 @@ from macroreal import (
     validate,
 )
 from macroreal.ontomodel import default_bindings
-from macroreal.zoo import MAX_GRID_NODES, rotation_of_unitary
+from macroreal.ontomodel import QuantumFragment
+from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap, computational_measurement
+from macroreal.zoo import MAX_GRID_NODES, orbit_closed_directions, rotation_of_unitary
 
 
 def test_grid_invariants():
@@ -43,6 +46,41 @@ def test_grid_invariants():
 def test_grid_rejects_bad_node_counts(count, error):
     with pytest.raises(error):
         SphereGrid(count)
+
+
+def _with_measurement(meas) -> QuantumFragment:
+    macro = computational_measurement(2, ("q+", "q-"))
+    return QuantumFragment(2, {}, {}, {"macro": macro, "m": meas}, "macro")
+
+
+ZERO, EYE = np.zeros((2, 2)), np.eye(2)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: bloch_vector(StateVector(np.array([1.0, 0.0, 0.0]))),
+     "bloch_vector expects a qubit state"),
+    (lambda: rotation_of_unitary(UnitaryMap(np.eye(3))),
+     "rotation_of_unitary expects a qubit unitary"),
+    (lambda: kochen_specker_model(fibonacci_sphere_grid(20), _with_measurement(
+        ProjMeasurement(("a", "b", "c"), np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ZERO]))
+    )), "expected a two-outcome qubit measurement"),
+    (lambda: kochen_specker_model(fibonacci_sphere_grid(20), _with_measurement(
+        ProjMeasurement(("all", "none"), np.stack([EYE, ZERO]))
+    )), "outcome projector is not rank one"),
+    (lambda: qubit_fragment({}, {"x": (1.0, 0.0, 0.0)}),
+     "measurement_directions must include 'macro'"),
+    (lambda: orbit_closed_directions(
+        {"a": (1.0, 0.0, 0.0)}, rotation_of_unitary(rotation_unitary((0.0, 1.0, 0.0), 1.0))
+    ), "rotation orbit does not close; choose a commensurate angle"),
+    (lambda: beltrametti_bugajski_model(qubit_fragment(
+        {"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)},
+        {"r": ((0.0, 1.0, 0.0), math.pi / 2)},
+    )), "catalogue not closed: 'r' image of 'up' is uncatalogued"),
+], ids=["bloch-off-qubit", "rotation-off-qubit", "ks-three-outcomes", "ks-not-rank-one",
+        "fragment-without-macro", "open-orbit", "bb-open-catalogue"])
+def test_malformed_arguments_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_grid_node_count_is_a_python_int():
