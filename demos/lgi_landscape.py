@@ -32,10 +32,10 @@ print(f"{'theta':>8} {'quantum':>10} {'cap model':>10} {'mixture':>10}")
 
 for theta in np.linspace(0.0, math.pi, 13):
     q = quantum_correlators(rotation_protocol(float(theta)))
+    # no states: the correlators start from the macro caps, the cap model's
+    # first declared eigenstates, so catalogued states would go unread
     frag = qubit_fragment(
-        {"up": (0, 0, 1.0), "down": (0, 0, -1.0)},
-        {"macro": (0, 0, 1.0)},
-        rotations={"step": ((0.0, 1.0, 0.0), float(theta))},
+        {}, {"macro": (0, 0, 1.0)}, rotations={"step": ((0.0, 1.0, 0.0), float(theta))},
     )
     ks = kochen_specker_model(grid, frag)
     k_ks = model_correlators(ks, LGIModelBinding("macro", "step")).k

@@ -408,12 +408,12 @@ class WitnessExclusion:
     # -- the controls: verdicts recorded, not asserted ----------------------
 
     def static_control(self) -> ExclusionReport:
-        """ESMR without the transport row."""
+        """ESMR without the transport row; mode ``esmr_static_control``."""
         return self._esmr_control("esmr_static_control", self._marg[:, self._eigen_union])
 
     def unconstrained_control(self) -> ExclusionReport:
-        """ESMR without the transport row and without the eigenstate
-        support; every atom is a column."""
+        """ESMR, mode ``esmr_unconstrained_control``, without the transport
+        row and without the eigenstate support; every atom is a column."""
         return self._esmr_control("esmr_unconstrained_control", self._marg)
 
     def _esmr_control(self, mode: str, marg: np.ndarray) -> ExclusionReport:
@@ -427,7 +427,7 @@ class WitnessExclusion:
         """EMMR with the macro measurement alone, one measure and no
         transport row. Its atoms are the d macro outcomes, so its marginal
         matrix is the identity; mixtures of macro eigenstates reproduce any
-        macro statistics."""
+        macro statistics. Mode ``emmr_macro_only``."""
         i_m = list(self.fragment.measurements).index(MEAS_MACRO)
         macro = slice(self._offsets[i_m], self._offsets[i_m + 1])
         program = _block_program(

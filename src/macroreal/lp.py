@@ -208,7 +208,8 @@ class LPOutcome:
     @classmethod
     def farkas(cls, ray: np.ndarray, n_eq: int, pivots: int = 0) -> "LPOutcome":
         """Infeasible outcome whose Farkas ray (``n_eq`` entries of y, then z)
-        is ``ray``, divided entry by entry by its largest magnitude if above 1."""
+        is ``ray``, divided entry by entry by its largest magnitude if above 1;
+        the simplex's rays and the closed-form ESMR ray alike are formed here."""
         scale = np.abs(ray).max()
         if scale > 1.0:
             ray = ray / scale
@@ -433,7 +434,8 @@ def verify_certificate(program: LinearProgram, outcome: LPOutcome) -> float:
     """Maximum violation of the certificate carried by ``outcome``.
 
     Optimal/feasible: primal residuals, dual feasibility, and the duality
-    gap. Infeasible: the Farkas ray conditions; a ray that gains less than
+    gap; an optimal outcome without its duals raises ``ValueError``.
+    Infeasible: the Farkas ray conditions; a ray that gains less than
     ``CERT_TOL`` proves nothing within the budget, so it reports the budget
     plus its shortfall and never passes.
     """

@@ -476,8 +476,10 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     eigenstate preparations; (c) every carried atom answers the macro
     measurement deterministically. EMMR = (a) and (b); ESMR = (a) without
     (b); SSMR = (c) with some preparation carrying weight outside A;
-    anything else is NONE. The model's macro labels must be ``fragment``'s
-    macro outcomes, and the caller is expected to have validated the two.
+    anything else is NONE. (a) and (c) test the weights against
+    ``SUPPORT_EPS`` directly and leave the support memo as they found it.
+    The model's macro labels must be ``fragment``'s macro outcomes, and the
+    caller is expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
@@ -493,20 +495,17 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
 
     evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
 
-    # (a) eigenstate support; (a) and (c) test the weights against
-    # SUPPORT_EPS and leave the support memo to overlap queries
-    support_ok = True
+    # (a), and (c)'s carried atoms, in one pass that runs past the first violation
+    carried = np.zeros(model.atoms, dtype=bool)
     for pname, mu in model.preparations.items():
-        outside = (mu > SUPPORT_EPS) & ~accessible
-        if outside.any():
+        held = mu > SUPPORT_EPS
+        carried |= held
+        outside = held & ~accessible
+        if outside.any() and "support_violation" not in evidence:
             atom = int(outside.argmax())
-            support_ok = False
-            evidence["support_violation"] = {
-                "preparation": pname,
-                "atom": atom,
-                "weight": float(mu[atom]),
-            }
-            break
+            evidence["support_violation"] = {"preparation": pname, "atom": atom,
+                                             "weight": float(mu[atom])}
+    support_ok = "support_violation" not in evidence
 
     # (b) mixtures of declared eigenstate preparations; scipy is imported
     # here, not at module level, so that importing macroreal stays light
@@ -525,16 +524,12 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     evidence["max_mixture_residual"] = float(worst_residual)
 
     # (c) deterministic macro responses on carried atoms (eigenstates carry some)
-    carried = _support_mask(model, model.preparations)
     col_max = model.response(macro)[:, carried].max(axis=0)
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
     if not deterministic_ok:
         bad_local = int(np.argmin(col_max))
-        bad_atom = int(np.where(carried)[0][bad_local])
-        evidence["nondeterministic_atom"] = {
-            "atom": bad_atom,
-            "max_response": float(col_max[bad_local]),
-        }
+        evidence["nondeterministic_atom"] = {"atom": int(np.flatnonzero(carried)[bad_local]),
+                                             "max_response": float(col_max[bad_local])}
 
     if support_ok and mixture_ok:
         kind = "EMMR"

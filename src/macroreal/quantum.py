@@ -173,7 +173,8 @@ def born(state: StateVector, meas: ProjMeasurement) -> np.ndarray:
 
 
 def apply_unitary(u: UnitaryMap, state: StateVector) -> StateVector:
-    """U|psi>, renormalized against accumulated rounding."""
+    """U|psi>, renormalized against accumulated rounding: the one way the
+    package applies a unitary to a state."""
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: unitary {u.dim}, state {state.dim}")
     return StateVector.normalized(u.matrix @ state.amplitudes)
@@ -181,7 +182,8 @@ def apply_unitary(u: UnitaryMap, state: StateVector) -> StateVector:
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:
     """Hermitian matrix of inner products, entry (i, j) being
-    ``states[i].inner(states[j])`` bit for bit."""
+    ``states[i].inner(states[j])`` bit for bit. The anti-distinguishability
+    check reads its overlaps from it."""
     if not states:
         raise ValueError("gram of an empty state list")
     if len({s.dim for s in states}) != 1:

@@ -6,10 +6,11 @@ Stochastic maps serialize as dense matrices, with deterministic maps
 compacted to {"deterministic": [target, ...]} (a dense matrix for a large
 grid would be enormous).
 
-``model_to_json`` hands over the model's own numpy arrays, and
-``fragment_to_json`` float64 views of its complex ones. One writer walk
-serves two entry points: ``write_json`` streams to a text file and
-``dumps_json`` returns a string. Both write exactly the bytes of
+Payload builders hand the writer the arrays they hold, not ``.tolist()``
+copies: ``model_to_json`` the model's own numpy arrays, ``fragment_to_json``
+float64 views of its complex ones. One writer walk serves two entry points:
+``write_json`` streams to a text file and ``dumps_json`` returns a string.
+Both write exactly the bytes of
 ``json.dumps(obj, sort_keys=True, indent=1, default=np.ndarray.tolist) +
 "\n"``, so identical objects produce byte-identical files. The standard
 library encodes an indented dump in pure Python, one value at a time; this

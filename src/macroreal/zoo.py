@@ -140,7 +140,8 @@ def bloch_vector(state: StateVector) -> np.ndarray:
 
 
 def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
-    """(tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho)), real parts."""
+    """(tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho)), real parts: the
+    one map behind ``bloch_vector`` and the cap model's measurement axes."""
     return np.real(np.einsum("kij,ji->k", PAULI, rho))
 
 
@@ -241,9 +242,9 @@ def orbit_closed_directions(seeds: dict, rotation: np.ndarray) -> dict:
 
 
 def standard_qubit_fragment() -> QuantumFragment:
-    """Small spread-out fragment used by the property suite: macro z-axis,
-    oblique and equatorial states, one rotation by pi/3 about y, with the
-    catalogue closed under the rotation's orbit."""
+    """Small spread-out fragment of the property suite and of ``zoo bb`` and
+    ``zoo det``: macro z-axis, oblique and equatorial states, one rotation
+    by pi/3 about y, with the catalogue closed under the rotation's orbit."""
     theta = math.pi / 3
     s3 = math.sin(theta)
     c3 = math.cos(theta)
@@ -267,10 +268,10 @@ def standard_qubit_fragment() -> QuantumFragment:
 def paired_validation_grid(n_pairs: int = 50):
     """Deterministic (state, measurement) direction pairs for fidelity checks.
 
-    Both direction families come from one golden-angle set of 2*n_pairs
-    directions; pair i uses member 2i for the state and member
-    (2i + PAIR_OFFSET) mod 2*n_pairs for the measurement, spreading relative
-    angles without sharing axes.
+    Both direction families come from one golden-angle spiral of 2*n_pairs
+    directions, made by the grids' own generator; pair i uses member 2i for the
+    state and member (2i + PAIR_OFFSET) mod 2*n_pairs for the measurement,
+    spreading relative angles without sharing axes.
     """
     total = 2 * n_pairs
     dirs = _golden_spiral(total)
@@ -288,17 +289,16 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     max(0, n.node) * node_weight, normalized; a measurement along m answers
     its first outcome exactly when m.node >= 0. Unitaries become node
     permutations by rotate-then-snap-to-nearest. Measurements re-prepare the
-    cap of the observed outcome. Weights and responses are handed over
-    read-only, so the model keeps them instead of copying them.
+    observed outcome's cap; each macro cap is its value's first eigenstate.
+    Weights and responses are handed over read-only, uncopied by the model.
     """
     if fragment.dim != 2:
         raise ValueError("the cap model is a qubit construction")
     nodes = grid.nodes
-    n_atoms = grid.node_count
-    node_weight = 4.0 * math.pi / n_atoms
+    node_weight = 4.0 * math.pi / grid.node_count
 
-    def cap_weights(direction: np.ndarray) -> np.ndarray:
-        w = np.maximum(0.0, nodes @ direction) * node_weight
+    def cap_weights(heights: np.ndarray) -> np.ndarray:
+        w = np.maximum(0.0, heights) * node_weight
         total = w.sum()
         if total <= 0.0:
             raise ValueError("degenerate cap: no grid node in the open hemisphere")
@@ -309,7 +309,7 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     preparations = {}
     delta_sets = {}
     for name, state in fragment.states.items():
-        preparations[name] = cap_weights(bloch_vector(state))
+        preparations[name] = cap_weights(nodes @ bloch_vector(state))
         delta_sets[name] = (name,)
 
     # caps enter after the states, in measurement order: classify's evidence
@@ -318,13 +318,13 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     outcome_labels = {}
     updates = {}
     for mname, meas in fragment.measurements.items():
-        direction = _measurement_direction(meas)
-        first = (nodes @ direction >= 0.0).astype(float)
+        heights = nodes @ _measurement_direction(meas)
+        first = (heights >= 0.0).astype(float)
         responses[mname] = np.vstack([first, 1.0 - first])
         responses[mname].setflags(write=False)
         outcome_labels[mname] = meas.outcomes
         table = {}
-        for label, cap in zip(meas.outcomes, (direction, -direction)):
+        for label, cap in zip(meas.outcomes, (heights, -heights)):
             pname = f"cap:{mname}:{label}"
             if pname not in preparations:
                 preparations[pname] = cap_weights(cap)
@@ -343,7 +343,7 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     }
 
     return FiniteOntModel(
-        atoms=n_atoms,
+        atoms=grid.node_count,
         preparations=preparations,
         responses=responses,
         outcome_labels=outcome_labels,
@@ -356,8 +356,8 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
 
 
 def _macro_eigenstates(fragment: QuantumFragment) -> dict:
-    """Macro value -> the catalogued states lying on its ray, in catalogue
-    order; values without such a state are left out."""
+    """Macro value -> the catalogued states lying on its ray (<P_q> within
+    1e-12 of 1), in catalogue order; values without one are left out."""
     macro = fragment.macro
     eigenstates = {}
     for q, proj in zip(macro.outcomes, macro.projectors):

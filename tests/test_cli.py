@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import math
-import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +15,7 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
+from helpers import child_env
 
 
 def run_cli(capsys, *argv):
@@ -195,16 +196,6 @@ for command in commands:
         codes.append(run(command.split()))
 print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))]))
 """
-
-
-def child_env() -> dict:
-    """This environment, with the package's root first on PYTHONPATH and
-    Python's default warning filters."""
-    env = dict(os.environ)
-    package_root = str(Path(macroreal.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    env.pop("PYTHONWARNINGS", None)
-    return env
 
 
 def test_witness_sweep_exclude_do_not_load_scipy():
@@ -620,3 +611,16 @@ def test_lgi_emmr_toy_bounded(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert all(float(r[4]) <= 1.0 + 1e-9 for r in rows[1:])
+
+
+def test_readme_command_examples_parse():
+    """Every ``macroreal`` line of the fenced block under the README's
+    "## Command line" parses with the CLI's own parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    examples = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("macroreal ")]
+    assert len(examples) == 6
+    parser = macroreal.cli.build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])

@@ -20,15 +20,13 @@ bits of some Farkas rays (1e-18 at d=6) with the thread count.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-
-import macroreal
+from helpers import child_env
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json"
 WORKLOADS = DIGESTS.with_name("workloads.py")
@@ -70,11 +68,6 @@ def run_recorded(threads: int) -> dict:
     """Run every recorded command in one child interpreter whose BLAS runs
     on ``threads`` threads, in script order. Map each command to its exit
     code, the sha256 of its stdout and those of the files it wrote."""
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
-    package_root = str(Path(macroreal.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     script = [
         (command, sorted(ENTRIES[command].get("files", {})))
         for command in sorted(RECORDED) + FIXED
@@ -83,7 +76,8 @@ def run_recorded(threads: int) -> dict:
         child = subprocess.run(
             [sys.executable, "-c", CHILD],
             input=json.dumps(script),
-            capture_output=True, text=True, env=env, cwd=workdir, timeout=300, check=True,
+            capture_output=True, text=True, env=child_env(threads), cwd=workdir, timeout=300,
+            check=True,
         )
     return json.loads(child.stdout.splitlines()[-1])
 

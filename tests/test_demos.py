@@ -6,14 +6,12 @@ the checkout. The demos call the public API, so a renamed or removed entry
 point shows up here as a non-zero exit.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import macroreal
+from helpers import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -26,14 +24,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    package_root = str(Path(macroreal.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, str(demo)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=child_env(threads=1), cwd=tmp_path, timeout=120,
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip()

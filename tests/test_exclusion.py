@@ -30,6 +30,7 @@ from macroreal.lp import CERT_TOL, FEAS_TOL, solve_lp
 from macroreal.witness import ALPHA_MAX
 from helpers import (
     DenseSimplex,
+    child_env,
     lp_atom_maxima,
     mapping_behind,
     outcome_bits,
@@ -434,12 +435,9 @@ def test_d10_emmr_peak_rss_rises_less_than_20_mb():
     the peak RSS by about 12 MB: only the written pages of its 34 MB tableau
     and 34 MB dense A_eq become resident. On ``np.zeros`` arrays, which
     advise huge pages, it rose by 39 MB."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    package_root = str(Path(exclusion.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", EMMR_RISE_CHILD],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=child_env(threads=1), timeout=120, check=True,
     )
     status, rise_kb = child.stdout.split()
     assert status == "infeasible"

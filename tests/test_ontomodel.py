@@ -486,24 +486,29 @@ def test_classify_evidence_names_first_violations():
     # A = {0, 1}; "mixed" is the first preparation leaving it (atom 2), and
     # atom 3 is the carried atom with the least deterministic macro answer.
     # Atom 4 answers less deterministically still but no preparation carries it.
-    model = FiniteOntModel(
-        atoms=5,
-        preparations={
-            "eig0": np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
-            "eig1": np.array([0.0, 1.0, 0.0, 0.0, 0.0]),
-            "mixed": np.array([0.5, 0.0, 0.2, 0.3, 0.0]),
-            "other": np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
-        },
-        responses={"macro": np.array([[1.0, 0.0, 1.0, 0.6, 0.5], [0.0, 1.0, 0.0, 0.4, 0.5]])},
-        outcome_labels={"macro": ("q0", "q1")},
-        macro_measurement="macro",
-        eigenstate_preps={"q0": ("eig0",), "q1": ("eig1",)},
-    )
-    verdict = classify(model, macro_only_fragment(np.random.default_rng(0), 2))
-    assert verdict.kind == "NONE"
-    assert verdict.evidence["eigenstate_atoms"] == 2
-    assert verdict.evidence["support_violation"] == {"preparation": "mixed", "atom": 2, "weight": 0.2}
-    assert verdict.evidence["nondeterministic_atom"] == {"atom": 3, "max_response": 0.6}
+    # In the second case only "other", registered after "mixed", carries atom 3,
+    # so the carried set must not stop at the first violation.
+    for mixed in ([0.5, 0.0, 0.2, 0.3, 0.0], [0.5, 0.0, 0.5, 0.0, 0.0]):
+        model = FiniteOntModel(
+            atoms=5,
+            preparations={
+                "eig0": np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
+                "eig1": np.array([0.0, 1.0, 0.0, 0.0, 0.0]),
+                "mixed": np.array(mixed),
+                "other": np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
+            },
+            responses={"macro": np.array([[1.0, 0.0, 1.0, 0.6, 0.5], [0.0, 1.0, 0.0, 0.4, 0.5]])},
+            outcome_labels={"macro": ("q0", "q1")},
+            macro_measurement="macro",
+            eigenstate_preps={"q0": ("eig0",), "q1": ("eig1",)},
+        )
+        verdict = classify(model, macro_only_fragment(np.random.default_rng(0), 2))
+        assert verdict.kind == "NONE"
+        assert verdict.evidence["eigenstate_atoms"] == 2
+        assert verdict.evidence["support_violation"] == {
+            "preparation": "mixed", "atom": 2, "weight": mixed[2],
+        }
+        assert verdict.evidence["nondeterministic_atom"] == {"atom": 3, "max_response": 0.6}
 
 
 def _classify_cases() -> list:

@@ -7,7 +7,8 @@ that a change renames or removes would fail only minutes into a tool's run.
 This test loads the tools, as ``tests/test_trace_sites.py`` loads
 ``bench/workloads.py``, and parses each of their command lines with the
 command line's own parser. ``tools/bench_pairs.py``'s verdict rule is
-checked on synthetic runs, ``tools/digest_threads.py``'s thread count
+checked on synthetic runs and its clone of the change with the runs
+stubbed, ``tools/digest_threads.py``'s thread count
 check without starting a child, ``tools/traffic_lines.py``'s exit when
 the package is not on the import path, ``tools/bench_snapshot.py``'s
 host-speed scaling of the tier-1 wall time with the suite's run stubbed,
@@ -16,6 +17,7 @@ the model zoo.
 """
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -25,9 +27,9 @@ import pytest
 from pathlib import Path
 
 from macroreal.cli import build_parser
+from helpers import BLAS_VARS
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _tool(name: str):
@@ -82,6 +84,44 @@ def test_bench_pairs_verdict(parent, change, better, expected):
 def test_bench_pairs_wide_spread_resolves_when_every_change_run_is_better():
     change = [min(WIDE) - 0.01] * len(WIDE)   # the medians differ by less than the parent's IQR
     assert _tool("bench_pairs").verdict(WIDE, change, 0.25, "lower") == "holds"
+
+
+@pytest.mark.parametrize("status", ["", " M src/macroreal/lp.py\n"], ids=["clean", "dirty"])
+def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
+        monkeypatch, tmp_path, capsys, status):
+    tool = _tool("bench_pairs")
+    (tmp_path / "parent" / "src" / "macroreal").mkdir(parents=True)
+    (tmp_path / "parent" / "src" / "macroreal" / "__init__.py").touch()
+    spec = json.loads((tool.ROOT / "BENCHMARK.json").read_text())
+    names = [entry["name"] for entry in spec["end_to_end"]]
+    commands, bench_dirs = [], []
+
+    def stub(argv, cwd=None, **kwargs):   # stands in for git and bench/run.py
+        commands.append(argv[:2])
+        if argv[:2] == ["git", "status"]:
+            return subprocess.CompletedProcess(argv, 0, stdout=status)
+        if argv[:2] == ["git", "clone"]:
+            return subprocess.CompletedProcess(argv, 0)
+        bench_dirs.append(Path(cwd))
+        result = {"failed": 0, "attempted": 1,
+                  "metrics": {name: {"value": 1.0} for name in names}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", stub)
+    code = tool.main([str(tmp_path / "parent"), "--workload", "cli", "--seeds", "1-2"])
+    out, err = capsys.readouterr()
+    if status:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert commands == [["git", "status"]]
+        return
+    assert code == 0 and err == ""
+    assert commands[:2] == [["git", "status"], ["git", "clone"]]
+    parent = (tmp_path / "parent").resolve()
+    assert bench_dirs.count(parent) == 2
+    change = [d for d in bench_dirs if d != parent]
+    assert len(change) == 2 and all(d != tool.ROOT and d.parent.parent == parent.parent
+                                    for d in change)
+    assert list(tmp_path.iterdir()) == [tmp_path / "parent"]   # the clone's directory is gone
 
 
 @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1)], ids=["zero", "above-cpus"])

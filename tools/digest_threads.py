@@ -32,8 +32,9 @@ def thread_count(text: str) -> int:
 
 
 def load_guard():
-    """The digest guard module, importing ``macroreal`` from ``src/``."""
-    sys.path.insert(0, str(ROOT / "src"))
+    """The digest guard module, importing ``macroreal`` from ``src/`` and
+    its ``helpers`` from ``tests/``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     spec = importlib.util.spec_from_file_location("test_cli_digests", GUARD)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -95,7 +95,9 @@ def quiet_in(workdir: str):
 
 
 def load_guard():
-    """The digest guard module, which names the recorded commands."""
+    """The digest guard module, which names the recorded commands; its
+    ``helpers`` come from this checkout's ``tests/``."""
+    sys.path.insert(0, str(ROOT / "tests"))
     spec = importlib.util.spec_from_file_location("test_cli_digests", GUARD)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
