@@ -29,6 +29,9 @@ PROB_TOL = 1e-12           # stochasticity of preparations / maps / responses
 EIGENPREP_TOL = 1e-10      # certainty requirement on declared eigenstate preps
 DETERMINISM_TOL = 1e-10    # 0/1 response columns for the SSMR condition
 MIXTURE_RESIDUAL_TOL = 1e-9
+MIXTURE_BAND = 1e-3        # relative half-width of the band around MIXTURE_RESIDUAL_TOL
+                           # where scipy's nnls, not a certificate, decides condition (b)
+NNLS_ROUNDING = 2.0**-44   # rounding allowance, relative, in NNLS gradients and residuals
 
 
 @dataclass(frozen=True)
@@ -461,10 +464,153 @@ def asymmetric_overlap(
 
 # -- classification ---------------------------------------------------------
 
-@dataclass(frozen=True)
 class Classification:
-    kind: str             # EMMR | ESMR | SSMR | NONE
-    evidence: dict
+    """A macro-realism verdict, ``kind`` (EMMR, ESMR, SSMR or NONE), and
+    the ``evidence`` dict behind it.
+
+    ``evidence`` may be given as a function of no arguments that returns
+    the dict: it is then called on the first read of ``evidence``, and its
+    dict kept. Verdicts are read-only and compare by kind and evidence.
+    """
+
+    __slots__ = ("kind", "_evidence")
+
+    def __init__(self, kind: str, evidence) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_evidence", evidence)
+
+    @property
+    def evidence(self) -> dict:
+        if callable(self._evidence):
+            object.__setattr__(self, "_evidence", self._evidence())
+        return self._evidence
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Classification is read-only; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Classification):
+            return NotImplemented
+        return self.kind == other.kind and self.evidence == other.evidence
+
+    def __repr__(self) -> str:
+        return f"Classification(kind={self.kind!r}, evidence={self.evidence!r})"
+
+
+def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
+    """min ||matrix @ x - mu|| over x >= 0, by the active-set method of
+    Lawson and Hanson (*Solving Least Squares Problems*, 1974, ch. 23) run
+    on the k x k normal form ``gram = matrix.T @ matrix``.
+
+    Returns x >= 0 and its residual r = mu - matrix @ x. A column joins the
+    passive set while its gradient entry (matrix.T @ r)_j exceeds
+    ``NNLS_ROUNDING * |column j| * |mu|``, so zero and repeated columns stay
+    out. The normal form squares the columns' condition number, which
+    bounds how closely r approaches the optimum; nothing here is trusted,
+    as ``_mixture_verdict`` re-verifies the pair.
+    """
+    k = gram.shape[0]
+    h = mu @ matrix
+    floor = NNLS_ROUNDING * np.sqrt(np.diagonal(gram)) * math.sqrt(float(mu @ mu))
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):   # scipy's cap; a pair that stops short fails re-verification
+        gradient = h - gram @ x
+        entering = np.flatnonzero(~passive & (gradient > floor))
+        if not entering.size:
+            break
+        passive[entering[np.argmax(gradient[entering])]] = True
+        while passive.any():
+            cols = np.flatnonzero(passive)
+            z = np.zeros(k)
+            try:
+                z[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], h[cols])
+            except np.linalg.LinAlgError:
+                return x, mu - matrix @ x
+            if (z[cols] > 0.0).all():
+                x = z
+                break
+            # step from x towards z until the first passive entry reaches 0
+            blocked = cols[z[cols] <= 0.0]
+            drop = x[blocked] - z[blocked]   # 0 only where x and z are both 0: no step
+            ratios = np.divide(x[blocked], drop, out=np.zeros_like(drop), where=drop > 0.0)
+            x = x + ratios.min() * (z - x)
+            x[blocked[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    return x, mu - matrix @ x
+
+
+def _mixture_verdict(
+    matrix: np.ndarray, mu: np.ndarray, x: np.ndarray, r: np.ndarray
+) -> bool | None:
+    """Re-verify an NNLS pair (x, r) for condition (b): is ``mu`` within
+    ``MIXTURE_RESIDUAL_TOL`` of the cone of ``matrix``'s columns?
+
+    True when x >= 0 and ``matrix @ x`` lies within the tolerance of mu.
+    False when r is a Farkas certificate that mu lies farther than that:
+    matrix.T @ r <= 0 up to rounding (``NNLS_ROUNDING * |column j| * |mu|``),
+    so that every point of the cone is at least mu.r/|r| from mu, less a
+    rounding allowance; at an NNLS optimum mu.r/|r| = |r| by the KKT
+    conditions. None when neither holds by a margin of ``MIXTURE_BAND``
+    times the tolerance, or when r is not x's residual.
+    """
+    mu_norm = math.sqrt(float(mu @ mu))
+    fit = mu - matrix @ x
+    if not ((x >= 0.0).all() and np.linalg.norm(r - fit) <= NNLS_ROUNDING * mu_norm):
+        return None
+    if np.linalg.norm(fit) <= MIXTURE_RESIDUAL_TOL * (1.0 - MIXTURE_BAND):
+        return True
+    allowance = NNLS_ROUNDING * mu_norm   # r carries rounding of order eps * |mu|
+    col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
+    if (r @ matrix <= allowance * col_norms).all():
+        # an x' >= 0 no farther from mu than 0 is has |matrix @ x'| <= 2|mu|,
+        # so sum_j x'_j |column j| <= 2 sqrt(k) |mu|, and
+        # |mu - matrix @ x'| >= (mu.r - x'.(matrix.T @ r)) / |r| >= bound
+        slack = 2.0 * math.sqrt(matrix.shape[1]) * mu_norm * allowance
+        bound = (float(mu @ r) - slack) / float(np.linalg.norm(r))
+        if bound > MIXTURE_RESIDUAL_TOL * (1.0 + MIXTURE_BAND):
+            return False
+    return None
+
+
+def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
+    """Condition (b): each preparation, in registration order, is a
+    nonnegative mixture of ``eigen_matrix``'s columns, stopping at the first
+    that is certified not to be. Only a preparation whose verdict the NNLS
+    pair leaves open is sent to scipy's ``nnls``, whose residual then
+    decides as it does in the evidence."""
+    gram = eigen_matrix.T @ eigen_matrix
+    for mu in model.preparations.values():
+        verdict = _mixture_verdict(eigen_matrix, mu, *_nnls(eigen_matrix, gram, mu))
+        if verdict is None:
+            from scipy.optimize import nnls
+            verdict = bool(nnls(eigen_matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
+        if not verdict:
+            return False
+    return True
+
+
+def _scipy_mixture_evidence(model: FiniteOntModel, eigen_matrix: np.ndarray) -> dict:
+    """``worst_mixture`` (when some residual is positive) and
+    ``max_mixture_residual``: scipy's ``nnls`` residual of every
+    preparation against the eigenstate columns, the first largest kept.
+
+    Transitional: these bits are recorded in the CLI digests, so the
+    evidence keeps scipy's residual until a re-record moves it to the
+    NNLS pair's, and takes scipy out of the runtime with it.
+    """
+    from scipy.optimize import nnls
+
+    evidence: dict = {}
+    worst_residual = 0.0
+    for pname, mu in model.preparations.items():
+        _, residual = nnls(eigen_matrix, mu)
+        if residual > worst_residual:
+            worst_residual = residual
+            evidence["worst_mixture"] = {"preparation": pname, "residual": float(residual)}
+    evidence["max_mixture_residual"] = float(worst_residual)
+    return evidence
 
 
 def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
@@ -478,8 +624,15 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     (b); SSMR = (c) with some preparation carrying weight outside A;
     anything else is NONE. (a) and (c) test the weights against
     ``SUPPORT_EPS`` directly and leave the support memo as they found it.
-    The model's macro labels must be ``fragment``'s macro outcomes, and the
-    caller is expected to have validated the two.
+    (b) is asked only when (a) holds, of one preparation after another
+    until one is certified not to be a mixture: an in-house NNLS gives
+    each verdict with a re-verified certificate, and scipy is imported
+    only for a verdict inside the narrow band around
+    ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
+    scipy's, formed on the first read of ``evidence``, so a caller that
+    reads only ``kind`` does not load ``scipy.optimize``. The model's macro
+    labels must be ``fragment``'s macro outcomes, and the caller is
+    expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
@@ -493,7 +646,7 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     eigen_names = [pname for q in macro_labels for pname in model.eigenstate_preps[q]]
     accessible = _support_mask(model, eigen_names)
 
-    evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
+    head: dict = {"eigenstate_atoms": int(accessible.sum())}
 
     # (a), and (c)'s carried atoms, in one pass that runs past the first violation
     carried = np.zeros(model.atoms, dtype=bool)
@@ -501,37 +654,26 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         held = mu > SUPPORT_EPS
         carried |= held
         outside = held & ~accessible
-        if outside.any() and "support_violation" not in evidence:
+        if outside.any() and "support_violation" not in head:
             atom = int(outside.argmax())
-            evidence["support_violation"] = {"preparation": pname, "atom": atom,
-                                             "weight": float(mu[atom])}
-    support_ok = "support_violation" not in evidence
+            head["support_violation"] = {"preparation": pname, "atom": atom,
+                                         "weight": float(mu[atom])}
+    support_ok = "support_violation" not in head
 
-    # (b) mixtures of declared eigenstate preparations; scipy is imported
-    # here, not at module level, so that importing macroreal stays light
-    from scipy.optimize import nnls
-
+    # (b) mixtures of declared eigenstate preparations
     eigen_matrix = np.column_stack([model.preparation(p) for p in eigen_names])
-    mixture_ok = True
-    worst_residual = 0.0
-    for pname, mu in model.preparations.items():
-        _, residual = nnls(eigen_matrix, mu)
-        if residual > worst_residual:
-            worst_residual = residual
-            evidence["worst_mixture"] = {"preparation": pname, "residual": float(residual)}
-        if residual > MIXTURE_RESIDUAL_TOL:
-            mixture_ok = False
-    evidence["max_mixture_residual"] = float(worst_residual)
+    mixture_ok = support_ok and _all_mixtures(model, eigen_matrix)
 
     # (c) deterministic macro responses on carried atoms (eigenstates carry some)
+    tail: dict = {}
     col_max = model.response(macro)[:, carried].max(axis=0)
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
     if not deterministic_ok:
         bad_local = int(np.argmin(col_max))
-        evidence["nondeterministic_atom"] = {"atom": int(np.flatnonzero(carried)[bad_local]),
-                                             "max_response": float(col_max[bad_local])}
+        tail["nondeterministic_atom"] = {"atom": int(np.flatnonzero(carried)[bad_local]),
+                                         "max_response": float(col_max[bad_local])}
 
-    if support_ok and mixture_ok:
+    if mixture_ok:
         kind = "EMMR"
     elif support_ok:
         kind = "ESMR"
@@ -539,4 +681,6 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         kind = "SSMR"   # not support_ok already witnesses weight outside A
     else:
         kind = "NONE"
-    return Classification(kind, evidence)
+    return Classification(
+        kind, lambda: {**head, **_scipy_mixture_evidence(model, eigen_matrix), **tail}
+    )

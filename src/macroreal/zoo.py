@@ -69,6 +69,11 @@ class SphereGrid:
         nodes.setflags(write=False)
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "nodes", nodes)
+        columns = tuple(np.ascontiguousarray(nodes[:, axis]) for axis in range(3))
+        for column in columns:
+            column.setflags(write=False)
+        # the x, y and z columns of ``nodes``, each contiguous, for ``nearest``
+        object.__setattr__(self, "_columns", columns)
 
     def nearest(self, points) -> np.ndarray:
         """Index of the node nearest to each of the (m, 3) unit ``points``.
@@ -106,13 +111,20 @@ class SphereGrid:
         det = a0 * b1 - a1 * b0
         c0 = np.floor((b1 * azimuth - a1 * height) / det)
         c1 = np.floor((a0 * height - b0 * azimuth) / det)
-        # the cell's four corners as rows; argmin keeps the first on a tie
+        # the cell's four corners as rows
         s0, s1 = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :, None]
         corner_z = b0 * (c0 + s0) + b1 * (c1 + s1) + top
         index = np.clip(np.floor(0.5 * n - 0.5 * n * corner_z), 0, n - 1).astype(int)
-        q = self.nodes[index]
-        d = (q[..., 0] - x) ** 2 + (q[..., 1] - y) ** 2 + (q[..., 2] - z) ** 2
-        return np.take_along_axis(index, d.argmin(axis=0)[None], axis=0)[0]
+        nx, ny, nz = self._columns
+        d = (nx[index] - x) ** 2 + (ny[index] - y) ** 2 + (nz[index] - z) ** 2
+        # a later corner replaces the best so far only when strictly nearer,
+        # so the first one on a tie stays
+        best, best_d = index[0], d[0]
+        for corner in range(1, 4):
+            nearer = d[corner] < best_d
+            best = np.where(nearer, index[corner], best)
+            best_d = np.where(nearer, d[corner], best_d)
+        return best
 
 
 def fibonacci_sphere_grid(n: int) -> SphereGrid:

@@ -172,6 +172,16 @@ def test_uncertified_sweep_exits_1_with_one_stderr_line(capsys, monkeypatch):
     assert out == certified_out.replace(",true,", ",false,")
 
 
+# the four zoo models, each with the fragment it is classified against
+ZOO_MODELS_CHILD = """
+from macroreal.cli import _zoo_build, build_parser
+from macroreal.ontomodel import classify
+
+zoo_models = [_zoo_build(build_parser().parse_args(["zoo", *words.split()]))[:2]
+              for words in ("ks --nodes 2000", "bb", "det", "emmr-toy")]
+"""
+ZOO_KINDS = ["ESMR", "NONE", "SSMR", "EMMR"]
+
 IMPORT_GUARD_CHILD = """
 import contextlib, io, json, sys
 import macroreal
@@ -194,18 +204,45 @@ codes = []
 for command in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(run(command.split()))
-print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+""" + ZOO_MODELS_CHILD + """
+kinds = [classify(model, fragment).kind for model, fragment in zoo_models]
+print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+"""
+
+EVIDENCE_CHILD = ZOO_MODELS_CHILD + """
+import json, sys
+sys.path.insert(0, {tests!r})
+from helpers import support_memo_classify, tree_bits
+
+verdicts = [classify(model, fragment) for model, fragment in zoo_models]
+kinds = [verdict.kind for verdict in verdicts]
+same = [tree_bits(verdict.evidence) == tree_bits(support_memo_classify(model, fragment).evidence)
+        for verdict, (model, fragment) in zip(verdicts, zoo_models)]
+print(json.dumps([kinds, same]))
 """
 
 
-def test_witness_sweep_exclude_do_not_load_scipy():
+def _child_json(code: str):
     child = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD_CHILD],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=child_env(), timeout=120, check=True,
     )
-    codes, scipy_modules = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_witness_sweep_exclude_do_not_load_scipy():
+    codes, kinds, scipy_modules = _child_json(IMPORT_GUARD_CHILD)
     assert codes == [0] * 10
+    assert kinds == ZOO_KINDS
     assert scipy_modules == []
+
+
+def test_zoo_evidence_read_after_the_verdict_matches_the_memo_form_bit_for_bit():
+    """The evidence is formed on its first read, after ``kind``, in a child
+    that has not imported scipy before."""
+    kinds, same = _child_json(EVIDENCE_CHILD.format(tests=str(Path(__file__).resolve().parent)))
+    assert kinds == ZOO_KINDS
+    assert same == [True] * 4
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from macroreal import (
     Bindings,
+    Classification,
     FiniteOntModel,
     asymmetric_overlap,
     beltrametti_bugajski_model,
@@ -539,6 +540,16 @@ def test_classify_matches_the_support_memo_form():
         assert tree_bits(got.evidence) == tree_bits(want.evidence)
         kinds.add(got.kind)
     assert kinds == {"EMMR", "ESMR", "SSMR", "NONE"}
+
+
+def test_classification_is_read_only_and_compares_by_kind_and_evidence():
+    model, frag = _zoo_cases()["emmr-toy"]
+    verdict = classify(model, frag)
+    with pytest.raises(AttributeError):
+        verdict.kind = "NONE"
+    assert verdict == Classification("EMMR", dict(verdict.evidence))
+    assert verdict != Classification("NONE", verdict.evidence)
+    assert repr(verdict) == f"Classification(kind='EMMR', evidence={verdict.evidence!r})"
 
 
 def test_classify_leaves_the_support_memo_as_it_found_it():

@@ -33,6 +33,8 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _tool(name: str):
+    if str(TOOLS) not in sys.path:   # where a tool run as a script finds its siblings
+        sys.path.append(str(TOOLS))
     spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

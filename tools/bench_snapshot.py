@@ -42,10 +42,10 @@ import sys
 from importlib.metadata import version
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import cli_cost  # noqa: E402  (the sibling tool, found through the path above)
+import cli_cost
+import toolenv
 
-ROOT = cli_cost.ROOT
+ROOT = toolenv.ROOT
 TRACED_SEEDS = (1, 2, 3, 4)
 TRACED_SECONDS = 5
 POINT_ALPHA = "0.5"
@@ -65,10 +65,9 @@ def point_commands() -> list:
 def tier1(host) -> dict:
     """The tier-1 suite's run, timed by ``cli_cost.sampled_run`` as each
     command is."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done, wall, factor = cli_cost.sampled_run(
         host, [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=ROOT, env=toolenv.child_env(), capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
     return {"wall_s": wall, "scaled_wall_s": wall * factor,

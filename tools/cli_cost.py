@@ -21,16 +21,15 @@ run with exit code 1.
 """
 
 import importlib.util
-import os
 import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import toolenv
+
+ROOT = toolenv.ROOT
 ROUNDS = 3
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Linux carries a process's high-water RSS across exec into what it spawns,
 # so a command spawned from this script would report at least this script's
@@ -89,8 +88,7 @@ def run_rounds(commands: list, host) -> list:
     temporary directory, BLAS on one thread: its ``argv``, its ``wall_s``
     and ``scaled_wall_s`` of each round and its largest ``max_rss_mb``. A
     command that exits non-zero stops the run with exit code 1."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.update({var: "1" for var in BLAS_VARS})
+    env = toolenv.one_blas_thread(toolenv.child_env())
     rows = [{"argv": argv, "wall_s": [], "scaled_wall_s": [], "max_rss_mb": 0.0}
             for argv in commands]
     with tempfile.TemporaryDirectory() as cwd:

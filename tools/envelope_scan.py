@@ -17,10 +17,11 @@ checkout's ``src`` scans that checkout.
 
 import os
 
+import toolenv
+
 # One BLAS thread, as the README's envelope was measured. Set before numpy
 # is imported anywhere.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+toolenv.one_blas_thread(os.environ)
 
 import contextlib
 import math

@@ -27,10 +27,11 @@ comes from this checkout's tests.
 
 import os
 
+import toolenv
+
 # One BLAS thread, as the digest guard runs. Set before numpy is imported
 # anywhere.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+toolenv.one_blas_thread(os.environ)
 
 import hashlib
 import math

@@ -27,10 +27,11 @@ with exit code 1, since its traffic would not be the ordinary one.
 
 import os
 
+import toolenv
+
 # One BLAS thread, as the benchmark and the digest guard run. Set before
 # numpy is imported anywhere.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+toolenv.one_blas_thread(os.environ)
 
 import contextlib
 import importlib.util
