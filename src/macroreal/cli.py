@@ -240,9 +240,10 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    model = model_from_json(load_json(args.model))
-    fragment = fragment_from_json(load_json(args.fragment))
-    verdict = classify(model, fragment)
+    # the model file is read first, so its errors win; no name holds the
+    # model, so it is freed before the evidence's scipy import
+    verdict = classify(model_from_json(load_json(args.model)),
+                       fragment_from_json(load_json(args.fragment)))
     payload = {"classification": verdict.kind, "evidence": verdict.evidence}
     _emit_json(payload, args.json)
     return 0

@@ -263,7 +263,10 @@ class WitnessExclusion:
         self._born = dict(zip(self.fragment.states, born))
         self._access = dict(zip(self.fragment.states, accessible_atoms(born, rows)))
         self._eigen_names = ["zero"] + [f"q{k}" for k in range(1, bundle.dim)]
-        self._eigen_union = np.unique(np.concatenate([self._access[q] for q in self._eigen_names]))
+        # sorted distinct indices: np.unique would import numpy.ma (numpy 2.4)
+        self._eigen_union = np.flatnonzero(
+            np.bincount(np.concatenate([self._access[q] for q in self._eigen_names]))
+        )
         # rows 0 and 1 mark the atoms accessible from zero and from phi
         self._transport = np.zeros((2, len(self.atoms)), dtype=bool)
         self._transport[0, self._access["zero"]] = True
@@ -344,10 +347,10 @@ class WitnessExclusion:
         start = self._offsets
         columns = self.atoms[self._eigen_union]
         transport = self._transport[:, self._eigen_union]
-        zero_b = np.unique(columns[transport[0], i_b])
+        zero_b = np.flatnonzero(np.bincount(columns[transport[0], i_b]))
         phi = columns[transport[1]]
-        n_out = np.unique(phi[np.isin(phi[:, i_b], zero_b), i_d])
-        h_out = np.unique(phi[~np.isin(phi[:, i_d], n_out), i_b])
+        n_out = np.flatnonzero(np.bincount(phi[np.isin(phi[:, i_b], zero_b), i_d]))
+        h_out = np.flatnonzero(np.bincount(phi[~np.isin(phi[:, i_d], n_out), i_b]))
 
         thirds = np.ones((2, start[-1]))
         thirds[0, start[i_b] : start[i_b + 1]] -= 3.0

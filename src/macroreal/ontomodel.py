@@ -470,7 +470,10 @@ class Classification:
 
     ``evidence`` may be given as a function of no arguments that returns
     the dict: it is then called on the first read of ``evidence``, and its
-    dict kept. Verdicts are read-only and compare by kind and evidence.
+    dict kept. Until that read the verdict holds the function and what it
+    captures: ``classify``'s captures the model's preparations and
+    eigenstate matrix, not the model. Verdicts are read-only and compare
+    by kind and evidence.
     """
 
     __slots__ = ("kind", "_evidence")
@@ -591,10 +594,16 @@ def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
     return True
 
 
-def _scipy_mixture_evidence(model: FiniteOntModel, eigen_matrix: np.ndarray) -> dict:
+def _scipy_mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dict:
     """``worst_mixture`` (when some residual is positive) and
     ``max_mixture_residual``: scipy's ``nnls`` residual of every
-    preparation against the eigenstate columns, the first largest kept.
+    preparation in ``preparations`` (name -> weights) against the
+    eigenstate columns, the first largest kept.
+
+    The residual is scipy's ``rnorm``. When the eigenstate columns are
+    linearly dependent, scipy 1.17.1 can return an ``rnorm`` below
+    |E x - mu| for its own x, so the printed residual can then read low;
+    the zoo models' eigenstate columns are independent.
 
     Transitional: these bits are recorded in the CLI digests, so the
     evidence keeps scipy's residual until a re-record moves it to the
@@ -604,7 +613,7 @@ def _scipy_mixture_evidence(model: FiniteOntModel, eigen_matrix: np.ndarray) -> 
 
     evidence: dict = {}
     worst_residual = 0.0
-    for pname, mu in model.preparations.items():
+    for pname, mu in preparations.items():
         _, residual = nnls(eigen_matrix, mu)
         if residual > worst_residual:
             worst_residual = residual
@@ -630,7 +639,10 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     only for a verdict inside the narrow band around
     ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
     scipy's, formed on the first read of ``evidence``, so a caller that
-    reads only ``kind`` does not load ``scipy.optimize``. The model's macro
+    reads only ``kind`` does not load ``scipy.optimize``. Until then the
+    verdict holds the model's preparations dict, the eigenstate matrix and
+    the other evidence entries, not the model, so the model's responses,
+    maps and support memo can be freed before that import. The model's macro
     labels must be ``fragment``'s macro outcomes, and the caller is
     expected to have validated the two.
     """
@@ -681,6 +693,7 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         kind = "SSMR"   # not support_ok already witnesses weight outside A
     else:
         kind = "NONE"
+    preparations = model.preparations   # the evidence must not capture the model
     return Classification(
-        kind, lambda: {**head, **_scipy_mixture_evidence(model, eigen_matrix), **tail}
+        kind, lambda: {**head, **_scipy_mixture_evidence(preparations, eigen_matrix), **tail}
     )

@@ -206,7 +206,8 @@ for command in commands:
         codes.append(run(command.split()))
 """ + ZOO_MODELS_CHILD + """
 kinds = [classify(model, fragment).kind for model, fragment in zoo_models]
-print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("scipy"))]))
+print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("scipy")),
+                  "numpy.ma" in sys.modules]))
 """
 
 EVIDENCE_CHILD = ZOO_MODELS_CHILD + """
@@ -231,10 +232,12 @@ def _child_json(code: str):
 
 
 def test_witness_sweep_exclude_do_not_load_scipy():
-    codes, kinds, scipy_modules = _child_json(IMPORT_GUARD_CHILD)
+    codes, kinds, scipy_modules, numpy_ma = _child_json(IMPORT_GUARD_CHILD)
     assert codes == [0] * 10
     assert kinds == ZOO_KINDS
     assert scipy_modules == []
+    # np.unique loads numpy.ma (numpy 2.4), which no command needs
+    assert not numpy_ma
 
 
 def test_zoo_evidence_read_after_the_verdict_matches_the_memo_form_bit_for_bit():
@@ -513,6 +516,32 @@ def test_classify_deeply_nested_model_is_usage_error(tmp_path, capsys):
     code, out, err = _classify_model_text("[" * 5000 + "]" * 5000, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {tmp_path / 'm.json'}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize(("model_text", "fragment_text"), [
+    ('{"atoms": [1,]}', '{"dim": [2,]}'),
+    ('{"atoms": 0}', '{"dim": 0}'),
+    ('{"atoms": 0}', '{"dim": [2,]}'),
+], ids=["both-undecodable", "both-invalid", "invalid-model-undecodable-fragment"])
+def test_classify_with_both_files_malformed_reports_the_model_file(
+        model_text, fragment_text, tmp_path, capsys):
+    """The model file is read and built before the fragment file is read,
+    so its error is the one printed."""
+    _write_edited_toy(lambda model, frag: (model, frag), tmp_path, capsys)
+    good = {name: (tmp_path / name).read_text() for name in ("m.json", "f.json")}
+
+    def classify_err(model: str, fragment: str) -> str:
+        (tmp_path / "m.json").write_text(model)
+        (tmp_path / "f.json").write_text(fragment)
+        code, out, err = run_cli(capsys, "classify", "--model", str(tmp_path / "m.json"),
+                                 "--fragment", str(tmp_path / "f.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    model_err = classify_err(model_text, good["f.json"])
+    assert model_err != classify_err(good["m.json"], fragment_text)
+    assert classify_err(model_text, fragment_text) == model_err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -550,6 +552,22 @@ def test_classification_is_read_only_and_compares_by_kind_and_evidence():
     assert verdict == Classification("EMMR", dict(verdict.evidence))
     assert verdict != Classification("NONE", verdict.evidence)
     assert repr(verdict) == f"Classification(kind='EMMR', evidence={verdict.evidence!r})"
+
+
+def test_a_verdict_does_not_keep_its_model_alive():
+    """A verdict whose evidence is unread lets its model be freed, and the
+    evidence it then forms is bit for bit that of a verdict whose model
+    stayed alive."""
+    cases = _zoo_cases()
+    for kind in list(cases):
+        model, frag = cases.pop(kind)
+        want = classify(model, frag).evidence
+        verdict = classify(model, frag)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None, kind
+        assert tree_bits(verdict.evidence) == tree_bits(want), kind
 
 
 def test_classify_leaves_the_support_memo_as_it_found_it():
