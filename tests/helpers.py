@@ -6,8 +6,9 @@ tolerances: split-atom state models (one cluster of atoms per catalogued
 state), eigenstate-split models over macro-only fragments (eigenstate
 supported without being mixtures), mixture models (mixtures only), and
 product-measure models over deterministic response atoms of a witness
-fragment (heavily overlapping supports). ``child_env`` is the one recipe
-for the environment of a child interpreter.
+fragment (heavily overlapping supports). The environment of a child
+interpreter comes from ``toolenv.child_env``, the one recipe that the tests
+and the tools share.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import itertools
 import json
 import math
 import mmap
-import os
 import struct
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar, nnls
 
-import macroreal
 from macroreal import (
     FiniteOntModel,
     LinearProgram,
@@ -46,20 +44,6 @@ from macroreal.exclusion import (
 from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, Classification
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def child_env(threads: int | None = None) -> dict:
-    """This environment, with the package's root first on PYTHONPATH,
-    Python's default warning filters and, when ``threads`` is given, BLAS
-    on that many threads."""
-    env = dict(os.environ)
-    package_root = str(Path(macroreal.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    env.pop("PYTHONWARNINGS", None)
-    if threads is not None:
-        env.update({var: str(threads) for var in BLAS_VARS})
-    return env
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

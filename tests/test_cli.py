@@ -6,7 +6,6 @@ import math
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +14,7 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
-from helpers import child_env
+from toolenv import ROOT, child_env
 
 
 def run_cli(capsys, *argv):
@@ -243,7 +242,7 @@ def test_witness_sweep_exclude_do_not_load_scipy():
 def test_zoo_evidence_read_after_the_verdict_matches_the_memo_form_bit_for_bit():
     """The evidence is formed on its first read, after ``kind``, in a child
     that has not imported scipy before."""
-    kinds, same = _child_json(EVIDENCE_CHILD.format(tests=str(Path(__file__).resolve().parent)))
+    kinds, same = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
     assert kinds == ZOO_KINDS
     assert same == [True] * 4
 
@@ -682,7 +681,7 @@ def test_lgi_emmr_toy_bounded(capsys):
 def test_readme_command_examples_parse():
     """Every ``macroreal`` line of the fenced block under the README's
     "## Command line" parses with the CLI's own parser."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1]
     block = section.split("```\n", 2)[1]
     examples = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("macroreal ")]

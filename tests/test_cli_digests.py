@@ -4,49 +4,38 @@
 to the sha256 of its stdout, and of the files it writes. Every command runs
 here through ``cli.run``, all in one child interpreter inside a scratch
 directory: the 128 `witness`/`exclude` commands, then the fixed ones in
-script order, so ``classify`` reads the model ``zoo ks`` wrote. The fixed
-commands are ``FIXED_COMMANDS`` of ``bench/workloads.py``, loaded from that
-file as ``tests/test_trace_sites.py`` loads it, so the guard cannot drift
-from the benchmark script. Any change to a status, optimum, certificate
-vector, model entry or float formatting changes a digest. Both files are
-only read.
+script order, so ``classify`` reads the model ``zoo ks`` wrote; ``SCRIPT``
+is that order. The fixed commands are ``FIXED_COMMANDS`` of
+``bench/workloads.py``, loaded from that file by ``toolenv.load``, so the
+guard cannot drift from the benchmark script. Any change to a status,
+optimum, certificate vector, model entry or float formatting changes a
+digest. Both files are only read.
 
 The child pins BLAS to one thread, as the benchmark that recorded the
 digests does: LAPACK's threaded solve in ``_Simplex.duals`` moves the last
 bits of some Farkas rays (1e-18 at d=6) with the thread count.
 ``tools/digest_threads.py`` runs the same child on more threads through
-``run_recorded``.
+``run_recorded``, and ``tools/traffic_lines.py`` runs ``SCRIPT`` in process.
 """
 
-import importlib.util
 import json
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import pytest
-from helpers import child_env
+from toolenv import ROOT, child_env, load
 
-DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json"
-WORKLOADS = DIGESTS.with_name("workloads.py")
-ENTRIES = json.loads(DIGESTS.read_text())
+ENTRIES = json.loads((ROOT / "bench" / "cli_digests.json").read_text())
 RECORDED = {
     command: entry["stdout"]
     for command, entry in ENTRIES.items()
     if command.split()[0] in ("witness", "exclude")
 }
 
-
-def _fixed_commands() -> list:
-    """The benchmark script's fixed commands, in its order."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return [" ".join(argv) for argv in module.FIXED_COMMANDS]
-
-
-FIXED = _fixed_commands()
+# the benchmark script's fixed commands, in its order
+FIXED = [" ".join(argv) for argv in load(ROOT / "bench" / "workloads.py").FIXED_COMMANDS]
+SCRIPT = sorted(RECORDED) + FIXED
 
 CHILD = """
 import contextlib, hashlib, io, json, sys
@@ -68,10 +57,7 @@ def run_recorded(threads: int) -> dict:
     """Run every recorded command in one child interpreter whose BLAS runs
     on ``threads`` threads, in script order. Map each command to its exit
     code, the sha256 of its stdout and those of the files it wrote."""
-    script = [
-        (command, sorted(ENTRIES[command].get("files", {})))
-        for command in sorted(RECORDED) + FIXED
-    ]
+    script = [(command, sorted(ENTRIES[command].get("files", {}))) for command in SCRIPT]
     with tempfile.TemporaryDirectory() as workdir:
         child = subprocess.run(
             [sys.executable, "-c", CHILD],

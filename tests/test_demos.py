@@ -8,12 +8,11 @@ point shows up here as a non-zero exit.
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from helpers import child_env
+from toolenv import ROOT, child_env
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():

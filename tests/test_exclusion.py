@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from macroreal.lp import CERT_TOL, FEAS_TOL, solve_lp
 from macroreal.witness import ALPHA_MAX
 from helpers import (
     DenseSimplex,
-    child_env,
     lp_atom_maxima,
     mapping_behind,
     outcome_bits,
@@ -41,6 +39,7 @@ from helpers import (
     solve_lp_checked,
     solve_lp_with,
 )
+from toolenv import ROOT, child_env
 
 
 def test_enumerate_counts(exclusion_half):
@@ -447,7 +446,7 @@ def test_d10_emmr_peak_rss_rises_less_than_20_mb():
 RECORDED_ESMR_ALPHAS = sorted({
     float(command.split()[2])
     for command in json.loads(
-        (Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json").read_text()
+        (ROOT / "bench" / "cli_digests.json").read_text()
     )
     if command.startswith("exclude") and command.endswith("--mode esmr")
 })

@@ -5,11 +5,11 @@ import ast
 from pathlib import Path
 
 import pytest
+from toolenv import ROOT
 
 import macroreal
 
 PACKAGE = Path(macroreal.__file__).resolve().parent
-ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ imports names to re-export them
 CHECKED = {path.name: path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
 CHECKED.update(

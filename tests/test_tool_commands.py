@@ -4,16 +4,14 @@ tools' own rules hold.
 ``tools/bench_snapshot.py``, ``tools/cli_cost.py`` and
 ``tools/envelope_scan.py`` run fixed ``macroreal`` command lines, so a flag
 that a change renames or removes would fail only minutes into a tool's run.
-This test loads the tools, as ``tests/test_trace_sites.py`` loads
-``bench/workloads.py``, and parses each of their command lines with the
-command line's own parser. ``tools/bench_pairs.py``'s verdict rule is
-checked on synthetic runs and its clone of the change with the runs
-stubbed, ``tools/digest_threads.py``'s thread count
-check without starting a child, ``tools/traffic_lines.py``'s exit when
-the package is not on the import path, ``tools/bench_snapshot.py``'s
-host-speed scaling of the tier-1 wall time with the suite's run stubbed,
-and the lines ``tools/outcome_bits.py`` prints for one witness and for
-the model zoo.
+This test loads the tools with ``toolenv.load`` and parses each of their
+command lines with the command line's own parser. ``tools/bench_pairs.py``'s
+verdict rule is checked on synthetic runs and its clone of the change with
+the runs stubbed, ``tools/digest_threads.py``'s thread count check without
+starting a child, ``tools/traffic_lines.py``'s exit when the package is not
+on the import path, ``tools/bench_snapshot.py``'s host-speed scaling of the
+tier-1 wall time with the suite's run stubbed, and the lines
+``tools/outcome_bits.py`` prints for one witness and for the model zoo.
 """
 
 import importlib.util
@@ -27,25 +25,18 @@ import pytest
 from pathlib import Path
 
 from macroreal.cli import build_parser
-from helpers import BLAS_VARS
-
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from toolenv import BLAS_VARS, ROOT, load
 
 
 def _tool(name: str):
-    if str(TOOLS) not in sys.path:   # where a tool run as a script finds its siblings
-        sys.path.append(str(TOOLS))
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(ROOT / "tools" / f"{name}.py")
 
 
 def _tool_commands(monkeypatch) -> list:
     """The command lists of the three tools, in the order named above."""
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "1")   # envelope_scan sets them on import
-    monkeypatch.setattr(sys, "path", list(sys.path))   # the tools add to it
+    monkeypatch.setattr(sys, "path", list(sys.path))   # cli_cost adds src to it
     cli_cost = _tool("cli_cost")
     monkeypatch.setitem(sys.modules, "cli_cost", cli_cost)   # bench_snapshot imports it
     envelope = _tool("envelope_scan")
@@ -125,7 +116,6 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
                                     for d in change)
     assert list(tmp_path.iterdir()) == [tmp_path / "parent"]   # the clone's directory is gone
 
-
 @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1)], ids=["zero", "above-cpus"])
 def test_digest_threads_rejects_a_count_outside_the_cpus_before_starting(monkeypatch, threads):
     def started(*args, **kwargs):
@@ -154,11 +144,9 @@ def test_traffic_lines_without_the_package_names_its_import_path(monkeypatch, ca
 
 
 def test_bench_snapshot_scales_the_tier1_wall_by_host_samples_around_it(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    cli_cost = _tool("cli_cost")
-    monkeypatch.setitem(sys.modules, "cli_cost", cli_cost)
+    monkeypatch.setitem(sys.modules, "cli_cost", _tool("cli_cost"))
     snapshot = _tool("bench_snapshot")
-    hostspeed = cli_cost.bench_module("hostspeed")
+    hostspeed = load(ROOT / "bench" / "hostspeed.py")
     host = hostspeed.HostSpeed()
     samples_at_start = []
 
@@ -178,7 +166,6 @@ def test_bench_snapshot_scales_the_tier1_wall_by_host_samples_around_it(monkeypa
 def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "1")   # outcome_bits sets them on import
-    monkeypatch.setattr(sys, "path", list(sys.path))   # it adds the tests to it
     tool = _tool("outcome_bits")
     lines = tool.program_lines(4, 0.5)
     assert len(lines) == 6

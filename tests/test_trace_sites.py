@@ -6,22 +6,10 @@ to another module fails only when a traced benchmark run starts. This test
 makes the same lookup without running the benchmark.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+from toolenv import ROOT, load
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def _trace_sites():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACE_SITES
-
-
-TRACE_SITES = _trace_sites()
+TRACE_SITES = load(ROOT / "bench" / "workloads.py").TRACE_SITES
 
 
 @pytest.mark.parametrize(

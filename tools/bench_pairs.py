@@ -44,7 +44,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import toolenv
+
+ROOT = toolenv.ROOT
 SIDES = ("parent", "change")
 
 

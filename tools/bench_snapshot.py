@@ -109,7 +109,7 @@ def main() -> int:
         return 2
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip()
-    hostspeed = cli_cost.bench_module("hostspeed")
+    hostspeed = toolenv.load(ROOT / "bench" / "hostspeed.py")
     host = hostspeed.HostSpeed()
     tier1_run = tier1(host)
     rows = cli(host)

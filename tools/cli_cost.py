@@ -2,17 +2,17 @@
 """Wall time and peak RSS of the benchmark's five fixed ``macroreal`` commands.
 
 Reads ``FIXED_COMMANDS`` from ``bench/workloads.py`` and the host-speed
-kernel from ``bench/hostspeed.py`` (both loaded read-only, as
-``tests/test_trace_sites.py`` loads the first) and runs the five commands in
-that order, so ``classify`` reads the files ``zoo ks`` wrote. Each command
-runs as its own child interpreter, ``python -m macroreal.cli ...``, inside a
-temporary directory, with BLAS on one thread and the package imported from
-the ``src`` directory beside this script. The kernel is timed just before
-and just after each child, and the child's wall time is also given scaled to
-the kernel's reference speed, as ``bench/run.py`` scales its times, so that
-runs on a host whose speed drifts can be compared. For each command it
-prints the exit code, the raw and the scaled wall seconds of each round and
-the child's largest ``ru_maxrss`` in MB:
+kernel from ``bench/hostspeed.py`` (both loaded read-only by
+``toolenv.load``) and runs the five commands in that order, so ``classify``
+reads the files ``zoo ks`` wrote. Each command runs as its own child
+interpreter, ``python -m macroreal.cli ...``, inside a temporary directory,
+in ``toolenv.child_env(threads=1)``: BLAS on one thread and the package
+imported from the ``src`` directory beside this script. The kernel is timed
+just before and just after each child, and the child's wall time is also
+given scaled to the kernel's reference speed, as ``bench/run.py`` scales its
+times, so that runs on a host whose speed drifts can be compared. For each
+command it prints the exit code, the raw and the scaled wall seconds of each
+round and the child's largest ``ru_maxrss`` in MB:
 
     python3 tools/cli_cost.py
 
@@ -20,7 +20,6 @@ The script is run ``ROUNDS`` times. A command that exits non-zero stops the
 run with exit code 1.
 """
 
-import importlib.util
 import subprocess
 import sys
 import tempfile
@@ -46,17 +45,9 @@ print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_m
 """
 
 
-def bench_module(name: str):
-    """``bench/<name>.py``, loaded without touching the file."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def fixed_commands() -> list:
     sys.path.insert(0, str(ROOT / "src"))  # bench/workloads.py imports macroreal
-    return bench_module("workloads").FIXED_COMMANDS
+    return toolenv.load(ROOT / "bench" / "workloads.py").FIXED_COMMANDS
 
 
 def sampled_run(host, argv: list, **kwargs) -> tuple:
@@ -88,7 +79,7 @@ def run_rounds(commands: list, host) -> list:
     temporary directory, BLAS on one thread: its ``argv``, its ``wall_s``
     and ``scaled_wall_s`` of each round and its largest ``max_rss_mb``. A
     command that exits non-zero stops the run with exit code 1."""
-    env = toolenv.one_blas_thread(toolenv.child_env())
+    env = toolenv.child_env(threads=1)
     rows = [{"argv": argv, "wall_s": [], "scaled_wall_s": [], "max_rss_mb": 0.0}
             for argv in commands]
     with tempfile.TemporaryDirectory() as cwd:
@@ -104,7 +95,7 @@ def run_rounds(commands: list, host) -> list:
 
 
 def main() -> int:
-    hostspeed = bench_module("hostspeed")
+    hostspeed = toolenv.load(ROOT / "bench" / "hostspeed.py")
     host = hostspeed.HostSpeed()
     rows = run_rounds(fixed_commands(), host)
     print(f"{'command':<88} {'wall s (each round)':<20} {'scaled s':<20} max_rss MB")

@@ -15,13 +15,10 @@ package is imported from this checkout's ``src/``.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-GUARD = ROOT / "tests" / "test_cli_digests.py"
+import toolenv
 
 
 def thread_count(text: str) -> int:
@@ -29,16 +26,6 @@ def thread_count(text: str) -> int:
     if not 1 <= threads <= cpus:
         raise argparse.ArgumentTypeError(f"THREADS must be in 1..{cpus}, not {threads}")
     return threads
-
-
-def load_guard():
-    """The digest guard module, importing ``macroreal`` from ``src/`` and
-    its ``helpers`` from ``tests/``."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    spec = importlib.util.spec_from_file_location("test_cli_digests", GUARD)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def differing(entries: dict, produced: dict) -> list:
@@ -55,7 +42,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("threads", type=thread_count, metavar="THREADS")
     args = parser.parse_args(argv)
-    guard = load_guard()
+    sys.path.insert(0, str(toolenv.ROOT / "src"))  # bench/workloads.py imports macroreal
+    guard = toolenv.load(toolenv.ROOT / "tests" / "test_cli_digests.py")
     bad = differing(guard.ENTRIES, guard.run_recorded(args.threads))
     for command in bad:
         print(command)

@@ -23,7 +23,6 @@ import toolenv
 # is imported anywhere.
 toolenv.one_blas_thread(os.environ)
 
-import contextlib
 import math
 
 import numpy as np
@@ -49,13 +48,12 @@ def envelope_alphas() -> list[float]:
 
 def main() -> None:
     alphas = envelope_alphas()
-    with open(os.devnull, "w") as sink:
-        for name, argv in COMMANDS.items():
-            for dim in DIMS:
-                for alpha in alphas:
-                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                        code = run([*argv, "--alpha", repr(alpha), "--dim", str(dim)])
-                    print(name, dim, repr(alpha), code, flush=True)
+    for name, argv in COMMANDS.items():
+        for dim in DIMS:
+            for alpha in alphas:
+                with toolenv.quiet():
+                    code = run([*argv, "--alpha", repr(alpha), "--dim", str(dim)])
+                print(name, dim, repr(alpha), code, flush=True)
 
 
 if __name__ == "__main__":

@@ -35,14 +35,9 @@ toolenv.one_blas_thread(os.environ)
 
 import hashlib
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-
-from helpers import outcome_bits
 from macroreal import (
     WitnessExclusion,
     WitnessParams,
@@ -54,6 +49,8 @@ from macroreal import (
 )
 from macroreal.cli import _zoo_build, build_parser
 from macroreal.witness import ALPHA_MAX
+
+outcome_bits = toolenv.load(toolenv.ROOT / "tests" / "helpers.py").outcome_bits
 
 METHODS = ("esmr", "emmr", "max_overlap", "static_control", "unconstrained_control",
            "macro_only_control")

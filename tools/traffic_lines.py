@@ -4,11 +4,9 @@
 Runs, in one process and under ``sys.settrace``:
 
 - every command recorded in ``bench/cli_digests.json``, through
-  ``macroreal.cli.run`` inside a temporary directory, in the order
-  ``tests/test_cli_digests.py`` runs them: its ``RECORDED``
-  ``witness``/``exclude`` commands sorted, then its ``FIXED`` commands in
-  the benchmark script's order, so ``classify`` reads the files ``zoo ks``
-  wrote;
+  ``macroreal.cli.run`` inside a temporary directory, in the order of
+  ``SCRIPT`` in ``tests/test_cli_digests.py``, so ``classify`` reads the
+  files ``zoo ks`` wrote;
 - two cycles each of the benchmark's ``exclusion`` and ``model_audit``
   workloads at seed 1, with their output checks;
 - the four demos.
@@ -33,15 +31,13 @@ import toolenv
 # numpy is imported anywhere.
 toolenv.one_blas_thread(os.environ)
 
-import contextlib
 import importlib.util
 import runpy
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-GUARD = ROOT / "tests" / "test_cli_digests.py"
+ROOT = toolenv.ROOT
 CYCLES = 2
 SEED = 1
 
@@ -81,38 +77,12 @@ def tracer(package: str, reached: set):
     return trace
 
 
-@contextlib.contextmanager
-def quiet_in(workdir: str):
-    """Run with ``workdir`` as the working directory and stdout and stderr
-    discarded."""
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with open(os.devnull, "w") as sink:
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                yield
-    finally:
-        os.chdir(cwd)
-
-
-def load_guard():
-    """The digest guard module, which names the recorded commands; its
-    ``helpers`` come from this checkout's ``tests/``."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    spec = importlib.util.spec_from_file_location("test_cli_digests", GUARD)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def run_traffic(workdir: str) -> None:
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
     from macroreal.cli import run
 
-    guard = load_guard()
-    for command in sorted(guard.RECORDED) + guard.FIXED:
-        with quiet_in(workdir):
+    workloads = toolenv.load(ROOT / "bench" / "workloads.py")
+    for command in toolenv.load(ROOT / "tests" / "test_cli_digests.py").SCRIPT:
+        with toolenv.quiet(workdir):
             code = run(command.split())
         if code != 0:
             sys.exit(f"traffic: `macroreal {command}` exited {code}")
@@ -126,7 +96,7 @@ def run_traffic(workdir: str) -> None:
                     sys.exit(f"traffic: {workload.name}: {problems[0]}")
 
     for demo in sorted((ROOT / "demos").glob("*.py")):
-        with quiet_in(workdir):
+        with toolenv.quiet(workdir):
             runpy.run_path(str(demo), run_name="__main__")
 
 
