@@ -412,7 +412,7 @@ def beltrametti_bugajski_model(fragment: QuantumFragment) -> FiniteOntModel:
         for sname, state in fragment.states.items():
             image = apply_unitary(u, state)
             # the first catalogued state on the image's ray
-            hit = next((i for i, t in enumerate(states) if image.same_ray(t, tol=1e-10)), None)
+            hit = next((i for i, t in enumerate(states) if image.same_ray(t)), None)
             if hit is None:
                 raise ValueError(
                     f"catalogue not closed: {uname!r} image of {sname!r} is uncatalogued"

@@ -6,12 +6,14 @@ tools' own rules hold.
 that a change renames or removes would fail only minutes into a tool's run.
 This test loads the tools with ``toolenv.load`` and parses each of their
 command lines with the command line's own parser. ``tools/bench_pairs.py``'s
-verdict rule is checked on synthetic runs and its clone of the change with
-the runs stubbed, ``tools/digest_threads.py``'s thread count check without
-starting a child, ``tools/traffic_lines.py``'s exit when the package is not
-on the import path, ``tools/bench_snapshot.py``'s host-speed scaling of the
-tier-1 wall time with the suite's run stubbed, and the lines
-``tools/outcome_bits.py`` prints for one witness and for the model zoo.
+verdict rule is checked on synthetic runs, and its clone of the change and
+its per-pair table with the runs stubbed; ``tools/digest_threads.py``'s
+thread count check without starting a child, ``tools/traffic_lines.py``'s
+exit when the package is not on the import path, ``tools/bench_snapshot.py``'s
+host-speed scaling of the tier-1 wall time with the suite's run stubbed, and
+the lines ``tools/outcome_bits.py`` prints for one witness and for the model
+zoo. Last, each job of ``tools/toolenv.py`` is checked to have no copy under
+``tools/`` or ``tests/``, and its ``child_env`` recipe is checked.
 """
 
 import importlib.util
@@ -25,7 +27,7 @@ import pytest
 from pathlib import Path
 
 from macroreal.cli import build_parser
-from toolenv import BLAS_VARS, ROOT, load
+from toolenv import BLAS_VARS, ROOT, child_env, load
 
 
 def _tool(name: str):
@@ -88,6 +90,7 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
     spec = json.loads((tool.ROOT / "BENCHMARK.json").read_text())
     names = [entry["name"] for entry in spec["end_to_end"]]
     commands, bench_dirs = [], []
+    parent = (tmp_path / "parent").resolve()
 
     def stub(argv, cwd=None, **kwargs):   # stands in for git and bench/run.py
         commands.append(argv[:2])
@@ -96,8 +99,9 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
         if argv[:2] == ["git", "clone"]:
             return subprocess.CompletedProcess(argv, 0)
         bench_dirs.append(Path(cwd))
+        value = int(argv[argv.index("--seed") + 1]) + (0.0 if Path(cwd) == parent else 0.01)
         result = {"failed": 0, "attempted": 1,
-                  "metrics": {name: {"value": 1.0} for name in names}}
+                  "metrics": {name: {"value": value} for name in names}}
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
 
     monkeypatch.setattr(subprocess, "run", stub)
@@ -109,12 +113,46 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
         return
     assert code == 0 and err == ""
     assert commands[:2] == [["git", "status"], ["git", "clone"]]
-    parent = (tmp_path / "parent").resolve()
     assert bench_dirs.count(parent) == 2
     change = [d for d in bench_dirs if d != parent]
     assert len(change) == 2 and all(d != tool.ROOT and d.parent.parent == parent.parent
                                     for d in change)
     assert list(tmp_path.iterdir()) == [tmp_path / "parent"]   # the clone's directory is gone
+    rows = [line.split() for line in out.splitlines()[-2:]]   # the pairs, one row per seed
+    assert rows == [[str(seed)] + [f"{seed:g}", f"{seed + 0.01:g}"] * len(names) for seed in (1, 2)]
+
+
+HARNESS_COPIES = {   # each job's own home is tools/toolenv.py
+    "load a file as a module": r"spec_from_file_location\(",
+    "assign BLAS_VARS": r"^\s*BLAS_VARS\s*=",
+    "define child_env": r"^\s*def child_env\b",
+    "compute the root": r"Path\(__file__\)\.resolve\(\)\.parents\[1\]",
+}
+
+
+def test_each_harness_job_is_defined_only_in_toolenv():
+    copies = [
+        f"{path.relative_to(ROOT)}: {job}"
+        for folder in ("tools", "tests") for path in sorted((ROOT / folder).glob("*.py"))
+        if path.name != "toolenv.py"
+        for job, pattern in HARNESS_COPIES.items()
+        if re.search(pattern, path.read_text(), re.MULTILINE)
+    ]
+    assert copies == []
+
+
+@pytest.mark.parametrize("threads", [None, 3], ids=["unpinned", "pinned"])
+def test_child_env_puts_src_first_drops_warnings_and_pins_blas_when_asked(monkeypatch, threads):
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    monkeypatch.setenv("PYTHONWARNINGS", "error")
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "7")
+    env = child_env(threads)
+    assert env["PYTHONPATH"].split(os.pathsep) == [str(ROOT / "src"), "elsewhere"]
+    assert "PYTHONWARNINGS" not in env
+    assert [env[var] for var in BLAS_VARS] == ["7" if threads is None else str(threads)] * 3
+    assert os.environ["PYTHONWARNINGS"] == "error"   # a copy: this process keeps its own
+
 
 @pytest.mark.parametrize("threads", ["0", str((os.cpu_count() or 1) + 1)], ids=["zero", "above-cpus"])
 def test_digest_threads_rejects_a_count_outside_the_cpus_before_starting(monkeypatch, threads):

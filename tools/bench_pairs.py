@@ -28,6 +28,9 @@ the metric's bound, how many pairs the change lost, and a verdict:
   of the change beats every run of the parent;
 - ``holds``: none of these.
 
+Then it prints the pairs, one row per seed, with the parent's (``p``) and
+the change's (``c``) value of each end-to-end metric.
+
 Exits 1 when a metric is ``worse`` or more operations failed on the
 change's side. Each run writes its result under ``.bench_out/`` of the
 checkout it ran in, as ``bench/run.py`` does; the clone, and the change
@@ -129,6 +132,11 @@ def main(argv=None) -> int:
         print(f"{name:<14}{p_mid:>12.6g}{statistics.median(change):>12.6g}{q1:>12.6g}"
               f"{q3:>12.6g}{(q3 - q1) / p_mid if p_mid else 0.0:>8.3f}{entry['bound']:>7}"
               f"{lost:>3}/{len(parent):<2}  {verdicts[-1]}")
+    names = [entry["name"] for entry in spec["end_to_end"]]
+    print(f"{'seed':<6}" + "".join(f"{name} {side[0]}".rjust(16) for name in names for side in SIDES))
+    for k, seed in enumerate(args.seeds):
+        print(f"{seed:<6}" + "".join(f"{runs[side][k]['metrics'][name]['value']:>16.6g}"
+                                     for name in names for side in SIDES))
     return 1 if "worse" in verdicts or failed["change"] > failed["parent"] else 0
 
 
