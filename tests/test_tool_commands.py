@@ -119,7 +119,8 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
                                     for d in change)
     assert list(tmp_path.iterdir()) == [tmp_path / "parent"]   # the clone's directory is gone
     rows = [line.split() for line in out.splitlines()[-2:]]   # the pairs, one row per seed
-    assert rows == [[str(seed)] + [f"{seed:g}", f"{seed + 0.01:g}"] * len(names) for seed in (1, 2)]
+    assert rows == [[str(seed), *[f"{seed:g}", f"{seed + 0.01:g}"] * len(names)]
+                    for seed in (1, 2)]
 
 
 HARNESS_COPIES = {   # each job's own home is tools/toolenv.py

@@ -133,7 +133,8 @@ def main(argv=None) -> int:
               f"{q3:>12.6g}{(q3 - q1) / p_mid if p_mid else 0.0:>8.3f}{entry['bound']:>7}"
               f"{lost:>3}/{len(parent):<2}  {verdicts[-1]}")
     names = [entry["name"] for entry in spec["end_to_end"]]
-    print(f"{'seed':<6}" + "".join(f"{name} {side[0]}".rjust(16) for name in names for side in SIDES))
+    print(f"{'seed':<6}" + "".join(f"{name} {side[0]}".rjust(16)
+                                   for name in names for side in SIDES))
     for k, seed in enumerate(args.seeds):
         print(f"{seed:<6}" + "".join(f"{runs[side][k]['metrics'][name]['value']:>16.6g}"
                                      for name in names for side in SIDES))
