@@ -123,10 +123,12 @@ def test_bench_pairs_runs_the_change_from_a_clone_of_a_clean_checkout(
                     for seed in (1, 2)]
 
 
-HARNESS_COPIES = {   # each job's own home is tools/toolenv.py
-    "load a file as a module": r"spec_from_file_location\(",
+# Each job's own home is tools/toolenv.py. The [n] and \s+ keep these
+# patterns out of a plain grep for the names they look for.
+HARNESS_COPIES = {
+    "load a file as a module": r"spec_from_file_locatio[n]\(",
     "assign BLAS_VARS": r"^\s*BLAS_VARS\s*=",
-    "define child_env": r"^\s*def child_env\b",
+    "define child_env": r"^\s*def\s+child_env\b",
     "compute the root": r"Path\(__file__\)\.resolve\(\)\.parents\[1\]",
 }
 
