@@ -6,9 +6,9 @@ bookkeeping a macro-realism analysis needs: which preparations count as
 operational eigenstates of the designated macro observable, and which
 preparations realize which quantum state (the delta sets). Queries are pure;
 models are immutable, and registering a pushed-forward preparation returns a
-new model. Each preparation's support is computed once per model, on first
-use, and ``with_preparation`` carries the supports already computed over to
-the new model.
+new model. Each preparation's support, and the union of supports that
+realizes each overlap target, is computed once per model, on first use, and
+``with_preparation`` carries those already computed over to the new model.
 """
 
 from __future__ import annotations
@@ -209,7 +209,10 @@ class FiniteOntModel:
         object.__setattr__(self, "eigenstate_preps", eigen)
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "delta_sets", delta)
-        # preparation name -> support(preparation); not a dataclass field
+        # preparation name -> support(preparation), and the tuple of names a
+        # target resolves to, when there are several -> their union; a
+        # preparation's weights never change, so neither key goes stale.
+        # Not a dataclass field.
         object.__setattr__(self, "_supports", {})
 
     # -- resolution helpers -------------------------------------------------
@@ -235,6 +238,21 @@ class FiniteOntModel:
             return self.responses[name]
         except KeyError:
             raise ValueError(f"unknown measurement {name!r}") from None
+
+    def realizing_set(self, target: str) -> np.ndarray:
+        """Read-only ascending atom indices of the union of the supports of
+        the preparations ``target`` resolves to, computed on first use and
+        kept for the model's lifetime. A target that resolves to one
+        preparation shares that preparation's ``support``."""
+        names = self.target_preparations(target)
+        if len(set(names)) == 1:
+            return self.support(names[0])
+        atoms = self._supports.get(names)
+        if atoms is None:
+            atoms = np.flatnonzero(_support_mask(self, names))
+            atoms.setflags(write=False)
+            self._supports[names] = atoms
+        return atoms
 
     def target_preparations(self, target: str) -> tuple:
         """Resolve an overlap target: a preparation name, a state with a
@@ -268,13 +286,16 @@ class FiniteOntModel:
         preps = dict(self.preparations)
         preps[name] = _stochastic(weights, (self.atoms,), f"preparation {name!r}")
         delta = dict(self.delta_sets)
+        # its own memo: a shared dict would let siblings see each other's names
+        memo = dict(self._supports)
         if delta_of is not None:
             delta[delta_of] = delta.get(delta_of, ()) + (name,)
+            # the state's old union no longer realizes it
+            memo.pop(self.delta_sets.get(delta_of), None)
         model = copy.copy(self)
         object.__setattr__(model, "preparations", preps)
         object.__setattr__(model, "delta_sets", delta)
-        # its own memo: a shared dict would let siblings see each other's names
-        object.__setattr__(model, "_supports", dict(self._supports))
+        object.__setattr__(model, "_supports", memo)
         return model
 
 
@@ -427,9 +448,10 @@ class OverlapReport:
     """Overlap mass and the realizing atom set.
 
     ``realizing_set`` is a read-only ascending array of atom indices, so
-    reports are not meant to be hashed or compared. When the targets
-    resolve to one preparation it is that preparation's memoized support,
-    shared with every other report that reads it.
+    reports are not meant to be hashed or compared. For a single target it
+    is the model's memoized ``realizing_set(target)``, shared with every
+    other report that reads it; the union for several targets is built
+    afresh for each query and not kept.
     """
 
     value: float
@@ -444,20 +466,27 @@ def asymmetric_overlap(
 
     On a finite atom set the infimum is achieved by the union of the
     supports of all preparations realizing the targets, so the value is the
-    mu-mass of that union.
+    mu-mass of that union. A single target's union is memoized on the model
+    (``FiniteOntModel.realizing_set``); the union for several targets is
+    not. An empty target list is refused: with no full-measure set to
+    miss, every sample would count, which says nothing about any target.
     """
-    if isinstance(targets, str):
-        targets = (targets,)
+    targets = (targets,) if isinstance(targets, str) else tuple(targets)
+    if not targets:
+        raise ValueError("asymmetric_overlap: the target list is empty")
     mu = model.preparation(mu_name)
-    names = dict.fromkeys(
-        pname for target in targets for pname in model.target_preparations(target)
-    )
-    if len(names) == 1:
-        (name,) = names
-        realizing = model.support(name)
+    if len(targets) == 1:
+        realizing = model.realizing_set(targets[0])
     else:
-        realizing = np.flatnonzero(_support_mask(model, names))
-        realizing.setflags(write=False)
+        names = dict.fromkeys(
+            pname for target in targets for pname in model.target_preparations(target)
+        )
+        if len(names) == 1:
+            (name,) = names
+            realizing = model.support(name)
+        else:
+            realizing = np.flatnonzero(_support_mask(model, names))
+            realizing.setflags(write=False)
     value = float(mu[realizing].sum())
     return OverlapReport(value, realizing)
 

@@ -243,25 +243,69 @@ def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
         },
         {"macro": (0, 0, 1.0)},
     )
+    cap_frag = qubit_fragment(
+        {"up": (0, 0, 1.0), "down": (0, 0, -1.0), "oblique": (0.6, 0.0, 0.8)},
+        {"macro": (0, 0, 1.0)},
+    )
     models = [
         beltrametti_bugajski_model(frag),
         deterministic_extension_model(frag),
         emmr_toy_model(math.pi / 3)[0],
+        kochen_specker_model(fibonacci_sphere_grid(8), cap_frag),
     ]
+    assert [len(names) for names in models[-1].eigenstate_preps.values()] == [2, 2]
+
+    def union(model, targets):
+        return sorted({
+            int(i) for t in targets for p in model.target_preparations(t)
+            for i in support(model.preparation(p))
+        })
+
+    def memo_key(model, target):
+        names = model.target_preparations(target)
+        return names[0] if len(set(names)) == 1 else names
+
     for model in models:
+        # "blend" is realized by two preparations, neither of them its name
+        first, second = list(model.preparations)[:2]
+        for new, base in (("blend:a", first), ("blend:b", second)):
+            weights = np.roll(model.preparation(base), 1)
+            model = model.with_preparation(new, weights, delta_of="blend")
         names = list(model.preparations)
-        targets = names + [(a, b) for a in names for b in names] + list(model.eigenstate_preps)
+        singles = names + ["blend"] + list(model.eigenstate_preps)
+        targets = singles + [(a, b) for a in names for b in names]
         for mu in names:
             for target in targets:
                 got = asymmetric_overlap(model, mu, target)
                 assert got.value == pytest.approx(brute_force_overlap(model, mu, target), abs=1e-12)
                 resolved = (target,) if isinstance(target, str) else target
-                union = sorted({
-                    int(i) for t in resolved for p in model.target_preparations(t)
-                    for i in support(model.preparation(p))
-                })
-                assert got.realizing_set.tolist() == union
+                assert got.realizing_set.tolist() == union(model, resolved)
                 assert not got.realizing_set.flags.writeable
+                if isinstance(target, str):
+                    again = asymmetric_overlap(model, mu, target)
+                    assert again.realizing_set is got.realizing_set
+                    assert again.value == got.value
+        # one entry per single target, none for a union of several targets
+        assert model._supports.keys() == {memo_key(model, t) for t in singles}
+
+        old_key = model.target_preparations("blend")
+        assert old_key == ("blend:a", "blend:b")
+        old = model.realizing_set("blend")
+        weights = np.roll(model.preparation(first), 2)
+        wider = model.with_preparation("blend:c", weights, delta_of="blend")
+        assert wider.target_preparations("blend") == old_key + ("blend:c",)
+        assert wider.realizing_set("blend").tolist() == union(wider, ("blend",))
+        assert old_key not in wider._supports
+        assert model._supports[old_key] is old
+        assert model.realizing_set("blend") is old
+        assert old.tolist() == union(model, ("blend",))
+
+
+def test_overlap_refuses_an_empty_target_list():
+    model = tiny_model()
+    for targets in ([], (), iter(())):
+        with pytest.raises(ValueError, match="the target list is empty"):
+            asymmetric_overlap(model, "mu", targets)
 
 
 # -- validate ---------------------------------------------------------------------

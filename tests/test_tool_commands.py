@@ -212,7 +212,9 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
     assert len(lines) == 6
     for line, method in zip(lines, tool.METHODS):
         assert re.fullmatch(rf"{method} 4 0\.5 [0-9a-f]{{16}}", line), line
-    lines = tool.model_lines()
-    assert len(lines) == 4
-    for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
-        assert re.fullmatch(rf"model {name} [0-9a-f]{{16}}", line), line
+    models = tool.zoo_models()
+    for kind, lines in (("model", tool.model_lines(models)),
+                        ("overlap", tool.overlap_lines(models))):
+        assert len(lines) == 4
+        for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
+            assert re.fullmatch(rf"{kind} {name} [0-9a-f]{{16}}", line), line

@@ -15,8 +15,15 @@ measurement and one rotation, whose map snaps the rotated nodes through
 ``SphereGrid.nearest``; ``bb`` and ``det`` as ``zoo`` builds them; and
 ``emmr-toy`` at pi/3. The hash covers the name, dtype, shape and bytes of
 every preparation, response and map array, in registration order, and the
-outcome labels. A change that keeps every outcome and model bit prints the
-same 124 lines:
+outcome labels.
+
+Last it prints one ``overlap name hash`` line for each of the same four
+models. The hash covers the value bytes and the dtype and bytes of the
+realizing set of ``asymmetric_overlap`` for every preparation against
+every single target (each preparation, delta-set state and macro value),
+each asked twice so that the second read of a memoized set counts, and
+against every union of two distinct targets. A change that keeps every
+outcome, model and overlap bit prints the same 128 lines:
 
     PYTHONPATH=src python3 tools/outcome_bits.py > bits.txt
 
@@ -34,6 +41,7 @@ import toolenv
 toolenv.one_blas_thread(os.environ)
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +49,7 @@ import numpy as np
 from macroreal import (
     WitnessExclusion,
     WitnessParams,
+    asymmetric_overlap,
     build_witness,
     emmr_toy_model,
     fibonacci_sphere_grid,
@@ -81,8 +90,8 @@ def model_hash(model) -> str:
     return digest.hexdigest()[:16]
 
 
-def model_lines() -> list[str]:
-    """One ``model name hash`` line per model: ``cap``, ``bb``, ``det`` and
+def zoo_models() -> dict:
+    """The four fingerprinted models by name: ``cap``, ``bb``, ``det`` and
     ``emmr-toy``."""
     fragment = qubit_fragment(
         {"up": (0.0, 0.0, 1.0), "skew": (0.6, 0.48, 0.64)},
@@ -93,14 +102,41 @@ def model_lines() -> list[str]:
     for name in ("bb", "det"):
         models[name] = _zoo_build(build_parser().parse_args(["zoo", name]))[0]
     models["emmr-toy"] = emmr_toy_model(math.pi / 3)[0]
+    return models
+
+
+def model_lines(models: dict) -> list[str]:
+    """One ``model name hash`` line per model of ``zoo_models()``."""
     return [f"model {name} {model_hash(model)}" for name, model in models.items()]
+
+
+def overlap_hash(model) -> str:
+    singles = list(dict.fromkeys([*model.preparations, *model.delta_sets,
+                                  *model.eigenstate_preps]))
+    queries = [(mu, t) for mu in model.preparations for t in singles for _ in range(2)]
+    queries += [(mu, pair) for mu in model.preparations
+                for pair in itertools.combinations(singles, 2)]
+    digest = hashlib.sha256()
+    for mu, targets in queries:
+        report = asymmetric_overlap(model, mu, targets)
+        digest.update(np.float64(report.value).tobytes())
+        digest.update(report.realizing_set.dtype.str.encode())
+        digest.update(report.realizing_set.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def overlap_lines(models: dict) -> list[str]:
+    """One ``overlap name hash`` line per model of ``zoo_models()``."""
+    return [f"overlap {name} {overlap_hash(model)}" for name, model in models.items()]
 
 
 def main() -> None:
     for dim in DIMS:
         for alpha in ALPHAS:
             print("\n".join(program_lines(dim, alpha)), flush=True)
-    print("\n".join(model_lines()), flush=True)
+    models = zoo_models()
+    print("\n".join(model_lines(models)), flush=True)
+    print("\n".join(overlap_lines(models)), flush=True)
 
 
 if __name__ == "__main__":
