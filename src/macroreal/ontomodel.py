@@ -129,7 +129,8 @@ class FiniteOntModel:
     column-stochastic matrices or integer target arrays (deterministic
     maps). ``eigenstate_preps`` maps each macro value to the preparation
     names declared as its operational eigenstates; ``delta_sets`` maps a
-    state name to the preparations that realize it; ``updates`` maps a
+    state name to the preparations that realize it, the one record that
+    overlap targets and default bindings read; ``updates`` maps a
     measurement and outcome label to the re-prepared preparation name.
 
     Models compare and hash by identity: they hold arrays and memoized
@@ -255,17 +256,16 @@ class FiniteOntModel:
         return atoms
 
     def target_preparations(self, target: str) -> tuple:
-        """Resolve an overlap target: a preparation name, a state with a
-        declared delta set, or a macro value with declared eigenstates."""
-        if target in self.preparations:
-            return (target,)
-        if target in self.delta_sets and self.delta_sets[target]:
+        """The preparations realizing an overlap target: a state's declared
+        delta set, else a macro value's declared eigenstates. A preparation
+        name is no target: declare the delta set (name,) to query it."""
+        if self.delta_sets.get(target):
             return self.delta_sets[target]
         if target in self.eigenstate_preps:
             return self.eigenstate_preps[target]
         raise ValueError(
-            f"target {target!r} is neither a preparation nor a state with "
-            "declared realizing preparations"
+            f"target {target!r} is neither a state with a declared delta set "
+            "nor a macro value with declared eigenstates"
         )
 
     def with_preparation(
@@ -277,6 +277,8 @@ class FiniteOntModel:
     ) -> "FiniteOntModel":
         """New model with one more registered preparation (closure under
         transformations is realized by registering push-forward results).
+        ``delta_of`` appends ``name`` to that state's delta set, which the
+        state's overlaps and default binding read.
 
         Only the new vector is checked: nothing else changes, and the rest
         of the model was checked when it was built.
@@ -378,15 +380,10 @@ class Bindings:
 
 
 def default_bindings(model: FiniteOntModel, fragment: QuantumFragment) -> Bindings:
-    """Identity bindings: shared measurement names, with preparations bound
-    to states through the declared delta sets (same-named preparations bind
-    to their states as a fallback)."""
-    preps = {}
-    for sname in fragment.states:
-        for pname in model.delta_sets.get(sname, ()):
-            preps[pname] = sname
-        if sname in model.preparations:
-            preps.setdefault(sname, sname)
+    """Identity bindings: shared measurement names, and each preparation in
+    a state's declared delta set bound to that state (and no other rule)."""
+    preps = {pname: sname for sname in fragment.states
+             for pname in model.delta_sets.get(sname, ())}
     meas = {m: m for m in fragment.measurements if m in model.responses}
     return Bindings(preparations=preps, measurements=meas)
 
@@ -464,9 +461,11 @@ def asymmetric_overlap(
     """Probability that a sample from ``mu`` lands in every full-measure set
     of every target.
 
-    On a finite atom set the infimum is achieved by the union of the
-    supports of all preparations realizing the targets, so the value is the
-    mu-mass of that union. A single target's union is memoized on the model
+    A target is a state or a macro value, realized by its declared delta
+    set or eigenstates (``FiniteOntModel.target_preparations``). On a finite
+    atom set the infimum is achieved by the union of the supports of all
+    those preparations, so the value is the mu-mass of that union. A single
+    target's union is memoized on the model
     (``FiniteOntModel.realizing_set``); the union for several targets is
     not. An empty target list is refused: with no full-measure set to
     miss, every sample would count, which says nothing about any target.

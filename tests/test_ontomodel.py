@@ -227,13 +227,18 @@ def test_sibling_models_keep_their_own_supports():
     right = model.with_preparation("new", [0.0, 0.5, 0.5], delta_of="s")
     assert left.support("new").tolist() == [0]
     assert right.support("new").tolist() == [1, 2]
-    assert asymmetric_overlap(left, "mu", "new").realizing_set.tolist() == [0]
-    assert asymmetric_overlap(right, "mu", "new").realizing_set.tolist() == [1, 2]
+    # two more siblings, each registering "new" as a state "n" that it alone realizes
+    left_n = model.with_preparation("new", [1.0, 0.0, 0.0], delta_of="n")
+    right_n = model.with_preparation("new", [0.0, 0.5, 0.5], delta_of="n")
+    assert asymmetric_overlap(left_n, "mu", "n").realizing_set.tolist() == [0]
+    assert asymmetric_overlap(right_n, "mu", "n").realizing_set.tolist() == [1, 2]
     assert asymmetric_overlap(left, "mu", "s").realizing_set.tolist() == [0, 1, 2]
     assert asymmetric_overlap(right, "mu", "s").realizing_set.tolist() == [1, 2]
 
 
-def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
+def _small_zoo_models() -> dict:
+    """bb, det, emmr-toy and an 8-node cap model, small enough for
+    ``brute_force_overlap``."""
     frag = qubit_fragment(
         {
             "up": (0, 0, 1.0),
@@ -247,12 +252,37 @@ def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
         {"up": (0, 0, 1.0), "down": (0, 0, -1.0), "oblique": (0.6, 0.0, 0.8)},
         {"macro": (0, 0, 1.0)},
     )
-    models = [
-        beltrametti_bugajski_model(frag),
-        deterministic_extension_model(frag),
-        emmr_toy_model(math.pi / 3)[0],
-        kochen_specker_model(fibonacci_sphere_grid(8), cap_frag),
-    ]
+    return {
+        "bb": beltrametti_bugajski_model(frag),
+        "det": deterministic_extension_model(frag),
+        "emmr-toy": emmr_toy_model(math.pi / 3)[0],
+        "cap8": kochen_specker_model(fibonacci_sphere_grid(8), cap_frag),
+    }
+
+
+@pytest.mark.parametrize("kind", ["bb", "det", "emmr-toy", "cap8"])
+def test_a_preparation_registered_for_a_state_joins_its_overlaps(kind):
+    model = _small_zoo_models()[kind]
+    widened = 0
+    for state in model.delta_sets:
+        before = model.realizing_set(state).tolist()
+        outside = sorted(set(range(model.atoms)) - set(before))
+        if not outside:
+            continue
+        weights = np.zeros(model.atoms)
+        weights[outside[0]] = 1.0
+        wider = model.with_preparation("extra", weights, delta_of=state)
+        for mu in wider.preparations:
+            got = asymmetric_overlap(wider, mu, state)
+            assert set(wider.support("extra").tolist()) <= set(got.realizing_set.tolist())
+            assert got.realizing_set.tolist() == sorted(before + outside[:1])
+            assert got.value == pytest.approx(brute_force_overlap(wider, mu, state), abs=1e-12)
+        widened += 1
+    assert widened
+
+
+def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
+    models = list(_small_zoo_models().values())
     assert [len(names) for names in models[-1].eigenstate_preps.values()] == [2, 2]
 
     def union(model, targets):
@@ -272,8 +302,9 @@ def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
             weights = np.roll(model.preparation(base), 1)
             model = model.with_preparation(new, weights, delta_of="blend")
         names = list(model.preparations)
-        singles = names + ["blend"] + list(model.eigenstate_preps)
-        targets = singles + [(a, b) for a in names for b in names]
+        singles = list(model.delta_sets) + list(model.eigenstate_preps)
+        assert "blend" in singles
+        targets = singles + [(a, b) for a in singles for b in singles]
         for mu in names:
             for target in targets:
                 got = asymmetric_overlap(model, mu, target)
@@ -428,7 +459,7 @@ def test_kernel_lemma_forced_construction():
 # -- asymmetric overlap --------------------------------------------------------------
 
 def test_overlap_self_is_one():
-    model = tiny_model()
+    model = tiny_model(delta_sets={"mu": ("mu",)})
     assert asymmetric_overlap(model, "mu", "mu").value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -442,6 +473,7 @@ def test_overlap_disjoint_supports():
         responses={"macro": np.array([[1.0, 1, 0, 0], [0.0, 0, 1, 1]])},
         outcome_labels={"macro": ("q0", "q1")},
         macro_measurement="macro",
+        delta_sets={"right": ("right",)},
     )
     report = asymmetric_overlap(model, "left", "right")
     assert report.value == 0.0
@@ -449,7 +481,7 @@ def test_overlap_disjoint_supports():
 
 
 def test_overlap_three_atom_example_matches_brute_force():
-    model = tiny_model()
+    model = tiny_model(delta_sets={"nu": ("nu",)})
     report = asymmetric_overlap(model, "mu", "nu")
     assert report.value == pytest.approx(0.8, abs=1e-12)
     assert report.value == pytest.approx(brute_force_overlap(model, "mu", "nu"), abs=1e-12)
@@ -469,6 +501,7 @@ def test_overlap_multi_target_union_vs_brute_force():
             responses={"macro": np.ones((1, n))},
             outcome_labels={"macro": ("q0",)},
             macro_measurement="macro",
+            delta_sets={"a": ("a",), "b": ("b",)},
         )
         got = asymmetric_overlap(model, "mu", ("a", "b")).value
         want = brute_force_overlap(model, "mu", ("a", "b"))
@@ -491,6 +524,7 @@ def test_realizing_set_is_read_only_ascending_union_of_supports():
             responses={"macro": np.ones((1, n))},
             outcome_labels={"macro": ("q0",)},
             macro_measurement="macro",
+            delta_sets={"a": ("a",), "c": ("c",)},
         )
         report = asymmetric_overlap(model, "mu", ("a", "c"))
         union = sorted({i for t in ("a", "c") for i in range(n) if preps[t][i] > 1e-12})
@@ -506,6 +540,29 @@ def test_overlap_unknown_target_errors():
     model = tiny_model()
     with pytest.raises(ValueError, match="target"):
         asymmetric_overlap(model, "mu", "ghost")
+
+
+def test_overlap_refuses_a_preparation_name_without_a_delta_set():
+    model = tiny_model(delta_sets={"s": ("nu",)})
+    for targets in ("nu", ("s", "nu"), "mu"):
+        with pytest.raises(ValueError, match=r"target '(nu|mu)' is neither a state"):
+            asymmetric_overlap(model, "mu", targets)
+    assert asymmetric_overlap(model, "mu", "s").realizing_set.tolist() == [1, 2]
+
+
+def test_default_bindings_read_only_the_delta_sets():
+    frag = qubit_fragment({"up": (0, 0, 1.0), "down": (0, 0, -1.0)}, {"macro": (0, 0, 1.0)})
+    model = FiniteOntModel(
+        atoms=2,
+        preparations={"up": np.array([1.0, 0.0]), "down": np.array([0.0, 1.0]),
+                      "eig_down": np.array([0.0, 1.0])},
+        responses={"macro": np.eye(2)},
+        outcome_labels={"macro": frag.macro.outcomes},
+        macro_measurement="macro",
+        delta_sets={"down": ("eig_down",)},
+    )
+    # "up" is named like a state but outside every delta set: it stays unbound
+    assert default_bindings(model, frag).preparations == {"eig_down": "down"}
 
 
 # -- classification -------------------------------------------------------------------

@@ -218,3 +218,16 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
         assert len(lines) == 4
         for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
             assert re.fullmatch(rf"{kind} {name} [0-9a-f]{{16}}", line), line
+    # the overlap targets are the states with delta sets and the macro values,
+    # never the toy's bare preparation names eig_up and eig_down
+    targets = set()
+    overlap = tool.asymmetric_overlap
+
+    def recorded(model, mu, queried):
+        targets.update((queried,) if isinstance(queried, str) else queried)
+        return overlap(model, mu, queried)
+
+    monkeypatch.setattr(tool, "asymmetric_overlap", recorded)
+    toy = models["emmr-toy"]
+    tool.overlap_hash(toy)
+    assert targets == {*toy.delta_sets, *toy.eigenstate_preps} == {"up", "down", "q+", "q-"}

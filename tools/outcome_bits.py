@@ -20,10 +20,11 @@ outcome labels.
 Last it prints one ``overlap name hash`` line for each of the same four
 models. The hash covers the value bytes and the dtype and bytes of the
 realizing set of ``asymmetric_overlap`` for every preparation against
-every single target (each preparation, delta-set state and macro value),
-each asked twice so that the second read of a memoized set counts, and
-against every union of two distinct targets. A change that keeps every
-outcome, model and overlap bit prints the same 128 lines:
+every single target (each state with a delta set and each macro value with
+declared eigenstates, the only targets there are), each asked twice so
+that the second read of a memoized set counts, and against every union of
+two distinct targets. A change that keeps every outcome, model and
+overlap bit prints the same 128 lines:
 
     PYTHONPATH=src python3 tools/outcome_bits.py > bits.txt
 
@@ -111,8 +112,7 @@ def model_lines(models: dict) -> list[str]:
 
 
 def overlap_hash(model) -> str:
-    singles = list(dict.fromkeys([*model.preparations, *model.delta_sets,
-                                  *model.eigenstate_preps]))
+    singles = list(dict.fromkeys([*model.delta_sets, *model.eigenstate_preps]))
     queries = [(mu, t) for mu in model.preparations for t in singles for _ in range(2)]
     queries += [(mu, pair) for mu in model.preparations
                 for pair in itertools.combinations(singles, 2)]
