@@ -561,7 +561,7 @@ def test_default_bindings_read_only_the_delta_sets():
         macro_measurement="macro",
         delta_sets={"down": ("eig_down",)},
     )
-    # "up" is named like a state but outside every delta set: it stays unbound
+    # "up" and "down" are named like states but lie outside their delta sets: unbound
     assert default_bindings(model, frag).preparations == {"eig_down": "down"}
 
 
