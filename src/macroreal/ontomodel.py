@@ -6,9 +6,10 @@ bookkeeping a macro-realism analysis needs: which preparations count as
 operational eigenstates of the designated macro observable, and which
 preparations realize which quantum state (the delta sets). Queries are pure;
 models are immutable, and registering a pushed-forward preparation returns a
-new model. Each preparation's support, and the union of supports that
-realizes each overlap target, is computed once per model, on first use, and
-``with_preparation`` carries those already computed over to the new model.
+new model. ``FiniteOntModel.realizing_set(*targets)`` turns every overlap
+query into atoms; a single target's set is computed once per model, on
+first use, and ``with_preparation`` carries those already computed over to
+the new model, less the one whose delta set it widens.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class FiniteOntModel:
     measurement and outcome label to the re-prepared preparation name.
 
     Models compare and hash by identity: they hold arrays and memoized
-    supports, so equal fields do not make two models interchangeable.
+    realizing sets, so equal fields do not make two models interchangeable.
     """
 
     atoms: int
@@ -210,11 +211,9 @@ class FiniteOntModel:
         object.__setattr__(self, "eigenstate_preps", eigen)
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "delta_sets", delta)
-        # preparation name -> support(preparation), and the tuple of names a
-        # target resolves to, when there are several -> their union; a
-        # preparation's weights never change, so neither key goes stale.
-        # Not a dataclass field.
-        object.__setattr__(self, "_supports", {})
+        # (target,) -> realizing_set(target); only with_preparation's
+        # delta_of changes what a target resolves to. Not a dataclass field.
+        object.__setattr__(self, "_realizing", {})
 
     # -- resolution helpers -------------------------------------------------
 
@@ -224,35 +223,26 @@ class FiniteOntModel:
         except KeyError:
             raise ValueError(f"unknown preparation {name!r}") from None
 
-    def support(self, name: str) -> np.ndarray:
-        """Read-only ascending atom indices of ``support(preparation(name))``,
-        computed on first use and kept for the model's lifetime."""
-        atoms = self._supports.get(name)
-        if atoms is None:
-            atoms = support(self.preparation(name))
-            atoms.setflags(write=False)
-            self._supports[name] = atoms
-        return atoms
-
     def response(self, name: str) -> np.ndarray:
         try:
             return self.responses[name]
         except KeyError:
             raise ValueError(f"unknown measurement {name!r}") from None
 
-    def realizing_set(self, target: str) -> np.ndarray:
+    def realizing_set(self, *targets: str) -> np.ndarray:
         """Read-only ascending atom indices of the union of the supports of
-        the preparations ``target`` resolves to, computed on first use and
-        kept for the model's lifetime. A target that resolves to one
-        preparation shares that preparation's ``support``."""
-        names = self.target_preparations(target)
-        if len(set(names)) == 1:
-            return self.support(names[0])
-        atoms = self._supports.get(names)
+        every preparation the ``targets`` resolve to
+        (``target_preparations``). A single target's set is computed on
+        first use and kept for the model's lifetime under the key
+        ``(target,)``; a union over several targets is built per query and
+        not kept."""
+        atoms = self._realizing.get(targets)
         if atoms is None:
+            names = [pname for target in targets for pname in self.target_preparations(target)]
             atoms = np.flatnonzero(_support_mask(self, names))
             atoms.setflags(write=False)
-            self._supports[names] = atoms
+            if len(targets) == 1:
+                self._realizing[targets] = atoms
         return atoms
 
     def target_preparations(self, target: str) -> tuple:
@@ -281,23 +271,24 @@ class FiniteOntModel:
         state's overlaps and default binding read.
 
         Only the new vector is checked: nothing else changes, and the rest
-        of the model was checked when it was built.
+        of the model was checked when it was built. The new model starts
+        from a copy of this one's realizing-set memo, less the entry
+        ``(delta_of,)``, the one set the widened delta set changes.
         """
         if name in self.preparations:
             raise ValueError(f"preparation {name!r} already registered")
         preps = dict(self.preparations)
         preps[name] = _stochastic(weights, (self.atoms,), f"preparation {name!r}")
         delta = dict(self.delta_sets)
-        # its own memo: a shared dict would let siblings see each other's names
-        memo = dict(self._supports)
+        # its own memo: a shared dict would let siblings see each other's sets
+        memo = dict(self._realizing)
         if delta_of is not None:
             delta[delta_of] = delta.get(delta_of, ()) + (name,)
-            # the state's old union no longer realizes it
-            memo.pop(self.delta_sets.get(delta_of), None)
+            memo.pop((delta_of,), None)   # the state's old union no longer realizes it
         model = copy.copy(self)
         object.__setattr__(model, "preparations", preps)
         object.__setattr__(model, "delta_sets", delta)
-        object.__setattr__(model, "_supports", memo)
+        object.__setattr__(model, "_realizing", memo)
         return model
 
 
@@ -308,8 +299,7 @@ def support(weights: np.ndarray) -> np.ndarray:
 
 def _support_mask(model: FiniteOntModel, names: Iterable[str]) -> np.ndarray:
     """Boolean union over atoms of the supports of the named preparations,
-    read from their weights: the memo is left alone, and one comparison per
-    preparation is cheaper than scattering its memoized indices."""
+    read from their weights."""
     mask = np.zeros(model.atoms, dtype=bool)
     for name in names:
         mask |= model.preparation(name) > SUPPORT_EPS
@@ -444,11 +434,10 @@ def validate(
 class OverlapReport:
     """Overlap mass and the realizing atom set.
 
-    ``realizing_set`` is a read-only ascending array of atom indices, so
-    reports are not meant to be hashed or compared. For a single target it
-    is the model's memoized ``realizing_set(target)``, shared with every
-    other report that reads it; the union for several targets is built
-    afresh for each query and not kept.
+    ``realizing_set`` is the model's ``realizing_set(*targets)``, a
+    read-only ascending array of atom indices, so reports are not meant to
+    be hashed or compared. For a single target it is the memoized set,
+    shared with every other report that reads it.
     """
 
     value: float
@@ -464,30 +453,17 @@ def asymmetric_overlap(
     A target is a state or a macro value, realized by its declared delta
     set or eigenstates (``FiniteOntModel.target_preparations``). On a finite
     atom set the infimum is achieved by the union of the supports of all
-    those preparations, so the value is the mu-mass of that union. A single
-    target's union is memoized on the model
-    (``FiniteOntModel.realizing_set``); the union for several targets is
-    not. An empty target list is refused: with no full-measure set to
-    miss, every sample would count, which says nothing about any target.
+    those preparations, ``FiniteOntModel.realizing_set(*targets)``, so the
+    value is the mu-mass of that union. An empty target list is refused:
+    with no full-measure set to miss, every sample would count, which says
+    nothing about any target.
     """
     targets = (targets,) if isinstance(targets, str) else tuple(targets)
     if not targets:
         raise ValueError("asymmetric_overlap: the target list is empty")
     mu = model.preparation(mu_name)
-    if len(targets) == 1:
-        realizing = model.realizing_set(targets[0])
-    else:
-        names = dict.fromkeys(
-            pname for target in targets for pname in model.target_preparations(target)
-        )
-        if len(names) == 1:
-            (name,) = names
-            realizing = model.support(name)
-        else:
-            realizing = np.flatnonzero(_support_mask(model, names))
-            realizing.setflags(write=False)
-    value = float(mu[realizing].sum())
-    return OverlapReport(value, realizing)
+    realizing = model.realizing_set(*targets)
+    return OverlapReport(float(mu[realizing].sum()), realizing)
 
 
 # -- classification ---------------------------------------------------------
@@ -536,9 +512,11 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
     Returns x >= 0 and its residual r = mu - matrix @ x. A column joins the
     passive set while its gradient entry (matrix.T @ r)_j exceeds
     ``NNLS_ROUNDING * |column j| * |mu|``, so zero and repeated columns stay
-    out. The normal form squares the columns' condition number, which
-    bounds how closely r approaches the optimum; nothing here is trusted,
-    as ``_mixture_verdict`` re-verifies the pair.
+    out. The normal form squares the columns' condition number, so once
+    the active set settles, its passive columns are re-solved by least
+    squares on ``matrix`` itself, and that x is kept when every entry is
+    positive. Nothing here is trusted: ``_mixture_verdict`` re-verifies
+    the pair.
     """
     k = gram.shape[0]
     h = mu @ matrix
@@ -569,6 +547,12 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
             x[blocked[np.argmin(ratios)]] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
+    cols = np.flatnonzero(passive)
+    if cols.size:
+        z = np.linalg.lstsq(matrix[:, cols], mu)[0]
+        if (z > 0.0).all():
+            x = np.zeros(k)
+            x[cols] = z
     return x, mu - matrix @ x
 
 
@@ -660,19 +644,19 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     measurement deterministically. EMMR = (a) and (b); ESMR = (a) without
     (b); SSMR = (c) with some preparation carrying weight outside A;
     anything else is NONE. (a) and (c) test the weights against
-    ``SUPPORT_EPS`` directly and leave the support memo as they found it.
-    (b) is asked only when (a) holds, of one preparation after another
-    until one is certified not to be a mixture: an in-house NNLS gives
-    each verdict with a re-verified certificate, and scipy is imported
-    only for a verdict inside the narrow band around
+    ``SUPPORT_EPS`` directly and leave the realizing-set memo as they
+    found it. (b) is asked only when (a) holds, of one preparation after
+    another until one is certified not to be a mixture: an in-house NNLS
+    gives each verdict with a re-verified certificate, and scipy is
+    imported only for a verdict inside the narrow band around
     ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
     scipy's, formed on the first read of ``evidence``, so a caller that
     reads only ``kind`` does not load ``scipy.optimize``. Until then the
     verdict holds the model's preparations dict, the eigenstate matrix and
     the other evidence entries, not the model, so the model's responses,
-    maps and support memo can be freed before that import. The model's macro
-    labels must be ``fragment``'s macro outcomes, and the caller is
-    expected to have validated the two.
+    maps and realizing-set memo can be freed before that import. The
+    model's macro labels must be ``fragment``'s macro outcomes, and the
+    caller is expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]

@@ -41,7 +41,7 @@ from macroreal.exclusion import (
     MEAS_MACRO,
     _block_program,
 )
-from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, Classification
+from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, Classification, support
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
@@ -329,15 +329,16 @@ def brute_force_overlap(model: FiniteOntModel, mu_name: str, targets) -> float:
     return float(best)
 
 
-def support_memo_classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
+def support_index_classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
     """Oracle for ``ontomodel.classify``: the form that reads every
-    preparation's support through the model's memo, ``model.support``, for
-    conditions (a) and (c). It fills the memo for every preparation."""
+    preparation's support as atom indices,
+    ``support(model.preparation(name))``, for conditions (a) and (c), and
+    scatters the indices into masks."""
 
-    def memo_mask(names):
+    def index_mask(names):
         mask = np.zeros(model.atoms, dtype=bool)
         for name in names:
-            mask[model.support(name)] = True
+            mask[support(model.preparation(name))] = True
         return mask
 
     macro = model.macro_measurement
@@ -352,13 +353,13 @@ def support_memo_classify(model: FiniteOntModel, fragment: QuantumFragment) -> C
         raise ValueError(f"no eigenstate preparations declared for macro values {missing!r}")
 
     eigen_names = [pname for q in macro_labels for pname in model.eigenstate_preps[q]]
-    accessible = memo_mask(eigen_names)
+    accessible = index_mask(eigen_names)
 
     evidence: dict = {"eigenstate_atoms": int(accessible.sum())}
 
     support_ok = True
     for pname, mu in model.preparations.items():
-        atoms = model.support(pname)
+        atoms = support(mu)
         outside = atoms[~accessible[atoms]]
         if outside.size:
             support_ok = False
@@ -381,7 +382,7 @@ def support_memo_classify(model: FiniteOntModel, fragment: QuantumFragment) -> C
             mixture_ok = False
     evidence["max_mixture_residual"] = float(worst_residual)
 
-    carried = memo_mask(model.preparations)
+    carried = index_mask(model.preparations)
     col_max = model.response(macro)[:, carried].max(axis=0)
     deterministic_ok = bool((col_max >= 1.0 - DETERMINISM_TOL).all())
     if not deterministic_ok:

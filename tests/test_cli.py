@@ -212,11 +212,11 @@ print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("s
 EVIDENCE_CHILD = ZOO_MODELS_CHILD + """
 import json, sys
 sys.path.insert(0, {tests!r})
-from helpers import support_memo_classify, tree_bits
+from helpers import support_index_classify, tree_bits
 
 verdicts = [classify(model, fragment) for model, fragment in zoo_models]
 kinds = [verdict.kind for verdict in verdicts]
-same = [tree_bits(verdict.evidence) == tree_bits(support_memo_classify(model, fragment).evidence)
+same = [tree_bits(verdict.evidence) == tree_bits(support_index_classify(model, fragment).evidence)
         for verdict, (model, fragment) in zip(verdicts, zoo_models)]
 print(json.dumps([kinds, same]))
 """
@@ -239,7 +239,7 @@ def test_witness_sweep_exclude_do_not_load_scipy():
     assert not numpy_ma
 
 
-def test_zoo_evidence_read_after_the_verdict_matches_the_memo_form_bit_for_bit():
+def test_zoo_evidence_read_after_the_verdict_matches_the_index_form_bit_for_bit():
     """The evidence is formed on its first read, after ``kind``, in a child
     that has not imported scipy before."""
     kinds, same = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))

@@ -1,7 +1,8 @@
 """The NNLS behind ``classify``'s condition (b), against scipy's ``nnls``.
 
 ``ontomodel._nnls`` solves min |E x - mu| over x >= 0 by Lawson and
-Hanson's active-set method on the normal form, and
+Hanson's active-set method on the normal form, polished by least squares
+on the final passive columns, and
 ``ontomodel._mixture_verdict`` re-verifies its pair (x, r): x certifies a
 mixture, r a Farkas certificate that mu is not one, or neither, inside the
 band around ``MIXTURE_RESIDUAL_TOL`` where scipy decides. Hypothesis draws
@@ -31,7 +32,7 @@ from macroreal import (
     standard_qubit_fragment,
 )
 from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL, NNLS_ROUNDING
-from helpers import support_memo_classify
+from helpers import support_index_classify
 
 # small whole numbers over a common denominator: columns that repeat, vanish
 # or depend on each other without the conditioning that would make any
@@ -101,6 +102,20 @@ def test_nnls_optimum_matches_scipy_and_its_certificate_reverifies(problem):
         assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x), mu) in (None, expected)
 
 
+def test_the_final_passive_set_is_polished_on_the_matrix_itself():
+    """On the normal form alone this pair, mu on E's first column, keeps a
+    residual of 1.8e-12 (the condition number squared); the least-squares
+    polish on E's passive columns brings it to rounding, as scipy's
+    QR-based nnls does."""
+    matrix = np.array([[0.0, 1e-5], [0.34375, 2.0]])
+    mu = np.array([0.0, 0.34375 / 3.0])
+    x, r = solve(matrix, mu)
+    assert (x >= 0.0).all()
+    assert np.array_equal(r, mu - matrix @ x)
+    assert np.linalg.norm(r) <= 1e-15
+    assert ontomodel._mixture_verdict(matrix, mu, x, r) is True
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cone_problems(), st.data())
 def test_flipping_one_sign_of_x_or_r_fails_reverification(problem, data):
@@ -147,7 +162,7 @@ def test_inside_the_band_scipy_decides():
     mu = model.preparation("edge")
     assert ontomodel._mixture_verdict(matrix, mu, *solve(matrix, mu)) is None
     fragment = qubit_fragment({"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)})
-    assert classify(model, fragment) == support_memo_classify(model, fragment)
+    assert classify(model, fragment) == support_index_classify(model, fragment)
 
 
 def _zoo_models(grid):
@@ -174,7 +189,7 @@ def test_every_zoo_preparation_gets_scipys_verdict_with_a_certificate(nodes, big
         for mu in model.preparations.values():
             verdict = ontomodel._mixture_verdict(matrix, mu, *solve(matrix, mu))
             assert verdict is bool(nnls(matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
-        assert classify(model, fragment).kind == support_memo_classify(model, fragment).kind
+        assert classify(model, fragment).kind == support_index_classify(model, fragment).kind
 
 
 def test_classify_asks_condition_b_only_until_the_first_non_mixture(monkeypatch, big_grid):

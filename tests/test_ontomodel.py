@@ -34,7 +34,7 @@ from helpers import (
     product_model,
     random_fragment,
     split_state_model,
-    support_memo_classify,
+    support_index_classify,
     tree_bits,
 )
 
@@ -176,8 +176,8 @@ def zoo_models() -> dict:
 
 
 def _zoo_cases() -> dict:
-    """Fresh bb, det, emmr-toy and 2 000-node cap models, their support
-    memos empty, each with its fragment."""
+    """Fresh bb, det, emmr-toy and 2 000-node cap models, their
+    realizing-set memos empty, each with its fragment."""
     std = standard_qubit_fragment()
     det_fragment = qubit_fragment(
         {name: tuple(bloch_vector(s)) for name, s in std.states.items()},
@@ -196,37 +196,89 @@ def _zoo_cases() -> dict:
     }
 
 
+def _union(model, targets):
+    """The ascending union of the supports of every preparation realizing
+    ``targets``, read from the weights."""
+    return sorted({
+        int(i) for t in targets for p in model.target_preparations(t)
+        for i in support(model.preparation(p))
+    })
+
+
 @pytest.mark.parametrize("kind", ["bb", "det", "emmr-toy", "cap2000"])
-def test_model_support_is_the_read_only_support_of_the_preparation(zoo_models, kind):
+def test_one_target_realizing_set_is_memoized_under_its_target_tuple(zoo_models, kind):
+    """A repeated single-target query returns the same read-only array, the
+    one the memo keeps under (target,) and no other key."""
     model = zoo_models[kind]
-    for name in model.preparations:
-        got = model.support(name)
+    singles = [*model.delta_sets, *model.eigenstate_preps]
+    for target in singles:
+        got = model.realizing_set(target)
         assert not got.flags.writeable
-        assert np.array_equal(got, support(model.preparation(name)))
-        assert model.support(name) is got
-    with pytest.raises(ValueError, match="unknown preparation"):
-        model.support("ghost")
+        assert got.tolist() == _union(model, (target,))
+        assert model.realizing_set(target) is got
+        assert model._realizing[(target,)] is got
+    assert model._realizing.keys() == {(t,) for t in singles}
+    with pytest.raises(ValueError, match="target 'ghost'"):
+        model.realizing_set("ghost")
+
+
+def test_a_union_of_targets_is_built_per_query_and_not_kept():
+    model = tiny_model(delta_sets={"a": ("point0",), "b": ("nu",)})
+    single = {t: model.realizing_set(t) for t in ("a", "b")}
+    memo = dict(model._realizing)
+    both = model.realizing_set("a", "b")
+    assert both.tolist() == sorted({*single["a"].tolist(), *single["b"].tolist()}) == [0, 1, 2]
+    assert not both.flags.writeable
+    assert model.realizing_set("a", "b") is not both
+    assert model._realizing == memo
+    assert all(model._realizing[(t,)] is atoms for t, atoms in single.items())
+
+
+def test_an_unknown_target_in_a_union_is_named():
+    model = tiny_model(delta_sets={"s": ("nu",)})
+    with pytest.raises(ValueError, match=r"target 'ghost' is neither a state"):
+        model.realizing_set("s", "ghost")
+    assert ("s", "ghost") not in model._realizing
+
+
+def test_with_preparation_drops_exactly_the_widened_state():
+    model = tiny_model(delta_sets={"s": ("nu",), "t": ("mu",)},
+                       eigenstate_preps={"q0": ("point0",)})
+    before = {(t,): model.realizing_set(t) for t in ("s", "t", "q0")}
+    wider = model.with_preparation("edge", [1.0, 0.0, 0.0], delta_of="s")
+    assert wider._realizing.keys() == before.keys() - {("s",)}
+    assert all(wider._realizing[key] is before[key] for key in wider._realizing)
+    assert wider.realizing_set("s").tolist() == [0, 1, 2]
+    # a state that had no delta set has no entry to drop
+    fresh = model.with_preparation("edge", [0.0, 0.0, 1.0], delta_of="n")
+    assert fresh._realizing.keys() == before.keys()
+    assert all(fresh._realizing[key] is atoms for key, atoms in before.items())
+    assert fresh.realizing_set("n").tolist() == [2]
 
 
 def test_with_preparation_leaves_the_parent_memo_alone():
-    model = tiny_model()
-    before = {name: model.support(name) for name in model.preparations}
+    model = tiny_model(delta_sets={"s": ("nu",), "t": ("mu",)})
+    before = {(t,): model.realizing_set(t) for t in ("s", "t")}
     bigger = model.with_preparation("edge", [0.0, 0.0, 1.0])
-    assert bigger.support("edge").tolist() == [2]
-    assert bigger.support("mu") is before["mu"]
-    assert model._supports.keys() == before.keys()
-    assert all(model.support(name) is atoms for name, atoms in before.items())
+    assert bigger.preparation("edge").tolist() == [0.0, 0.0, 1.0]
+    assert bigger.realizing_set("t") is before[("t",)]
+    widened = model.with_preparation("edge", [1.0, 0.0, 0.0], delta_of="s")
+    assert widened.realizing_set("s").tolist() == [0, 1, 2]
+    assert model._realizing == before
+    assert all(model.realizing_set(key[0]) is atoms for key, atoms in before.items())
     with pytest.raises(ValueError, match="unknown preparation 'edge'"):
-        model.support("edge")
+        model.preparation("edge")
 
 
-def test_sibling_models_keep_their_own_supports():
+def test_sibling_models_keep_their_own_realizing_sets():
     model = tiny_model(delta_sets={"s": ("nu",)})
-    model.support("mu")
+    parent = model.realizing_set("s")
     left = model.with_preparation("new", [1.0, 0.0, 0.0], delta_of="s")
     right = model.with_preparation("new", [0.0, 0.5, 0.5], delta_of="s")
-    assert left.support("new").tolist() == [0]
-    assert right.support("new").tolist() == [1, 2]
+    assert left.realizing_set("s").tolist() == [0, 1, 2]
+    assert right.realizing_set("s").tolist() == [1, 2]
+    assert right.realizing_set("s") is not parent
+    assert model.realizing_set("s") is parent
     # two more siblings, each registering "new" as a state "n" that it alone realizes
     left_n = model.with_preparation("new", [1.0, 0.0, 0.0], delta_of="n")
     right_n = model.with_preparation("new", [0.0, 0.5, 0.5], delta_of="n")
@@ -234,6 +286,7 @@ def test_sibling_models_keep_their_own_supports():
     assert asymmetric_overlap(right_n, "mu", "n").realizing_set.tolist() == [1, 2]
     assert asymmetric_overlap(left, "mu", "s").realizing_set.tolist() == [0, 1, 2]
     assert asymmetric_overlap(right, "mu", "s").realizing_set.tolist() == [1, 2]
+    assert ("n",) not in model._realizing
 
 
 def _small_zoo_models() -> dict:
@@ -274,7 +327,7 @@ def test_a_preparation_registered_for_a_state_joins_its_overlaps(kind):
         wider = model.with_preparation("extra", weights, delta_of=state)
         for mu in wider.preparations:
             got = asymmetric_overlap(wider, mu, state)
-            assert set(wider.support("extra").tolist()) <= set(got.realizing_set.tolist())
+            assert set(support(weights).tolist()) <= set(got.realizing_set.tolist())
             assert got.realizing_set.tolist() == sorted(before + outside[:1])
             assert got.value == pytest.approx(brute_force_overlap(wider, mu, state), abs=1e-12)
         widened += 1
@@ -284,16 +337,6 @@ def test_a_preparation_registered_for_a_state_joins_its_overlaps(kind):
 def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
     models = list(_small_zoo_models().values())
     assert [len(names) for names in models[-1].eigenstate_preps.values()] == [2, 2]
-
-    def union(model, targets):
-        return sorted({
-            int(i) for t in targets for p in model.target_preparations(t)
-            for i in support(model.preparation(p))
-        })
-
-    def memo_key(model, target):
-        names = model.target_preparations(target)
-        return names[0] if len(set(names)) == 1 else names
 
     for model in models:
         # "blend" is realized by two preparations, neither of them its name
@@ -310,26 +353,25 @@ def test_memoized_overlaps_match_brute_force_on_small_zoo_models():
                 got = asymmetric_overlap(model, mu, target)
                 assert got.value == pytest.approx(brute_force_overlap(model, mu, target), abs=1e-12)
                 resolved = (target,) if isinstance(target, str) else target
-                assert got.realizing_set.tolist() == union(model, resolved)
+                assert got.realizing_set.tolist() == _union(model, resolved)
                 assert not got.realizing_set.flags.writeable
                 if isinstance(target, str):
                     again = asymmetric_overlap(model, mu, target)
                     assert again.realizing_set is got.realizing_set
                     assert again.value == got.value
         # one entry per single target, none for a union of several targets
-        assert model._supports.keys() == {memo_key(model, t) for t in singles}
+        assert model._realizing.keys() == {(t,) for t in singles}
 
-        old_key = model.target_preparations("blend")
-        assert old_key == ("blend:a", "blend:b")
+        assert model.target_preparations("blend") == ("blend:a", "blend:b")
         old = model.realizing_set("blend")
         weights = np.roll(model.preparation(first), 2)
         wider = model.with_preparation("blend:c", weights, delta_of="blend")
-        assert wider.target_preparations("blend") == old_key + ("blend:c",)
-        assert wider.realizing_set("blend").tolist() == union(wider, ("blend",))
-        assert old_key not in wider._supports
-        assert model._supports[old_key] is old
+        assert ("blend",) not in wider._realizing
+        assert wider.target_preparations("blend") == ("blend:a", "blend:b", "blend:c")
+        assert wider.realizing_set("blend").tolist() == _union(wider, ("blend",))
+        assert model._realizing[("blend",)] is old
         assert model.realizing_set("blend") is old
-        assert old.tolist() == union(model, ("blend",))
+        assert old.tolist() == _union(model, ("blend",))
 
 
 def test_overlap_refuses_an_empty_target_list():
@@ -629,16 +671,16 @@ def _classify_cases() -> list:
     return cases
 
 
-def test_classify_matches_the_support_memo_form():
+def test_classify_matches_the_support_index_form():
     """Testing weights against SUPPORT_EPS gives the verdict and evidence of
-    reading each support through the memo, bit for bit."""
+    reading each support as atom indices, bit for bit."""
     cases = _classify_cases()
     kinds = set()
     for model, frag in cases:
         if not all(q in model.eigenstate_preps for q in model.outcome_labels[model.macro_measurement]):
             continue
         got = classify(model, frag)
-        want = support_memo_classify(model, frag)
+        want = support_index_classify(model, frag)
         assert got == want
         assert tree_bits(got.evidence) == tree_bits(want.evidence)
         kinds.add(got.kind)
@@ -671,12 +713,12 @@ def test_a_verdict_does_not_keep_its_model_alive():
         assert tree_bits(verdict.evidence) == tree_bits(want), kind
 
 
-def test_classify_leaves_the_support_memo_as_it_found_it():
-    """On fresh models, with one support read before: classify neither
-    adds to the memo nor replaces what it holds."""
+def test_classify_leaves_the_realizing_set_memo_as_it_found_it():
+    """On fresh models, with one realizing set read before: classify
+    neither adds to the memo nor replaces what it holds."""
     for model, frag in _zoo_cases().values():
-        first = next(iter(model.preparations))
-        before = {first: model.support(first)}
+        first = next(iter([*model.delta_sets, *model.eigenstate_preps]))
+        before = {(first,): model.realizing_set(first)}
         classify(model, frag)
-        assert model._supports == before
-        assert model._supports[first] is before[first]
+        assert model._realizing == before
+        assert model._realizing[(first,)] is before[(first,)]

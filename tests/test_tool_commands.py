@@ -11,9 +11,10 @@ its per-pair table with the runs stubbed; ``tools/digest_threads.py``'s
 thread count check without starting a child, ``tools/traffic_lines.py``'s
 exit when the package is not on the import path, ``tools/bench_snapshot.py``'s
 host-speed scaling of the tier-1 wall time with the suite's run stubbed, and
-the lines ``tools/outcome_bits.py`` prints for one witness and for the model
-zoo. Last, each job of ``tools/toolenv.py`` is checked to have no copy under
-``tools/`` or ``tests/``, and its ``child_env`` recipe is checked.
+the lines ``tools/outcome_bits.py`` prints for one witness, for the model
+zoo and for each zoo model widened by one preparation. Last, each job of
+``tools/toolenv.py`` is checked to have no copy under ``tools/`` or
+``tests/``, and its ``child_env`` recipe is checked.
 """
 
 import importlib.util
@@ -214,20 +215,31 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
         assert re.fullmatch(rf"{method} 4 0\.5 [0-9a-f]{{16}}", line), line
     models = tool.zoo_models()
     for kind, lines in (("model", tool.model_lines(models)),
-                        ("overlap", tool.overlap_lines(models))):
+                        ("overlap", tool.overlap_lines(models)),
+                        ("widened", tool.widened_lines(models))):
         assert len(lines) == 4
         for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
             assert re.fullmatch(rf"{kind} {name} [0-9a-f]{{16}}", line), line
     # the overlap targets are the states with delta sets and the macro values,
     # never the toy's bare preparation names eig_up and eig_down
-    targets = set()
+    queries = []
     overlap = tool.asymmetric_overlap
 
     def recorded(model, mu, queried):
-        targets.update((queried,) if isinstance(queried, str) else queried)
+        queries.append((model, mu, queried))
         return overlap(model, mu, queried)
 
     monkeypatch.setattr(tool, "asymmetric_overlap", recorded)
     toy = models["emmr-toy"]
     tool.overlap_hash(toy)
+    targets = {t for _, _, queried in queries
+               for t in ((queried,) if isinstance(queried, str) else queried)}
     assert targets == {*toy.delta_sets, *toy.eigenstate_preps} == {"up", "down", "q+", "q-"}
+    # the widened line asks the first delta-set state, twice for every
+    # preparation of one model that registered "widened" into its delta set
+    queries.clear()
+    tool.widened_hash(toy)
+    (wider,) = {id(model): model for model, _, _ in queries}.values()
+    assert wider.delta_sets["up"] == (*toy.delta_sets["up"], "widened")
+    assert [(mu, t) for _, mu, t in queries] == [
+        (mu, "up") for mu in (*toy.preparations, "widened") for _ in range(2)]

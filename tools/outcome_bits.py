@@ -17,14 +17,23 @@ measurement and one rotation, whose map snaps the rotated nodes through
 every preparation, response and map array, in registration order, and the
 outcome labels.
 
-Last it prints one ``overlap name hash`` line for each of the same four
+Next it prints one ``overlap name hash`` line for each of the same four
 models. The hash covers the value bytes and the dtype and bytes of the
 realizing set of ``asymmetric_overlap`` for every preparation against
 every single target (each state with a delta set and each macro value with
 declared eigenstates, the only targets there are), each asked twice so
 that the second read of a memoized set counts, and against every union of
-two distinct targets. A change that keeps every outcome, model and
-overlap bit prints the same 128 lines:
+two distinct targets.
+
+Last it prints one ``widened name hash`` line for each of the same four
+models, which covers the memo-invalidation path of ``with_preparation``.
+With the first delta-set state's realizing set already read, the model's
+first preparation, rolled by one atom, is registered into that state's
+delta set with ``with_preparation(..., delta_of=state)``. The hash covers
+the value bytes and the dtype and bytes of the realizing set of that
+state's overlap for every preparation of the widened model, each asked
+twice. A change that keeps every outcome, model and overlap bit prints
+the same 132 lines:
 
     PYTHONPATH=src python3 tools/outcome_bits.py > bits.txt
 
@@ -111,11 +120,9 @@ def model_lines(models: dict) -> list[str]:
     return [f"model {name} {model_hash(model)}" for name, model in models.items()]
 
 
-def overlap_hash(model) -> str:
-    singles = list(dict.fromkeys([*model.delta_sets, *model.eigenstate_preps]))
-    queries = [(mu, t) for mu in model.preparations for t in singles for _ in range(2)]
-    queries += [(mu, pair) for mu in model.preparations
-                for pair in itertools.combinations(singles, 2)]
+def queries_hash(model, queries) -> str:
+    """Hash of the value and realizing set of ``asymmetric_overlap`` for
+    each ``(mu, targets)`` query, in order."""
     digest = hashlib.sha256()
     for mu, targets in queries:
         report = asymmetric_overlap(model, mu, targets)
@@ -125,9 +132,31 @@ def overlap_hash(model) -> str:
     return digest.hexdigest()[:16]
 
 
+def overlap_hash(model) -> str:
+    singles = list(dict.fromkeys([*model.delta_sets, *model.eigenstate_preps]))
+    queries = [(mu, t) for mu in model.preparations for t in singles for _ in range(2)]
+    queries += [(mu, pair) for mu in model.preparations
+                for pair in itertools.combinations(singles, 2)]
+    return queries_hash(model, queries)
+
+
 def overlap_lines(models: dict) -> list[str]:
     """One ``overlap name hash`` line per model of ``zoo_models()``."""
     return [f"overlap {name} {overlap_hash(model)}" for name, model in models.items()]
+
+
+def widened_hash(model) -> str:
+    state = next(iter(model.delta_sets))
+    first = next(iter(model.preparations))
+    model.realizing_set(state)   # the old set, which the widened model must not read
+    wider = model.with_preparation("widened", np.roll(model.preparation(first), 1),
+                                   delta_of=state)
+    return queries_hash(wider, [(mu, state) for mu in wider.preparations for _ in range(2)])
+
+
+def widened_lines(models: dict) -> list[str]:
+    """One ``widened name hash`` line per model of ``zoo_models()``."""
+    return [f"widened {name} {widened_hash(model)}" for name, model in models.items()]
 
 
 def main() -> None:
@@ -137,6 +166,7 @@ def main() -> None:
     models = zoo_models()
     print("\n".join(model_lines(models)), flush=True)
     print("\n".join(overlap_lines(models)), flush=True)
+    print("\n".join(widened_lines(models)), flush=True)
 
 
 if __name__ == "__main__":
