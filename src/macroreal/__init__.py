@@ -45,7 +45,6 @@ from .ontomodel import (
     kernel_set,
     predict,
     push_forward,
-    support,
     validate,
 )
 from .zoo import (

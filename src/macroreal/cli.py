@@ -241,7 +241,7 @@ def _cmd_zoo(args) -> int:
 
 def _cmd_classify(args) -> int:
     # the model file is read first, so its errors win; no name holds the
-    # model, so it is freed before the evidence's scipy import
+    # model, so it is freed before the evidence loads scipy's NNLS extension
     verdict = classify(model_from_json(load_json(args.model)),
                        fragment_from_json(load_json(args.fragment)))
     payload = {"classification": verdict.kind, "evidence": verdict.evidence}

@@ -15,8 +15,12 @@ the new model, less the one whose delta set it widens.
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -290,11 +294,6 @@ class FiniteOntModel:
         object.__setattr__(model, "delta_sets", delta)
         object.__setattr__(model, "_realizing", memo)
         return model
-
-
-def support(weights: np.ndarray) -> np.ndarray:
-    """Atom indices carrying more than ``SUPPORT_EPS`` weight."""
-    return np.where(np.asarray(weights) > SUPPORT_EPS)[0]
 
 
 def _support_mask(model: FiniteOntModel, names: Iterable[str]) -> np.ndarray:
@@ -589,18 +588,85 @@ def _mixture_verdict(
     return None
 
 
+_SLSQPLIB = "scipy.optimize._slsqplib"
+
+
+def _slsqplib_path() -> str | None:
+    """The file of scipy's compiled NNLS extension, ``_slsqplib``, in the
+    ``optimize/`` directory of the installed scipy, found without running
+    ``scipy/optimize/__init__.py``; None when there is no such file."""
+    spec = importlib.util.find_spec("scipy")
+    directories = spec.submodule_search_locations if spec else None
+    for directory in directories or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _scipy_nnls():
+    """scipy's ``nnls(A, b) -> (x, rnorm)``, loading only its compiled
+    extension where it can.
+
+    The extension is loaded from ``_slsqplib_path()`` as
+    ``scipy.optimize._slsqplib`` and registered in ``sys.modules``, so a
+    later ``import scipy.optimize`` reuses it; one already there is reused.
+    The wrapper does what scipy 1.17.1's ``scipy/optimize/_nnls.py`` does
+    around the extension's ``nnls(A, b, maxiter)``, so x and rnorm are
+    scipy's bit for bit, while the ~34 MB of the rest of
+    ``scipy.optimize`` stay unloaded. Where the file is absent or fails to
+    import, this is ``scipy.optimize.nnls`` itself.
+
+    Transitional: it goes with the rest of the scipy evidence.
+    """
+    lib = sys.modules.get(_SLSQPLIB)
+    path = _slsqplib_path() if lib is None else None
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_SLSQPLIB, path)
+        try:
+            lib = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SLSQPLIB, loader))
+            loader.exec_module(lib)
+        except ImportError:
+            lib = None
+        else:
+            sys.modules[_SLSQPLIB] = lib
+    if lib is None:
+        from scipy.optimize import nnls
+        return nnls
+
+    def nnls(A, b):
+        A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+        b = np.asarray_chkfinite(b, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError(f"Expected a 2D array, but the shape of A is {A.shape}")
+        if b.ndim > 2 or (b.ndim == 2 and b.shape[1] != 1):
+            raise ValueError(f"Expected a 1D array (or 2D with one column), but the shape "
+                             f"of b is {b.shape}")
+        b = b.ravel() if b.ndim == 2 else b
+        m, n = A.shape
+        if m != b.shape[0]:
+            raise ValueError(f"Incompatible dimensions. The first dimension of A is {m}, "
+                             f"while the shape of b is {(b.shape[0],)}")
+        x, rnorm, info = lib.nnls(A, b, 3 * n)
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return x, rnorm
+
+    return nnls
+
+
 def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
     """Condition (b): each preparation, in registration order, is a
     nonnegative mixture of ``eigen_matrix``'s columns, stopping at the first
     that is certified not to be. Only a preparation whose verdict the NNLS
-    pair leaves open is sent to scipy's ``nnls``, whose residual then
-    decides as it does in the evidence."""
+    pair leaves open is sent to scipy's ``nnls`` (``_scipy_nnls``), whose
+    residual then decides as it does in the evidence."""
     gram = eigen_matrix.T @ eigen_matrix
     for mu in model.preparations.values():
         verdict = _mixture_verdict(eigen_matrix, mu, *_nnls(eigen_matrix, gram, mu))
         if verdict is None:
-            from scipy.optimize import nnls
-            verdict = bool(nnls(eigen_matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
+            verdict = bool(_scipy_nnls()(eigen_matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
         if not verdict:
             return False
     return True
@@ -612,17 +678,17 @@ def _scipy_mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dic
     preparation in ``preparations`` (name -> weights) against the
     eigenstate columns, the first largest kept.
 
-    The residual is scipy's ``rnorm``. When the eigenstate columns are
-    linearly dependent, scipy 1.17.1 can return an ``rnorm`` below
-    |E x - mu| for its own x, so the printed residual can then read low;
-    the zoo models' eigenstate columns are independent.
+    The residual is scipy's ``rnorm``, from ``_scipy_nnls``, which loads
+    only scipy's compiled NNLS extension, not ``scipy.optimize``. When the
+    eigenstate columns are linearly dependent, scipy 1.17.1 can return an
+    ``rnorm`` below |E x - mu| for its own x, so the printed residual can
+    then read low; the zoo models' eigenstate columns are independent.
 
     Transitional: these bits are recorded in the CLI digests, so the
     evidence keeps scipy's residual until a re-record moves it to the
     NNLS pair's, and takes scipy out of the runtime with it.
     """
-    from scipy.optimize import nnls
-
+    nnls = _scipy_nnls()
     evidence: dict = {}
     worst_residual = 0.0
     for pname, mu in preparations.items():
@@ -647,14 +713,16 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     ``SUPPORT_EPS`` directly and leave the realizing-set memo as they
     found it. (b) is asked only when (a) holds, of one preparation after
     another until one is certified not to be a mixture: an in-house NNLS
-    gives each verdict with a re-verified certificate, and scipy is
-    imported only for a verdict inside the narrow band around
+    gives each verdict with a re-verified certificate, and scipy's
+    ``nnls`` is loaded only for a verdict inside the narrow band around
     ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
     scipy's, formed on the first read of ``evidence``, so a caller that
-    reads only ``kind`` does not load ``scipy.optimize``. Until then the
-    verdict holds the model's preparations dict, the eigenstate matrix and
-    the other evidence entries, not the model, so the model's responses,
-    maps and realizing-set memo can be freed before that import. The
+    reads only ``kind`` loads no scipy. Either load takes only scipy's
+    compiled NNLS extension (``_scipy_nnls``), not ``scipy.optimize``,
+    where the installed scipy has it. Until then the verdict holds the
+    model's preparations dict, the eigenstate matrix and the other
+    evidence entries, not the model, so the model's responses, maps and
+    realizing-set memo can be freed before that load. The
     model's macro labels must be ``fragment``'s macro outcomes, and the
     caller is expected to have validated the two.
     """

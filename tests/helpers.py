@@ -41,7 +41,7 @@ from macroreal.exclusion import (
     MEAS_MACRO,
     _block_program,
 )
-from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, Classification, support
+from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, SUPPORT_EPS, Classification
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
 
@@ -327,6 +327,11 @@ def brute_force_overlap(model: FiniteOntModel, mu_name: str, targets) -> float:
             if best is None or mass < best:
                 best = mass
     return float(best)
+
+
+def support(weights: np.ndarray) -> np.ndarray:
+    """Atom indices carrying more than ``SUPPORT_EPS`` weight."""
+    return np.flatnonzero(weights > SUPPORT_EPS)
 
 
 def support_index_classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:

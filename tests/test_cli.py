@@ -221,6 +221,34 @@ same = [tree_bits(verdict.evidence) == tree_bits(support_index_classify(model, f
 print(json.dumps([kinds, same]))
 """
 
+# classify on zoo ks files, its evidence read from the command's output
+# before anything imports scipy.optimize, then checked against the oracle
+CLASSIFY_EVIDENCE_CHILD = """
+import contextlib, io, json, os, sys, tempfile
+sys.path.insert(0, {tests!r})
+from macroreal.cli import run
+
+with tempfile.TemporaryDirectory() as tmp:
+    model, fragment, out = (os.path.join(tmp, name) for name in ("m.json", "f.json", "c.json"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [run(["zoo", "ks", "--nodes", "2000", "--pairs", "5",
+                      "--model-out", model, "--fragment-out", fragment]),
+                 run(["classify", "--model", model, "--fragment", fragment, "--json", out])]
+    with open(out) as fh:
+        payload = json.load(fh)
+    scipy_modules = sorted(k for k in sys.modules if k.startswith("scipy"))
+
+    from helpers import support_index_classify
+    from macroreal.serialize import fragment_from_json, load_json, model_from_json
+    import scipy.optimize._nnls
+    oracle = support_index_classify(model_from_json(load_json(model)),
+                                    fragment_from_json(load_json(fragment)))
+same = payload == json.loads(json.dumps({{"classification": oracle.kind,
+                                         "evidence": oracle.evidence}}))
+reused = scipy.optimize._nnls._nnls is sys.modules["scipy.optimize._slsqplib"].nnls
+print(json.dumps([codes, payload["classification"], scipy_modules, same, reused]))
+"""
+
 
 def _child_json(code: str):
     child = subprocess.run(
@@ -237,6 +265,25 @@ def test_witness_sweep_exclude_do_not_load_scipy():
     assert scipy_modules == []
     # np.unique loads numpy.ma (numpy 2.4), which no command needs
     assert not numpy_ma
+
+
+def test_classify_evidence_loads_only_scipys_nnls_extension():
+    """Where scipy ships ``_slsqplib``, the ``classify`` command prints its
+    evidence without importing ``scipy.optimize``, the evidence is the
+    oracle's bit for bit, and a later ``import scipy.optimize`` reuses the
+    extension module."""
+    from macroreal.ontomodel import _slsqplib_path
+
+    codes, kind, scipy_modules, same, reused = _child_json(
+        CLASSIFY_EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
+    assert codes == [0, 0]
+    assert kind == "ESMR"
+    assert same
+    if _slsqplib_path() is None:
+        assert "scipy.optimize" in scipy_modules   # the fallback
+    else:
+        assert scipy_modules == ["scipy.optimize._slsqplib"]
+        assert reused
 
 
 def test_zoo_evidence_read_after_the_verdict_matches_the_index_form_bit_for_bit():

@@ -7,10 +7,13 @@ on the final passive columns, and
 mixture, r a Farkas certificate that mu is not one, or neither, inside the
 band around ``MIXTURE_RESIDUAL_TOL`` where scipy decides. Hypothesis draws
 nonnegative E with k = 1..6 columns, repeated and zero columns among them,
-and mu inside or outside their cone.
+and mu inside or outside their cone. ``ontomodel._scipy_nnls``, which
+loads only scipy's compiled NNLS extension, must give scipy's own x and
+rnorm bit for bit, and so must its fallback to ``scipy.optimize.nnls``.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from macroreal import (
     standard_qubit_fragment,
 )
 from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL, NNLS_ROUNDING
-from helpers import support_index_classify
+from helpers import support_index_classify, tree_bits
 
 # small whole numbers over a common denominator: columns that repeat, vanish
 # or depend on each other without the conditioning that would make any
@@ -212,3 +215,72 @@ def test_classify_asks_condition_b_only_until_the_first_non_mixture(monkeypatch,
         assert all(a is model.preparation(name) for a, name in zip(solved, first))
         counts.append(len(solved))
     assert counts == [3, 0, 0, 3]
+
+
+# E with columns 0 and 4 equal, where scipy's rnorm falls below |E x - mu|
+DEPENDENT_CASE = (
+    np.array([[2, 0, 3, 2, 2, 2], [2, 0, 0, 1, 2, 1], [3, 4, 4, 2, 3, 0], [3, 0, 1, 4, 3, 2]]) / 3.0,
+    np.array([0.0, 3.0, 0.0, 3.0]) / 7.0,
+)
+
+
+def same_bits_as_scipy(solver, matrix, mu) -> bool:
+    return tree_bits(list(solver(matrix, mu))) == tree_bits(list(nnls(matrix, mu)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone_problems())
+def test_the_extension_loader_gives_scipys_x_and_rnorm_bit_for_bit(problem):
+    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *problem)
+
+
+def test_the_extension_loader_matches_scipy_on_dependent_columns():
+    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *DEPENDENT_CASE)
+
+
+@pytest.mark.parametrize("nodes", [2_000, 20_000])
+def test_the_extension_loader_matches_scipy_on_every_zoo_preparation(nodes, big_grid):
+    grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
+    nnls_bits = ontomodel._scipy_nnls()
+    for model, _ in _zoo_models(grid):
+        names = [p for q in model.outcome_labels[model.macro_measurement]
+                 for p in model.eigenstate_preps[q]]
+        matrix = np.column_stack([model.preparation(p) for p in names])
+        for mu in model.preparations.values():
+            assert same_bits_as_scipy(nnls_bits, matrix, mu)
+
+
+def test_the_extension_loader_reuses_the_module_scipy_optimize_holds():
+    """In this process ``scipy.optimize`` is loaded, so its extension is
+    the one the loader wraps."""
+    nnls_bits = ontomodel._scipy_nnls()
+    assert sys.modules[ontomodel._SLSQPLIB].nnls is sys.modules["scipy.optimize._nnls"]._nnls
+    assert same_bits_as_scipy(nnls_bits, *DEPENDENT_CASE)
+
+
+def test_the_extension_loader_keeps_scipys_argument_checks():
+    nnls_bits = ontomodel._scipy_nnls()
+    with pytest.raises(ValueError):
+        nnls_bits(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        nnls_bits(np.ones((3, 2)), np.ones(4))
+    with pytest.raises(ValueError):
+        nnls_bits(np.array([[1.0, np.nan]]), np.ones(1))
+    column = DEPENDENT_CASE[1].reshape(-1, 1)
+    assert tree_bits(list(nnls_bits(DEPENDENT_CASE[0], column))) == \
+        tree_bits(list(nnls(DEPENDENT_CASE[0], column)))
+
+
+@pytest.mark.parametrize("found", ["nothing", "a file that is no extension"])
+def test_without_the_extension_the_loader_falls_back_to_scipy_optimize(found, monkeypatch,
+                                                                      tmp_path):
+    bogus = tmp_path / "_slsqplib.so"
+    bogus.write_bytes(b"not a shared object")
+    path = None if found == "nothing" else str(bogus)
+    monkeypatch.setattr(ontomodel, "_slsqplib_path", lambda: path)
+    monkeypatch.delitem(sys.modules, ontomodel._SLSQPLIB)
+    fallback = ontomodel._scipy_nnls()
+    assert fallback is nnls
+    assert ontomodel._SLSQPLIB not in sys.modules
+    for matrix, mu in [DEPENDENT_CASE, (np.eye(3)[:, :2], np.array([0.5, -0.25, 1.0]))]:
+        assert same_bits_as_scipy(fallback, matrix, mu)

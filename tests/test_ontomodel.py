@@ -23,7 +23,6 @@ from macroreal import (
     push_forward,
     qubit_fragment,
     standard_qubit_fragment,
-    support,
     validate,
 )
 from macroreal.ontomodel import default_bindings
@@ -34,6 +33,7 @@ from helpers import (
     product_model,
     random_fragment,
     split_state_model,
+    support,
     support_index_classify,
     tree_bits,
 )
