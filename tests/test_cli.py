@@ -14,6 +14,7 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
+from macroreal.ontomodel import _slsqplib_path
 from toolenv import ROOT, child_env
 
 
@@ -212,13 +213,16 @@ print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("s
 EVIDENCE_CHILD = ZOO_MODELS_CHILD + """
 import json, sys
 sys.path.insert(0, {tests!r})
-from helpers import support_index_classify, tree_bits
 
 verdicts = [classify(model, fragment) for model, fragment in zoo_models]
 kinds = [verdict.kind for verdict in verdicts]
-same = [tree_bits(verdict.evidence) == tree_bits(support_index_classify(model, fragment).evidence)
-        for verdict, (model, fragment) in zip(verdicts, zoo_models)]
-print(json.dumps([kinds, same]))
+evidences = [verdict.evidence for verdict in verdicts]
+scipy_optimize = "scipy.optimize" in sys.modules
+
+from helpers import support_index_classify, tree_bits   # imports scipy.optimize
+same = [tree_bits(evidence) == tree_bits(support_index_classify(model, fragment).evidence)
+        for evidence, (model, fragment) in zip(evidences, zoo_models)]
+print(json.dumps([kinds, same, scipy_optimize]))
 """
 
 # classify on zoo ks files, its evidence read from the command's output
@@ -272,8 +276,6 @@ def test_classify_evidence_loads_only_scipys_nnls_extension():
     evidence without importing ``scipy.optimize``, the evidence is the
     oracle's bit for bit, and a later ``import scipy.optimize`` reuses the
     extension module."""
-    from macroreal.ontomodel import _slsqplib_path
-
     codes, kind, scipy_modules, same, reused = _child_json(
         CLASSIFY_EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
     assert codes == [0, 0]
@@ -289,9 +291,10 @@ def test_classify_evidence_loads_only_scipys_nnls_extension():
 def test_zoo_evidence_read_after_the_verdict_matches_the_index_form_bit_for_bit():
     """The evidence is formed on its first read, after ``kind``, in a child
     that has not imported scipy before."""
-    kinds, same = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
+    kinds, same, scipy_optimize = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
     assert kinds == ZOO_KINDS
     assert same == [True] * 4
+    assert scipy_optimize is (_slsqplib_path() is None)
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):

@@ -266,9 +266,34 @@ def test_the_extension_loader_keeps_scipys_argument_checks():
         nnls_bits(np.ones((3, 2)), np.ones(4))
     with pytest.raises(ValueError):
         nnls_bits(np.array([[1.0, np.nan]]), np.ones(1))
+    with pytest.raises(ValueError):
+        nnls_bits(np.ones((1, 2)), np.array([np.inf]))
     column = DEPENDENT_CASE[1].reshape(-1, 1)
     assert tree_bits(list(nnls_bits(DEPENDENT_CASE[0], column))) == \
         tree_bits(list(nnls(DEPENDENT_CASE[0], column)))
+
+
+def test_the_wrapper_hands_the_extension_what_scipy_hands_it(monkeypatch):
+    """C-ordered float64 A, a flat float64 b, maxiter 3n; info 3 (the
+    iteration cap) raises as scipy does."""
+    calls = []
+
+    class Extension:
+        info = 1
+
+        @classmethod
+        def nnls(cls, A, b, maxiter):
+            calls.append((A, b, maxiter))
+            return np.zeros(A.shape[1]), 0.0, cls.info
+
+    monkeypatch.setitem(sys.modules, ontomodel._SLSQPLIB, Extension)
+    ontomodel._scipy_nnls()(np.asfortranarray(np.ones((3, 2), dtype=int)), [[1], [2], [3]])
+    (A, b, maxiter), = calls
+    assert (A.dtype, A.flags.c_contiguous, b.dtype, b.shape, maxiter) == \
+        (np.float64, True, np.float64, (3,), 6)
+    Extension.info = 3
+    with pytest.raises(RuntimeError):
+        ontomodel._scipy_nnls()(np.ones((3, 2)), np.ones(3))
 
 
 @pytest.mark.parametrize("found", ["nothing", "a file that is no extension"])
