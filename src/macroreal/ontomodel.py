@@ -503,26 +503,26 @@ class Classification:
         return f"Classification(kind={self.kind!r}, evidence={self.evidence!r})"
 
 
-def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
+def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """min ||matrix @ x - mu|| over x >= 0, by the active-set method of
     Lawson and Hanson (*Solving Least Squares Problems*, 1974, ch. 23) run
     on the k x k normal form ``gram = matrix.T @ matrix``.
 
-    Returns x >= 0 and its residual r = mu - matrix @ x. A column joins the
-    passive set while its gradient entry (matrix.T @ r)_j exceeds
+    Returns x >= 0, the whole certificate: ``_mixture_verdict`` forms its
+    residual itself, so nothing here is trusted. A column joins the passive
+    set while its gradient entry (matrix.T @ (mu - matrix @ x))_j exceeds
     ``NNLS_ROUNDING * |column j| * |mu|``, so zero and repeated columns stay
     out. The normal form squares the columns' condition number, so once
     the active set settles, its passive columns are re-solved by least
     squares on ``matrix`` itself, and that x is kept when every entry is
-    positive. Nothing here is trusted: ``_mixture_verdict`` re-verifies
-    the pair.
+    positive.
     """
     k = gram.shape[0]
     h = mu @ matrix
     floor = NNLS_ROUNDING * np.sqrt(np.diagonal(gram)) * math.sqrt(float(mu @ mu))
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
-    for _ in range(3 * k):   # scipy's cap; a pair that stops short fails re-verification
+    for _ in range(3 * k):   # scipy's cap; an x that stops short fails re-verification
         gradient = h - gram @ x
         entering = np.flatnonzero(~passive & (gradient > floor))
         if not entering.size:
@@ -534,7 +534,7 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
             try:
                 z[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], h[cols])
             except np.linalg.LinAlgError:
-                return x, mu - matrix @ x
+                return x
             if (z[cols] > 0.0).all():
                 x = z
                 break
@@ -552,28 +552,26 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> tuple:
         if (z > 0.0).all():
             x = np.zeros(k)
             x[cols] = z
-    return x, mu - matrix @ x
+    return x
 
 
-def _mixture_verdict(
-    matrix: np.ndarray, mu: np.ndarray, x: np.ndarray, r: np.ndarray
-) -> bool | None:
-    """Re-verify an NNLS pair (x, r) for condition (b): is ``mu`` within
-    ``MIXTURE_RESIDUAL_TOL`` of the cone of ``matrix``'s columns?
+def _mixture_verdict(matrix: np.ndarray, mu: np.ndarray, x: np.ndarray) -> bool | None:
+    """Re-verify the NNLS solution x, the whole certificate, for condition
+    (b): is ``mu`` within ``MIXTURE_RESIDUAL_TOL`` of the cone of
+    ``matrix``'s columns? Its residual r = mu - matrix @ x is formed here.
 
-    True when x >= 0 and ``matrix @ x`` lies within the tolerance of mu.
-    False when r is a Farkas certificate that mu lies farther than that:
-    matrix.T @ r <= 0 up to rounding (``NNLS_ROUNDING * |column j| * |mu|``),
-    so that every point of the cone is at least mu.r/|r| from mu, less a
-    rounding allowance; at an NNLS optimum mu.r/|r| = |r| by the KKT
-    conditions. None when neither holds by a margin of ``MIXTURE_BAND``
-    times the tolerance, or when r is not x's residual.
+    With x >= 0, True when |r| is within the tolerance, and False when r is
+    a Farkas certificate that mu lies farther: matrix.T @ r <= 0 up to
+    rounding (``NNLS_ROUNDING * |column j| * |mu|``), so every point of the
+    cone is at least mu.r/|r| from mu, less a rounding allowance; at an
+    NNLS optimum mu.r/|r| = |r| by the KKT conditions. None when x has a
+    negative entry, or neither holds by ``MIXTURE_BAND`` times the tolerance.
     """
-    mu_norm = math.sqrt(float(mu @ mu))
-    fit = mu - matrix @ x
-    if not ((x >= 0.0).all() and np.linalg.norm(r - fit) <= NNLS_ROUNDING * mu_norm):
+    if not (x >= 0.0).all():
         return None
-    if np.linalg.norm(fit) <= MIXTURE_RESIDUAL_TOL * (1.0 - MIXTURE_BAND):
+    mu_norm = math.sqrt(float(mu @ mu))
+    r = mu - matrix @ x
+    if np.linalg.norm(r) <= MIXTURE_RESIDUAL_TOL * (1.0 - MIXTURE_BAND):
         return True
     allowance = NNLS_ROUNDING * mu_norm   # r carries rounding of order eps * |mu|
     col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
@@ -659,12 +657,12 @@ def _scipy_nnls():
 def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
     """Condition (b): each preparation, in registration order, is a
     nonnegative mixture of ``eigen_matrix``'s columns, stopping at the first
-    that is certified not to be. Only a preparation whose verdict the NNLS
-    pair leaves open is sent to scipy's ``nnls`` (``_scipy_nnls``), whose
-    residual then decides as it does in the evidence."""
+    that is certified not to be. The certificate is the NNLS solution x,
+    whose residual ``_mixture_verdict`` forms itself. Where x leaves the
+    verdict open, scipy's ``nnls`` residual (``_scipy_nnls``) decides."""
     gram = eigen_matrix.T @ eigen_matrix
     for mu in model.preparations.values():
-        verdict = _mixture_verdict(eigen_matrix, mu, *_nnls(eigen_matrix, gram, mu))
+        verdict = _mixture_verdict(eigen_matrix, mu, _nnls(eigen_matrix, gram, mu))
         if verdict is None:
             verdict = bool(_scipy_nnls()(eigen_matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
         if not verdict:
@@ -686,7 +684,7 @@ def _scipy_mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dic
 
     Transitional: these bits are recorded in the CLI digests, so the
     evidence keeps scipy's residual until a re-record moves it to the
-    NNLS pair's, and takes scipy out of the runtime with it.
+    verifier's residual of the NNLS x, and takes scipy out of the runtime.
     """
     nnls = _scipy_nnls()
     evidence: dict = {}
@@ -713,8 +711,9 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     ``SUPPORT_EPS`` directly and leave the realizing-set memo as they
     found it. (b) is asked only when (a) holds, of one preparation after
     another until one is certified not to be a mixture: an in-house NNLS
-    gives each verdict with a re-verified certificate, and scipy's
-    ``nnls`` is loaded only for a verdict inside the narrow band around
+    gives each verdict with its solution x as the certificate, re-verified
+    on a residual the verifier forms from x itself, and scipy's ``nnls`` is
+    loaded only for a verdict inside the narrow band around
     ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
     scipy's, formed on the first read of ``evidence``, so a caller that
     reads only ``kind`` loads no scipy. Either load takes only scipy's

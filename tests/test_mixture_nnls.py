@@ -2,10 +2,11 @@
 
 ``ontomodel._nnls`` solves min |E x - mu| over x >= 0 by Lawson and
 Hanson's active-set method on the normal form, polished by least squares
-on the final passive columns, and
-``ontomodel._mixture_verdict`` re-verifies its pair (x, r): x certifies a
-mixture, r a Farkas certificate that mu is not one, or neither, inside the
-band around ``MIXTURE_RESIDUAL_TOL`` where scipy decides. Hypothesis draws
+on the final passive columns. Its solution x is the whole certificate:
+``ontomodel._mixture_verdict`` forms the residual r = mu - E x itself and
+re-verifies x, which certifies a mixture, or r, a Farkas certificate that
+mu is not one, or neither, inside the band around ``MIXTURE_RESIDUAL_TOL``
+where scipy decides. Hypothesis draws
 nonnegative E with k = 1..6 columns, repeated and zero columns among them,
 and mu inside or outside their cone. ``ontomodel._scipy_nnls``, which
 loads only scipy's compiled NNLS extension, must give scipy's own x and
@@ -34,7 +35,7 @@ from macroreal import (
     qubit_fragment,
     standard_qubit_fragment,
 )
-from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL, NNLS_ROUNDING
+from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL
 from helpers import support_index_classify, tree_bits
 
 # small whole numbers over a common denominator: columns that repeat, vanish
@@ -86,8 +87,8 @@ def test_nnls_optimum_matches_scipy_and_its_certificate_reverifies(problem):
     (0, 3/7, 0, 3/7): rnorm 0.40557, |E x - mu| 0.40700, the optimum
     0.40658), so there the NNLS residual must be no larger than scipy's x's."""
     matrix, mu = problem
-    x, r = solve(matrix, mu)
-    ours, scale = float(np.linalg.norm(r)), 1e-12 * float(np.linalg.norm(mu))
+    x = solve(matrix, mu)
+    ours, scale = float(np.linalg.norm(mu - matrix @ x)), 1e-12 * float(np.linalg.norm(mu))
     scipy_x, rnorm = nnls(matrix, mu)
     distinct = distinct_columns(matrix)
     if not distinct.size:
@@ -99,49 +100,38 @@ def test_nnls_optimum_matches_scipy_and_its_certificate_reverifies(problem):
         assert ours <= np.linalg.norm(mu - matrix @ scipy_x) + scale
     if abs(ours - MIXTURE_RESIDUAL_TOL) > 2 * MIXTURE_BAND * MIXTURE_RESIDUAL_TOL:
         expected = bool(rnorm <= MIXTURE_RESIDUAL_TOL)
-        assert ontomodel._mixture_verdict(matrix, mu, x, r) is expected
-        # x = 0 with its residual mu is a pair as well, not an optimal one:
-        # it may certify nothing but the true verdict
-        assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x), mu) in (None, expected)
+        assert ontomodel._mixture_verdict(matrix, mu, x) is expected
+        # x = 0, whose residual is mu, is a solution as well, not an optimal
+        # one: it may certify nothing but the true verdict
+        assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x)) in (None, expected)
 
 
 def test_the_final_passive_set_is_polished_on_the_matrix_itself():
-    """On the normal form alone this pair, mu on E's first column, keeps a
+    """On the normal form alone this case, mu on E's first column, keeps a
     residual of 1.8e-12 (the condition number squared); the least-squares
     polish on E's passive columns brings it to rounding, as scipy's
     QR-based nnls does."""
     matrix = np.array([[0.0, 1e-5], [0.34375, 2.0]])
     mu = np.array([0.0, 0.34375 / 3.0])
-    x, r = solve(matrix, mu)
+    x = solve(matrix, mu)
     assert (x >= 0.0).all()
-    assert np.array_equal(r, mu - matrix @ x)
-    assert np.linalg.norm(r) <= 1e-15
-    assert ontomodel._mixture_verdict(matrix, mu, x, r) is True
+    assert np.linalg.norm(mu - matrix @ x) <= 1e-15
+    assert ontomodel._mixture_verdict(matrix, mu, x) is True
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cone_problems(), st.data())
-def test_flipping_one_sign_of_x_or_r_fails_reverification(problem, data):
+def test_flipping_one_sign_of_x_fails_reverification(problem, data):
+    """x is the only input the verifier trusts, and a draw with x = 0 has
+    no sign to flip."""
     matrix, mu = problem
-    x, r = solve(matrix, mu)
-    if ontomodel._mixture_verdict(matrix, mu, x, r) is None:
+    x = solve(matrix, mu)
+    if ontomodel._mixture_verdict(matrix, mu, x) is None or not x.any():
         return
-    flipped = False
-    if x.any():
-        j = data.draw(st.sampled_from(np.flatnonzero(x).tolist()))
-        bad = x.copy()
-        bad[j] = -bad[j]
-        assert ontomodel._mixture_verdict(matrix, mu, bad, r) is None
-        flipped = True
-    # a flip smaller than the rounding allowance is rounding, not a change
-    big = np.flatnonzero(2.0 * np.abs(r) > NNLS_ROUNDING * np.linalg.norm(mu))
-    if big.size:
-        i = data.draw(st.sampled_from(big.tolist()))
-        bad = r.copy()
-        bad[i] = -bad[i]
-        assert ontomodel._mixture_verdict(matrix, mu, x, bad) is None
-        flipped = True
-    assert flipped or not mu.any()
+    j = data.draw(st.sampled_from(np.flatnonzero(x).tolist()))
+    bad = x.copy()
+    bad[j] = -bad[j]
+    assert ontomodel._mixture_verdict(matrix, mu, bad) is None
 
 
 def test_inside_the_band_scipy_decides():
@@ -163,7 +153,7 @@ def test_inside_the_band_scipy_decides():
     )
     matrix = np.column_stack([model.preparation("e0"), model.preparation("e1")])
     mu = model.preparation("edge")
-    assert ontomodel._mixture_verdict(matrix, mu, *solve(matrix, mu)) is None
+    assert ontomodel._mixture_verdict(matrix, mu, solve(matrix, mu)) is None
     fragment = qubit_fragment({"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)})
     assert classify(model, fragment) == support_index_classify(model, fragment)
 
@@ -190,7 +180,7 @@ def test_every_zoo_preparation_gets_scipys_verdict_with_a_certificate(nodes, big
                  for p in model.eigenstate_preps[q]]
         matrix = np.column_stack([model.preparation(p) for p in names])
         for mu in model.preparations.values():
-            verdict = ontomodel._mixture_verdict(matrix, mu, *solve(matrix, mu))
+            verdict = ontomodel._mixture_verdict(matrix, mu, solve(matrix, mu))
             assert verdict is bool(nnls(matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
         assert classify(model, fragment).kind == support_index_classify(model, fragment).kind
 
@@ -232,10 +222,6 @@ def same_bits_as_scipy(solver, matrix, mu) -> bool:
 @given(cone_problems())
 def test_the_extension_loader_gives_scipys_x_and_rnorm_bit_for_bit(problem):
     assert same_bits_as_scipy(ontomodel._scipy_nnls(), *problem)
-
-
-def test_the_extension_loader_matches_scipy_on_dependent_columns():
-    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *DEPENDENT_CASE)
 
 
 @pytest.mark.parametrize("nodes", [2_000, 20_000])

@@ -12,9 +12,10 @@ thread count check without starting a child, ``tools/traffic_lines.py``'s
 exit when the package is not on the import path, ``tools/bench_snapshot.py``'s
 host-speed scaling of the tier-1 wall time with the suite's run stubbed, and
 the lines ``tools/outcome_bits.py`` prints for one witness, for the model
-zoo and for each zoo model widened by one preparation. Last, each job of
-``tools/toolenv.py`` is checked to have no copy under ``tools/`` or
-``tests/``, and its ``child_env`` recipe is checked.
+zoo, for each zoo model widened by one preparation and for each zoo
+model's ``classify`` verdict. Last, each job of ``tools/toolenv.py`` is
+checked to have no copy under ``tools/`` or ``tests/``, and its
+``child_env`` recipe is checked.
 """
 
 import importlib.util
@@ -213,13 +214,18 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
     assert len(lines) == 6
     for line, method in zip(lines, tool.METHODS):
         assert re.fullmatch(rf"{method} 4 0\.5 [0-9a-f]{{16}}", line), line
-    models = tool.zoo_models()
+    builds = tool.zoo_builds()
+    models = {name: model for name, (model, _) in builds.items()}
     for kind, lines in (("model", tool.model_lines(models)),
                         ("overlap", tool.overlap_lines(models)),
-                        ("widened", tool.widened_lines(models))):
+                        ("widened", tool.widened_lines(models)),
+                        ("classify", tool.classify_lines(builds))):
         assert len(lines) == 4
         for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
             assert re.fullmatch(rf"{kind} {name} [0-9a-f]{{16}}", line), line
+    # each model is classified against its own fragment, and each kind occurs once
+    kinds = [tool.classify(model, fragment).kind for model, fragment in builds.values()]
+    assert kinds == ["ESMR", "NONE", "SSMR", "EMMR"]
     # the overlap targets are the states with delta sets and the macro values,
     # never the toy's bare preparation names eig_up and eig_down
     queries = []

@@ -25,21 +25,26 @@ declared eigenstates, the only targets there are), each asked twice so
 that the second read of a memoized set counts, and against every union of
 two distinct targets.
 
-Last it prints one ``widened name hash`` line for each of the same four
+Then it prints one ``widened name hash`` line for each of the same four
 models, which covers the memo-invalidation path of ``with_preparation``.
 With the first delta-set state's realizing set already read, the model's
 first preparation, rolled by one atom, is registered into that state's
 delta set with ``with_preparation(..., delta_of=state)``. The hash covers
 the value bytes and the dtype and bytes of the realizing set of that
 state's overlap for every preparation of the widened model, each asked
-twice. A change that keeps every outcome, model and overlap bit prints
-the same 132 lines:
+twice.
+
+Last it prints one ``classify name hash`` line for each of the same four
+models, each classified against the fragment it was built from. The hash
+covers the kind, then ``tree_bits`` of ``tests/helpers.py`` on the
+evidence, which is read after the kind. A change that keeps every outcome,
+model, overlap, kind and evidence bit prints the same 136 lines:
 
     PYTHONPATH=src python3 tools/outcome_bits.py > bits.txt
 
 The program is imported from ``PYTHONPATH``, so pointing it at another
-checkout's ``src`` fingerprints that checkout; ``outcome_bits`` always
-comes from this checkout's tests.
+checkout's ``src`` fingerprints that checkout; ``outcome_bits`` and
+``tree_bits`` always come from this checkout's tests.
 """
 
 import os
@@ -61,6 +66,7 @@ from macroreal import (
     WitnessParams,
     asymmetric_overlap,
     build_witness,
+    classify,
     emmr_toy_model,
     fibonacci_sphere_grid,
     kochen_specker_model,
@@ -69,7 +75,8 @@ from macroreal import (
 from macroreal.cli import _zoo_build, build_parser
 from macroreal.witness import ALPHA_MAX
 
-outcome_bits = toolenv.load(toolenv.ROOT / "tests" / "helpers.py").outcome_bits
+helpers = toolenv.load(toolenv.ROOT / "tests" / "helpers.py")
+outcome_bits, tree_bits = helpers.outcome_bits, helpers.tree_bits
 
 METHODS = ("esmr", "emmr", "max_overlap", "static_control", "unconstrained_control",
            "macro_only_control")
@@ -100,23 +107,23 @@ def model_hash(model) -> str:
     return digest.hexdigest()[:16]
 
 
-def zoo_models() -> dict:
-    """The four fingerprinted models by name: ``cap``, ``bb``, ``det`` and
-    ``emmr-toy``."""
+def zoo_builds() -> dict:
+    """The four fingerprinted models by name, ``cap``, ``bb``, ``det`` and
+    ``emmr-toy``, each with the fragment it was built from."""
     fragment = qubit_fragment(
         {"up": (0.0, 0.0, 1.0), "skew": (0.6, 0.48, 0.64)},
         {"macro": (0.0, 0.0, 1.0)},
         rotations={"step": ((0.0, 1.0, 0.0), math.pi / 3)},
     )
-    models = {"cap": kochen_specker_model(fibonacci_sphere_grid(2000), fragment)}
+    builds = {"cap": (kochen_specker_model(fibonacci_sphere_grid(2000), fragment), fragment)}
     for name in ("bb", "det"):
-        models[name] = _zoo_build(build_parser().parse_args(["zoo", name]))[0]
-    models["emmr-toy"] = emmr_toy_model(math.pi / 3)[0]
-    return models
+        builds[name] = _zoo_build(build_parser().parse_args(["zoo", name]))[:2]
+    builds["emmr-toy"] = emmr_toy_model(math.pi / 3)
+    return builds
 
 
 def model_lines(models: dict) -> list[str]:
-    """One ``model name hash`` line per model of ``zoo_models()``."""
+    """One ``model name hash`` line per model of ``zoo_builds()``."""
     return [f"model {name} {model_hash(model)}" for name, model in models.items()]
 
 
@@ -141,7 +148,7 @@ def overlap_hash(model) -> str:
 
 
 def overlap_lines(models: dict) -> list[str]:
-    """One ``overlap name hash`` line per model of ``zoo_models()``."""
+    """One ``overlap name hash`` line per model of ``zoo_builds()``."""
     return [f"overlap {name} {overlap_hash(model)}" for name, model in models.items()]
 
 
@@ -155,18 +162,33 @@ def widened_hash(model) -> str:
 
 
 def widened_lines(models: dict) -> list[str]:
-    """One ``widened name hash`` line per model of ``zoo_models()``."""
+    """One ``widened name hash`` line per model of ``zoo_builds()``."""
     return [f"widened {name} {widened_hash(model)}" for name, model in models.items()]
+
+
+def classify_hash(model, fragment) -> str:
+    verdict = classify(model, fragment)
+    digest = hashlib.sha256(verdict.kind.encode())
+    digest.update(repr(tree_bits(verdict.evidence)).encode())
+    return digest.hexdigest()[:16]
+
+
+def classify_lines(builds: dict) -> list[str]:
+    """One ``classify name hash`` line per model of ``zoo_builds()``."""
+    return [f"classify {name} {classify_hash(model, fragment)}"
+            for name, (model, fragment) in builds.items()]
 
 
 def main() -> None:
     for dim in DIMS:
         for alpha in ALPHAS:
             print("\n".join(program_lines(dim, alpha)), flush=True)
-    models = zoo_models()
+    builds = zoo_builds()
+    models = {name: model for name, (model, _) in builds.items()}
     print("\n".join(model_lines(models)), flush=True)
     print("\n".join(overlap_lines(models)), flush=True)
     print("\n".join(widened_lines(models)), flush=True)
+    print("\n".join(classify_lines(builds)), flush=True)
 
 
 if __name__ == "__main__":
