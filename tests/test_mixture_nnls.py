@@ -6,11 +6,11 @@ on the final passive columns. Its solution x is the whole certificate:
 ``ontomodel._mixture_verdict`` forms the residual r = mu - E x itself and
 re-verifies x, which certifies a mixture, or r, a Farkas certificate that
 mu is not one, or neither, inside the band around ``MIXTURE_RESIDUAL_TOL``
-where scipy decides. Hypothesis draws
-nonnegative E with k = 1..6 columns, repeated and zero columns among them,
-and mu inside or outside their cone. ``ontomodel._scipy_nnls``, which
-loads only scipy's compiled NNLS extension, must give scipy's own x and
-rnorm bit for bit, and so must its fallback to ``scipy.optimize.nnls``.
+where scipy decides. Hypothesis draws nonnegative E with k = 1..6 columns,
+repeated and zero columns among them, and mu inside or outside their
+cone. ``ontomodel._scipy_nnls``, which loads only scipy's compiled NNLS
+extension, must give scipy's own x and rnorm bit for bit, and so must its
+fallback to ``scipy.optimize.nnls``.
 """
 
 import math
@@ -122,8 +122,8 @@ def test_the_final_passive_set_is_polished_on_the_matrix_itself():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cone_problems(), st.data())
 def test_flipping_one_sign_of_x_fails_reverification(problem, data):
-    """x is the only input the verifier trusts, and a draw with x = 0 has
-    no sign to flip."""
+    """x is the verifier's only certificate input; a draw with x = 0 has no
+    sign to flip."""
     matrix, mu = problem
     x = solve(matrix, mu)
     if ontomodel._mixture_verdict(matrix, mu, x) is None or not x.any():
