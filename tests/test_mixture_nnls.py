@@ -224,6 +224,10 @@ def test_the_extension_loader_gives_scipys_x_and_rnorm_bit_for_bit(problem):
     assert same_bits_as_scipy(ontomodel._scipy_nnls(), *problem)
 
 
+def test_the_extension_loader_matches_scipy_on_dependent_columns():
+    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *DEPENDENT_CASE)
+
+
 @pytest.mark.parametrize("nodes", [2_000, 20_000])
 def test_the_extension_loader_matches_scipy_on_every_zoo_preparation(nodes, big_grid):
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
