@@ -15,12 +15,8 @@ the new model, less the one whose delta set it widens.
 from __future__ import annotations
 
 import copy
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -35,7 +31,7 @@ EIGENPREP_TOL = 1e-10      # certainty requirement on declared eigenstate preps
 DETERMINISM_TOL = 1e-10    # 0/1 response columns for the SSMR condition
 MIXTURE_RESIDUAL_TOL = 1e-9
 MIXTURE_BAND = 1e-3        # relative half-width of the band around MIXTURE_RESIDUAL_TOL
-                           # where scipy's nnls, not a certificate, decides condition (b)
+                           # where the NNLS residual, uncertified, decides condition (b)
 NNLS_ROUNDING = 2.0**-44   # rounding allowance, relative, in NNLS gradients and residuals
 
 
@@ -473,10 +469,12 @@ class Classification:
 
     ``evidence`` may be given as a function of no arguments that returns
     the dict: it is then called on the first read of ``evidence``, and its
-    dict kept. Until that read the verdict holds the function and what it
-    captures: ``classify``'s captures the model's preparations and
-    eigenstate matrix, not the model. Verdicts are read-only and compare
-    by kind and evidence.
+    dict kept. ``classify``'s evidence runs the NNLS on every preparation,
+    where its kind stops at the first non-mixture, so a caller that reads
+    only ``kind`` does not pay for it. Until that read the verdict holds
+    the function and what it captures: ``classify``'s captures the model's
+    preparations and eigenstate matrix, not the model. Verdicts are
+    read-only and compare by kind and evidence.
     """
 
     __slots__ = ("kind", "_evidence")
@@ -586,115 +584,39 @@ def _mixture_verdict(matrix: np.ndarray, mu: np.ndarray, x: np.ndarray) -> bool 
     return None
 
 
-_SLSQPLIB = "scipy.optimize._slsqplib"
-
-
-def _slsqplib_path() -> str | None:
-    """The file of scipy's compiled NNLS extension, ``_slsqplib``, in the
-    ``optimize/`` directory of the installed scipy, found without running
-    ``scipy/optimize/__init__.py``; None when there is no such file."""
-    spec = importlib.util.find_spec("scipy")
-    directories = spec.submodule_search_locations if spec else None
-    for directory in directories or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "optimize", "_slsqplib" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-def _scipy_nnls():
-    """scipy's ``nnls(A, b) -> (x, rnorm)``, loading only its compiled
-    extension where it can.
-
-    The extension is loaded from ``_slsqplib_path()`` as
-    ``scipy.optimize._slsqplib`` and registered in ``sys.modules``, so a
-    later ``import scipy.optimize`` reuses it; one already there is reused.
-    The wrapper does what scipy 1.17.1's ``scipy/optimize/_nnls.py`` does
-    around the extension's ``nnls(A, b, maxiter)``, so x and rnorm are
-    scipy's bit for bit, while the ~34 MB of the rest of
-    ``scipy.optimize`` stay unloaded. Where the file is absent or fails to
-    import, this is ``scipy.optimize.nnls`` itself.
-
-    Transitional: it goes with the rest of the scipy evidence.
-    """
-    lib = sys.modules.get(_SLSQPLIB)
-    path = _slsqplib_path() if lib is None else None
-    if path is not None:
-        loader = importlib.machinery.ExtensionFileLoader(_SLSQPLIB, path)
-        try:
-            lib = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SLSQPLIB, loader))
-            loader.exec_module(lib)
-        except ImportError:
-            lib = None
-        else:
-            sys.modules[_SLSQPLIB] = lib
-    if lib is None:
-        from scipy.optimize import nnls
-        return nnls
-
-    def nnls(A, b):
-        A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-        b = np.asarray_chkfinite(b, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError(f"Expected a 2D array, but the shape of A is {A.shape}")
-        if b.ndim > 2 or (b.ndim == 2 and b.shape[1] != 1):
-            raise ValueError(f"Expected a 1D array (or 2D with one column), but the shape "
-                             f"of b is {b.shape}")
-        b = b.ravel() if b.ndim == 2 else b
-        m, n = A.shape
-        if m != b.shape[0]:
-            raise ValueError(f"Incompatible dimensions. The first dimension of A is {m}, "
-                             f"while the shape of b is {(b.shape[0],)}")
-        x, rnorm, info = lib.nnls(A, b, 3 * n)
-        if info == 3:
-            raise RuntimeError("Maximum number of iterations reached.")
-        return x, rnorm
-
-    return nnls
-
-
 def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
     """Condition (b): each preparation, in registration order, is a
     nonnegative mixture of ``eigen_matrix``'s columns, stopping at the first
     that is certified not to be. The certificate is the NNLS solution x,
     whose residual ``_mixture_verdict`` forms itself. Where x leaves the
-    verdict open, scipy's ``nnls`` residual (``_scipy_nnls``) decides."""
+    verdict open, inside the band, that residual is held against
+    ``MIXTURE_RESIDUAL_TOL`` uncertified."""
     gram = eigen_matrix.T @ eigen_matrix
     for mu in model.preparations.values():
-        verdict = _mixture_verdict(eigen_matrix, mu, _nnls(eigen_matrix, gram, mu))
+        x = _nnls(eigen_matrix, gram, mu)
+        verdict = _mixture_verdict(eigen_matrix, mu, x)
         if verdict is None:
-            verdict = bool(_scipy_nnls()(eigen_matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
+            verdict = bool(np.linalg.norm(mu - eigen_matrix @ x) <= MIXTURE_RESIDUAL_TOL)
         if not verdict:
             return False
     return True
 
 
-def _scipy_mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dict:
+def _mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dict:
     """``worst_mixture`` (when some residual is positive) and
-    ``max_mixture_residual``: scipy's ``nnls`` residual of every
-    preparation in ``preparations`` (name -> weights) against the
-    eigenstate columns, the first largest kept.
-
-    The residual is scipy's ``rnorm``, from ``_scipy_nnls``, which loads
-    only scipy's compiled NNLS extension, not ``scipy.optimize``. When the
-    eigenstate columns are linearly dependent, scipy 1.17.1 can return an
-    ``rnorm`` below |E x - mu| for its own x, so the printed residual can
-    then read low; the zoo models' eigenstate columns are independent.
-
-    Transitional: these bits are recorded in the CLI digests, so the
-    evidence keeps scipy's residual until a re-record moves it to the
-    verifier's residual of the NNLS x, and takes scipy out of the runtime.
-    """
-    nnls = _scipy_nnls()
+    ``max_mixture_residual``: the residual |mu - E x| of the NNLS solution
+    x of every preparation in ``preparations`` (name -> weights) against
+    the eigenstate columns E, the first largest kept. It is the residual
+    ``_mixture_verdict`` forms for the same x."""
+    gram = eigen_matrix.T @ eigen_matrix
     evidence: dict = {}
     worst_residual = 0.0
     for pname, mu in preparations.items():
-        _, residual = nnls(eigen_matrix, mu)
+        residual = float(np.linalg.norm(mu - eigen_matrix @ _nnls(eigen_matrix, gram, mu)))
         if residual > worst_residual:
             worst_residual = residual
-            evidence["worst_mixture"] = {"preparation": pname, "residual": float(residual)}
-    evidence["max_mixture_residual"] = float(worst_residual)
+            evidence["worst_mixture"] = {"preparation": pname, "residual": residual}
+    evidence["max_mixture_residual"] = worst_residual
     return evidence
 
 
@@ -712,18 +634,16 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     found it. (b) is asked only when (a) holds, of one preparation after
     another until one is certified not to be a mixture: an in-house NNLS
     gives each verdict with its solution x as the certificate, re-verified
-    on a residual the verifier forms from x itself, and scipy's ``nnls`` is
-    loaded only for a verdict inside the narrow band around
-    ``MIXTURE_RESIDUAL_TOL``. The evidence's two residual entries are
-    scipy's, formed on the first read of ``evidence``, so a caller that
-    reads only ``kind`` loads no scipy. Either load takes only scipy's
-    compiled NNLS extension (``_scipy_nnls``), not ``scipy.optimize``,
-    where the installed scipy has it. Until then the verdict holds the
-    model's preparations dict, the eigenstate matrix and the other
-    evidence entries, not the model, so the model's responses, maps and
-    realizing-set memo can be freed before that load. The
-    model's macro labels must be ``fragment``'s macro outcomes, and the
-    caller is expected to have validated the two.
+    on the residual |mu - E x| the verifier forms from x itself; inside the
+    narrow band around ``MIXTURE_RESIDUAL_TOL`` that residual decides
+    uncertified. The evidence's two residual entries are the same
+    residuals, of every preparation, formed on the first read of
+    ``evidence``, so a caller that reads only ``kind`` skips that pass.
+    Until then the verdict holds the model's preparations dict, the
+    eigenstate matrix and the other evidence entries, not the model, so
+    the model's responses, maps and realizing-set memo can be freed before
+    the pass. The model's macro labels must be ``fragment``'s macro
+    outcomes, and the caller is expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
@@ -774,5 +694,5 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         kind = "NONE"
     preparations = model.preparations   # the evidence must not capture the model
     return Classification(
-        kind, lambda: {**head, **_scipy_mixture_evidence(preparations, eigen_matrix), **tail}
+        kind, lambda: {**head, **_mixture_evidence(preparations, eigen_matrix), **tail}
     )

@@ -412,6 +412,27 @@ def support_index_classify(model: FiniteOntModel, fragment: QuantumFragment) -> 
 # -- the framework property suite ---------------------------------------------
 
 
+# classify's NNLS and the oracle's scipy nnls round a residual differently:
+# on the det model classify prints 0.9354143466934856, scipy 0.9354143466934857
+RESIDUAL_AGREEMENT = 1e-12
+MIXTURE_KEYS = ("worst_mixture", "max_mixture_residual")
+
+
+def agrees_with_the_oracle(got: Classification, want: Classification) -> bool:
+    """``got`` and ``want`` have the same kind and, bit for bit, the same
+    evidence but for the mixture residuals. Those agree within
+    ``RESIDUAL_AGREEMENT``, relative, and absolute below 1 (a preparation
+    has |mu| <= 1). The worst preparations must match only where the worst
+    residual is above that floor: below it every residual is rounding, and
+    the two solvers may rank them differently."""
+    a, b = (v.evidence["max_mixture_residual"] for v in (got, want))
+    worst = [v.evidence.get("worst_mixture", {}).get("preparation") for v in (got, want)]
+    rest = [{k: e for k, e in v.evidence.items() if k not in MIXTURE_KEYS} for v in (got, want)]
+    return (got.kind == want.kind and tree_bits(rest[0]) == tree_bits(rest[1])
+            and math.isclose(a, b, rel_tol=RESIDUAL_AGREEMENT, abs_tol=RESIDUAL_AGREEMENT)
+            and (max(a, b) <= RESIDUAL_AGREEMENT or worst[0] == worst[1]))
+
+
 def measurable_targets(model: FiniteOntModel, fragment: QuantumFragment) -> list[str]:
     """States with a delta set and a fragment measurement containing them as
     an outcome (prerequisite for the single-target overlap bound)."""

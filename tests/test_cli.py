@@ -14,7 +14,6 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
-from macroreal.ontomodel import _slsqplib_path
 from toolenv import ROOT, child_env
 
 
@@ -216,41 +215,13 @@ sys.path.insert(0, {tests!r})
 
 verdicts = [classify(model, fragment) for model, fragment in zoo_models]
 kinds = [verdict.kind for verdict in verdicts]
-evidences = [verdict.evidence for verdict in verdicts]
-scipy_optimize = "scipy.optimize" in sys.modules
+evidences = [verdict.evidence for verdict in verdicts]   # formed and kept here
+scipy_modules = sorted(k for k in sys.modules if k.startswith("scipy"))
 
-from helpers import support_index_classify, tree_bits   # imports scipy.optimize
-same = [tree_bits(evidence) == tree_bits(support_index_classify(model, fragment).evidence)
-        for evidence, (model, fragment) in zip(evidences, zoo_models)]
-print(json.dumps([kinds, same, scipy_optimize]))
-"""
-
-# classify on zoo ks files, its evidence read from the command's output
-# before anything imports scipy.optimize, then checked against the oracle
-CLASSIFY_EVIDENCE_CHILD = """
-import contextlib, io, json, os, sys, tempfile
-sys.path.insert(0, {tests!r})
-from macroreal.cli import run
-
-with tempfile.TemporaryDirectory() as tmp:
-    model, fragment, out = (os.path.join(tmp, name) for name in ("m.json", "f.json", "c.json"))
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes = [run(["zoo", "ks", "--nodes", "2000", "--pairs", "5",
-                      "--model-out", model, "--fragment-out", fragment]),
-                 run(["classify", "--model", model, "--fragment", fragment, "--json", out])]
-    with open(out) as fh:
-        payload = json.load(fh)
-    scipy_modules = sorted(k for k in sys.modules if k.startswith("scipy"))
-
-    from helpers import support_index_classify
-    from macroreal.serialize import fragment_from_json, load_json, model_from_json
-    import scipy.optimize._nnls
-    oracle = support_index_classify(model_from_json(load_json(model)),
-                                    fragment_from_json(load_json(fragment)))
-same = payload == json.loads(json.dumps({{"classification": oracle.kind,
-                                         "evidence": oracle.evidence}}))
-reused = scipy.optimize._nnls._nnls is sys.modules["scipy.optimize._slsqplib"].nnls
-print(json.dumps([codes, payload["classification"], scipy_modules, same, reused]))
+from helpers import agrees_with_the_oracle, support_index_classify   # imports scipy
+same = [agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
+        for verdict, (model, fragment) in zip(verdicts, zoo_models)]
+print(json.dumps([kinds, same, scipy_modules]))
 """
 
 
@@ -271,30 +242,13 @@ def test_witness_sweep_exclude_do_not_load_scipy():
     assert not numpy_ma
 
 
-def test_classify_evidence_loads_only_scipys_nnls_extension():
-    """Where scipy ships ``_slsqplib``, the ``classify`` command prints its
-    evidence without importing ``scipy.optimize``, the evidence is the
-    oracle's bit for bit, and a later ``import scipy.optimize`` reuses the
-    extension module."""
-    codes, kind, scipy_modules, same, reused = _child_json(
-        CLASSIFY_EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
-    assert codes == [0, 0]
-    assert kind == "ESMR"
-    assert same
-    if _slsqplib_path() is None:
-        assert "scipy.optimize" in scipy_modules   # the fallback
-    else:
-        assert scipy_modules == ["scipy.optimize._slsqplib"]
-        assert reused
-
-
-def test_zoo_evidence_read_after_the_verdict_matches_the_index_form_bit_for_bit():
-    """The evidence is formed on its first read, after ``kind``, in a child
-    that has not imported scipy before."""
-    kinds, same, scipy_optimize = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
+def test_zoo_evidence_read_after_the_verdict_matches_the_index_form():
+    """The evidence, formed on its first read after ``kind``, loads no
+    scipy, and agrees with the oracle as ``agrees_with_the_oracle`` says."""
+    kinds, same, scipy_modules = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
     assert kinds == ZOO_KINDS
     assert same == [True] * 4
-    assert scipy_optimize is (_slsqplib_path() is None)
+    assert scipy_modules == []
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):

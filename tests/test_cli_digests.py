@@ -13,7 +13,9 @@ digest. Both files are only read.
 
 The child pins BLAS to one thread, as the benchmark that recorded the
 digests does: LAPACK's threaded solve in ``_Simplex.duals`` moves the last
-bits of some Farkas rays (1e-18 at d=6) with the thread count.
+bits of some Farkas rays (1e-18 at d=6) with the thread count. The child
+also refuses to import scipy, so a match shows that no recorded command
+needs it.
 ``tools/digest_threads.py`` runs the same child on more threads through
 ``run_recorded``, and ``tools/traffic_lines.py`` runs ``SCRIPT`` in process.
 """
@@ -37,8 +39,26 @@ RECORDED = {
 FIXED = [" ".join(argv) for argv in load(ROOT / "bench" / "workloads.py").FIXED_COMMANDS]
 SCRIPT = sorted(RECORDED) + FIXED
 
-CHILD = """
-import contextlib, hashlib, io, json, sys
+# first in the child: from here on, importing scipy raises
+REFUSE_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused: the runtime must not need scipy",
+                                      name=name)
+        return None
+
+
+assert not any(name.partition(".")[0] == "scipy" for name in sys.modules)
+sys.meta_path.insert(0, RefuseScipy)
+"""
+
+CHILD = REFUSE_SCIPY + """
+import contextlib, hashlib, io, json
 from pathlib import Path
 from macroreal.cli import run
 
@@ -55,8 +75,9 @@ print(json.dumps(result))
 
 def run_recorded(threads: int) -> dict:
     """Run every recorded command in one child interpreter whose BLAS runs
-    on ``threads`` threads, in script order. Map each command to its exit
-    code, the sha256 of its stdout and those of the files it wrote."""
+    on ``threads`` threads and which cannot import scipy, in script order.
+    Map each command to its exit code, the sha256 of its stdout and those
+    of the files it wrote."""
     script = [(command, sorted(ENTRIES[command].get("files", {}))) for command in SCRIPT]
     with tempfile.TemporaryDirectory() as workdir:
         child = subprocess.run(
@@ -71,6 +92,15 @@ def run_recorded(threads: int) -> dict:
 @pytest.fixture(scope="module")
 def produced():
     return run_recorded(1)
+
+
+def test_the_child_cannot_import_scipy():
+    child = subprocess.run(
+        [sys.executable, "-c", REFUSE_SCIPY + "import scipy.optimize"],
+        capture_output=True, text=True, env=child_env(1), timeout=60,
+    )
+    assert child.returncode == 1
+    assert "ModuleNotFoundError: scipy is refused" in child.stderr
 
 
 def test_digests_cover_witness_and_exclude():

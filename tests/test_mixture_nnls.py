@@ -6,15 +6,14 @@ on the final passive columns. Its solution x is the whole certificate:
 ``ontomodel._mixture_verdict`` forms the residual r = mu - E x itself and
 re-verifies x, which certifies a mixture, or r, a Farkas certificate that
 mu is not one, or neither, inside the band around ``MIXTURE_RESIDUAL_TOL``
-where scipy decides. Hypothesis draws nonnegative E with k = 1..6 columns,
-repeated and zero columns among them, and mu inside or outside their
-cone. ``ontomodel._scipy_nnls``, which loads only scipy's compiled NNLS
-extension, must give scipy's own x and rnorm bit for bit, and so must its
-fallback to ``scipy.optimize.nnls``.
+where |r| decides uncertified. ``classify``'s evidence prints that |r| for
+that x, bit for bit. scipy's ``nnls`` is the independent oracle:
+Hypothesis draws nonnegative E with k = 1..6 columns, repeated and zero
+columns among them, and mu inside or outside their cone, and the verdicts
+and residuals must agree with scipy's.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from macroreal import (
     standard_qubit_fragment,
 )
 from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL
-from helpers import support_index_classify, tree_bits
+from helpers import MIXTURE_KEYS, agrees_with_the_oracle, support_index_classify, tree_bits
 
 # small whole numbers over a common denominator: columns that repeat, vanish
 # or depend on each other without the conditioning that would make any
@@ -134,11 +133,13 @@ def test_flipping_one_sign_of_x_fails_reverification(problem, data):
     assert ontomodel._mixture_verdict(matrix, mu, bad) is None
 
 
-def test_inside_the_band_scipy_decides():
-    """A preparation at distance MIXTURE_RESIDUAL_TOL from the eigenstate
-    cone gets no certified verdict, and classify's kind is the one scipy's
-    residual gives."""
-    delta = MIXTURE_RESIDUAL_TOL / math.sqrt(2.0)
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_inside_the_band_the_residual_decides(side):
+    """A preparation at distance (1 +- MIXTURE_BAND / 2) MIXTURE_RESIDUAL_TOL
+    from the eigenstate cone gets no certified verdict, and classify's kind
+    is the one its residual |mu - E x| gives: a mixture just below the
+    tolerance, none just above, as scipy's residual says too."""
+    delta = MIXTURE_RESIDUAL_TOL * (1.0 + side * MIXTURE_BAND / 2.0) / math.sqrt(2.0)
     model = FiniteOntModel(
         atoms=3,
         preparations={
@@ -153,9 +154,13 @@ def test_inside_the_band_scipy_decides():
     )
     matrix = np.column_stack([model.preparation("e0"), model.preparation("e1")])
     mu = model.preparation("edge")
-    assert ontomodel._mixture_verdict(matrix, mu, solve(matrix, mu)) is None
+    x = solve(matrix, mu)
+    assert ontomodel._mixture_verdict(matrix, mu, x) is None
     fragment = qubit_fragment({"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)})
-    assert classify(model, fragment) == support_index_classify(model, fragment)
+    verdict = classify(model, fragment)
+    assert verdict.kind == ("EMMR" if side < 0 else "ESMR")
+    assert verdict.evidence["max_mixture_residual"] == float(np.linalg.norm(mu - matrix @ x))
+    assert agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
 
 
 def _zoo_models(grid):
@@ -214,88 +219,28 @@ DEPENDENT_CASE = (
 )
 
 
-def same_bits_as_scipy(solver, matrix, mu) -> bool:
-    return tree_bits(list(solver(matrix, mu))) == tree_bits(list(nnls(matrix, mu)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(cone_problems())
-def test_the_extension_loader_gives_scipys_x_and_rnorm_bit_for_bit(problem):
-    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *problem)
-
-
-def test_the_extension_loader_matches_scipy_on_dependent_columns():
-    assert same_bits_as_scipy(ontomodel._scipy_nnls(), *DEPENDENT_CASE)
-
-
 @pytest.mark.parametrize("nodes", [2_000, 20_000])
-def test_the_extension_loader_matches_scipy_on_every_zoo_preparation(nodes, big_grid):
+def test_the_printed_residual_is_the_residual_of_the_printed_x(nodes, big_grid):
+    """The evidence prints |mu - E x| for the NNLS x the verifier checks,
+    bit for bit, and the first preparation with the largest. On the
+    dependent-column case that is 0.40657855630736306, where scipy's rnorm
+    reads 0.4055706491861664, below the residual of its own x."""
+    matrix, mu = DEPENDENT_CASE
+    evidence = ontomodel._mixture_evidence({"mu": mu}, matrix)
+    residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
+    assert tree_bits(evidence) == tree_bits({"worst_mixture": {"preparation": "mu",
+                                                               "residual": residual},
+                                             "max_mixture_residual": residual})
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
-    nnls_bits = ontomodel._scipy_nnls()
-    for model, _ in _zoo_models(grid):
+    for model, fragment in _zoo_models(grid):
         names = [p for q in model.outcome_labels[model.macro_measurement]
                  for p in model.eigenstate_preps[q]]
         matrix = np.column_stack([model.preparation(p) for p in names])
-        for mu in model.preparations.values():
-            assert same_bits_as_scipy(nnls_bits, matrix, mu)
-
-
-def test_the_extension_loader_reuses_the_module_scipy_optimize_holds():
-    """In this process ``scipy.optimize`` is loaded, so its extension is
-    the one the loader wraps."""
-    nnls_bits = ontomodel._scipy_nnls()
-    assert sys.modules[ontomodel._SLSQPLIB].nnls is sys.modules["scipy.optimize._nnls"]._nnls
-    assert same_bits_as_scipy(nnls_bits, *DEPENDENT_CASE)
-
-
-def test_the_extension_loader_keeps_scipys_argument_checks():
-    nnls_bits = ontomodel._scipy_nnls()
-    with pytest.raises(ValueError):
-        nnls_bits(np.ones(3), np.ones(3))
-    with pytest.raises(ValueError):
-        nnls_bits(np.ones((3, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        nnls_bits(np.array([[1.0, np.nan]]), np.ones(1))
-    with pytest.raises(ValueError):
-        nnls_bits(np.ones((1, 2)), np.array([np.inf]))
-    column = DEPENDENT_CASE[1].reshape(-1, 1)
-    assert tree_bits(list(nnls_bits(DEPENDENT_CASE[0], column))) == \
-        tree_bits(list(nnls(DEPENDENT_CASE[0], column)))
-
-
-def test_the_wrapper_hands_the_extension_what_scipy_hands_it(monkeypatch):
-    """C-ordered float64 A, a flat float64 b, maxiter 3n; info 3 (the
-    iteration cap) raises as scipy does."""
-    calls = []
-
-    class Extension:
-        info = 1
-
-        @classmethod
-        def nnls(cls, A, b, maxiter):
-            calls.append((A, b, maxiter))
-            return np.zeros(A.shape[1]), 0.0, cls.info
-
-    monkeypatch.setitem(sys.modules, ontomodel._SLSQPLIB, Extension)
-    ontomodel._scipy_nnls()(np.asfortranarray(np.ones((3, 2), dtype=int)), [[1], [2], [3]])
-    (A, b, maxiter), = calls
-    assert (A.dtype, A.flags.c_contiguous, b.dtype, b.shape, maxiter) == \
-        (np.float64, True, np.float64, (3,), 6)
-    Extension.info = 3
-    with pytest.raises(RuntimeError):
-        ontomodel._scipy_nnls()(np.ones((3, 2)), np.ones(3))
-
-
-@pytest.mark.parametrize("found", ["nothing", "a file that is no extension"])
-def test_without_the_extension_the_loader_falls_back_to_scipy_optimize(found, monkeypatch,
-                                                                      tmp_path):
-    bogus = tmp_path / "_slsqplib.so"
-    bogus.write_bytes(b"not a shared object")
-    path = None if found == "nothing" else str(bogus)
-    monkeypatch.setattr(ontomodel, "_slsqplib_path", lambda: path)
-    monkeypatch.delitem(sys.modules, ontomodel._SLSQPLIB)
-    fallback = ontomodel._scipy_nnls()
-    assert fallback is nnls
-    assert ontomodel._SLSQPLIB not in sys.modules
-    for matrix, mu in [DEPENDENT_CASE, (np.eye(3)[:, :2], np.array([0.5, -0.25, 1.0]))]:
-        assert same_bits_as_scipy(fallback, matrix, mu)
+        residuals = {name: float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
+                     for name, mu in model.preparations.items()}
+        worst = max(residuals, key=residuals.get)   # the first of the largest
+        want = {"worst_mixture": {"preparation": worst, "residual": residuals[worst]}}
+        want = {**(want if residuals[worst] > 0.0 else {}),
+                "max_mixture_residual": residuals[worst]}
+        evidence = classify(model, fragment).evidence
+        assert tree_bits({k: evidence[k] for k in evidence if k in MIXTURE_KEYS}) == tree_bits(want)

@@ -27,6 +27,7 @@ from macroreal import (
 )
 from macroreal.ontomodel import default_bindings
 from helpers import (
+    agrees_with_the_oracle,
     brute_force_overlap,
     eigensplit_model,
     macro_only_fragment,
@@ -673,16 +674,16 @@ def _classify_cases() -> list:
 
 def test_classify_matches_the_support_index_form():
     """Testing weights against SUPPORT_EPS gives the verdict and evidence of
-    reading each support as atom indices, bit for bit."""
+    reading each support as atom indices, bit for bit but for the mixture
+    residuals, which the oracle takes from scipy's nnls and which agree to
+    ``RESIDUAL_AGREEMENT``."""
     cases = _classify_cases()
     kinds = set()
     for model, frag in cases:
         if not all(q in model.eigenstate_preps for q in model.outcome_labels[model.macro_measurement]):
             continue
         got = classify(model, frag)
-        want = support_index_classify(model, frag)
-        assert got == want
-        assert tree_bits(got.evidence) == tree_bits(want.evidence)
+        assert agrees_with_the_oracle(got, support_index_classify(model, frag))
         kinds.add(got.kind)
     assert kinds == {"EMMR", "ESMR", "SSMR", "NONE"}
 

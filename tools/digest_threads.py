@@ -5,8 +5,9 @@
 
 Runs every command recorded in ``bench/cli_digests.json`` the way
 ``tests/test_cli_digests.py`` does (its ``run_recorded``: one child
-interpreter, the commands in script order), with the child's OpenBLAS, OMP
-and MKL thread counts set to THREADS, which must lie in 1..``os.cpu_count()``.
+interpreter that cannot import scipy, the commands in script order), with
+the child's OpenBLAS, OMP and MKL thread counts set to THREADS, which must
+lie in 1..``os.cpu_count()``.
 Prints each command whose exit code, stdout digest or file digests differ
 from the record, then ``k of N differ``, and exits 1 when k > 0. The
 package is imported from this checkout's ``src/``.
