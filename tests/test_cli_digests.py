@@ -97,7 +97,7 @@ def produced():
 def test_the_child_cannot_import_scipy():
     child = subprocess.run(
         [sys.executable, "-c", REFUSE_SCIPY + "import scipy.optimize"],
-        capture_output=True, text=True, env=child_env(1), timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert child.returncode == 1
     assert "ModuleNotFoundError: scipy is refused" in child.stderr

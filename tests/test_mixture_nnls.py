@@ -177,13 +177,18 @@ def _zoo_models(grid):
     ]
 
 
+def eigen_matrix(model):
+    """The declared eigenstate preparations as columns, in classify's order."""
+    names = [p for q in model.outcome_labels[model.macro_measurement]
+             for p in model.eigenstate_preps[q]]
+    return np.column_stack([model.preparation(p) for p in names])
+
+
 @pytest.mark.parametrize("nodes", [2_000, 20_000])
 def test_every_zoo_preparation_gets_scipys_verdict_with_a_certificate(nodes, big_grid):
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
     for model, fragment in _zoo_models(grid):
-        names = [p for q in model.outcome_labels[model.macro_measurement]
-                 for p in model.eigenstate_preps[q]]
-        matrix = np.column_stack([model.preparation(p) for p in names])
+        matrix = eigen_matrix(model)
         for mu in model.preparations.values():
             verdict = ontomodel._mixture_verdict(matrix, mu, solve(matrix, mu))
             assert verdict is bool(nnls(matrix, mu)[1] <= MIXTURE_RESIDUAL_TOL)
@@ -233,14 +238,12 @@ def test_the_printed_residual_is_the_residual_of_the_printed_x(nodes, big_grid):
                                              "max_mixture_residual": residual})
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
     for model, fragment in _zoo_models(grid):
-        names = [p for q in model.outcome_labels[model.macro_measurement]
-                 for p in model.eigenstate_preps[q]]
-        matrix = np.column_stack([model.preparation(p) for p in names])
+        matrix = eigen_matrix(model)
         residuals = {name: float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
                      for name, mu in model.preparations.items()}
         worst = max(residuals, key=residuals.get)   # the first of the largest
-        want = {"worst_mixture": {"preparation": worst, "residual": residuals[worst]}}
-        want = {**(want if residuals[worst] > 0.0 else {}),
-                "max_mixture_residual": residuals[worst]}
+        largest = residuals[worst]
+        want = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
+        want["max_mixture_residual"] = largest
         evidence = classify(model, fragment).evidence
         assert tree_bits({k: evidence[k] for k in evidence if k in MIXTURE_KEYS}) == tree_bits(want)
