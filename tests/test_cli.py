@@ -14,7 +14,10 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
-from toolenv import ROOT, child_env
+from macroreal.ontomodel import classify
+from macroreal.serialize import fragment_from_json, load_json, model_from_json
+from toolenv import REFUSE_SCIPY, ROOT, child_env
+from helpers import agrees_with_the_oracle, support_index_classify
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +227,21 @@ same = [agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
 print(json.dumps([kinds, same, scipy_modules]))
 """
 
+# zoo writes a model and its fragment, and classify prints their verdict,
+# in a child that cannot import scipy
+CLASSIFY_WITHOUT_SCIPY_CHILD = """
+import contextlib, io, json
+from macroreal.cli import run
+
+model, fragment = {model!r}, {fragment!r}
+out = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(["zoo", *{zoo!r}, "--model-out", model, "--fragment-out", fragment])]
+with contextlib.redirect_stdout(out):
+    codes.append(run(["classify", "--model", model, "--fragment", fragment]))
+print(json.dumps([codes, json.loads(out.getvalue())]))
+"""
+
 
 def _child_json(code: str):
     child = subprocess.run(
@@ -249,6 +267,25 @@ def test_zoo_evidence_read_after_the_verdict_matches_the_index_form():
     assert kinds == ZOO_KINDS
     assert same == [True] * 4
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize(("zoo", "kind"), zip(["ks --nodes 2000", "bb", "det", "emmr-toy"],
+                                              ZOO_KINDS), ids=lambda v: v.split()[0])
+def test_classify_prints_its_evidence_without_scipy(zoo, kind, tmp_path):
+    """The ``classify`` command runs in a child that cannot import scipy,
+    and prints bit for bit the verdict ``classify`` gives here, which
+    agrees with the oracle's as ``agrees_with_the_oracle`` says."""
+    model_path, fragment_path = tmp_path / "model.json", tmp_path / "fragment.json"
+    codes, payload = _child_json(REFUSE_SCIPY + CLASSIFY_WITHOUT_SCIPY_CHILD.format(
+        zoo=zoo.split(), model=str(model_path), fragment=str(fragment_path)))
+    assert codes == [0, 0]
+    assert payload["classification"] == kind
+    model = model_from_json(load_json(str(model_path)))
+    fragment = fragment_from_json(load_json(str(fragment_path)))
+    verdict = classify(model, fragment)
+    assert payload == json.loads(json.dumps({"classification": verdict.kind,
+                                             "evidence": verdict.evidence}))
+    assert agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):

@@ -26,7 +26,7 @@ import sys
 import tempfile
 
 import pytest
-from toolenv import ROOT, child_env, load
+from toolenv import REFUSE_SCIPY, ROOT, child_env, load
 
 ENTRIES = json.loads((ROOT / "bench" / "cli_digests.json").read_text())
 RECORDED = {
@@ -38,24 +38,6 @@ RECORDED = {
 # the benchmark script's fixed commands, in its order
 FIXED = [" ".join(argv) for argv in load(ROOT / "bench" / "workloads.py").FIXED_COMMANDS]
 SCRIPT = sorted(RECORDED) + FIXED
-
-# first in the child: from here on, importing scipy raises
-REFUSE_SCIPY = """
-import sys
-
-
-class RefuseScipy:
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"{name} is refused: the runtime must not need scipy",
-                                      name=name)
-        return None
-
-
-assert not any(name.partition(".")[0] == "scipy" for name in sys.modules)
-sys.meta_path.insert(0, RefuseScipy)
-"""
 
 CHILD = REFUSE_SCIPY + """
 import contextlib, hashlib, io, json

@@ -224,18 +224,37 @@ DEPENDENT_CASE = (
 )
 
 
-@pytest.mark.parametrize("nodes", [2_000, 20_000])
-def test_the_printed_residual_is_the_residual_of_the_printed_x(nodes, big_grid):
+def test_on_dependent_columns_the_printed_residual_is_that_of_x_not_scipys_rnorm():
     """The evidence prints |mu - E x| for the NNLS x the verifier checks,
-    bit for bit, and the first preparation with the largest. On the
-    dependent-column case that is 0.40657855630736306, where scipy's rnorm
-    reads 0.4055706491861664, below the residual of its own x."""
+    0.40657855630736306, where scipy's rnorm reads 0.4055706491861664,
+    below the residual 0.40700047171339393 of scipy's own x."""
     matrix, mu = DEPENDENT_CASE
     evidence = ontomodel._mixture_evidence({"mu": mu}, matrix)
     residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
     assert tree_bits(evidence) == tree_bits({"worst_mixture": {"preparation": "mu",
                                                                "residual": residual},
                                              "max_mixture_residual": residual})
+    scipy_x, rnorm = nnls(matrix, mu)
+    assert rnorm < residual < float(np.linalg.norm(mu - matrix @ scipy_x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone_problems())
+def test_the_printed_residual_is_the_residual_of_x_on_drawn_cones(problem):
+    """Bit for bit, and of two equal preparations the first is the worst."""
+    matrix, mu = problem
+    residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
+    want = {"worst_mixture": {"preparation": "a", "residual": residual}} if residual else {}
+    want["max_mixture_residual"] = residual
+    evidence = ontomodel._mixture_evidence({"a": mu, "b": mu.copy()}, matrix)
+    assert tree_bits(evidence) == tree_bits(want)
+
+
+@pytest.mark.parametrize("nodes", [2_000, 20_000])
+def test_the_printed_residual_is_the_residual_of_the_printed_x(nodes, big_grid):
+    """On every zoo model the evidence prints |mu - E x| for the NNLS x the
+    verifier checks, bit for bit, and the first preparation with the
+    largest."""
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
     for model, fragment in _zoo_models(grid):
         matrix = eigen_matrix(model)

@@ -25,6 +25,7 @@ from macroreal import (
     standard_qubit_fragment,
     validate,
 )
+import macroreal.ontomodel as ontomodel
 from macroreal.ontomodel import default_bindings
 from helpers import (
     agrees_with_the_oracle,
@@ -696,6 +697,28 @@ def test_classification_is_read_only_and_compares_by_kind_and_evidence():
     assert verdict == Classification("EMMR", dict(verdict.evidence))
     assert verdict != Classification("NONE", verdict.evidence)
     assert repr(verdict) == f"Classification(kind='EMMR', evidence={verdict.evidence!r})"
+
+
+def test_the_evidence_pass_runs_once_on_the_first_read(monkeypatch):
+    """Reading ``kind`` or comparing kinds forms no evidence; the first read
+    of ``evidence`` runs the pass over every preparation, and later reads
+    and comparisons return the dict it kept."""
+    passes = []
+    real = ontomodel._mixture_evidence
+
+    def counting(preparations, eigen_matrix):
+        passes.append(len(preparations))
+        return real(preparations, eigen_matrix)
+
+    monkeypatch.setattr(ontomodel, "_mixture_evidence", counting)
+    model, frag = _zoo_cases()["emmr-toy"]
+    verdict = classify(model, frag)
+    assert verdict.kind == "EMMR"
+    assert passes == []
+    first = verdict.evidence
+    assert verdict.evidence is first
+    assert verdict == Classification("EMMR", dict(first))
+    assert passes == [len(model.preparations)]
 
 
 def test_a_verdict_does_not_keep_its_model_alive():

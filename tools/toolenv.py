@@ -11,6 +11,8 @@
   module without writing to it or to ``sys.path``.
 - ``quiet`` discards stdout and stderr, optionally inside a working
   directory.
+- ``REFUSE_SCIPY`` is source for the head of a child script: from there
+  on, importing scipy raises ``ModuleNotFoundError``.
 
 It imports only the standard library, so a tool can import it before numpy.
 The tools import it as a sibling (run as a script, a tool finds it through
@@ -25,6 +27,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+REFUSE_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is refused: the runtime must not need scipy",
+                                      name=name)
+        return None
+
+
+assert not any(name.partition(".")[0] == "scipy" for name in sys.modules)
+sys.meta_path.insert(0, RefuseScipy)
+"""
 
 
 def one_blas_thread(env):
