@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .quantum import ProjMeasurement, born
+from .witness import CertificationError
 
 SUPPORT_EPS = 1e-12        # membership threshold for supports
 KERNEL_EPS = 1e-9          # membership threshold for kernel sets
@@ -30,8 +31,6 @@ PROB_TOL = 1e-12           # stochasticity of preparations / maps / responses
 EIGENPREP_TOL = 1e-10      # certainty requirement on declared eigenstate preps
 DETERMINISM_TOL = 1e-10    # 0/1 response columns for the SSMR condition
 MIXTURE_RESIDUAL_TOL = 1e-9
-MIXTURE_BAND = 1e-3        # relative half-width of the band around MIXTURE_RESIDUAL_TOL
-                           # where the NNLS residual, uncertified, decides condition (b)
 NNLS_ROUNDING = 2.0**-44   # rounding allowance, relative, in NNLS gradients and residuals
 
 
@@ -473,8 +472,8 @@ class Classification:
     where its kind stops at the first non-mixture, so a caller that reads
     only ``kind`` does not pay for it. Until that read the verdict holds
     the function and what it captures: ``classify``'s captures the model's
-    preparations and eigenstate matrix, not the model. Verdicts are
-    read-only and compare by kind and evidence.
+    preparations, eigenstate matrix and the NNLS solutions of the kind, not
+    the model. Verdicts are read-only and compare by kind and evidence.
     """
 
     __slots__ = ("kind", "_evidence")
@@ -520,7 +519,7 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> np.ndarray:
     floor = NNLS_ROUNDING * np.sqrt(np.diagonal(gram)) * math.sqrt(float(mu @ mu))
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
-    for _ in range(3 * k):   # scipy's cap; an x that stops short fails re-verification
+    for _ in range(3 * k):   # scipy's cap; an x that stops short may certify nothing
         gradient = h - gram @ x
         entering = np.flatnonzero(~passive & (gradient > floor))
         if not entering.size:
@@ -558,66 +557,64 @@ def _mixture_verdict(matrix: np.ndarray, mu: np.ndarray, x: np.ndarray) -> bool 
     (b): is ``mu`` within ``MIXTURE_RESIDUAL_TOL`` of the cone of
     ``matrix``'s columns? Its residual r = mu - matrix @ x is formed here.
 
-    With x >= 0, True when |r| is within the tolerance, and False when r is
-    a Farkas certificate that mu lies farther: matrix.T @ r <= 0 up to
-    rounding (``NNLS_ROUNDING * |column j| * |mu|``), so every point of the
-    cone is at least mu.r/|r| from mu, less a rounding allowance; at an
-    NNLS optimum mu.r/|r| = |r| by the KKT conditions. None when x has a
-    negative entry, or neither holds by ``MIXTURE_BAND`` times the tolerance.
+    None unless x >= 0. True when |r| is within the tolerance: x is the
+    mixture. Otherwise False when x is an NNLS optimum up to rounding, so
+    that |r| is mu's distance from the cone (the KKT conditions: g =
+    matrix.T @ r <= ``NNLS_ROUNDING * |column j| * |mu|``, and x.g >= -slack,
+    the rounding g carries on x), and None when it is not. r is then also
+    a Farkas certificate: every point of the cone is at least
+    (mu.r - slack)/|r| >= (|r|^2 - 2 slack)/|r| from mu, which exceeds the
+    tolerance only once |r| is above sqrt(2 slack), about 4.8e-7 |mu| k^(1/4)
+    for k columns. Nearer, the False verdict rests on the optimality of x
+    up to rounding, uncertified.
     """
     if not (x >= 0.0).all():
         return None
     mu_norm = math.sqrt(float(mu @ mu))
     r = mu - matrix @ x
-    if np.linalg.norm(r) <= MIXTURE_RESIDUAL_TOL * (1.0 - MIXTURE_BAND):
+    if np.linalg.norm(r) <= MIXTURE_RESIDUAL_TOL:
         return True
     allowance = NNLS_ROUNDING * mu_norm   # r carries rounding of order eps * |mu|
     col_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
-    if (r @ matrix <= allowance * col_norms).all():
-        # an x' >= 0 no farther from mu than 0 is has |matrix @ x'| <= 2|mu|,
-        # so sum_j x'_j |column j| <= 2 sqrt(k) |mu|, and
-        # |mu - matrix @ x'| >= (mu.r - x'.(matrix.T @ r)) / |r| >= bound
-        slack = 2.0 * math.sqrt(matrix.shape[1]) * mu_norm * allowance
-        bound = (float(mu @ r) - slack) / float(np.linalg.norm(r))
-        if bound > MIXTURE_RESIDUAL_TOL * (1.0 + MIXTURE_BAND):
-            return False
+    gradient = r @ matrix
+    # an x' >= 0 no farther from mu than 0 is has |matrix @ x'| <= 2|mu|, so
+    # sum_j x'_j |column j| <= 2 sqrt(k) |mu| and x'.gradient <= slack
+    slack = 2.0 * math.sqrt(matrix.shape[1]) * mu_norm * allowance
+    if (gradient <= allowance * col_norms).all() and float(x @ gradient) >= -slack:
+        return False
     return None
 
 
-def _all_mixtures(model: FiniteOntModel, eigen_matrix: np.ndarray) -> bool:
+def _all_mixtures(preparations: dict, matrix: np.ndarray, gram: np.ndarray, solved: dict) -> bool:
     """Condition (b): each preparation, in registration order, is a
-    nonnegative mixture of ``eigen_matrix``'s columns, stopping at the first
-    that is certified not to be. The certificate is the NNLS solution x,
-    whose residual ``_mixture_verdict`` forms itself. Where x leaves the
-    verdict open, inside the band, that residual is held against
-    ``MIXTURE_RESIDUAL_TOL`` uncertified."""
-    gram = eigen_matrix.T @ eigen_matrix
-    for mu in model.preparations.values():
-        x = _nnls(eigen_matrix, gram, mu)
-        verdict = _mixture_verdict(eigen_matrix, mu, x)
+    nonnegative mixture of ``matrix``'s columns (``gram`` their normal
+    form), stopping at the first that is not. The certificate is the NNLS
+    solution x, kept in ``solved`` under the preparation's name. An x that
+    is no optimum, where the NNLS stopped short, raises ``CertificationError``."""
+    for pname, mu in preparations.items():
+        x = solved[pname] = _nnls(matrix, gram, mu)
+        verdict = _mixture_verdict(matrix, mu, x)
         if verdict is None:
-            verdict = bool(np.linalg.norm(mu - eigen_matrix @ x) <= MIXTURE_RESIDUAL_TOL)
+            raise CertificationError(f"preparation {pname!r}: its NNLS solution is neither a "
+                                     f"mixture within {MIXTURE_RESIDUAL_TOL:g} nor an optimum")
         if not verdict:
             return False
     return True
 
 
-def _mixture_evidence(preparations: dict, eigen_matrix: np.ndarray) -> dict:
+def _mixture_evidence(preparations: dict, matrix: np.ndarray, gram: np.ndarray, solved: dict) -> dict:
     """``worst_mixture`` (when some residual is positive) and
-    ``max_mixture_residual``: the residual |mu - E x| of the NNLS solution
-    x of every preparation in ``preparations`` (name -> weights) against
-    the eigenstate columns E, the first largest kept. It is the residual
-    ``_mixture_verdict`` forms for the same x."""
-    gram = eigen_matrix.T @ eigen_matrix
-    evidence: dict = {}
-    worst_residual = 0.0
+    ``max_mixture_residual``: the residual |mu - E x| ``_mixture_verdict``
+    forms, for the NNLS solution x (from ``solved`` where there) of every
+    preparation (name -> weights) against E = ``matrix``, the first largest kept."""
+    residuals = {}
     for pname, mu in preparations.items():
-        residual = float(np.linalg.norm(mu - eigen_matrix @ _nnls(eigen_matrix, gram, mu)))
-        if residual > worst_residual:
-            worst_residual = residual
-            evidence["worst_mixture"] = {"preparation": pname, "residual": residual}
-    evidence["max_mixture_residual"] = worst_residual
-    return evidence
+        x = solved[pname] if pname in solved else _nnls(matrix, gram, mu)
+        residuals[pname] = float(np.linalg.norm(mu - matrix @ x))
+    worst = max(residuals, key=residuals.get)   # the first of the largest
+    largest = residuals[worst]
+    evidence = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
+    return {**evidence, "max_mixture_residual": largest}
 
 
 def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification:
@@ -632,18 +629,18 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     anything else is NONE. (a) and (c) test the weights against
     ``SUPPORT_EPS`` directly and leave the realizing-set memo as they
     found it. (b) is asked only when (a) holds, of one preparation after
-    another until one is certified not to be a mixture: an in-house NNLS
-    gives each verdict with its solution x as the certificate, re-verified
-    on the residual |mu - E x| the verifier forms from x itself; inside the
-    narrow band around ``MIXTURE_RESIDUAL_TOL`` that residual decides
-    uncertified. The evidence's two residual entries are the same
-    residuals, of every preparation, formed on the first read of
-    ``evidence``, so a caller that reads only ``kind`` skips that pass.
-    Until then the verdict holds the model's preparations dict, the
-    eigenstate matrix and the other evidence entries, not the model, so
-    the model's responses, maps and realizing-set memo can be freed before
-    the pass. The model's macro labels must be ``fragment``'s macro
-    outcomes, and the caller is expected to have validated the two.
+    another until one is not a mixture: an in-house NNLS gives each verdict
+    with its solution x as the certificate, re-verified on the residual
+    |mu - E x| the verifier forms from x itself (``_mixture_verdict`` says
+    where a "not a mixture" is certified); an x the verifier finds no
+    optimum raises ``CertificationError``. The evidence's two residual
+    entries are the same residuals, of every preparation, formed on the
+    first read of ``evidence``, so a caller reading only ``kind`` skips it.
+    Until then the verdict holds the preparations dict, the eigenstate
+    matrix and the x solved so far, not the model, so its responses, maps
+    and realizing-set memo can be freed before the pass. The model's macro
+    labels must be ``fragment``'s macro outcomes, and the caller is
+    expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
@@ -673,7 +670,9 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
 
     # (b) mixtures of declared eigenstate preparations
     eigen_matrix = np.column_stack([model.preparation(p) for p in eigen_names])
-    mixture_ok = support_ok and _all_mixtures(model, eigen_matrix)
+    gram = eigen_matrix.T @ eigen_matrix
+    solved: dict = {}
+    mixture_ok = support_ok and _all_mixtures(model.preparations, eigen_matrix, gram, solved)
 
     # (c) deterministic macro responses on carried atoms (eigenstates carry some)
     tail: dict = {}
@@ -694,5 +693,6 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         kind = "NONE"
     preparations = model.preparations   # the evidence must not capture the model
     return Classification(
-        kind, lambda: {**head, **_mixture_evidence(preparations, eigen_matrix), **tail}
+        kind, lambda: {**head, **_mixture_evidence(preparations, eigen_matrix, gram, solved),
+                       **tail}
     )

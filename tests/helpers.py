@@ -41,6 +41,7 @@ from macroreal.exclusion import (
     MEAS_MACRO,
     _block_program,
 )
+import macroreal.ontomodel as ontomodel
 from macroreal.ontomodel import DETERMINISM_TOL, MIXTURE_RESIDUAL_TOL, SUPPORT_EPS, Classification
 
 ALL_MEASUREMENTS = (MEAS_ANTIDIST, MEAS_BPRIME, MEAS_MACRO)
@@ -418,19 +419,55 @@ RESIDUAL_AGREEMENT = 1e-12
 MIXTURE_KEYS = ("worst_mixture", "max_mixture_residual")
 
 
-def agrees_with_the_oracle(got: Classification, want: Classification) -> bool:
-    """``got`` and ``want`` have the same kind and, bit for bit, the same
-    evidence but for the mixture residuals. Those agree within
-    ``RESIDUAL_AGREEMENT``, relative, and absolute below 1 (a preparation
-    has |mu| <= 1). The worst preparations must match only where the worst
-    residual is above that floor: below it every residual is rounding, and
-    the two solvers may rank them differently."""
-    a, b = (v.evidence["max_mixture_residual"] for v in (got, want))
-    worst = [v.evidence.get("worst_mixture", {}).get("preparation") for v in (got, want)]
+def eigen_matrix(model: FiniteOntModel) -> np.ndarray:
+    """The declared eigenstate preparations as columns, in classify's order."""
+    names = [p for q in model.outcome_labels[model.macro_measurement]
+             for p in model.eigenstate_preps[q]]
+    return np.column_stack([model.preparation(p) for p in names])
+
+
+def residuals_of_x(model: FiniteOntModel) -> dict:
+    """``classify``'s two mixture entries from their definition: the
+    residual |mu - E x| of every preparation's ``ontomodel._nnls`` solution
+    x against the eigenstate columns E, each solved afresh, the first
+    preparation with the largest named unless that is 0."""
+    matrix = eigen_matrix(model)
+    gram = matrix.T @ matrix
+    residuals = {name: float(np.linalg.norm(mu - matrix @ ontomodel._nnls(matrix, gram, mu)))
+                 for name, mu in model.preparations.items()}
+    worst = max(residuals, key=residuals.get)   # the first of the largest
+    largest = residuals[worst]
+    want = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
+    want["max_mixture_residual"] = largest
+    return want
+
+
+def agrees_with_the_oracle(got: Classification, model: FiniteOntModel,
+                           fragment: QuantumFragment) -> bool:
+    """``got``, classify's verdict on ``model``, prints bit for bit the
+    mixture entries ``residuals_of_x`` gives, and agrees with the oracle
+    ``support_index_classify``: the same kind and, bit for bit, the same
+    evidence but for the two mixture residuals, which agree within
+    ``RESIDUAL_AGREEMENT``, relative, with the same worst preparation.
+    Where the oracle puts every preparation within ``MIXTURE_RESIDUAL_TOL``
+    of the cone, each residual is rounding of a distance 0 and the two
+    solvers rank them differently: there both must be within the
+    tolerance, and the worst name is held by the first check alone."""
+    want = support_index_classify(model, fragment)
+    mixture, oracle = ({k: v.evidence[k] for k in MIXTURE_KEYS if k in v.evidence}
+                       for v in (got, want))
     rest = [{k: e for k, e in v.evidence.items() if k not in MIXTURE_KEYS} for v in (got, want)]
-    return (got.kind == want.kind and tree_bits(rest[0]) == tree_bits(rest[1])
-            and math.isclose(a, b, rel_tol=RESIDUAL_AGREEMENT, abs_tol=RESIDUAL_AGREEMENT)
-            and (max(a, b) <= RESIDUAL_AGREEMENT or worst[0] == worst[1]))
+    a, b = mixture["max_mixture_residual"], oracle["max_mixture_residual"]
+    if b <= MIXTURE_RESIDUAL_TOL:
+        close = a <= MIXTURE_RESIDUAL_TOL
+    else:
+        close = (math.isclose(a, b, rel_tol=RESIDUAL_AGREEMENT)
+                 and math.isclose(mixture["worst_mixture"]["residual"],
+                                  oracle["worst_mixture"]["residual"], rel_tol=RESIDUAL_AGREEMENT)
+                 and mixture["worst_mixture"]["preparation"]
+                 == oracle["worst_mixture"]["preparation"])
+    return (tree_bits(mixture) == tree_bits(residuals_of_x(model)) and got.kind == want.kind
+            and tree_bits(rest[0]) == tree_bits(rest[1]) and close)
 
 
 def measurable_targets(model: FiniteOntModel, fragment: QuantumFragment) -> list[str]:

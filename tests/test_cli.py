@@ -14,10 +14,7 @@ import macroreal.cli
 import macroreal.witness
 import macroreal.zoo
 from macroreal.cli import run
-from macroreal.ontomodel import classify
-from macroreal.serialize import fragment_from_json, load_json, model_from_json
-from toolenv import REFUSE_SCIPY, ROOT, child_env
-from helpers import agrees_with_the_oracle, support_index_classify
+from toolenv import ROOT, child_env
 
 
 def run_cli(capsys, *argv):
@@ -213,33 +210,35 @@ print(json.dumps([codes, kinds, sorted(k for k in sys.modules if k.startswith("s
 """
 
 EVIDENCE_CHILD = ZOO_MODELS_CHILD + """
-import json, sys
+import contextlib, io, json, os, sys, tempfile
+from macroreal.cli import run
 sys.path.insert(0, {tests!r})
 
 verdicts = [classify(model, fragment) for model, fragment in zoo_models]
 kinds = [verdict.kind for verdict in verdicts]
 evidences = [verdict.evidence for verdict in verdicts]   # formed and kept here
+
+# zoo writes each model and its fragment, and the classify command prints their verdict
+payloads = []
+with tempfile.TemporaryDirectory() as tmp:
+    model_path, fragment_path = (os.path.join(tmp, name) for name in ("m.json", "f.json"))
+    for words in ("ks --nodes 2000", "bb", "det", "emmr-toy"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["zoo", *words.split(), "--model-out", model_path,
+                        "--fragment-out", fragment_path]) == 0
+        with contextlib.redirect_stdout(out):
+            assert run(["classify", "--model", model_path, "--fragment", fragment_path]) == 0
+        payloads.append(json.loads(out.getvalue()))
 scipy_modules = sorted(k for k in sys.modules if k.startswith("scipy"))
 
-from helpers import agrees_with_the_oracle, support_index_classify   # imports scipy
-same = [agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
+from helpers import agrees_with_the_oracle   # imports scipy
+same = [agrees_with_the_oracle(verdict, model, fragment)
         for verdict, (model, fragment) in zip(verdicts, zoo_models)]
-print(json.dumps([kinds, same, scipy_modules]))
-"""
-
-# zoo writes a model and its fragment, and classify prints their verdict,
-# in a child that cannot import scipy
-CLASSIFY_WITHOUT_SCIPY_CHILD = """
-import contextlib, io, json
-from macroreal.cli import run
-
-model, fragment = {model!r}, {fragment!r}
-out = io.StringIO()
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [run(["zoo", *{zoo!r}, "--model-out", model, "--fragment-out", fragment])]
-with contextlib.redirect_stdout(out):
-    codes.append(run(["classify", "--model", model, "--fragment", fragment]))
-print(json.dumps([codes, json.loads(out.getvalue())]))
+printed = [payload == json.loads(json.dumps({{"classification": verdict.kind,
+                                               "evidence": verdict.evidence}}))
+           for payload, verdict in zip(payloads, verdicts)]
+print(json.dumps([kinds, same, printed, scipy_modules]))
 """
 
 
@@ -261,31 +260,16 @@ def test_witness_sweep_exclude_do_not_load_scipy():
 
 
 def test_zoo_evidence_read_after_the_verdict_matches_the_index_form():
-    """The evidence, formed on its first read after ``kind``, loads no
-    scipy, and agrees with the oracle as ``agrees_with_the_oracle`` says."""
-    kinds, same, scipy_modules = _child_json(EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
+    """The evidence, formed on its first read after ``kind``, and the
+    ``zoo`` and ``classify`` commands load no scipy; the evidence agrees
+    with the oracle as ``agrees_with_the_oracle`` says, and the
+    ``classify`` command prints it bit for bit."""
+    kinds, same, printed, scipy_modules = _child_json(
+        EVIDENCE_CHILD.format(tests=str(ROOT / "tests")))
     assert kinds == ZOO_KINDS
     assert same == [True] * 4
+    assert printed == [True] * 4
     assert scipy_modules == []
-
-
-@pytest.mark.parametrize(("zoo", "kind"), zip(["ks --nodes 2000", "bb", "det", "emmr-toy"],
-                                              ZOO_KINDS), ids=lambda v: v.split()[0])
-def test_classify_prints_its_evidence_without_scipy(zoo, kind, tmp_path):
-    """The ``classify`` command runs in a child that cannot import scipy,
-    and prints bit for bit the verdict ``classify`` gives here, which
-    agrees with the oracle's as ``agrees_with_the_oracle`` says."""
-    model_path, fragment_path = tmp_path / "model.json", tmp_path / "fragment.json"
-    codes, payload = _child_json(REFUSE_SCIPY + CLASSIFY_WITHOUT_SCIPY_CHILD.format(
-        zoo=zoo.split(), model=str(model_path), fragment=str(fragment_path)))
-    assert codes == [0, 0]
-    assert payload["classification"] == kind
-    model = model_from_json(load_json(str(model_path)))
-    fragment = fragment_from_json(load_json(str(fragment_path)))
-    verdict = classify(model, fragment)
-    assert payload == json.loads(json.dumps({"classification": verdict.kind,
-                                             "evidence": verdict.evidence}))
-    assert agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
 
 
 def test_exclude_rerun_byte_identical(tmp_path, capsys):

@@ -4,10 +4,11 @@
 Hanson's active-set method on the normal form, polished by least squares
 on the final passive columns. Its solution x is the whole certificate:
 ``ontomodel._mixture_verdict`` forms the residual r = mu - E x itself and
-re-verifies x, which certifies a mixture, or r, a Farkas certificate that
-mu is not one, or neither, inside the band around ``MIXTURE_RESIDUAL_TOL``
-where |r| decides uncertified. ``classify``'s evidence prints that |r| for
-that x, bit for bit. scipy's ``nnls`` is the independent oracle:
+re-verifies x: a mixture within ``MIXTURE_RESIDUAL_TOL``, or an optimum up
+to rounding, whose |r| is then mu's distance from the cone, or neither,
+where ``classify`` raises ``CertificationError`` and the ``classify``
+command exits 1. ``classify``'s evidence prints that |r| for that x, bit
+for bit. scipy's ``nnls`` is the independent oracle:
 Hypothesis draws nonnegative E with k = 1..6 columns, repeated and zero
 columns among them, and mu inside or outside their cone, and the verdicts
 and residuals must agree with scipy's.
@@ -23,6 +24,7 @@ from scipy.optimize import nnls
 
 import macroreal.ontomodel as ontomodel
 from macroreal import (
+    CertificationError,
     FiniteOntModel,
     beltrametti_bugajski_model,
     bloch_vector,
@@ -34,8 +36,11 @@ from macroreal import (
     qubit_fragment,
     standard_qubit_fragment,
 )
-from macroreal.ontomodel import MIXTURE_BAND, MIXTURE_RESIDUAL_TOL
-from helpers import MIXTURE_KEYS, agrees_with_the_oracle, support_index_classify, tree_bits
+from macroreal.cli import run
+from macroreal.ontomodel import MIXTURE_RESIDUAL_TOL
+from macroreal.serialize import dumps_json, fragment_to_json, model_to_json
+from helpers import (MIXTURE_KEYS, agrees_with_the_oracle, eigen_matrix, residuals_of_x,
+                     support_index_classify, tree_bits)
 
 # small whole numbers over a common denominator: columns that repeat, vanish
 # or depend on each other without the conditioning that would make any
@@ -64,6 +69,11 @@ def cone_problems(draw):
 
 def solve(matrix, mu):
     return ontomodel._nnls(matrix, matrix.T @ matrix, mu)
+
+
+def evidence_of(preparations, matrix):
+    """``classify``'s mixture entries for ``preparations``, none solved yet."""
+    return ontomodel._mixture_evidence(preparations, matrix, matrix.T @ matrix, {})
 
 
 def distinct_columns(matrix):
@@ -97,12 +107,13 @@ def test_nnls_optimum_matches_scipy_and_its_certificate_reverifies(problem):
         assert abs(ours - oracle) <= scale
     else:
         assert ours <= np.linalg.norm(mu - matrix @ scipy_x) + scale
-    if abs(ours - MIXTURE_RESIDUAL_TOL) > 2 * MIXTURE_BAND * MIXTURE_RESIDUAL_TOL:
-        expected = bool(rnorm <= MIXTURE_RESIDUAL_TOL)
-        assert ontomodel._mixture_verdict(matrix, mu, x) is expected
-        # x = 0, whose residual is mu, is a solution as well, not an optimal
-        # one: it may certify nothing but the true verdict
-        assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x)) in (None, expected)
+    # no draw lies near the tolerance: the verdict is scipy's and that of x's residual
+    expected = bool(rnorm <= MIXTURE_RESIDUAL_TOL)
+    assert expected is bool(ours <= MIXTURE_RESIDUAL_TOL)
+    assert ontomodel._mixture_verdict(matrix, mu, x) is expected
+    # x = 0, whose residual is mu, is a solution as well, not an optimal
+    # one: it may certify nothing but the true verdict
+    assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x)) in (None, expected)
 
 
 def test_the_final_passive_set_is_polished_on_the_matrix_itself():
@@ -133,14 +144,10 @@ def test_flipping_one_sign_of_x_fails_reverification(problem, data):
     assert ontomodel._mixture_verdict(matrix, mu, bad) is None
 
 
-@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
-def test_inside_the_band_the_residual_decides(side):
-    """A preparation at distance (1 +- MIXTURE_BAND / 2) MIXTURE_RESIDUAL_TOL
-    from the eigenstate cone gets no certified verdict, and classify's kind
-    is the one its residual |mu - E x| gives: a mixture just below the
-    tolerance, none just above, as scipy's residual says too."""
-    delta = MIXTURE_RESIDUAL_TOL * (1.0 + side * MIXTURE_BAND / 2.0) / math.sqrt(2.0)
-    model = FiniteOntModel(
+def edge_model(delta):
+    """Two eigenstate preparations and ``edge``, at distance delta sqrt 2
+    from their cone."""
+    return FiniteOntModel(
         atoms=3,
         preparations={
             "e0": np.array([1.0, 0.0, 0.0]),
@@ -152,15 +159,66 @@ def test_inside_the_band_the_residual_decides(side):
         macro_measurement="macro",
         eigenstate_preps={"q+": ("e0",), "q-": ("e1",)},
     )
-    matrix = np.column_stack([model.preparation("e0"), model.preparation("e1")])
-    mu = model.preparation("edge")
+
+
+EDGE_FRAGMENT = qubit_fragment({"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)})
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_near_the_tolerance_the_residual_of_the_optimum_decides(side):
+    """A preparation at distance (1 +- 5e-4) MIXTURE_RESIDUAL_TOL from the
+    eigenstate cone, far below where a Farkas bound could certify it is
+    not a mixture, gets the verdict of the residual |mu - E x| of its
+    verified optimum x: a mixture just below the tolerance, none just
+    above, as scipy's residual says too."""
+    model = edge_model(MIXTURE_RESIDUAL_TOL * (1.0 + side * 5e-4) / math.sqrt(2.0))
+    matrix, mu = eigen_matrix(model), model.preparation("edge")
     x = solve(matrix, mu)
-    assert ontomodel._mixture_verdict(matrix, mu, x) is None
-    fragment = qubit_fragment({"up": (0.0, 0.0, 1.0)}, {"macro": (0.0, 0.0, 1.0)})
-    verdict = classify(model, fragment)
+    assert ontomodel._mixture_verdict(matrix, mu, x) is (side < 0)
+    verdict = classify(model, EDGE_FRAGMENT)
     assert verdict.kind == ("EMMR" if side < 0 else "ESMR")
     assert verdict.evidence["max_mixture_residual"] == float(np.linalg.norm(mu - matrix @ x))
-    assert agrees_with_the_oracle(verdict, support_index_classify(model, fragment))
+    assert agrees_with_the_oracle(verdict, model, EDGE_FRAGMENT)
+
+
+def test_an_x_past_the_optimum_certifies_nothing():
+    """With E = I and mu = (1/2, 1/2), x = 2 mu overshoots: r = -mu, so
+    matrix.T @ r <= 0 and no column could lower |r|, yet x.(matrix.T @ r)
+    = -1/2 breaks complementary slackness. x is no optimum, and the
+    verifier gives no verdict where |r| alone would say "not a mixture"."""
+    matrix = np.eye(2)
+    mu = np.array([0.5, 0.5])
+    assert ontomodel._mixture_verdict(matrix, mu, mu) is True
+    assert (matrix.T @ (mu - matrix @ (2 * mu)) <= 0.0).all()
+    assert ontomodel._mixture_verdict(matrix, mu, 2 * mu) is None
+
+
+def test_an_nnls_that_stops_short_certifies_nothing(monkeypatch, tmp_path, capsys):
+    """When the active-set solve fails, ``_nnls`` returns the x it has,
+    here x = 0, which is no optimum: for the first preparation, the
+    eigenstate ``e0`` itself, it certifies nothing, so ``classify`` raises
+    ``CertificationError`` naming it, where |mu - E x| = 1 alone would say
+    "not a mixture", and the ``classify`` command exits 1 with one
+    ``certification failure`` line and no output."""
+    model = edge_model(1e-3)
+    matrix, mu = eigen_matrix(model), model.preparation("e0")
+    model_path, fragment_path = tmp_path / "model.json", tmp_path / "fragment.json"
+    model_path.write_text(dumps_json(model_to_json(model)))
+    fragment_path.write_text(dumps_json(fragment_to_json(EDGE_FRAGMENT)))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    x = solve(matrix, mu)
+    assert not x.any()
+    assert ontomodel._mixture_verdict(matrix, mu, x) is None
+    with pytest.raises(CertificationError, match="'e0'"):
+        classify(model, EDGE_FRAGMENT)
+    code = run(["classify", "--model", str(model_path), "--fragment", str(fragment_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("certification failure: preparation 'e0'") and err.count("\n") == 1
 
 
 def _zoo_models(grid):
@@ -175,13 +233,6 @@ def _zoo_models(grid):
         (deterministic_extension_model(det_fragment), det_fragment),
         emmr_toy_model(math.pi / 3),
     ]
-
-
-def eigen_matrix(model):
-    """The declared eigenstate preparations as columns, in classify's order."""
-    names = [p for q in model.outcome_labels[model.macro_measurement]
-             for p in model.eigenstate_preps[q]]
-    return np.column_stack([model.preparation(p) for p in names])
 
 
 @pytest.mark.parametrize("nodes", [2_000, 20_000])
@@ -217,6 +268,25 @@ def test_classify_asks_condition_b_only_until_the_first_non_mixture(monkeypatch,
     assert counts == [3, 0, 0, 3]
 
 
+def test_the_evidence_solves_only_the_preparations_the_kind_left(monkeypatch, big_grid):
+    """Reading the evidence after the kind runs the NNLS on each preparation
+    the kind did not reach and on none it did: every preparation is solved
+    once, in registration order."""
+    solved = []
+    real = ontomodel._nnls
+
+    def counting(matrix, gram, mu):
+        solved.append(mu)
+        return real(matrix, gram, mu)
+
+    monkeypatch.setattr(ontomodel, "_nnls", counting)
+    for model, fragment in _zoo_models(big_grid):
+        solved.clear()
+        classify(model, fragment).evidence
+        assert len(solved) == len(model.preparations)
+        assert all(a is model.preparation(name) for a, name in zip(solved, model.preparations))
+
+
 # E with columns 0 and 4 equal, where scipy's rnorm falls below |E x - mu|
 DEPENDENT_CASE = (
     np.array([[2, 0, 3, 2, 2, 2], [2, 0, 0, 1, 2, 1], [3, 4, 4, 2, 3, 0], [3, 0, 1, 4, 3, 2]]) / 3.0,
@@ -229,7 +299,7 @@ def test_on_dependent_columns_the_printed_residual_is_that_of_x_not_scipys_rnorm
     0.40657855630736306, where scipy's rnorm reads 0.4055706491861664,
     below the residual 0.40700047171339393 of scipy's own x."""
     matrix, mu = DEPENDENT_CASE
-    evidence = ontomodel._mixture_evidence({"mu": mu}, matrix)
+    evidence = evidence_of({"mu": mu}, matrix)
     residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
     assert tree_bits(evidence) == tree_bits({"worst_mixture": {"preparation": "mu",
                                                                "residual": residual},
@@ -246,7 +316,7 @@ def test_the_printed_residual_is_the_residual_of_x_on_drawn_cones(problem):
     residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
     want = {"worst_mixture": {"preparation": "a", "residual": residual}} if residual else {}
     want["max_mixture_residual"] = residual
-    evidence = ontomodel._mixture_evidence({"a": mu, "b": mu.copy()}, matrix)
+    evidence = evidence_of({"a": mu, "b": mu.copy()}, matrix)
     assert tree_bits(evidence) == tree_bits(want)
 
 
@@ -257,12 +327,6 @@ def test_the_printed_residual_is_the_residual_of_the_printed_x(nodes, big_grid):
     largest."""
     grid = big_grid if nodes == big_grid.node_count else fibonacci_sphere_grid(nodes)
     for model, fragment in _zoo_models(grid):
-        matrix = eigen_matrix(model)
-        residuals = {name: float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
-                     for name, mu in model.preparations.items()}
-        worst = max(residuals, key=residuals.get)   # the first of the largest
-        largest = residuals[worst]
-        want = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
-        want["max_mixture_residual"] = largest
         evidence = classify(model, fragment).evidence
-        assert tree_bits({k: evidence[k] for k in evidence if k in MIXTURE_KEYS}) == tree_bits(want)
+        assert (tree_bits({k: evidence[k] for k in evidence if k in MIXTURE_KEYS})
+                == tree_bits(residuals_of_x(model)))
