@@ -246,18 +246,24 @@ def test_every_zoo_preparation_gets_scipys_verdict_with_a_certificate(nodes, big
         assert classify(model, fragment).kind == support_index_classify(model, fragment).kind
 
 
-def test_classify_asks_condition_b_only_until_the_first_non_mixture(monkeypatch, big_grid):
-    """No NNLS where (a) fails (bb, det), every preparation on the toy
-    model, whose preparations are all mixtures, and on the cap model the
-    two eigenstates and then the first state."""
-    solved = []
+@pytest.fixture
+def solved(monkeypatch):
+    """The preparations ``ontomodel._nnls`` is asked to solve, in order."""
+    asked = []
     real = ontomodel._nnls
 
     def counting(matrix, gram, mu):
-        solved.append(mu)
+        asked.append(mu)
         return real(matrix, gram, mu)
 
     monkeypatch.setattr(ontomodel, "_nnls", counting)
+    return asked
+
+
+def test_classify_asks_condition_b_only_until_the_first_non_mixture(solved, big_grid):
+    """No NNLS where (a) fails (bb, det), every preparation on the toy
+    model, whose preparations are all mixtures, and on the cap model the
+    two eigenstates and then the first state."""
     counts = []
     for model, fragment in _zoo_models(big_grid):
         solved.clear()
@@ -268,18 +274,10 @@ def test_classify_asks_condition_b_only_until_the_first_non_mixture(monkeypatch,
     assert counts == [3, 0, 0, 3]
 
 
-def test_the_evidence_solves_only_the_preparations_the_kind_left(monkeypatch, big_grid):
+def test_the_evidence_solves_only_the_preparations_the_kind_left(solved, big_grid):
     """Reading the evidence after the kind runs the NNLS on each preparation
     the kind did not reach and on none it did: every preparation is solved
     once, in registration order."""
-    solved = []
-    real = ontomodel._nnls
-
-    def counting(matrix, gram, mu):
-        solved.append(mu)
-        return real(matrix, gram, mu)
-
-    monkeypatch.setattr(ontomodel, "_nnls", counting)
     for model, fragment in _zoo_models(big_grid):
         solved.clear()
         classify(model, fragment).evidence
