@@ -472,8 +472,8 @@ class Classification:
     where its kind stops at the first non-mixture, so a caller that reads
     only ``kind`` does not pay for it. Until that read the verdict holds
     the function and what it captures: ``classify``'s captures the model's
-    preparations, eigenstate matrix and the NNLS solutions of the kind, not
-    the model. Verdicts are read-only and compare by kind and evidence.
+    preparations and eigenstate matrix, not the model. Verdicts are
+    read-only and compare by kind and evidence.
     """
 
     __slots__ = ("kind", "_evidence")
@@ -500,27 +500,28 @@ class Classification:
         return f"Classification(kind={self.kind!r}, evidence={self.evidence!r})"
 
 
-def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """min ||matrix @ x - mu|| over x >= 0, by the active-set method of
-    Lawson and Hanson (*Solving Least Squares Problems*, 1974, ch. 23) run
-    on the k x k normal form ``gram = matrix.T @ matrix``.
+def _nnls(q: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """min ||E x - mu|| over x >= 0, for the matrix E whose QR factorization
+    is ``q, r = np.linalg.qr(E)``, by the active-set method of Lawson and
+    Hanson (*Solving Least Squares Problems*, 1974, ch. 23) run in E's QR
+    frame: with c = q.T @ mu, |E x - mu| differs from |r @ x - c| by a
+    constant, and r's conditioning is E's (Bjorck, *Numerical Methods for
+    Least Squares Problems*, 1996, sections 2.2 and 5.2).
 
     Returns x >= 0, the whole certificate: ``_mixture_verdict`` forms its
     residual itself, so nothing here is trusted. A column joins the passive
-    set while its gradient entry (matrix.T @ (mu - matrix @ x))_j exceeds
-    ``NNLS_ROUNDING * |column j| * |mu|``, so zero and repeated columns stay
-    out. The normal form squares the columns' condition number, so once
-    the active set settles, its passive columns are re-solved by least
-    squares on ``matrix`` itself, and that x is kept when every entry is
-    positive.
+    set while its gradient entry (E.T @ (mu - E x))_j = (r.T @ (c - r @ x))_j
+    exceeds ``NNLS_ROUNDING * |column j| * |mu|``, so zero and repeated
+    columns stay out. Each passive set is fitted by least squares on its
+    columns of r.
     """
-    k = gram.shape[0]
-    h = mu @ matrix
-    floor = NNLS_ROUNDING * np.sqrt(np.diagonal(gram)) * math.sqrt(float(mu @ mu))
+    k = r.shape[1]
+    c = mu @ q
+    floor = NNLS_ROUNDING * np.linalg.norm(r, axis=0) * math.sqrt(float(mu @ mu))
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     for _ in range(3 * k):   # scipy's cap; an x that stops short may certify nothing
-        gradient = h - gram @ x
+        gradient = (c - r @ x) @ r
         entering = np.flatnonzero(~passive & (gradient > floor))
         if not entering.size:
             break
@@ -529,7 +530,7 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> np.ndarray:
             cols = np.flatnonzero(passive)
             z = np.zeros(k)
             try:
-                z[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], h[cols])
+                z[cols] = np.linalg.lstsq(r[:, cols], c)[0]
             except np.linalg.LinAlgError:
                 return x
             if (z[cols] > 0.0).all():
@@ -543,12 +544,6 @@ def _nnls(matrix: np.ndarray, gram: np.ndarray, mu: np.ndarray) -> np.ndarray:
             x[blocked[np.argmin(ratios)]] = 0.0
             passive &= x > 0.0
             x[~passive] = 0.0
-    cols = np.flatnonzero(passive)
-    if cols.size:
-        z = np.linalg.lstsq(matrix[:, cols], mu)[0]
-        if (z > 0.0).all():
-            x = np.zeros(k)
-            x[cols] = z
     return x
 
 
@@ -585,15 +580,14 @@ def _mixture_verdict(matrix: np.ndarray, mu: np.ndarray, x: np.ndarray) -> bool 
     return None
 
 
-def _all_mixtures(preparations: dict, matrix: np.ndarray, gram: np.ndarray, solved: dict) -> bool:
+def _all_mixtures(preparations: dict, matrix: np.ndarray) -> bool:
     """Condition (b): each preparation, in registration order, is a
-    nonnegative mixture of ``matrix``'s columns (``gram`` their normal
-    form), stopping at the first that is not. The certificate is the NNLS
-    solution x, kept in ``solved`` under the preparation's name. An x that
-    is no optimum, where the NNLS stopped short, raises ``CertificationError``."""
+    nonnegative mixture of ``matrix``'s columns, stopping at the first that
+    is not. The certificate is the NNLS solution x. An x that is no
+    optimum, where the NNLS stopped short, raises ``CertificationError``."""
+    q, r = np.linalg.qr(matrix)
     for pname, mu in preparations.items():
-        x = solved[pname] = _nnls(matrix, gram, mu)
-        verdict = _mixture_verdict(matrix, mu, x)
+        verdict = _mixture_verdict(matrix, mu, _nnls(q, r, mu))
         if verdict is None:
             raise CertificationError(f"preparation {pname!r}: its NNLS solution is neither a "
                                      f"mixture within {MIXTURE_RESIDUAL_TOL:g} nor an optimum")
@@ -602,18 +596,19 @@ def _all_mixtures(preparations: dict, matrix: np.ndarray, gram: np.ndarray, solv
     return True
 
 
-def _mixture_evidence(preparations: dict, matrix: np.ndarray, gram: np.ndarray, solved: dict) -> dict:
-    """``worst_mixture`` (when some residual is positive) and
-    ``max_mixture_residual``: the residual |mu - E x| ``_mixture_verdict``
-    forms, for the NNLS solution x (from ``solved`` where there) of every
-    preparation (name -> weights) against E = ``matrix``, the first largest kept."""
-    residuals = {}
-    for pname, mu in preparations.items():
-        x = solved[pname] if pname in solved else _nnls(matrix, gram, mu)
-        residuals[pname] = float(np.linalg.norm(mu - matrix @ x))
+def _mixture_evidence(preparations: dict, matrix: np.ndarray) -> dict:
+    """``max_mixture_residual``, the residual |mu - E x| ``_mixture_verdict``
+    forms, for the NNLS solution x of every preparation (name -> weights)
+    against E = ``matrix``, the largest; and ``worst_mixture``, the first
+    preparation with it, when it exceeds ``MIXTURE_RESIDUAL_TOL``: below,
+    every residual is rounding, and the name would say nothing."""
+    q, r = np.linalg.qr(matrix)
+    residuals = {pname: float(np.linalg.norm(mu - matrix @ _nnls(q, r, mu)))
+                 for pname, mu in preparations.items()}
     worst = max(residuals, key=residuals.get)   # the first of the largest
     largest = residuals[worst]
-    evidence = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
+    evidence = ({"worst_mixture": {"preparation": worst, "residual": largest}}
+                if largest > MIXTURE_RESIDUAL_TOL else {})
     return {**evidence, "max_mixture_residual": largest}
 
 
@@ -629,18 +624,18 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
     anything else is NONE. (a) and (c) test the weights against
     ``SUPPORT_EPS`` directly and leave the realizing-set memo as they
     found it. (b) is asked only when (a) holds, of one preparation after
-    another until one is not a mixture: an in-house NNLS gives each verdict
-    with its solution x as the certificate, re-verified on the residual
-    |mu - E x| the verifier forms from x itself (``_mixture_verdict`` says
-    where a "not a mixture" is certified); an x the verifier finds no
-    optimum raises ``CertificationError``. The evidence's two residual
-    entries are the same residuals, of every preparation, formed on the
-    first read of ``evidence``, so a caller reading only ``kind`` skips it.
-    Until then the verdict holds the preparations dict, the eigenstate
-    matrix and the x solved so far, not the model, so its responses, maps
-    and realizing-set memo can be freed before the pass. The model's macro
-    labels must be ``fragment``'s macro outcomes, and the caller is
-    expected to have validated the two.
+    another until one is not a mixture: an in-house NNLS, run in the QR
+    frame of the eigenstate matrix E, gives each verdict with its solution
+    x as the certificate, re-verified on the residual |mu - E x| the
+    verifier forms from x itself (``_mixture_verdict`` says where a "not a
+    mixture" is certified); an x the verifier finds no optimum raises
+    ``CertificationError``. The evidence's residual entries are the same
+    residuals, of every preparation, from a fresh NNLS on the first read of
+    ``evidence``, so a caller reading only ``kind`` skips them. Until then
+    the verdict holds the preparations dict and E, not the model, so its
+    responses, maps and realizing-set memo can be freed before the pass.
+    The model's macro labels must be ``fragment``'s macro outcomes, and the
+    caller is expected to have validated the two.
     """
     macro = model.macro_measurement
     macro_labels = model.outcome_labels[macro]
@@ -670,9 +665,7 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
 
     # (b) mixtures of declared eigenstate preparations
     eigen_matrix = np.column_stack([model.preparation(p) for p in eigen_names])
-    gram = eigen_matrix.T @ eigen_matrix
-    solved: dict = {}
-    mixture_ok = support_ok and _all_mixtures(model.preparations, eigen_matrix, gram, solved)
+    mixture_ok = support_ok and _all_mixtures(model.preparations, eigen_matrix)
 
     # (c) deterministic macro responses on carried atoms (eigenstates carry some)
     tail: dict = {}
@@ -693,6 +686,5 @@ def classify(model: FiniteOntModel, fragment: QuantumFragment) -> Classification
         kind = "NONE"
     preparations = model.preparations   # the evidence must not capture the model
     return Classification(
-        kind, lambda: {**head, **_mixture_evidence(preparations, eigen_matrix, gram, solved),
-                       **tail}
+        kind, lambda: {**head, **_mixture_evidence(preparations, eigen_matrix), **tail}
     )

@@ -427,17 +427,19 @@ def eigen_matrix(model: FiniteOntModel) -> np.ndarray:
 
 
 def residuals_of_x(model: FiniteOntModel) -> dict:
-    """``classify``'s two mixture entries from their definition: the
-    residual |mu - E x| of every preparation's ``ontomodel._nnls`` solution
-    x against the eigenstate columns E, each solved afresh, the first
-    preparation with the largest named unless that is 0."""
+    """``classify``'s mixture entries from their definition: the residual
+    |mu - E x| of every preparation's ``ontomodel._nnls`` solution x
+    against the eigenstate columns E, each solved afresh, the first
+    preparation with the largest named when that exceeds
+    ``MIXTURE_RESIDUAL_TOL``."""
     matrix = eigen_matrix(model)
-    gram = matrix.T @ matrix
-    residuals = {name: float(np.linalg.norm(mu - matrix @ ontomodel._nnls(matrix, gram, mu)))
+    q, r = np.linalg.qr(matrix)
+    residuals = {name: float(np.linalg.norm(mu - matrix @ ontomodel._nnls(q, r, mu)))
                  for name, mu in model.preparations.items()}
     worst = max(residuals, key=residuals.get)   # the first of the largest
     largest = residuals[worst]
-    want = {"worst_mixture": {"preparation": worst, "residual": largest}} if largest else {}
+    want = ({"worst_mixture": {"preparation": worst, "residual": largest}}
+            if largest > MIXTURE_RESIDUAL_TOL else {})
     want["max_mixture_residual"] = largest
     return want
 

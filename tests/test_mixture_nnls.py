@@ -1,8 +1,8 @@
 """The NNLS behind ``classify``'s condition (b), against scipy's ``nnls``.
 
 ``ontomodel._nnls`` solves min |E x - mu| over x >= 0 by Lawson and
-Hanson's active-set method on the normal form, polished by least squares
-on the final passive columns. Its solution x is the whole certificate:
+Hanson's active-set method in E's QR frame, each passive set by least
+squares on its columns of R. Its solution x is the whole certificate:
 ``ontomodel._mixture_verdict`` forms the residual r = mu - E x itself and
 re-verifies x: a mixture within ``MIXTURE_RESIDUAL_TOL``, or an optimum up
 to rounding, whose |r| is then mu's distance from the cone, or neither,
@@ -43,8 +43,8 @@ from helpers import (MIXTURE_KEYS, agrees_with_the_oracle, eigen_matrix, residua
                      support_index_classify, tree_bits)
 
 # small whole numbers over a common denominator: columns that repeat, vanish
-# or depend on each other without the conditioning that would make any
-# normal-form solver's residual differ from scipy's by more than 1e-12 |mu|
+# or depend on each other, with no conditioning that would let a residual
+# differ from scipy's by more than 1e-12 |mu|
 ENTRY = st.integers(0, 4)
 
 
@@ -68,12 +68,7 @@ def cone_problems(draw):
 
 
 def solve(matrix, mu):
-    return ontomodel._nnls(matrix, matrix.T @ matrix, mu)
-
-
-def evidence_of(preparations, matrix):
-    """``classify``'s mixture entries for ``preparations``, none solved yet."""
-    return ontomodel._mixture_evidence(preparations, matrix, matrix.T @ matrix, {})
+    return ontomodel._nnls(*np.linalg.qr(matrix), mu)
 
 
 def distinct_columns(matrix):
@@ -116,11 +111,11 @@ def test_nnls_optimum_matches_scipy_and_its_certificate_reverifies(problem):
     assert ontomodel._mixture_verdict(matrix, mu, np.zeros_like(x)) in (None, expected)
 
 
-def test_the_final_passive_set_is_polished_on_the_matrix_itself():
-    """On the normal form alone this case, mu on E's first column, keeps a
-    residual of 1.8e-12 (the condition number squared); the least-squares
-    polish on E's passive columns brings it to rounding, as scipy's
-    QR-based nnls does."""
+def test_the_qr_frame_keeps_the_conditioning_of_the_matrix():
+    """On the normal form E.T @ E this case, mu on E's first column, keeps
+    a residual of 1.8e-12 (the condition number squared); solved on R,
+    whose conditioning is E's, it is rounding (1.4e-17), as in scipy's
+    QR-based nnls."""
     matrix = np.array([[0.0, 1e-5], [0.34375, 2.0]])
     mu = np.array([0.0, 0.34375 / 3.0])
     x = solve(matrix, mu)
@@ -178,6 +173,7 @@ def test_near_the_tolerance_the_residual_of_the_optimum_decides(side):
     verdict = classify(model, EDGE_FRAGMENT)
     assert verdict.kind == ("EMMR" if side < 0 else "ESMR")
     assert verdict.evidence["max_mixture_residual"] == float(np.linalg.norm(mu - matrix @ x))
+    assert ("worst_mixture" in verdict.evidence) is (side > 0)
     assert agrees_with_the_oracle(verdict, model, EDGE_FRAGMENT)
 
 
@@ -194,7 +190,7 @@ def test_an_x_past_the_optimum_certifies_nothing():
 
 
 def test_an_nnls_that_stops_short_certifies_nothing(monkeypatch, tmp_path, capsys):
-    """When the active-set solve fails, ``_nnls`` returns the x it has,
+    """When the least-squares solve fails, ``_nnls`` returns the x it has,
     here x = 0, which is no optimum: for the first preparation, the
     eigenstate ``e0`` itself, it certifies nothing, so ``classify`` raises
     ``CertificationError`` naming it, where |mu - E x| = 1 alone would say
@@ -206,10 +202,10 @@ def test_an_nnls_that_stops_short_certifies_nothing(monkeypatch, tmp_path, capsy
     model_path.write_text(dumps_json(model_to_json(model)))
     fragment_path.write_text(dumps_json(fragment_to_json(EDGE_FRAGMENT)))
 
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def unsolved(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(np.linalg, "lstsq", unsolved)
     x = solve(matrix, mu)
     assert not x.any()
     assert ontomodel._mixture_verdict(matrix, mu, x) is None
@@ -248,13 +244,15 @@ def test_every_zoo_preparation_gets_scipys_verdict_with_a_certificate(nodes, big
 
 @pytest.fixture
 def solved(monkeypatch):
-    """The preparations ``ontomodel._nnls`` is asked to solve, in order."""
+    """The preparations ``ontomodel._nnls`` is asked to solve, in order,
+    each with the x it returned."""
     asked = []
     real = ontomodel._nnls
 
-    def counting(matrix, gram, mu):
-        asked.append(mu)
-        return real(matrix, gram, mu)
+    def counting(q, r, mu):
+        x = real(q, r, mu)
+        asked.append((mu, x))
+        return x
 
     monkeypatch.setattr(ontomodel, "_nnls", counting)
     return asked
@@ -269,20 +267,25 @@ def test_classify_asks_condition_b_only_until_the_first_non_mixture(solved, big_
         solved.clear()
         classify(model, fragment)
         first = list(model.preparations)[:len(solved)]
-        assert all(a is model.preparation(name) for a, name in zip(solved, first))
+        assert all(mu is model.preparation(name) for (mu, _), name in zip(solved, first))
         counts.append(len(solved))
     assert counts == [3, 0, 0, 3]
 
 
-def test_the_evidence_solves_only_the_preparations_the_kind_left(solved, big_grid):
-    """Reading the evidence after the kind runs the NNLS on each preparation
-    the kind did not reach and on none it did: every preparation is solved
-    once, in registration order."""
+def test_the_evidence_solves_every_preparation_to_the_bits_of_the_kind(solved, big_grid):
+    """The first read of the evidence runs the NNLS on every preparation
+    exactly once, in registration order, those the kind reached included,
+    and each x the kind solved is bit for bit the evidence's x."""
     for model, fragment in _zoo_models(big_grid):
         solved.clear()
-        classify(model, fragment).evidence
+        verdict = classify(model, fragment)
+        kind_path = list(solved)
+        solved.clear()
+        verdict.evidence
         assert len(solved) == len(model.preparations)
-        assert all(a is model.preparation(name) for a, name in zip(solved, model.preparations))
+        assert all(mu is model.preparation(name) for (mu, _), name in zip(solved, model.preparations))
+        assert all(x.tobytes() == again.tobytes()
+                   for (_, x), (_, again) in zip(kind_path, solved))
 
 
 # E with columns 0 and 4 equal, where scipy's rnorm falls below |E x - mu|
@@ -297,7 +300,7 @@ def test_on_dependent_columns_the_printed_residual_is_that_of_x_not_scipys_rnorm
     0.40657855630736306, where scipy's rnorm reads 0.4055706491861664,
     below the residual 0.40700047171339393 of scipy's own x."""
     matrix, mu = DEPENDENT_CASE
-    evidence = evidence_of({"mu": mu}, matrix)
+    evidence = ontomodel._mixture_evidence({"mu": mu}, matrix)
     residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
     assert tree_bits(evidence) == tree_bits({"worst_mixture": {"preparation": "mu",
                                                                "residual": residual},
@@ -309,12 +312,14 @@ def test_on_dependent_columns_the_printed_residual_is_that_of_x_not_scipys_rnorm
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cone_problems())
 def test_the_printed_residual_is_the_residual_of_x_on_drawn_cones(problem):
-    """Bit for bit, and of two equal preparations the first is the worst."""
+    """Bit for bit, and of two equal preparations the first is the worst,
+    named only above the tolerance."""
     matrix, mu = problem
     residual = float(np.linalg.norm(mu - matrix @ solve(matrix, mu)))
-    want = {"worst_mixture": {"preparation": "a", "residual": residual}} if residual else {}
+    want = ({"worst_mixture": {"preparation": "a", "residual": residual}}
+            if residual > MIXTURE_RESIDUAL_TOL else {})
     want["max_mixture_residual"] = residual
-    evidence = evidence_of({"a": mu, "b": mu.copy()}, matrix)
+    evidence = ontomodel._mixture_evidence({"a": mu, "b": mu.copy()}, matrix)
     assert tree_bits(evidence) == tree_bits(want)
 
 

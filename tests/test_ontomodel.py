@@ -689,6 +689,19 @@ def test_classify_matches_the_support_index_form():
     assert kinds == {"EMMR", "ESMR", "SSMR", "NONE"}
 
 
+def test_an_emmr_verdict_names_no_worst_mixture():
+    """Within ``MIXTURE_RESIDUAL_TOL`` every residual is rounding of a
+    distance 0, so no preparation is named the worst mixture: an EMMR
+    verdict prints ``max_mixture_residual`` alone, here on some residual
+    above 0."""
+    verdicts = [classify(model, frag) for model, frag in _classify_cases()
+                if all(q in model.eigenstate_preps
+                       for q in model.outcome_labels[model.macro_measurement])]
+    emmr = [verdict.evidence for verdict in verdicts if verdict.kind == "EMMR"]
+    assert any(evidence["max_mixture_residual"] > 0.0 for evidence in emmr)
+    assert all("worst_mixture" not in evidence for evidence in emmr)
+
+
 def test_classification_is_read_only_and_compares_by_kind_and_evidence():
     model, frag = _zoo_cases()["emmr-toy"]
     verdict = classify(model, frag)
