@@ -504,9 +504,9 @@ def _nnls(q: np.ndarray, r: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """min ||E x - mu|| over x >= 0, for the matrix E whose QR factorization
     is ``q, r = np.linalg.qr(E)``, by the active-set method of Lawson and
     Hanson (*Solving Least Squares Problems*, 1974, ch. 23) run in E's QR
-    frame: with c = q.T @ mu, |E x - mu| differs from |r @ x - c| by a
-    constant, and r's conditioning is E's (Bjorck, *Numerical Methods for
-    Least Squares Problems*, 1996, sections 2.2 and 5.2).
+    frame: with c = q.T @ mu, |E x - mu|^2 = |r @ x - c|^2 + |mu|^2 - |c|^2,
+    and r's conditioning is E's (Björck, *Numerical Methods for Least
+    Squares Problems*, 1996, sections 2.2 and 5.2).
 
     Returns x >= 0, the whole certificate: ``_mixture_verdict`` forms its
     residual itself, so nothing here is trusted. A column joins the passive
