@@ -322,9 +322,12 @@ def apply_map(model: FiniteOntModel, weights: np.ndarray, map_name: str) -> np.n
 
 
 def push_forward(model: FiniteOntModel, preparation: str, map_name: str) -> np.ndarray:
-    """Effective preparation after a stochastic map."""
+    """Effective preparation after a stochastic map, normalized in place
+    and returned read-only, so ``with_preparation`` keeps it uncopied."""
     out = apply_map(model, model.preparation(preparation), map_name)
-    return out / out.sum()
+    out /= out.sum()
+    out.setflags(write=False)
+    return out
 
 
 def kernel_set(f: np.ndarray, mu: np.ndarray) -> np.ndarray:

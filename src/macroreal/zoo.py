@@ -28,6 +28,7 @@ from .quantum import (
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 MAX_GRID_NODES = 10**6   # the largest grid ``SphereGrid.nearest`` was checked at
+NEAREST_BLOCK = 4096     # points per block of ``SphereGrid.nearest``
 ORBIT_MAX_STATES = 256   # orbits of angles incommensurate with pi never close
 PAIR_OFFSET = 13         # measurement member offset in paired_validation_grid
 PAULI = np.array(
@@ -90,15 +91,34 @@ class SphereGrid:
         points, the poles and the axis points); rotated grids and random
         unit points also matched cKDTree at every size from 4 to 59, at
         200 000 and at the ``MAX_GRID_NODES`` cap.
+
+        The points are taken in blocks of at most ``NEAREST_BLOCK`` = 4 096.
+        A block's (4, block) float64 corner arrays take 128 KiB: glibc's
+        default mmap threshold, and small enough to stay in L2. One pass
+        over 20 000 points made 640 KiB corner arrays, above that threshold,
+        whose pages were faulted in afresh on every call. Within a block the
+        lattice constants are computed once for each level from 2 to the
+        highest that occurs (12 on a 20 000-node grid) and gathered by
+        level. They are the per-point expressions on the same values, so
+        every index is the one a single unblocked pass gives.
         """
         p = np.asarray(points, dtype=float)
+        best = np.empty(len(p), dtype=int)
+        for start in range(0, len(p), NEAREST_BLOCK):
+            best[start:start + NEAREST_BLOCK] = self._nearest_block(
+                p[start:start + NEAREST_BLOCK])
+        return best
+
+    def _nearest_block(self, p: np.ndarray) -> np.ndarray:
+        """``nearest`` on a nonempty (m, 3) block of points."""
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         n = self.node_count
         # lattice level, at least 2: the argument is clamped at 1 so the
         # poles (and heights a rounding step past them) take log(1) = 0
         spread = np.maximum(n * math.pi * math.sqrt(5.0) * (1.0 - z * z), 1.0)
         level = np.maximum(2.0, np.floor(np.log(spread) / math.log(GOLDEN * GOLDEN)))
-        fib = GOLDEN**level / math.sqrt(5.0)
+        # the lattice constants of each level from 2 to the block's highest
+        fib = GOLDEN**np.arange(2.0, level.max() + 1.0) / math.sqrt(5.0)
         f0, f1 = np.round(fib), np.round(fib * GOLDEN)
         # basis of the local lattice: the azimuth step of index offset f, in
         # [-2*pi/golden, 2*pi - 2*pi/golden), and its height step -2f/n;
@@ -106,9 +126,11 @@ class SphereGrid:
         a0, a1 = (2.0 * math.pi * (np.modf((f + 1.0) * (GOLDEN - 1.0))[0] - (GOLDEN - 1.0))
                   for f in (f0, f1))
         b0, b1 = -2.0 * f0 / n, -2.0 * f1 / n
+        det = a0 * b1 - a1 * b0
+        # each point's constants, gathered by level
+        a0, a1, b0, b1, det = np.stack([a0, a1, b0, b1, det])[:, (level - 2.0).astype(np.intp)]
         top = 1.0 - 1.0 / n
         azimuth, height = np.arctan2(y, x), z - top
-        det = a0 * b1 - a1 * b0
         c0 = np.floor((b1 * azimuth - a1 * height) / det)
         c1 = np.floor((a0 * height - b0 * azimuth) / det)
         # the cell's four corners as rows
@@ -302,7 +324,10 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     its first outcome exactly when m.node >= 0. Unitaries become node
     permutations by rotate-then-snap-to-nearest. Measurements re-prepare the
     observed outcome's cap; each macro cap is its value's first eigenstate.
-    Weights and responses are handed over read-only, uncopied by the model.
+    Weights and responses are built in place, each in the one array the
+    model keeps (a response's two rows in one preallocated (2, n) array,
+    the second outcome's cap from the negated heights), and are handed over
+    read-only, uncopied by the model.
     """
     if fragment.dim != 2:
         raise ValueError("the cap model is a qubit construction")
@@ -310,7 +335,10 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     node_weight = 4.0 * math.pi / grid.node_count
 
     def cap_weights(heights: np.ndarray) -> np.ndarray:
-        w = np.maximum(0.0, heights) * node_weight
+        # one new array, scaled and normalized in place; 0.0 goes first
+        # because np.maximum(0.0, -0.0) is 0.0 but np.maximum(-0.0, 0.0) is -0.0
+        w = np.maximum(0.0, heights)
+        w *= node_weight
         total = w.sum()
         if total <= 0.0:
             raise ValueError("degenerate cap: no grid node in the open hemisphere")
@@ -331,15 +359,19 @@ def kochen_specker_model(grid: SphereGrid, fragment: QuantumFragment) -> FiniteO
     updates = {}
     for mname, meas in fragment.measurements.items():
         heights = nodes @ _measurement_direction(meas)
-        first = (heights >= 0.0).astype(float)
-        responses[mname] = np.vstack([first, 1.0 - first])
-        responses[mname].setflags(write=False)
+        response = np.empty((2, grid.node_count))
+        np.greater_equal(heights, 0.0, out=response[0])
+        np.subtract(1.0, response[0], out=response[1])
+        response.setflags(write=False)
+        responses[mname] = response
         outcome_labels[mname] = meas.outcomes
         table = {}
-        for label, cap in zip(meas.outcomes, (heights, -heights)):
+        for k, label in enumerate(meas.outcomes):
+            if k == 1:
+                np.negative(heights, out=heights)   # the second outcome's cap
             pname = f"cap:{mname}:{label}"
             if pname not in preparations:
-                preparations[pname] = cap_weights(cap)
+                preparations[pname] = cap_weights(heights)
             table[label] = pname
         updates[mname] = table
 

@@ -410,6 +410,70 @@ def support_index_classify(model: FiniteOntModel, fragment: QuantumFragment) -> 
     return Classification(kind, evidence)
 
 
+# -- the cap model, built unblocked and out of place ----------------------------
+
+def nearest_reference(grid, points) -> np.ndarray:
+    """``SphereGrid.nearest`` as one unblocked pass with per-point lattice
+    constants: the arithmetic the blocked method must reproduce bit for bit."""
+    from macroreal.zoo import GOLDEN
+
+    p = np.asarray(points, dtype=float)
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    n = grid.node_count
+    spread = np.maximum(n * math.pi * math.sqrt(5.0) * (1.0 - z * z), 1.0)
+    level = np.maximum(2.0, np.floor(np.log(spread) / math.log(GOLDEN * GOLDEN)))
+    fib = GOLDEN**level / math.sqrt(5.0)
+    f0, f1 = np.round(fib), np.round(fib * GOLDEN)
+    a0, a1 = (2.0 * math.pi * (np.modf((f + 1.0) * (GOLDEN - 1.0))[0] - (GOLDEN - 1.0))
+              for f in (f0, f1))
+    b0, b1 = -2.0 * f0 / n, -2.0 * f1 / n
+    top = 1.0 - 1.0 / n
+    azimuth, height = np.arctan2(y, x), z - top
+    det = a0 * b1 - a1 * b0
+    c0 = np.floor((b1 * azimuth - a1 * height) / det)
+    c1 = np.floor((a0 * height - b0 * azimuth) / det)
+    s0, s1 = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :, None]
+    corner_z = b0 * (c0 + s0) + b1 * (c1 + s1) + top
+    index = np.clip(np.floor(0.5 * n - 0.5 * n * corner_z), 0, n - 1).astype(int)
+    nodes = grid.nodes
+    nx, ny, nz = (np.ascontiguousarray(nodes[:, axis]) for axis in range(3))
+    d = (nx[index] - x) ** 2 + (ny[index] - y) ** 2 + (nz[index] - z) ** 2
+    best, best_d = index[0], d[0]
+    for corner in range(1, 4):
+        nearer = d[corner] < best_d
+        best = np.where(nearer, index[corner], best)
+        best_d = np.where(nearer, d[corner], best_d)
+    return best
+
+
+def cap_model_reference(grid, fragment: QuantumFragment) -> tuple:
+    """(preparations, responses, maps) of ``kochen_specker_model(grid,
+    fragment)``, each array made by out-of-place expressions (a fresh array
+    per step, ``vstack`` for the responses, the negated heights as a new
+    array) and the maps by ``nearest_reference``."""
+    from macroreal.zoo import _measurement_direction, bloch_vector, rotation_of_unitary
+
+    nodes = grid.nodes
+    node_weight = 4.0 * math.pi / grid.node_count
+
+    def cap_weights(heights):
+        w = np.maximum(0.0, heights) * node_weight
+        return w / w.sum()
+
+    preparations = {name: cap_weights(nodes @ bloch_vector(state))
+                    for name, state in fragment.states.items()}
+    responses = {}
+    for mname, meas in fragment.measurements.items():
+        heights = nodes @ _measurement_direction(meas)
+        first = (heights >= 0.0).astype(float)
+        responses[mname] = np.vstack([first, 1.0 - first])
+        for label, cap in zip(meas.outcomes, (heights, -heights)):
+            preparations.setdefault(f"cap:{mname}:{label}", cap_weights(cap))
+    maps = {uname: nearest_reference(grid, nodes @ rotation_of_unitary(u).T)
+            for uname, u in fragment.unitaries.items()}
+    return preparations, responses, maps
+
+
 # -- the framework property suite ---------------------------------------------
 
 

@@ -26,7 +26,7 @@ from macroreal import (
     validate,
 )
 import macroreal.ontomodel as ontomodel
-from macroreal.ontomodel import default_bindings
+from macroreal.ontomodel import apply_map, default_bindings
 from helpers import (
     agrees_with_the_oracle,
     brute_force_overlap,
@@ -150,6 +150,19 @@ def test_push_forward_registration_closure():
                        bigger.responses["macro"] @ nu, atol=1e-12)
     with pytest.raises(ValueError):
         bigger.with_preparation("mu_after_cycle", nu)
+
+
+@pytest.mark.parametrize("map_name", ["identity", "cycle", "mix"])
+def test_a_pushed_preparation_is_registered_uncopied(map_name):
+    """``push_forward`` normalizes in place and hands back a read-only array,
+    which ``with_preparation`` keeps as it is, by a matrix map or a
+    permutation alike."""
+    model = tiny_model()
+    pushed = push_forward(model, "mu", map_name)
+    assert not pushed.flags.writeable
+    raw = apply_map(model, model.preparation("mu"), map_name)
+    assert pushed.tobytes() == (raw / raw.sum()).tobytes()
+    assert model.with_preparation("pushed", pushed).preparations["pushed"] is pushed
 
 
 def test_with_preparation_checks_the_new_vector_and_keeps_the_original():

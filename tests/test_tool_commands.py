@@ -220,12 +220,12 @@ def test_outcome_bits_prints_one_well_formed_line_per_program(monkeypatch):
                         ("overlap", tool.overlap_lines(models)),
                         ("widened", tool.widened_lines(models)),
                         ("classify", tool.classify_lines(builds))):
-        assert len(lines) == 4
-        for line, name in zip(lines, ("cap", "bb", "det", "emmr-toy")):
+        assert len(lines) == 5
+        for line, name in zip(lines, ("cap", "cap20000", "bb", "det", "emmr-toy")):
             assert re.fullmatch(rf"{kind} {name} [0-9a-f]{{16}}", line), line
     # each model is classified against its own fragment, and each kind occurs once
     kinds = [tool.classify(model, fragment).kind for model, fragment in builds.values()]
-    assert kinds == ["ESMR", "NONE", "SSMR", "EMMR"]
+    assert kinds == ["ESMR", "ESMR", "NONE", "SSMR", "EMMR"]
     # the overlap targets are the states with delta sets and the macro values,
     # never the toy's bare preparation names eig_up and eig_down
     queries = []

@@ -28,7 +28,14 @@ from macroreal import (
 from macroreal.ontomodel import default_bindings
 from macroreal.ontomodel import QuantumFragment
 from macroreal.quantum import ProjMeasurement, StateVector, UnitaryMap, computational_measurement
-from macroreal.zoo import MAX_GRID_NODES, orbit_closed_directions, rotation_of_unitary
+from macroreal.zoo import (
+    MAX_GRID_NODES,
+    NEAREST_BLOCK,
+    orbit_closed_directions,
+    rotation_of_unitary,
+)
+
+from helpers import cap_model_reference, nearest_reference
 
 
 def test_grid_invariants():
@@ -99,20 +106,28 @@ def _unit_rows(rng, m):
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 
+def _brute_nearest(nodes, points):
+    """Index of the nearest node to each point by brute force, the squares
+    summed dx^2 + dy^2 + dz^2, in chunks of about 2^21 point-node pairs."""
+    nx, ny, nz = nodes.T
+    found = []
+    for chunk in np.array_split(points, max(1, len(points) * len(nodes) >> 21)):
+        d = (chunk[:, 0, None] - nx) ** 2
+        d += (chunk[:, 1, None] - ny) ** 2
+        d += (chunk[:, 2, None] - nz) ** 2
+        found.append(d.argmin(axis=1))
+    return np.concatenate(found)
+
+
 def _assert_nearest_matches_oracles(grid, points):
     """``grid.nearest`` equals a fresh cKDTree's answer, and brute force's
     where the grid has at most 2 000 nodes."""
     from scipy.spatial import cKDTree
 
-    nodes = grid.nodes
     got = grid.nearest(points)
-    assert np.array_equal(got, cKDTree(nodes).query(points)[1])
+    assert np.array_equal(got, cKDTree(grid.nodes).query(points)[1])
     if grid.node_count <= 2000:
-        brute = np.concatenate([
-            ((chunk[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-            for chunk in np.array_split(points, 8)
-        ])
-        assert np.array_equal(got, brute)
+        assert np.array_equal(got, _brute_nearest(grid.nodes, points))
 
 
 def _rotated_nodes(grid, axis, angle):
@@ -148,6 +163,29 @@ def test_nearest_matches_brute_force_and_a_fresh_tree():
         _assert_nearest_matches_oracles(grid, _rotated_nodes(grid, axis, angle))
 
     drawn()
+
+
+@pytest.mark.parametrize("count", [
+    1, NEAREST_BLOCK - 1, NEAREST_BLOCK, NEAREST_BLOCK + 1, 2 * NEAREST_BLOCK + 3])
+def test_nearest_across_block_edges(big_grid, count):
+    """On the 20 000-node grid, at and around each block edge, ``nearest``
+    equals cKDTree and the unblocked arithmetic on every point, and brute
+    force on the 16 points either side of each edge, for rotated nodes and
+    for random unit rows."""
+    rng = np.random.default_rng(count)
+    rotated = _rotated_nodes(big_grid, rng.normal(size=3), float(rng.uniform(0.1, 3.0)))
+    edges = np.arange(0, count + NEAREST_BLOCK, NEAREST_BLOCK)
+    near_edges = np.unique(np.clip((edges[:, None] + np.arange(-16, 16)).ravel(), 0, count - 1))
+    for points in (rotated[rng.permutation(len(rotated))[:count]], _unit_rows(rng, count)):
+        got = big_grid.nearest(points)
+        _assert_nearest_matches_oracles(big_grid, points)
+        assert np.array_equal(got, nearest_reference(big_grid, points))
+        assert np.array_equal(got[near_edges], _brute_nearest(big_grid.nodes, points[near_edges]))
+
+
+def test_nearest_of_no_points_is_an_empty_index_array():
+    got = fibonacci_sphere_grid(20).nearest(np.empty((0, 3)))
+    assert got.shape == (0,) and got.dtype == np.dtype(int)
 
 
 def test_lgi_ks_builds_one_tree(monkeypatch, capsys):
@@ -284,6 +322,68 @@ def test_building_the_cap_model_holds_its_arrays_once():
                for arr in table.values())
     assert held == (152 + 51 * 2) * 2000 * 8
     assert peak <= 1.25 * held
+
+
+def _audit_fragment(seed):
+    """A fragment shaped like the benchmark's cap audits: six paired states
+    and measurements from ``paired_validation_grid``, both macro
+    eigenstates, the macro measurement and one rotation, drawn from
+    ``seed``."""
+    rng = np.random.default_rng(seed)
+    state_dirs, meas_dirs = paired_validation_grid(50)
+    picks = rng.choice(len(state_dirs), size=6, replace=False)
+    states = {f"s{j}": tuple(state_dirs[i]) for j, i in enumerate(picks)}
+    states.update(up=(0.0, 0.0, 1.0), down=(0.0, 0.0, -1.0))
+    meas = {"macro": (0.0, 0.0, 1.0)}
+    meas.update({f"m{j}": tuple(meas_dirs[i]) for j, i in enumerate(picks)})
+    rotation = (tuple(rng.normal(size=3)), float(rng.uniform(0.3, 2.8)))
+    return qubit_fragment(states, meas, rotations={"rot": rotation})
+
+
+def _traced_peak(build):
+    """(result of ``build()``, its tracemalloc peak above the start)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def test_nearest_and_the_cap_build_stay_in_cache_sized_blocks(big_grid):
+    """Snapping 20 000 rotated nodes peaks at most 2 MiB above its start
+    (5.2 MiB when one pass held (4, 20 000) corner arrays), and building
+    the cap model of a benchmark-shaped fragment on 20 000 nodes at most
+    3 MiB above the arrays the model keeps (6.0 MiB before the weights and
+    responses were built in place)."""
+    rotated = _rotated_nodes(big_grid, (0.3, 1.0, -0.2), 1.1)
+    _, peak = _traced_peak(lambda: big_grid.nearest(rotated))
+    assert peak <= 2 * 2**20
+    fragment = _audit_fragment(7)
+    model, peak = _traced_peak(lambda: kochen_specker_model(big_grid, fragment))
+    held = sum(arr.nbytes for table in (model.preparations, model.responses, model.maps)
+               for arr in table.values())
+    assert held == (22 + 7 * 2 + 1) * 20000 * 8
+    assert peak - held <= 3 * 2**20
+
+
+@pytest.mark.parametrize("nodes", [2001, 20000, 50000])
+def test_the_in_place_cap_build_keeps_the_bits_of_the_reference(nodes):
+    """Every preparation, response and map of the cap model has the dtype,
+    shape and bytes of the out-of-place, unblocked build. At 2 001 nodes
+    one node lies on the macro equator, so a height of 0 and its negation
+    are weighed."""
+    grid = fibonacci_sphere_grid(nodes)
+    assert (grid.nodes[:, 2] == 0.0).any() == (nodes == 2001)
+    model = kochen_specker_model(grid, _audit_fragment(nodes))
+    built = (model.preparations, model.responses, model.maps)
+    for got, want in zip(built, cap_model_reference(grid, _audit_fragment(nodes))):
+        assert list(got) == list(want)
+        for name, array in want.items():
+            assert (got[name].dtype, got[name].shape) == (array.dtype, array.shape), name
+            assert got[name].tobytes() == array.tobytes(), name
 
 
 class TestBeltramettiBugajski:

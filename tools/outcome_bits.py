@@ -9,15 +9,16 @@ three controls on each, and prints one line per program,
 ``tests/helpers.py`` (status, pivots and the raw bytes of every number the
 outcome carries) and the bytes of the certificate residual.
 
-Then it prints one ``model name hash`` line for each of four models: the
+Then it prints one ``model name hash`` line for each of five models: the
 cap model (``cap``) on a 2 000-node grid over two states, the macro
 measurement and one rotation, whose map snaps the rotated nodes through
-``SphereGrid.nearest``; ``bb`` and ``det`` as ``zoo`` builds them; and
-``emmr-toy`` at pi/3. The hash covers the name, dtype, shape and bytes of
+``SphereGrid.nearest``; the same fragment's cap model on a 20 000-node grid
+(``cap20000``), whose snapping runs over several blocks; ``bb`` and ``det``
+as ``zoo`` builds them; and ``emmr-toy`` at pi/3. The hash covers the name, dtype, shape and bytes of
 every preparation, response and map array, in registration order, and the
 outcome labels.
 
-Next it prints one ``overlap name hash`` line for each of the same four
+Next it prints one ``overlap name hash`` line for each of the same five
 models. The hash covers the value bytes and the dtype and bytes of the
 realizing set of ``asymmetric_overlap`` for every preparation against
 every single target (each state with a delta set and each macro value with
@@ -25,7 +26,7 @@ declared eigenstates, the only targets there are), each asked twice so
 that the second read of a memoized set counts, and against every union of
 two distinct targets.
 
-Then it prints one ``widened name hash`` line for each of the same four
+Then it prints one ``widened name hash`` line for each of the same five
 models, which covers the memo-invalidation path of ``with_preparation``.
 With the first delta-set state's realizing set already read, the model's
 first preparation, rolled by one atom, is registered into that state's
@@ -34,11 +35,11 @@ the value bytes and the dtype and bytes of the realizing set of that
 state's overlap for every preparation of the widened model, each asked
 twice.
 
-Last it prints one ``classify name hash`` line for each of the same four
+Last it prints one ``classify name hash`` line for each of the same five
 models, each classified against the fragment it was built from. The hash
 covers the kind, then ``tree_bits`` of ``tests/helpers.py`` on the
 evidence, which is read after the kind. A change that keeps every outcome,
-model, overlap, kind and evidence bit prints the same 136 lines:
+model, overlap, kind and evidence bit prints the same 140 lines:
 
     PYTHONPATH=src python3 tools/outcome_bits.py > bits.txt
 
@@ -108,14 +109,15 @@ def model_hash(model) -> str:
 
 
 def zoo_builds() -> dict:
-    """The four fingerprinted models by name, ``cap``, ``bb``, ``det`` and
-    ``emmr-toy``, each with the fragment it was built from."""
+    """The five fingerprinted models by name, ``cap``, ``cap20000``, ``bb``,
+    ``det`` and ``emmr-toy``, each with the fragment it was built from."""
     fragment = qubit_fragment(
         {"up": (0.0, 0.0, 1.0), "skew": (0.6, 0.48, 0.64)},
         {"macro": (0.0, 0.0, 1.0)},
         rotations={"step": ((0.0, 1.0, 0.0), math.pi / 3)},
     )
-    builds = {"cap": (kochen_specker_model(fibonacci_sphere_grid(2000), fragment), fragment)}
+    builds = {name: (kochen_specker_model(fibonacci_sphere_grid(nodes), fragment), fragment)
+              for name, nodes in (("cap", 2000), ("cap20000", 20000))}
     for name in ("bb", "det"):
         builds[name] = _zoo_build(build_parser().parse_args(["zoo", name]))[:2]
     builds["emmr-toy"] = emmr_toy_model(math.pi / 3)
