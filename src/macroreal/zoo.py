@@ -94,13 +94,13 @@ class SphereGrid:
 
         The points are taken in blocks of at most ``NEAREST_BLOCK`` = 4 096.
         A block's (4, block) float64 corner arrays take 128 KiB: glibc's
-        default mmap threshold, and small enough to stay in L2. One pass
-        over 20 000 points made 640 KiB corner arrays, above that threshold,
-        whose pages were faulted in afresh on every call. Within a block the
-        lattice constants are computed once for each level from 2 to the
-        highest that occurs (12 on a 20 000-node grid) and gathered by
-        level. They are the per-point expressions on the same values, so
-        every index is the one a single unblocked pass gives.
+        default mmap threshold, and small enough to stay in L2. Larger
+        arrays lie above that threshold, and their pages are faulted in
+        afresh on every call. Within a block the lattice constants are
+        computed once for each level from 2 to the highest that occurs (12
+        on a 20 000-node grid) and gathered by level. They are the
+        per-point expressions on the same values, so every index is the one
+        a single unblocked pass gives.
         """
         p = np.asarray(points, dtype=float)
         best = np.empty(len(p), dtype=int)

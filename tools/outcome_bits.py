@@ -14,9 +14,9 @@ cap model (``cap``) on a 2 000-node grid over two states, the macro
 measurement and one rotation, whose map snaps the rotated nodes through
 ``SphereGrid.nearest``; the same fragment's cap model on a 20 000-node grid
 (``cap20000``), whose snapping runs over several blocks; ``bb`` and ``det``
-as ``zoo`` builds them; and ``emmr-toy`` at pi/3. The hash covers the name, dtype, shape and bytes of
-every preparation, response and map array, in registration order, and the
-outcome labels.
+as ``zoo`` builds them; and ``emmr-toy`` at pi/3. The hash covers the
+name, dtype, shape and bytes of every preparation, response and map array,
+in registration order, and the outcome labels.
 
 Next it prints one ``overlap name hash`` line for each of the same five
 models. The hash covers the value bytes and the dtype and bytes of the
